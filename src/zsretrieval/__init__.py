@@ -3,6 +3,7 @@
 from .corpus import (
     CorrelationGraph,
     Corpus,
+    Rows,
     TrainingWeights,
     build_correlation_graph,
     build_corpus,

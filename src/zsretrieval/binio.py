@@ -2,6 +2,12 @@
 
 Layout: 16-byte header (8-byte magic, uint32 rows, uint32 cols, little
 endian), raw payload bytes, trailing uint32 CRC32 of header + payload.
+
+Matrices store ``rows x cols`` float32 values row-major. Sparse integer rows
+are stored in CSR layout: the header's rows is the row count and its cols the
+number of value arrays (1, or 2 when a parallel array such as co-occurrence
+counts follows); the payload is ``rows + 1`` int64 offsets rising from 0 to
+nnz, then each value array of nnz int64 entries.
 """
 from __future__ import annotations
 
@@ -67,35 +73,34 @@ def read_matrix(path: str | Path, magic: bytes) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
 
 
-def write_int_lists(path: str | Path, magic: bytes, lists: list[np.ndarray],
-                    extra: list[np.ndarray] | None = None) -> None:
-    """Ragged int lists as CSR offsets + values (+ optional parallel values)."""
-    offsets = np.zeros(len(lists) + 1, dtype="<i8")
-    offsets[1:] = np.cumsum([len(x) for x in lists])
-    values = (np.concatenate(lists) if lists else np.array([], dtype=np.int64)).astype("<i8")
-    payload = offsets.tobytes() + values.tobytes()
-    ncols = 1
-    if extra is not None:
-        ev = (np.concatenate(extra) if extra else np.array([], dtype=np.int64)).astype("<i8")
-        if len(ev) != len(values):
-            raise ValueError("extra values must parallel the main values")
-        payload += ev.tobytes()
-        ncols = 2
-    write_block(path, magic, len(lists), ncols, payload)
+def write_int_lists(path: str | Path, magic: bytes, offsets: np.ndarray, values: np.ndarray,
+                    extra: np.ndarray | None = None) -> None:
+    """CSR rows: offsets, values and an optional array parallel to the values."""
+    arrays = [offsets, values] if extra is None else [offsets, values, extra]
+    if extra is not None and len(extra) != len(values):
+        raise ValueError("extra values must parallel the main values")
+    payload = b"".join(np.ascontiguousarray(a, dtype="<i8").tobytes() for a in arrays)
+    write_block(path, magic, len(offsets) - 1, len(arrays) - 1, payload)
 
 
-def read_int_lists(path: str | Path, magic: bytes) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
+def read_int_lists(path: str | Path, magic: bytes, n_rows: int,
+                   n_cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Return (offsets, values, extra or None) of a CSR block of ``n_rows`` rows
+    whose values index ``[0, n_cols)``; the layout is checked, not trusted."""
     rows, cols, payload = read_block(path, magic)
     off_bytes = (rows + 1) * 8
-    offsets = np.frombuffer(payload[:off_bytes], dtype="<i8")
-    nnz = int(offsets[-1]) if rows else 0
-    expected = off_bytes + nnz * 8 * cols
-    if len(payload) != expected:
+    if rows != n_rows:
+        raise FormatError(f"{path}: {rows} rows, expected {n_rows}")
+    if cols not in (1, 2) or len(payload) < off_bytes:
         raise FormatError(f"{path}: payload size mismatch")
-    values = np.frombuffer(payload[off_bytes:off_bytes + nnz * 8], dtype="<i8").astype(np.int64)
-    lists = [values[offsets[i]:offsets[i + 1]].copy() for i in range(rows)]
-    extra = None
-    if cols == 2:
-        ev = np.frombuffer(payload[off_bytes + nnz * 8:], dtype="<i8").astype(np.int64)
-        extra = [ev[offsets[i]:offsets[i + 1]].copy() for i in range(rows)]
-    return lists, extra
+    offsets = np.frombuffer(payload, dtype="<i8", count=rows + 1).astype(np.int64)
+    nnz = int(offsets[-1])
+    if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
+        raise FormatError(f"{path}: offsets do not rise from 0 to nnz")
+    if len(payload) != off_bytes + nnz * 8 * cols:
+        raise FormatError(f"{path}: payload size mismatch")
+    arrays = [np.frombuffer(payload, dtype="<i8", count=nnz, offset=off_bytes + k * nnz * 8)
+              .astype(np.int64) for k in range(cols)]
+    if nnz and (arrays[0].min() < 0 or arrays[0].max() >= n_cols):
+        raise FormatError(f"{path}: index outside [0, {n_cols})")
+    return offsets, arrays[0], arrays[1] if cols == 2 else None

@@ -50,7 +50,7 @@ from .evaluation import (
     reconstruction_recall,
 )
 from .retrieval import retrieve_topk
-from .sl_trainer import SLTrainer, sl_loss_bruteforce, sl_loss_efficient
+from .sl_trainer import sl_loss_bruteforce, sl_loss_efficient, train_sl_model
 from .smc import SMCConfig, train_smc
 from .store import KINDS, SMC, TrainConfig, load_model, save_model, warm_start_extend
 
@@ -260,8 +260,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         trace: list[dict] = []
         inputs = {"corpus": args.corpus, "pairs": args.pairs}
     else:
-        from .sl_trainer import train_sl_model
-
         state, trace = train_sl_model(corpus, _train_config(cfg))
         inputs = {"corpus": args.corpus}
     save_model(state, out, corpus)
@@ -403,15 +401,7 @@ def cmd_refresh(args: argparse.Namespace) -> int:
                                  prune=bool(cfg["prune"]),
                                  init_std=float(cfg["init_std"]))
     train_cfg = _train_config({**cfg, "dim": extended.d})
-    trainer = SLTrainer(extended, new_corpus, train_cfg)
-    trace = [{"sweep": extended.sweep_count, "loss_total": trainer.loss(), "seconds": 0.0}]
-    import time as _time
-
-    for _ in range(train_cfg.sweeps):
-        t0 = _time.perf_counter()
-        trainer.sweep()
-        trace.append({"sweep": extended.sweep_count, "loss_total": trainer.loss(),
-                      "seconds": _time.perf_counter() - t0})
+    _, trace = train_sl_model(new_corpus, train_cfg, state=extended)
     out = Path(args.out)
     save_model(extended, out, new_corpus)
     _write_trace(out / "loss_trace.csv", trace)

@@ -4,11 +4,14 @@ Items come with pre-tokenized text; the vocabulary holds unigrams plus
 bigrams of adjacent tokens (joined by "_"). The correlation graph is built
 from ordered per-user consumption sequences: an item consumed right after
 another becomes its neighbor, rows ranked by co-occurrence count and
-truncated to a per-row cap.
+truncated to a per-row cap. Per-item word indices and graph rows are held as
+CSR ``Rows``, the layout ``words.bin`` and ``adjacency.bin`` store.
 """
 from __future__ import annotations
 
+import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -22,16 +25,63 @@ ADJ_MAGIC = b"ZSRADJ\x00\x01"
 WORDS_MAGIC = b"ZSRWRD\x00\x01"
 
 
+@dataclass(eq=False)
+class Rows:
+    """Sparse rows in CSR layout: row ``i`` is the view
+    ``values[indptr[i]:indptr[i + 1]]``; ``indptr`` rises from 0 to
+    ``len(values)`` and has one entry more than there are rows.
+    """
+
+    indptr: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def from_lists(cls, rows: Sequence[Sequence[int]]) -> "Rows":
+        """Pack rows given one by one."""
+        values = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64)
+        return cls(np.cumsum([0] + [len(r) for r in rows], dtype=np.int64), values)
+
+    @classmethod
+    def from_coo(cls, row_ids: np.ndarray, values: np.ndarray, n_rows: int) -> "Rows":
+        """Pack entries that are already sorted by ascending row id."""
+        lengths = np.bincount(row_ids, minlength=n_rows)
+        return cls(np.concatenate(([0], np.cumsum(lengths))), values)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        p = self.indptr
+        return self.values[p[i]:p[i + 1]]
+
+    def __iter__(self):
+        return (self.values[a:b] for a, b in zip(self.indptr[:-1], self.indptr[1:]))
+
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def row_ids(self) -> np.ndarray:
+        """The row index of every entry, parallel to ``values``."""
+        return np.repeat(np.arange(len(self)), self.lengths())
+
+    def transpose(self, n_cols: int) -> tuple["Rows", np.ndarray]:
+        """Rows of the transpose (row ``j`` lists, ascending, the rows holding
+        ``j``) and the entry order: a parallel array follows as ``a[order]``."""
+        order = np.argsort(self.values, kind="stable")
+        return Rows.from_coo(self.values[order], self.row_ids()[order], n_cols), order
+
+
 @dataclass
 class CorrelationGraph:
-    """Sparse directed neighbor lists with co-occurrence counts.
+    """Sparse directed neighbor rows with co-occurrence counts.
 
-    ``neighbors[i]`` is sorted by ascending item index; ``counts[i]`` is
+    ``neighbors`` and ``counts`` are CSR ``Rows`` sharing one ``indptr``;
+    ``neighbors[i]`` is sorted by ascending item index and ``counts[i]`` is
     parallel to it. Rows never exceed ``max_neighbors`` entries.
     """
 
-    neighbors: list[np.ndarray]
-    counts: list[np.ndarray]
+    neighbors: Rows
+    counts: Rows
     max_neighbors: int
 
     @property
@@ -40,24 +90,7 @@ class CorrelationGraph:
 
     @property
     def nnz(self) -> int:
-        return sum(len(row) for row in self.neighbors)
-
-    def row_nnz(self) -> np.ndarray:
-        return np.array([len(row) for row in self.neighbors], dtype=np.int64)
-
-    def col_nnz(self) -> np.ndarray:
-        cols = np.zeros(self.n, dtype=np.int64)
-        for row in self.neighbors:
-            np.add.at(cols, row, 1)
-        return cols
-
-    def in_edges(self) -> list[np.ndarray]:
-        """Transpose adjacency: for each item, the seeds that list it."""
-        buckets: list[list[int]] = [[] for _ in range(self.n)]
-        for i, row in enumerate(self.neighbors):
-            for j in row:
-                buckets[int(j)].append(i)
-        return [np.array(b, dtype=np.int64) for b in buckets]
+        return len(self.neighbors.values)
 
 
 @dataclass
@@ -70,11 +103,11 @@ class TrainingWeights:
 
 @dataclass
 class Corpus:
-    """Immutable item corpus: ids, vocabulary, word lists, graph."""
+    """Immutable item corpus: ids, vocabulary, word lists (CSR rows), graph."""
 
     item_ids: list[str]
     vocab: list[str]
-    word_lists: list[np.ndarray]  # per-item vocab indices, order and duplicates kept
+    word_lists: Rows  # per-item vocab indices, order and duplicates kept
     graph: CorrelationGraph
     stats: dict = field(default_factory=dict)
 
@@ -92,8 +125,23 @@ class Corpus:
 
 
 def empty_graph(n: int, max_neighbors: int = 250) -> CorrelationGraph:
-    e = np.array([], dtype=np.int64)
-    return CorrelationGraph([e.copy() for _ in range(n)], [e.copy() for _ in range(n)], max_neighbors)
+    empty = Rows.from_lists([[]] * n)
+    return CorrelationGraph(empty, Rows(empty.indptr, empty.values), max_neighbors)
+
+
+def _select_neighbors(src: np.ndarray, dst: np.ndarray, counts: np.ndarray,
+                      n_items: int, max_neighbors: int) -> CorrelationGraph:
+    """The neighbor policy for distinct (src, dst) edges: rank each row by
+    (count desc, index asc), cut to ``max_neighbors``, store by index asc."""
+    if max_neighbors < 1:
+        raise ConfigError("max_neighbors must be >= 1")
+    order = np.lexsort((dst, -counts, src))
+    src, dst, counts = src[order], dst[order], counts[order]
+    rank = np.arange(len(src)) - np.searchsorted(src, src)  # place within its row
+    keep = np.flatnonzero(rank < max_neighbors)
+    keep = keep[np.lexsort((dst[keep], src[keep]))]
+    neighbors = Rows.from_coo(src[keep], dst[keep], n_items)
+    return CorrelationGraph(neighbors, Rows(neighbors.indptr, counts[keep]), max_neighbors)
 
 
 def tokens_with_bigrams(tokens: Sequence[str]) -> list[str]:
@@ -117,42 +165,30 @@ def build_correlation_graph(
     window: int = 1,
     symmetrize: bool = False,
 ) -> CorrelationGraph:
-    """Count adjacent (earlier, later) consumptions and keep top neighbors.
+    """Count (earlier, later) consumptions and keep top neighbors.
 
     Rows are ranked by co-occurrence count (ties broken by ascending item
     index) and truncated to ``max_neighbors``. Self-transitions are skipped.
     """
-    if max_neighbors < 1:
-        raise ConfigError("max_neighbors must be >= 1")
     if window < 1:
         raise ConfigError("window must be >= 1")
-    counts: dict[tuple[int, int], int] = {}
-    for seq in sequences:
-        for w in range(1, window + 1):
-            for q, p in zip(seq, seq[w:]):
-                if q == p:
-                    continue
-                if not (0 <= q < n_items and 0 <= p < n_items):
-                    raise IngestError(f"item index out of range in sequence: ({q}, {p})")
-                counts[(q, p)] = counts.get((q, p), 0) + 1
+    seqs = list(sequences)
+    lens = np.array([len(s) for s in seqs], dtype=np.int64)
+    flat = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64)
+    bad = flat[(flat < 0) | (flat >= n_items)]
+    if len(bad):
+        raise IngestError(f"item index out of range in sequence: {bad[0]}")
+    seq_id = np.repeat(np.arange(len(seqs)), lens)
+    keys = []
+    for w in range(1, window + 1):
+        q, p = flat[:-w], flat[w:]
+        pair = (seq_id[:-w] == seq_id[w:]) & (q != p)
+        keys.append(q[pair] * n_items + p[pair])
     if symmetrize:
-        sym: dict[tuple[int, int], int] = {}
-        for (q, p), c in counts.items():
-            sym[(q, p)] = sym.get((q, p), 0) + c
-            sym[(p, q)] = sym.get((p, q), 0) + c
-        counts = sym
-
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(n_items)]
-    for (q, p), c in counts.items():
-        rows[q].append((p, c))
-    neighbors, ncounts = [], []
-    for entries in rows:
-        entries.sort(key=lambda e: (-e[1], e[0]))
-        kept = entries[:max_neighbors]
-        kept.sort(key=lambda e: e[0])
-        neighbors.append(np.array([j for j, _ in kept], dtype=np.int64))
-        ncounts.append(np.array([c for _, c in kept], dtype=np.int64))
-    return CorrelationGraph(neighbors, ncounts, max_neighbors)
+        # count(q, p) + count(p, q): every transition also counts reversed
+        keys += [(k % n_items) * n_items + k // n_items for k in keys]
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    return _select_neighbors(keys // n_items, keys % n_items, counts, n_items, max_neighbors)
 
 
 def build_corpus(
@@ -176,30 +212,15 @@ def build_corpus(
                 continue
         kept_ids.append(item_id)
 
-    doc_freq: dict[str, int] = {}
-    per_item_words: list[list[str]] = []
-    for item_id in kept_ids:
-        words = tokens_with_bigrams(item_text[item_id])
-        per_item_words.append(words)
-        for w in set(words):
-            doc_freq[w] = doc_freq.get(w, 0) + 1
-
-    vocab: list[str] = []
-    vocab_index: dict[str, int] = {}
-    for words in per_item_words:
-        for w in words:
-            if w not in vocab_index and doc_freq[w] >= max(min_word_count, 1):
-                vocab_index[w] = len(vocab)
-                vocab.append(w)
-
-    word_lists = []
-    n_empty = 0
-    for words in per_item_words:
-        idx = [vocab_index[w] for w in words if w in vocab_index]
-        if not idx:
-            n_empty += 1
-        word_lists.append(np.array(idx, dtype=np.int64))
-
+    per_item_words = [tokens_with_bigrams(item_text[item_id]) for item_id in kept_ids]
+    doc_freq = Counter(w for words in per_item_words for w in set(words))
+    # vocabulary in order of first occurrence
+    vocab = [w for w in dict.fromkeys(itertools.chain.from_iterable(per_item_words))
+             if doc_freq[w] >= max(min_word_count, 1)]
+    vocab_index = {w: i for i, w in enumerate(vocab)}
+    word_lists = Rows.from_lists([[vocab_index[w] for w in words if w in vocab_index]
+                                  for words in per_item_words])
+    n_empty = int(np.sum(word_lists.lengths() == 0))
     stats = {"items_with_empty_text": n_empty, "dropped_items": len(item_text) - len(kept_ids)}
     return Corpus(kept_ids, vocab, word_lists, empty_graph(len(kept_ids)), stats)
 
@@ -220,7 +241,8 @@ def compute_training_weights(graph: CorrelationGraph, empty_weight_one: bool = F
         mean = w.mean() if len(w) else 1.0
         return w / mean if mean > 0 else np.ones_like(w)
 
-    return TrainingWeights(raw_weights(graph.row_nnz()), raw_weights(graph.col_nnz()))
+    col_nnz = np.bincount(graph.neighbors.values, minlength=graph.n)
+    return TrainingWeights(raw_weights(graph.neighbors.lengths()), raw_weights(col_nnz))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +264,11 @@ def read_items_jsonl(path: str | Path) -> dict[str, list[str]]:
                 raise IngestError(f"{path}:{lineno}: malformed item record: {exc}") from exc
             if not isinstance(item_id, str) or not isinstance(words, list):
                 raise IngestError(f"{path}:{lineno}: 'id' must be a string and 'words' a list")
-            items[item_id] = [str(w) for w in words]
+            words = [str(w) for w in words]
+            text = "".join([item_id, *words])  # stored one per line in .tsv tables
+            if any(c in text for c in "\t\n\r"):
+                raise IngestError(f"{path}:{lineno}: tab or line break in an id or word")
+            items[item_id] = words
     return items
 
 
@@ -264,7 +290,7 @@ def read_sequences_tsv(path: str | Path) -> list[tuple[str, list[str]]]:
 
 def read_graph_tsv(path: str | Path, corpus: Corpus, max_neighbors: int = 250) -> CorrelationGraph:
     """graph.tsv direct ingest: seed_id TAB neighbor_id TAB count."""
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(corpus.n)]
+    edges: list[tuple[int, int, int]] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -277,22 +303,15 @@ def read_graph_tsv(path: str | Path, corpus: Corpus, max_neighbors: int = 250) -
             for item_id in (seed_id, nbr_id):
                 if item_id not in corpus.item_index:
                     raise IngestError(f"{path}:{lineno}: unknown item id {item_id!r}")
-            count = int(count_s)
-            if count < 1:
-                raise IngestError(f"{path}:{lineno}: count must be >= 1")
-            rows[corpus.item_index[seed_id]].append((corpus.item_index[nbr_id], count))
-    neighbors, counts = [], []
-    for entries in rows:
-        seen = {}
-        for j, c in entries:
-            if j in seen:
-                raise IngestError(f"duplicate graph edge for neighbor index {j}")
-            seen[j] = c
-        entries.sort(key=lambda e: (-e[1], e[0]))
-        kept = sorted(entries[:max_neighbors])
-        neighbors.append(np.array([j for j, _ in kept], dtype=np.int64))
-        counts.append(np.array([c for _, c in kept], dtype=np.int64))
-    return CorrelationGraph(neighbors, counts, max_neighbors)
+            if not count_s.isdecimal() or int(count_s) < 1:
+                raise IngestError(f"{path}:{lineno}: count must be an integer >= 1")
+            edges.append((corpus.item_index[seed_id], corpus.item_index[nbr_id], int(count_s)))
+    src, dst, counts = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    keys = np.sort(src * corpus.n + dst)
+    dup = keys[1:][keys[1:] == keys[:-1]]
+    if len(dup):
+        raise IngestError(f"duplicate graph edge for neighbor index {dup[0] % corpus.n}")
+    return _select_neighbors(src, dst, counts, corpus.n, max_neighbors)
 
 
 def ingest_corpus(
@@ -326,18 +345,21 @@ def ingest_corpus(
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    binio.atomic_write_bytes(
-        directory / "vocab.tsv",
-        "".join(f"{t}\t{i}\n" for i, t in enumerate(corpus.vocab)).encode())
-    binio.atomic_write_bytes(
-        directory / "items.tsv",
-        "".join(f"{t}\t{i}\n" for i, t in enumerate(corpus.item_ids)).encode())
-    binio.write_int_lists(directory / "words.bin", WORDS_MAGIC, corpus.word_lists)
-    binio.write_int_lists(directory / "adjacency.bin", ADJ_MAGIC,
-                          corpus.graph.neighbors, corpus.graph.counts)
-    meta = {"max_neighbors": corpus.graph.max_neighbors, "stats": corpus.stats}
+    write_id_tables(corpus, directory)
+    words, graph = corpus.word_lists, corpus.graph
+    binio.write_int_lists(directory / "words.bin", WORDS_MAGIC, words.indptr, words.values)
+    binio.write_int_lists(directory / "adjacency.bin", ADJ_MAGIC, graph.neighbors.indptr,
+                          graph.neighbors.values, graph.counts.values)
+    meta = {"max_neighbors": graph.max_neighbors, "stats": corpus.stats}
     binio.atomic_write_bytes(directory / "corpus_meta.json",
                              json.dumps(meta, indent=2).encode())
+
+
+def write_id_tables(corpus: Corpus, directory: Path) -> None:
+    """vocab.tsv and items.tsv: one ``token TAB index`` line per entry."""
+    for name, tokens in (("vocab.tsv", corpus.vocab), ("items.tsv", corpus.item_ids)):
+        binio.atomic_write_bytes(
+            directory / name, "".join(f"{t}\t{i}\n" for i, t in enumerate(tokens)).encode())
 
 
 def _read_tsv_index(path: Path) -> list[str]:
@@ -347,9 +369,9 @@ def _read_tsv_index(path: Path) -> list[str]:
             line = line.rstrip("\n")
             if not line:
                 continue
-            token, idx = line.split("\t")
-            if int(idx) != len(tokens):
-                raise IngestError(f"{path}:{lineno}: non-dense index {idx}")
+            token, _, idx = line.partition("\t")
+            if idx != str(len(tokens)):
+                raise IngestError(f"{path}:{lineno}: expected token TAB {len(tokens)}")
             tokens.append(token)
     return tokens
 
@@ -358,10 +380,15 @@ def load_corpus(directory: str | Path) -> Corpus:
     directory = Path(directory)
     vocab = _read_tsv_index(directory / "vocab.tsv")
     item_ids = _read_tsv_index(directory / "items.tsv")
-    word_lists, _ = binio.read_int_lists(directory / "words.bin", WORDS_MAGIC)
-    neighbors, counts = binio.read_int_lists(directory / "adjacency.bin", ADJ_MAGIC)
-    meta = json.loads((directory / "corpus_meta.json").read_text())
+    n = len(item_ids)
+    offsets, words, _ = binio.read_int_lists(directory / "words.bin", WORDS_MAGIC, n, len(vocab))
+    indptr, neighbors, counts = binio.read_int_lists(directory / "adjacency.bin", ADJ_MAGIC, n, n)
     if counts is None:
         raise IngestError(f"{directory}/adjacency.bin: missing counts")
-    graph = CorrelationGraph(neighbors, counts, int(meta["max_neighbors"]))
-    return Corpus(item_ids, vocab, word_lists, graph, dict(meta.get("stats", {})))
+    try:
+        meta = json.loads((directory / "corpus_meta.json").read_text())
+        max_neighbors, stats = int(meta["max_neighbors"]), dict(meta.get("stats", {}))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IngestError(f"{directory}/corpus_meta.json: malformed: {exc!r}") from None
+    graph = CorrelationGraph(Rows(indptr, neighbors), Rows(indptr, counts), max_neighbors)
+    return Corpus(item_ids, vocab, Rows(offsets, words), graph, stats)

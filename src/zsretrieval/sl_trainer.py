@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, TrainingWeights, compute_training_weights
+from .corpus import Corpus, CorrelationGraph, Rows, TrainingWeights, compute_training_weights
 from .errors import ConfigError, NumericError, SizeGuardError
 from .store import STL, ZSL_ME, ZSL_TE, ModelState, TrainConfig, init_model_state
 
@@ -57,37 +57,29 @@ def resolve_weights(corpus: Corpus, config: TrainConfig,
     return pos_r, pos_c, ones, ones.copy()
 
 
-def _distinct_incidence(corpus: Corpus) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per item: (distinct word indices, multiplicities)."""
-    out = []
-    for wl in corpus.word_lists:
-        idx, cnt = np.unique(wl, return_counts=True)
-        out.append((idx.astype(np.int64), cnt.astype(np.float64)))
-    return out
+def _distinct_incidence(corpus: Corpus) -> tuple[Rows, Rows]:
+    """Per item: its distinct word indices, ascending, and their multiplicities
+    (float64), as rows sharing one ``indptr``."""
+    words, m = corpus.word_lists, corpus.m
+    keys, mult = np.unique(words.row_ids() * m + words.values, return_counts=True)
+    incidence = Rows.from_coo(keys // m, keys % m, corpus.n)
+    return incidence, Rows(incidence.indptr, mult.astype(np.float64))
 
 
-def _word_items(corpus: Corpus) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per word: (items containing it, multiplicities)."""
-    buckets: list[list[tuple[int, float]]] = [[] for _ in range(corpus.m)]
-    for i, (idx, cnt) in enumerate(_distinct_incidence(corpus)):
-        for e, c in zip(idx, cnt):
-            buckets[int(e)].append((i, float(c)))
-    return [
-        (np.array([i for i, _ in b], dtype=np.int64),
-         np.array([c for _, c in b], dtype=np.float64))
-        for b in buckets
-    ]
+def _self_edges(graph: CorrelationGraph) -> np.ndarray:
+    """Boolean per item: whether the item lists itself as a neighbor."""
+    src = graph.neighbors.row_ids()
+    return np.bincount(src[graph.neighbors.values == src], minlength=graph.n) > 0
 
 
 def _bow_rows(corpus: Corpus, W64: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(item indices with text, their BOW encodings) as float64."""
-    ids = np.array([i for i, wl in enumerate(corpus.word_lists) if len(wl)], dtype=np.int64)
+    words = corpus.word_lists
+    lens = words.lengths()
+    ids = np.flatnonzero(lens)
     if not len(ids):
         return ids, np.zeros((0, W64.shape[1]), dtype=np.float64)
-    lens = np.array([len(corpus.word_lists[i]) for i in ids], dtype=np.int64)
-    flat = np.concatenate([corpus.word_lists[i] for i in ids])
-    offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    enc = np.add.reduceat(W64[flat], offsets, axis=0) / lens[:, None]
+    enc = np.add.reduceat(W64[words.values], words.indptr[ids], axis=0) / lens[ids][:, None]
     return ids, enc
 
 
@@ -124,13 +116,13 @@ def sl_loss_bruteforce(
     loss = 0.0
 
     if t1_mode == "perword":
-        incid = [dict(zip(idx.tolist(), cnt.tolist()))
-                 for idx, cnt in _distinct_incidence(corpus)]
+        incid = np.zeros((n, m))
+        np.add.at(incid, (corpus.word_lists.row_ids(), corpus.word_lists.values), 1.0)
         for i in range(n):
             for e in range(m):
                 s = float(V[i] @ W[e])
-                cnt = incid[i].get(e)
-                if cnt is not None:
+                cnt = incid[i, e]
+                if cnt > 0:
                     loss += pos_r[i] * cnt * (s - 1.0) ** 2
                 else:
                     loss += om * neg_r[i] * s * s
@@ -193,19 +185,17 @@ def sl_loss_efficient(
     if t1_mode == "perword":
         Gw = W.T @ W
         loss_t1 += om * float(np.sum(Gv_neg * Gw))
-        for i, (idx, cnt) in enumerate(_distinct_incidence(corpus)):
-            if not len(idx):
-                continue
-            s = W[idx] @ V[i]
-            loss_t1 += float(np.sum(pos_r[i] * cnt * (s - 1.0) ** 2))
-            loss_t1 -= om * neg_r[i] * float(np.sum(s * s))
+        incidence, mult = _distinct_incidence(corpus)
+        src = incidence.row_ids()
+        s = np.einsum("pd,pd->p", W[incidence.values], V[src])
+        loss_t1 += float(np.sum(pos_r[src] * mult.values * (s - 1.0) ** 2))
+        loss_t1 -= om * float(np.sum(neg_r[src] * s * s))
     elif t1_mode == "encoded":
         q_ids, q_enc = _bow_rows(corpus, W)
         Gq = q_enc.T @ q_enc
         loss_t1 += om * float(np.sum(Gv_neg * Gq))
-        for k, i in enumerate(q_ids):
-            s = float(V[i] @ q_enc[k])
-            loss_t1 += pos_r[i] * (s - 1.0) ** 2 - om * neg_r[i] * s * s
+        s = np.einsum("pd,pd->p", V[q_ids], q_enc)
+        loss_t1 += float(np.sum(pos_r[q_ids] * (s - 1.0) ** 2 - om * neg_r[q_ids] * s * s))
 
     if t2:
         if free_u:
@@ -217,21 +207,15 @@ def sl_loss_efficient(
         ctx_slot[ctx_ids] = np.arange(len(ctx_ids))
         Gu = (ctx * neg_c[ctx_ids][:, None]).T @ ctx
         loss_t2 += om * float(np.sum(Gv_neg * Gu))
-        lens = [len(nb) for nb in corpus.graph.neighbors]
-        if sum(lens):
-            src = np.repeat(np.arange(corpus.n), lens)
-            dst = np.concatenate(corpus.graph.neighbors)
-            slot = ctx_slot[dst]
-            keep = slot >= 0  # contexts without text (zsl_te) carry no edge term
-            src, dst, slot = src[keep], dst[keep], slot[keep]
-            s = np.einsum("pd,pd->p", V[src], ctx[slot])
-            loss_t2 += float(np.sum(pos_r[src] * pos_c[dst] * (s - 1.0) ** 2))
-            loss_t2 -= om * float(np.sum(neg_r[src] * neg_c[dst] * s * s))
+        src, dst = corpus.graph.neighbors.row_ids(), corpus.graph.neighbors.values
+        slot = ctx_slot[dst]
+        keep = slot >= 0  # contexts without text (zsl_te) carry no edge term
+        src, dst, slot = src[keep], dst[keep], slot[keep]
+        s = np.einsum("pd,pd->p", V[src], ctx[slot])
+        loss_t2 += float(np.sum(pos_r[src] * pos_c[dst] * (s - 1.0) ** 2))
+        loss_t2 -= om * float(np.sum(neg_r[src] * neg_c[dst] * s * s))
         if config.exclude_self_negative:
-            self_edge = np.zeros(corpus.n, dtype=bool)
-            for i in range(corpus.n):
-                self_edge[i] = i in corpus.graph.neighbors[i]
-            sel = ctx_ids[~self_edge[ctx_ids]]
+            sel = ctx_ids[~_self_edges(corpus.graph)[ctx_ids]]
             if len(sel):
                 s = np.einsum("pd,pd->p", V[sel], ctx[ctx_slot[sel]])
                 loss_t2 -= om * float(np.sum(neg_r[sel] * neg_c[sel] * s * s))
@@ -268,11 +252,12 @@ class SLTrainer:
         self.config = config
         self.t1_mode, self.t2, self.free_u = task_modes(config)
         self.pos_r, self.pos_c, self.neg_r, self.neg_c = resolve_weights(corpus, config, weights)
-        self.incidence = _distinct_incidence(corpus)
-        self.word_items = _word_items(corpus)
-        self.in_edges = corpus.graph.in_edges()
-        self.self_in_ne = np.array(
-            [i in corpus.graph.neighbors[i] for i in range(corpus.n)], dtype=bool)
+        self.incidence, self.inc_mult = _distinct_incidence(corpus)
+        self.word_items, order = self.incidence.transpose(corpus.m)
+        self.word_mult = Rows(self.word_items.indptr, self.inc_mult.values[order])
+        self.in_edges, _ = corpus.graph.neighbors.transpose(corpus.n)
+        self.self_in_ne = _self_edges(corpus.graph)
+        self.text_len = corpus.word_lists.lengths().astype(np.float64)
         self.refresh()
 
     # -- caches ------------------------------------------------------------
@@ -285,13 +270,10 @@ class SLTrainer:
         d = self.config.d
         self.Gw = self.W64.T @ self.W64 if self.t1_mode == "perword" else None
         if self.t1_mode == "encoded" or (self.t2 and not self.free_u):
-            ids, enc = _bow_rows(self.corpus, self.W64)
-            self.enc_ids, self.enc = ids, enc
-            self.enc_pos = {int(i): k for k, i in enumerate(ids)}
+            self.enc_ids, self.enc = _bow_rows(self.corpus, self.W64)
         else:
             self.enc_ids = np.array([], dtype=np.int64)
             self.enc = np.zeros((0, d))
-            self.enc_pos = {}
         self.enc_slot = np.full(self.corpus.n, -1, dtype=np.int64)
         self.enc_slot[self.enc_ids] = np.arange(len(self.enc_ids))
         self.Gq = self.enc.T @ self.enc if self.t1_mode == "encoded" else None
@@ -342,7 +324,7 @@ class SLTrainer:
         b = np.zeros(d)
         if self.t1_mode == "perword":
             A += om * self.neg_r[i] * self.Gw
-            idx, cnt = self.incidence[i]
+            idx, cnt = self.incidence[i], self.inc_mult[i]
             if len(idx):
                 P = self.W64[idx]
                 coef = self.pos_r[i] * cnt - om * self.neg_r[i]
@@ -350,8 +332,8 @@ class SLTrainer:
                 b += (self.pos_r[i] * cnt) @ P
         elif self.t1_mode == "encoded":
             A += om * self.neg_r[i] * self.Gq
-            k = self.enc_pos.get(i)
-            if k is not None:
+            k = self.enc_slot[i]
+            if k >= 0:
                 q = self.enc[k]
                 A += (self.pos_r[i] - om * self.neg_r[i]) * np.outer(q, q)
                 b += self.pos_r[i] * q
@@ -382,8 +364,8 @@ class SLTrainer:
     def _ctx_vec(self, j: int) -> np.ndarray | None:
         if self.free_u:
             return self.U64[j]
-        k = self.enc_pos.get(j)
-        return None if k is None else self.enc[k]
+        k = self.enc_slot[j]
+        return None if k < 0 else self.enc[k]
 
     def _update_u(self, j: int) -> np.ndarray:
         cfg = self.config
@@ -410,7 +392,7 @@ class SLTrainer:
         d = cfg.d
         A = cfg.lam * np.eye(d)
         b = np.zeros(d)
-        items, mult = self.word_items[e]
+        items, mult = self.word_items[e], self.word_mult[e]
 
         if self.t1_mode == "perword":
             # Implicit over every item, corrected at the incident ones.
@@ -435,9 +417,7 @@ class SLTrainer:
         keep = slot >= 0
         ctx_items = items[keep]
         ks = slot[keep]
-        lens = np.array([len(self.corpus.word_lists[i]) for i in ctx_items],
-                        dtype=np.float64)
-        alphas = mult[keep] / lens if len(ctx_items) else np.zeros(0)
+        alphas = mult[keep] / self.text_len[ctx_items]
         restM = self.enc[ks] - alphas[:, None] * self.W64[e]
 
         if self.t1_mode == "encoded":
@@ -456,10 +436,13 @@ class SLTrainer:
             A += om * float(np.sum(cneg_ctx * alphas * alphas)) * self.Gv_neg
             if len(ctx_items):
                 b -= om * self.Gv_neg @ ((cneg_ctx * alphas) @ restM)
-                lens_in = [len(self.in_edges[ell]) for ell in ctx_items]
-                if sum(lens_in):
-                    pslot = np.repeat(np.arange(len(ctx_items)), lens_in)
-                    seeds = np.concatenate([self.in_edges[ell] for ell in ctx_items])
+                # Seeds of every context item, gathered from the transposed graph.
+                starts = self.in_edges.indptr[ctx_items]
+                lens_in = self.in_edges.indptr[ctx_items + 1] - starts
+                pslot = np.repeat(np.arange(len(ctx_items)), lens_in)
+                if len(pslot):
+                    skip = starts - (np.cumsum(lens_in) - lens_in)
+                    seeds = self.in_edges.values[np.arange(len(pslot)) + skip[pslot]]
                     Vs = self.V64[seeds]
                     beta = np.einsum("pd,pd->p", Vs, restM[pslot])
                     a = alphas[pslot]

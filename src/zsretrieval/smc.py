@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, Rows
 from .errors import ConfigError, NumericError, SizeGuardError
 from .store import SMC, ModelState, init_rows
 
@@ -127,7 +127,7 @@ def train_smc(pairs: QueryItemPairs, corpus: Corpus, config: SMCConfig) -> Model
     W = init_rows(config.seed, "W", range(corpus.m), config.d, config.init_std).astype(np.float64)
     V = init_rows(config.seed, "V", range(corpus.n), config.d, config.init_std).astype(np.float64)
     rng = np.random.default_rng(config.seed)
-    queries = [np.asarray(w, dtype=np.int64) for w, _ in pairs]
+    queries = Rows.from_lists([w for w, _ in pairs])
     targets = np.array([t for _, t in pairs], dtype=np.int64)
 
     order = rng.permutation(len(pairs))

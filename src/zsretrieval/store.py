@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
-from .corpus import Corpus
+from .corpus import Corpus, write_id_tables
 from .errors import ConfigError, FormatError, KindMismatchError, RefreshError, VersionError
 
 FORMAT_VERSION = 1
@@ -185,12 +185,7 @@ def save_model(state: ModelState, directory: str | Path, corpus: Corpus | None =
     if state.U is not None:
         binio.write_matrix(directory / "U.bin", _BLOCK_MAGIC["U"], state.U)
     if corpus is not None:
-        binio.atomic_write_bytes(
-            directory / "vocab.tsv",
-            "".join(f"{t}\t{i}\n" for i, t in enumerate(corpus.vocab)).encode())
-        binio.atomic_write_bytes(
-            directory / "items.tsv",
-            "".join(f"{t}\t{i}\n" for i, t in enumerate(corpus.item_ids)).encode())
+        write_id_tables(corpus, directory)
 
 
 def load_model(directory: str | Path, expect_kind: str | None = None) -> ModelState:

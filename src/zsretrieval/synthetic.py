@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CorrelationGraph
+from .corpus import Corpus, CorrelationGraph, Rows
 from .errors import IngestError
 
 
@@ -96,21 +96,18 @@ def make_synthetic_transfer_corpus(
                     f"paired words {pair} co-located in one item's text; "
                     "cross-cluster relevance would leak through text")
 
-    word_lists = [np.array([vocab_index[w] for w in words], dtype=np.int64)
-                  for words in texts]
+    word_lists = Rows.from_lists([[vocab_index[w] for w in words] for words in texts])
 
-    n = len(item_ids)
-    neighbors = [np.array([], dtype=np.int64) for _ in range(n)]
-    counts = [np.array([], dtype=np.int64) for _ in range(n)]
+    rows: list[list[int]] = [[] for _ in item_ids]
     for (c, p), members in topic_items.items():
         partners = sorted(
             j for c2 in range(spec.n_clusters)
             if c2 != c or spec.within_cluster_edges
             for j in topic_items[(c2, p)])
         for i in members:
-            row = [j for j in partners if j != i][:spec.max_neighbors]
-            neighbors[i] = np.array(row, dtype=np.int64)
-            counts[i] = np.ones(len(row), dtype=np.int64)
+            rows[i] = [j for j in partners if j != i][:spec.max_neighbors]
+    neighbors = Rows.from_lists(rows)
+    counts = Rows(neighbors.indptr, np.ones(len(neighbors.values), dtype=np.int64))
     graph = CorrelationGraph(neighbors, counts, spec.max_neighbors)
     corpus = Corpus(item_ids, vocab, word_lists, graph,
                     {"synthetic": True, "per_topic": per_topic})

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_random_corpus
-from zsretrieval.corpus import Corpus, CorrelationGraph
+from zsretrieval.corpus import Corpus, CorrelationGraph, Rows
 from zsretrieval.encoder import rescale_item_norms
 from zsretrieval.evaluation import (
     LabeledSet,
@@ -66,11 +66,9 @@ def _random_config(rng, kind, trial):
 
 
 def two_item_fixture():
-    graph = CorrelationGraph(
-        [np.array([1], dtype=np.int64), np.array([], dtype=np.int64)],
-        [np.array([1], dtype=np.int64), np.array([], dtype=np.int64)], 10)
+    graph = CorrelationGraph(Rows.from_lists([[1], []]), Rows.from_lists([[1], []]), 10)
     corpus = Corpus(["i0", "i1"], ["w0", "w1"],
-                    [np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)],
+                    Rows.from_lists([[0], [1]]),
                     graph, {})
     W = np.array([[3.0], [4.0]], dtype=np.float32)
     V = np.array([[1.0], [2.0]], dtype=np.float32)

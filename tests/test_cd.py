@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_random_corpus
-from zsretrieval.corpus import Corpus, CorrelationGraph
+from zsretrieval.corpus import Corpus, CorrelationGraph, Rows
 from zsretrieval.sl_trainer import (
     SLTrainer,
     cd_sweep,
@@ -25,11 +25,9 @@ KINDS = [STL, ZSL_ME, ZSL_TE]
 
 
 def one_edge_corpus():
-    graph = CorrelationGraph(
-        [np.array([1], dtype=np.int64), np.array([], dtype=np.int64)],
-        [np.array([1], dtype=np.int64), np.array([], dtype=np.int64)], 10)
+    graph = CorrelationGraph(Rows.from_lists([[1], []]), Rows.from_lists([[1], []]), 10)
     return Corpus(["i0", "i1"], ["w0", "w1"],
-                  [np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)],
+                  Rows.from_lists([[0], [1]]),
                   graph, {})
 
 
@@ -106,9 +104,9 @@ class TestSweeps:
         # no positives anywhere, omega0 tiny, lambda > 0: one sweep ~zeros all
         n = 4
         corpus = Corpus([f"i{k}" for k in range(n)], ["w0"],
-                        [np.array([], dtype=np.int64) for _ in range(n)],
-                        CorrelationGraph([np.array([], dtype=np.int64)] * n,
-                                         [np.array([], dtype=np.int64)] * n, 5),
+                        Rows.from_lists([[]] * n),
+                        CorrelationGraph(Rows.from_lists([[]] * n),
+                                         Rows.from_lists([[]] * n), 5),
                         {})
         config = TrainConfig(kind=ZSL_ME, d=2, omega0=1e-6, lam=1.0, seed=5)
         state = init_model_state(config, corpus)
@@ -124,7 +122,7 @@ class TestSweeps:
         config = TrainConfig(kind=ZSL_ME, d=2, omega0=1e-12, lam=0.0,
                              use_weights=False, seed=6)
         # silence task 1 by pointing every item at an empty word list
-        corpus.word_lists = [np.array([], dtype=np.int64) for _ in range(corpus.n)]
+        corpus.word_lists = Rows.from_lists([[]] * corpus.n)
         state = init_model_state(config, corpus)
         trainer = SLTrainer(state, corpus, config)
         U = state.U.astype(np.float64)

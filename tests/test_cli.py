@@ -1,9 +1,12 @@
 """End-to-end runs of the zsr command line through main()."""
 import json
 
+import numpy as np
 import pytest
 
+from zsretrieval import binio
 from zsretrieval.cli import main
+from zsretrieval.corpus import ADJ_MAGIC, WORDS_MAGIC
 
 ITEMS = """\
 {"id": "a", "words": ["red", "apple", "fruit"]}
@@ -242,6 +245,9 @@ class TestRefresh:
         assert "n=5" in capsys.readouterr().out
         trace = (workspace / "model2" / "loss_trace.csv").read_text().splitlines()
         assert len(trace) == 4  # header + initial + 2 default sweeps
+        for row in trace[1:]:
+            _, _, task1, task2, reg, _ = row.split(",")
+            assert task1 and task2 and reg  # loss components filled in
 
 
 class TestLossAudit:
@@ -265,3 +271,73 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+def _rewrite(path, old, new):
+    path.write_text(path.read_text().replace(old, new, 1))
+
+
+def _drop_max_neighbors(corpus):
+    meta = json.loads((corpus / "corpus_meta.json").read_text())
+    del meta["max_neighbors"]
+    (corpus / "corpus_meta.json").write_text(json.dumps(meta))
+
+
+# Each case damages one input; the command must exit 2 with one line.
+MALFORMED = {
+    "graph-count-not-an-integer": (
+        lambda ws, c: (ws / "graph.tsv").write_text("a\tb\tthree\n"), "ingest-graph"),
+    "item-id-with-a-tab": (
+        lambda ws, c: _rewrite(ws / "items.jsonl", "\n", '\n{"id": "e\\tx", "words": []}\n'),
+        "ingest"),
+    "word-with-a-line-break": (
+        lambda ws, c: _rewrite(ws / "items.jsonl", '"red"', '"r\\ned"'), "ingest"),
+    "vocab-line-without-index": (
+        lambda ws, c: _rewrite(c / "vocab.tsv", "\t0\n", "\n"), "train"),
+    "items-line-with-a-stray-field": (
+        lambda ws, c: _rewrite(c / "items.tsv", "\t0\n", "\t0\tx\n"), "train"),
+    "items-index-not-an-integer": (
+        lambda ws, c: _rewrite(c / "items.tsv", "\t0\n", "\tzero\n"), "train"),
+    "corpus-meta-without-max-neighbors": (
+        lambda ws, c: _drop_max_neighbors(c), "train"),
+    "word-offsets-fall": (
+        lambda ws, c: binio.write_int_lists(c / "words.bin", WORDS_MAGIC,
+                                            np.array([0, 3, 2, 4, 4]), np.zeros(4)), "train"),
+    "word-offsets-start-above-0": (
+        lambda ws, c: binio.write_int_lists(c / "words.bin", WORDS_MAGIC,
+                                            np.array([1, 1, 1, 1, 1]), np.zeros(1)), "train"),
+    "word-index-outside-the-vocabulary": (
+        lambda ws, c: binio.write_int_lists(c / "words.bin", WORDS_MAGIC,
+                                            np.array([0, 1, 1, 1, 1]), np.array([999])),
+        "train"),
+    "neighbor-index-outside-the-items": (
+        lambda ws, c: binio.write_int_lists(c / "adjacency.bin", ADJ_MAGIC,
+                                            np.array([0, 1, 1, 1, 1]), np.array([4]),
+                                            np.array([1])), "train"),
+    "adjacency-with-fewer-rows-than-items": (
+        lambda ws, c: binio.write_int_lists(c / "adjacency.bin", ADJ_MAGIC,
+                                            np.array([0, 0]), np.zeros(0), np.zeros(0)),
+        "train"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_one_line(workspace, capsys, case):
+    damage, command = MALFORMED[case]
+    corpus = ingest(workspace)
+    capsys.readouterr()
+    damage(workspace, corpus)
+    if command == "train":
+        argv = ["train", "--corpus", str(corpus), "--out", str(workspace / "m"),
+                "--model", "zsl_te", "--dim", "2", "--sweeps", "1"]
+    else:
+        argv = ["ingest", "--items", str(workspace / "items.jsonl"),
+                "--out", str(workspace / "c2")]
+        if command == "ingest-graph":
+            argv += ["--graph", str(workspace / "graph.tsv")]
+        else:
+            argv += ["--sequences", str(workspace / "sequences.tsv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err

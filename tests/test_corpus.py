@@ -3,9 +3,13 @@ import numpy as np
 import pytest
 
 from zsretrieval.corpus import (
+    Corpus,
+    CorrelationGraph,
+    Rows,
     build_correlation_graph,
     build_corpus,
     compute_training_weights,
+    empty_graph,
     ingest_corpus,
     load_corpus,
     read_graph_tsv,
@@ -57,27 +61,35 @@ class TestCorrelationGraph:
         with pytest.raises(ConfigError):
             build_correlation_graph([], 3, 0)
 
-    def test_rows_never_exceed_cap_and_keep_max_counts(self, rng):
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_rows_never_exceed_cap_and_keep_max_counts(self, rng, window, symmetrize):
         sequences = [rng.integers(0, 12, size=20).tolist() for _ in range(30)]
         cap = 3
-        g = build_correlation_graph(sequences, 12, cap)
+        g = build_correlation_graph(sequences, 12, cap, window, symmetrize)
         raw = {}
         for seq in sequences:
-            for q, p in zip(seq, seq[1:]):
-                if q != p:
-                    raw[(q, p)] = raw.get((q, p), 0) + 1
+            for w in range(1, window + 1):
+                for q, p in zip(seq, seq[w:]):
+                    if q != p:
+                        raw[(q, p)] = raw.get((q, p), 0) + 1
+                        if symmetrize:
+                            raw[(p, q)] = raw.get((p, q), 0) + 1
         for i in range(12):
             row = sorted(((p, c) for (q, p), c in raw.items() if q == i),
                          key=lambda e: (-e[1], e[0]))[:cap]
             assert len(g.neighbors[i]) <= cap
             assert sorted(j for j, _ in row) == g.neighbors[i].tolist()
+            assert g.counts[i].tolist() == [raw[(i, int(j))] for j in g.neighbors[i]]
 
     def test_in_edges_is_transpose(self):
         g = build_correlation_graph([[0, 1, 2], [0, 2]], 3, 250)
-        ins = g.in_edges()
+        ins, order = g.neighbors.transpose(g.n)
         for i, row in enumerate(g.neighbors):
             for j in row:
                 assert i in ins[int(j)].tolist()
+        assert [r.tolist() for r in ins] == [[], [0], [0, 1]]
+        assert g.neighbors.values[order].tolist() == ins.row_ids().tolist()
 
 
 class TestBuildCorpus:
@@ -108,11 +120,10 @@ class TestBuildCorpus:
 class TestTrainingWeights:
     def test_hand_example(self):
         # row nnz pattern [1,4,4]: raw [1,.5,.5], mean 2/3 -> [1.5,.75,.75]
-        from zsretrieval.corpus import CorrelationGraph
         rows = [[1], [0, 2, 3, 4], [0, 3, 4, 5],
                 [2], [0, 1, 2, 5], [0, 1, 3, 4]]
-        g = CorrelationGraph([np.array(r, dtype=np.int64) for r in rows],
-                             [np.ones(len(r), dtype=np.int64) for r in rows], 250)
+        g = CorrelationGraph(Rows.from_lists(rows),
+                             Rows.from_lists([[1] * len(r) for r in rows]), 250)
         w = compute_training_weights(g)
         assert w.row.tolist() == pytest.approx([1.5, 0.75, 0.75, 1.5, 0.75, 0.75],
                                                abs=1e-12)
@@ -205,15 +216,18 @@ class TestIngestion:
 class TestCorpusPersistence:
     def test_save_load_roundtrip(self, tmp_path, rng):
         from tests.conftest import make_random_corpus
-        corpus = make_random_corpus(rng, 9, 7)
-        save_corpus(corpus, tmp_path / "c")
-        back = load_corpus(tmp_path / "c")
-        assert back.item_ids == corpus.item_ids
-        assert back.vocab == corpus.vocab
-        for a, b in zip(back.word_lists, corpus.word_lists):
-            assert a.tolist() == b.tolist()
-        for a, b in zip(back.graph.neighbors, corpus.graph.neighbors):
-            assert a.tolist() == b.tolist()
-        for a, b in zip(back.graph.counts, corpus.graph.counts):
-            assert a.tolist() == b.tolist()
-        assert back.graph.max_neighbors == corpus.graph.max_neighbors
+        edgeless = Corpus(["a", "b", "c"], ["x"], Rows.from_lists([[], [0, 0], []]),
+                          empty_graph(3, 7), {})
+        for k, corpus in enumerate([make_random_corpus(rng, 9, 7), edgeless]):
+            save_corpus(corpus, tmp_path / f"c{k}")
+            back = load_corpus(tmp_path / f"c{k}")
+            assert back.item_ids == corpus.item_ids
+            assert back.vocab == corpus.vocab
+            assert len(back.word_lists) == len(back.graph.neighbors) == corpus.n
+            for a, b in zip(back.word_lists, corpus.word_lists):
+                assert a.tolist() == b.tolist()
+            for a, b in zip(back.graph.neighbors, corpus.graph.neighbors):
+                assert a.tolist() == b.tolist()
+            for a, b in zip(back.graph.counts, corpus.graph.counts):
+                assert a.tolist() == b.tolist()
+            assert back.graph.max_neighbors == corpus.graph.max_neighbors

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_random_corpus
-from zsretrieval.corpus import CorrelationGraph
+from zsretrieval.corpus import CorrelationGraph, Rows
 from zsretrieval.errors import IngestError
 from zsretrieval.evaluation import (
     LabeledSet,
@@ -33,20 +33,16 @@ class TestReconstructionRecall:
     def test_perfect_embeddings_recall_one(self):
         # orthogonal one-hot items, each item's sole neighbor duplicated vector
         V = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.float32)
-        graph = CorrelationGraph(
-            [np.array([1]), np.array([0]), np.array([3]), np.array([2])],
-            [np.array([1])] * 4, 10)
+        graph = CorrelationGraph(Rows.from_lists([[1], [0], [3], [2]]),
+                                 Rows.from_lists([[1]] * 4), 10)
         state = ModelState(ZSL_TE, 2, np.zeros((1, 2), dtype=np.float32), V, None, 0)
         rep = reconstruction_recall(state, graph, "cosine")
         assert rep.mean == 1.0
 
     def test_empty_rows_skipped(self, rng):
         state = make_state(rng, 4, 2)
-        graph = CorrelationGraph(
-            [np.array([1]), np.array([], dtype=np.int64),
-             np.array([0, 3]), np.array([], dtype=np.int64)],
-            [np.array([1]), np.array([], dtype=np.int64),
-             np.array([1, 1]), np.array([], dtype=np.int64)], 10)
+        graph = CorrelationGraph(Rows.from_lists([[1], [], [0, 3], []]),
+                                 Rows.from_lists([[1], [], [1, 1], []]), 10)
         rep = reconstruction_recall(state, graph)
         assert rep.skipped == 2
         assert len(rep.per_query) == 2
@@ -78,8 +74,8 @@ class TestReconstructionRecall:
     def test_seed_inclusion_flag(self):
         # self-loop neighbor: recall only reachable when the seed is scored
         V = np.array([[1, 0], [0, 1]], dtype=np.float32)
-        graph = CorrelationGraph([np.array([0]), np.array([], dtype=np.int64)],
-                                 [np.array([1]), np.array([], dtype=np.int64)], 5)
+        graph = CorrelationGraph(Rows.from_lists([[0], []]),
+                                 Rows.from_lists([[1], []]), 5)
         state = ModelState(ZSL_TE, 2, np.zeros((1, 2), dtype=np.float32), V, None, 0)
         assert reconstruction_recall(state, graph, exclude_seed=True).mean == 0.0
         assert reconstruction_recall(state, graph, exclude_seed=False).mean == 1.0

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_random_corpus
-from zsretrieval.corpus import Corpus, CorrelationGraph, empty_graph
+from zsretrieval.corpus import Corpus, CorrelationGraph, Rows, empty_graph
 from zsretrieval.errors import SizeGuardError
 from zsretrieval.sl_trainer import (
     resolve_weights,
@@ -25,11 +25,9 @@ def two_item_fixture():
 
     Ne(0)={1}, Ne(1)={}; each item's single word carries its context value.
     """
-    graph = CorrelationGraph(
-        [np.array([1], dtype=np.int64), np.array([], dtype=np.int64)],
-        [np.array([1], dtype=np.int64), np.array([], dtype=np.int64)], 10)
+    graph = CorrelationGraph(Rows.from_lists([[1], []]), Rows.from_lists([[1], []]), 10)
     corpus = Corpus(["i0", "i1"], ["w0", "w1"],
-                    [np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)],
+                    Rows.from_lists([[0], [1]]),
                     graph, {})
     W = np.array([[3.0], [4.0]], dtype=np.float32)
     V = np.array([[1.0], [2.0]], dtype=np.float32)
@@ -73,7 +71,7 @@ class TestHandFixtures:
         v = rng.standard_normal((n, 1)).astype(np.float32)
         u_words = rng.standard_normal((n, 1)).astype(np.float32)
         corpus = Corpus([f"i{k}" for k in range(n)], [f"w{k}" for k in range(n)],
-                        [np.array([k], dtype=np.int64) for k in range(n)],
+                        Rows.from_lists([[k] for k in range(n)]),
                         empty_graph(n), {})
         state = ModelState(ZSL_TE, 1, u_words, v, None, seed=0)
         config = TrainConfig(kind=ZSL_TE, d=1, omega0=0.37, lam=0.0,

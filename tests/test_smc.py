@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_random_corpus
+from zsretrieval.corpus import Rows
 from zsretrieval.errors import ConfigError, NumericError, SizeGuardError
 from zsretrieval.smc import (
     SMCConfig,
@@ -122,7 +123,7 @@ class TestCELossExact:
 
     def test_context_variant_uses_bow_without_u(self, rng):
         corpus = make_random_corpus(rng, 4, 3, max_text=3)
-        corpus.word_lists = [np.array([0], dtype=np.int64)] * 4
+        corpus.word_lists = Rows.from_lists([[0]] * 4)
         W = np.zeros((3, 2), dtype=np.float32)
         V = np.zeros((4, 2), dtype=np.float32)
         state = ModelState(SMC, 2, W, V, None, 0)
