@@ -20,7 +20,7 @@ from .evaluation import (
     recall_at_k,
     reconstruction_recall,
 )
-from .retrieval import RankedList, ensemble_interleave, retrieve_topk
+from .retrieval import RankedList, ensemble_interleave, retrieve_topk, search
 from .sl_trainer import (
     SLTrainer,
     cd_sweep,

@@ -31,7 +31,6 @@ from .corpus import (
     words_to_indices,
 )
 from .corpus import build_corpus as _build_corpus
-from .encoder import encode_bow
 from .errors import (
     ConfigError,
     EncodeError,
@@ -49,7 +48,7 @@ from .evaluation import (
     recall_at_k,
     reconstruction_recall,
 )
-from .retrieval import retrieve_topk
+from .retrieval import search
 from .sl_trainer import sl_loss_bruteforce, sl_loss_efficient, train_sl_model
 from .smc import SMCConfig, train_smc
 from .store import KINDS, SMC, TrainConfig, load_model, save_model, warm_start_extend
@@ -112,12 +111,14 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
-def _write_manifest(out_dir: Path, command: str, resolved: dict,
+def _write_manifest(out_dir: Path, args: argparse.Namespace, resolved: dict,
                     inputs: dict[str, str | Path]) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "config": resolved,
+        "threads": {"requested": args.threads,
+                    "applied": args.threads_applied},
         "inputs": {name: {"path": str(p), "sha256": _digest(p)}
                    for name, p in inputs.items()},
     }
@@ -127,6 +128,8 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict,
 
 
 def _limit_threads(threads: int | None):
+    """A threadpoolctl limiter for ``--threads``; None when there is no
+    request or threadpoolctl is not installed."""
     if threads is None:
         return None
     try:
@@ -136,9 +139,13 @@ def _limit_threads(threads: int | None):
     return threadpool_limits(limits=threads)
 
 
-def _read_pairs_tsv(path: str | Path, corpus: Corpus) -> list[tuple[list[int], int]]:
-    """pairs.tsv: query text TAB item_id; queries tokenized like build_corpus."""
-    pairs = []
+def _read_pairs_tsv(path: str | Path,
+                    corpus: Corpus) -> tuple[list[tuple[list[int], int]], list[int]]:
+    """pairs.tsv: query text TAB item_id; queries tokenized like build_corpus.
+
+    Returns the (word indices, item) pairs and each query's token count.
+    """
+    pairs, token_counts = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -150,9 +157,10 @@ def _read_pairs_tsv(path: str | Path, corpus: Corpus) -> list[tuple[list[int], i
             text, item_id = parts
             if item_id not in corpus.item_index:
                 raise IngestError(f"{path}:{lineno}: unknown item id {item_id!r}")
-            pairs.append((words_to_indices(corpus, text.split()),
-                          corpus.item_index[item_id]))
-    return pairs
+            tokens = text.split()
+            pairs.append((words_to_indices(corpus, tokens), corpus.item_index[item_id]))
+            token_counts.append(len(tokens))
+    return pairs, token_counts
 
 
 def _read_labeled_sets(path: str | Path, corpus: Corpus) -> dict[str, LabeledSet]:
@@ -168,14 +176,20 @@ def _read_labeled_sets(path: str | Path, corpus: Corpus) -> dict[str, LabeledSet
                 tokens, relevant = rec["query"], rec["relevant"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise IngestError(f"{path}:{lineno}: malformed labeled record: {exc}") from exc
+            for key, value in (("query", tokens), ("relevant", relevant)):
+                if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                    raise IngestError(f"{path}:{lineno}: {key!r} must be a list of strings")
+            if not relevant:
+                raise IngestError(f"{path}:{lineno}: 'relevant' is empty")
+            name = rec.get("set", "default")
+            if not isinstance(name, str):
+                raise IngestError(f"{path}:{lineno}: 'set' must be a string")
             rel_idx = set()
             for item_id in relevant:
                 if item_id not in corpus.item_index:
                     raise IngestError(f"{path}:{lineno}: unknown item id {item_id!r}")
                 rel_idx.add(corpus.item_index[item_id])
-            name = rec.get("set", "default")
-            sets.setdefault(name, []).append(
-                (words_to_indices(corpus, [str(t) for t in tokens]), rel_idx))
+            sets.setdefault(name, []).append((words_to_indices(corpus, tokens), rel_idx))
     return {name: LabeledSet(queries) for name, queries in sets.items()}
 
 
@@ -202,7 +216,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             inputs["graph"] = args.graph
     out = Path(args.out)
     save_corpus(corpus, out)
-    _write_manifest(out, "ingest", cfg, inputs)
+    _write_manifest(out, args, cfg, inputs)
     print(f"ingested {corpus.n} items, {corpus.m} words, "
           f"{corpus.graph.nnz} graph edges -> {out}")
     return 0
@@ -250,7 +264,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if cfg["model"] == SMC:
         if not args.pairs:
             raise ConfigError("--pairs is required for the smc model")
-        pairs = _read_pairs_tsv(args.pairs, corpus)
+        pairs, _ = _read_pairs_tsv(args.pairs, corpus)
         smc_cfg = SMCConfig(d=int(cfg["dim"]), negatives=int(cfg["negatives"]),
                             batch_size=int(cfg["batch_size"]),
                             learning_rate=float(cfg["learning_rate"]),
@@ -264,7 +278,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         inputs = {"corpus": args.corpus}
     save_model(state, out, corpus)
     _write_trace(out / "loss_trace.csv", trace)
-    _write_manifest(out, "train", cfg, inputs)
+    _write_manifest(out, args, cfg, inputs)
     tail = f" final_loss={trace[-1]['loss_total']:.6g}" if trace else ""
     print(f"trained {state.kind} d={state.d} sweeps={state.sweep_count}{tail} -> {out}")
     return 0
@@ -277,17 +291,14 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     mode = cfg["score"] or state.score_mode
     lines = Path(args.queries).read_text().splitlines()
+    queries = [words_to_indices(corpus, raw.split(), bigrams=cfg["bigrams"]) for raw in lines]
+    results = search(queries, state.W, state.V, int(cfg["k"]), mode)
     out_rows = []
     skipped = 0
-    for qno, raw in enumerate(lines):
-        tokens = raw.split()
-        widx = words_to_indices(corpus, tokens, bigrams=cfg["bigrams"])
+    for qno, (raw, ranked) in enumerate(zip(lines, results)):
         out_rows.append(f"# query {qno}\t{raw}")
-        try:
-            q = encode_bow(widx, state.W)
-            ranked = retrieve_topk(q, state.V, int(cfg["k"]), mode)
-        except (EncodeError, ScoreError) as exc:
-            out_rows.append(f"# skipped: {exc}")
+        if isinstance(ranked, str):
+            out_rows.append(f"# skipped: {ranked}")
             skipped += 1
             continue
         for rank, (item, score) in enumerate(ranked, 1):
@@ -295,7 +306,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     binio.atomic_write_bytes(out / "results.tsv", ("\n".join(out_rows) + "\n").encode())
-    _write_manifest(out, "retrieve", cfg,
+    _write_manifest(out, args, cfg,
                     {"model": args.model, "corpus": args.corpus, "queries": args.queries})
     print(f"retrieved top-{cfg['k']} ({mode}) for {len(lines)} queries "
           f"({skipped} skipped) -> {out / 'results.tsv'}")
@@ -345,9 +356,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not args.pairs:
             raise ConfigError("--pairs is required for the recall metric")
         inputs["pairs"] = args.pairs
-        pairs = _read_pairs_tsv(args.pairs, corpus)
+        pairs, token_counts = _read_pairs_tsv(args.pairs, corpus)
         rep = recall_at_k(state, pairs, int(cfg["k"]), mode,
-                          by_length=bool(cfg["by_length"]))
+                          by_length=bool(cfg["by_length"]), unigram_lens=token_counts)
         report.update(k=int(cfg["k"]), mean_recall=rep.mean,
                       scored=len(rep.per_query), skipped=rep.skipped, **rep.extra)
     else:
@@ -355,7 +366,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_report(out, report)
-    _write_manifest(out, "eval", cfg, inputs)
+    _write_manifest(out, args, cfg, inputs)
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -366,7 +377,7 @@ def cmd_ensemble_eval(args: argparse.Namespace) -> int:
     primary = load_model(args.primary)
     secondary = load_model(args.secondary)
     corpus = load_corpus(args.corpus)
-    pairs = _read_pairs_tsv(args.pairs, corpus)
+    pairs, _ = _read_pairs_tsv(args.pairs, corpus)
     k = int(cfg["k"])
     head = k // 2 if cfg["head"] is None else int(cfg["head"])
     rep_p = recall_at_k(primary, pairs, k, primary.score_mode)
@@ -380,7 +391,7 @@ def cmd_ensemble_eval(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_report(out, report)
-    _write_manifest(out, "ensemble-eval", cfg,
+    _write_manifest(out, args, cfg,
                     {"primary": args.primary, "secondary": args.secondary,
                      "corpus": args.corpus, "pairs": args.pairs})
     print(json.dumps(report, sort_keys=True))
@@ -405,7 +416,7 @@ def cmd_refresh(args: argparse.Namespace) -> int:
     out = Path(args.out)
     save_model(extended, out, new_corpus)
     _write_trace(out / "loss_trace.csv", trace)
-    _write_manifest(out, "refresh", cfg,
+    _write_manifest(out, args, cfg,
                     {"model": args.model, "old_corpus": args.old_corpus,
                      "new_corpus": args.new_corpus})
     print(f"refreshed {extended.kind} to n={extended.n} m={extended.m} "
@@ -554,7 +565,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             parser.error("a subcommand is required")
-        limiter = _limit_threads(getattr(args, "threads", None))
+        limiter = _limit_threads(args.threads)
+        args.threads_applied = limiter is not None
         try:
             return args.func(args)
         finally:

@@ -6,9 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import CorrelationGraph
-from .encoder import encode_bow
-from .errors import EncodeError, ScoreError
-from .retrieval import ensemble_interleave, retrieve_topk
+from .retrieval import RankedList, ensemble_interleave, search
 from .store import ModelState
 
 LENGTH_BUCKETS = (1, 2, 3, 4)  # plus a 5+ bucket
@@ -35,22 +33,10 @@ class RecallReport:
     skipped: int = 0
     extra: dict = field(default_factory=dict)
 
-
-def _topk_set(row: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest finite scores, ties resolved by lowest index.
-
-    Matches the (score desc, index asc) ordering of retrieve_topk, as a set;
-    -inf entries are treated as excluded candidates.
-    """
-    cand = np.nonzero(row > -np.inf)[0]
-    if len(cand) <= k:
-        return cand
-    vals = row[cand]
-    part = np.argpartition(-vals, k - 1)
-    threshold = vals[part[k - 1]]
-    above = cand[vals > threshold]
-    at = cand[vals == threshold][: k - len(above)]
-    return np.concatenate([above, at])
+    @classmethod
+    def of(cls, values: list[float], skipped: int, extra: dict | None = None) -> "RecallReport":
+        mean = float(np.mean(values)) if values else 0.0
+        return cls(values, mean, skipped, extra or {})
 
 
 def reconstruction_recall(
@@ -58,60 +44,38 @@ def reconstruction_recall(
     graph: CorrelationGraph,
     mode: str = "cosine",
     exclude_seed: bool = True,
-    batch: int = 256,
 ) -> RecallReport:
     """For each item with neighbors, retrieve top-k_i items by score with its
     own vector and measure the fraction of true neighbors recovered.
 
-    Scores are computed in row batches so large graphs stay fast; candidate
-    semantics (cosine zero-norm skipping, seed exclusion, tie-breaking)
-    match retrieve_topk exactly.
+    Each item is a one-word query over V, ranked by ``search``. The seed is
+    excluded (unless ``exclude_seed`` is False) by ranking one extra item
+    and dropping it. Items without neighbors, and zero-norm items under
+    cosine, are skipped.
     """
-    if mode not in ("dot", "cosine"):
-        raise ScoreError(f"unknown score mode {mode!r}")
-    V = state.V.astype(np.float64)
-    n = graph.n
-    norms = np.linalg.norm(V, axis=1) if mode == "cosine" else None
+    lens = graph.neighbors.lengths()
+    seeds = np.flatnonzero(lens > 0)
+    results = search([[i] for i in seeds], state.V, state.V, lens[seeds] + int(exclude_seed), mode)
     recalls = []
-    skipped = 0
-    for start in range(0, n, batch):
-        stop = min(start + batch, n)
-        S = V[start:stop] @ V.T
-        if mode == "cosine":
-            safe = np.where(norms > 0.0, norms, 1.0)
-            S = np.where(norms[None, :] > 0.0, S / safe[None, :], -np.inf)
-        for i in range(start, stop):
+    for i, ranked in zip(seeds.tolist(), results):
+        if isinstance(ranked, RankedList):
             true = graph.neighbors[i]
-            if len(true) == 0 or (mode == "cosine" and norms[i] == 0.0):
-                skipped += 1
-                continue
-            row = S[i - start]
-            if exclude_seed:
-                row = row.copy()
-                row[i] = -np.inf
-            pred = set(_topk_set(row, len(true)).tolist())
-            recalls.append(len(pred & set(true.tolist())) / len(true))
-    mean = float(np.mean(recalls)) if recalls else 0.0
-    return RecallReport(recalls, mean, skipped)
+            pred = [j for j in ranked.items.tolist() if not (exclude_seed and j == i)]
+            recalls.append(len(set(pred[:len(true)]) & set(true.tolist())) / len(true))
+    return RecallReport.of(recalls, graph.n - len(recalls))
 
 
 def pooled_recall(state: ModelState, labeled: LabeledSet, mode: str = "cosine") -> RecallReport:
     """Per-query recall of the relevant set within the pooled candidate set."""
     pool = np.array(sorted(labeled.pool), dtype=np.int64)
-    Vpool = state.V[pool]
+    results = search([words for words, _ in labeled.queries], state.W, state.V[pool],
+                     [len(relevant) for _, relevant in labeled.queries], mode)
     recalls = []
-    skipped = 0
-    for words, relevant in labeled.queries:
-        try:
-            q = encode_bow(words, state.W)
-            ranked = retrieve_topk(q, Vpool, len(relevant), mode)
-        except (EncodeError, ScoreError):
-            skipped += 1
-            continue
-        predicted = {int(pool[j]) for j in ranked.items}
-        recalls.append(len(relevant & predicted) / len(relevant))
-    mean = float(np.mean(recalls)) if recalls else 0.0
-    return RecallReport(recalls, mean, skipped)
+    for (_, relevant), ranked in zip(labeled.queries, results):
+        if isinstance(ranked, RankedList):
+            predicted = set(pool[ranked.items].tolist())
+            recalls.append(len(relevant & predicted) / len(relevant))
+    return RecallReport.of(recalls, len(results) - len(recalls))
 
 
 def _length_bucket(words: list[int], unigram_len: int | None = None) -> str:
@@ -124,37 +88,30 @@ def recall_at_k(
     pairs: list[tuple[list[int], int]],
     K: int,
     mode: str = "dot",
-    V: np.ndarray | None = None,
     by_length: bool = False,
     unigram_lens: list[int] | None = None,
 ) -> RecallReport:
     """Fraction of pairs whose target appears in the query's top-K.
 
-    ``V`` overrides the state's item matrix (e.g. for norm-rescaled runs);
-    ``by_length`` adds a per-query-length split using ``unigram_lens`` when
-    the word lists contain bigrams.
+    ``by_length`` adds a split by query length: ``unigram_lens[i]`` words
+    for pair i when given (the query's token count, as the CLI passes it),
+    else the number of word indices, which counts bigrams too.
     """
-    mat = state.V if V is None else V
+    results = search([words for words, _ in pairs], state.W, state.V, K, mode)
     hits = []
-    skipped = 0
     bucket_hits: dict[str, list[float]] = {}
-    for idx, (words, target) in enumerate(pairs):
-        try:
-            q = encode_bow(words, state.W)
-            ranked = retrieve_topk(q, mat, K, mode)
-        except (EncodeError, ScoreError):
-            skipped += 1
+    for idx, ((words, target), ranked) in enumerate(zip(pairs, results)):
+        if not isinstance(ranked, RankedList):
             continue
         hit = float(target in set(ranked.items.tolist()))
         hits.append(hit)
         if by_length:
             ul = unigram_lens[idx] if unigram_lens is not None else None
             bucket_hits.setdefault(_length_bucket(words, ul), []).append(hit)
-    mean = float(np.mean(hits)) if hits else 0.0
     extra = {}
     if by_length:
         extra["by_length"] = {b: float(np.mean(v)) for b, v in sorted(bucket_hits.items())}
-    return RecallReport(hits, mean, skipped, extra)
+    return RecallReport.of(hits, len(results) - len(hits), extra)
 
 
 def ensemble_recall_at_k(
@@ -173,23 +130,13 @@ def ensemble_recall_at_k(
     """
     if head_len is None:
         head_len = K // 2
+    words = [w for w, _ in pairs]
+    runs = [search(words, st.W, st.V, K, st.score_mode) for st in (primary, secondary)]
     hits = []
-    skipped = 0
-    for words, target in pairs:
-        lists = []
-        for st in (primary, secondary):
-            try:
-                q = encode_bow(words, st.W)
-                lists.append(retrieve_topk(q, st.V, K, st.score_mode))
-            except (EncodeError, ScoreError):
-                lists.append(None)
-        if lists[0] is None and lists[1] is None:
-            skipped += 1
+    for (_, target), a, b in zip(pairs, *runs):
+        lists = [r for r in (a, b) if isinstance(r, RankedList)]
+        if not lists:
             continue
-        if lists[0] is None or lists[1] is None:
-            merged = lists[0] if lists[1] is None else lists[1]
-        else:
-            merged = ensemble_interleave(lists[0], lists[1], head_len)
+        merged = ensemble_interleave(a, b, head_len) if len(lists) == 2 else lists[0]
         hits.append(float(target in set(merged.items[:K].tolist())))
-    mean = float(np.mean(hits)) if hits else 0.0
-    return RecallReport(hits, mean, skipped)
+    return RecallReport.of(hits, len(pairs) - len(hits))

@@ -194,11 +194,16 @@ def load_model(directory: str | Path, expect_kind: str | None = None) -> ModelSt
         meta = json.loads((directory / "meta.json").read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"{directory}/meta.json: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"{directory}/meta.json: not a JSON object")
     if meta.get("version") != FORMAT_VERSION:
         raise VersionError(f"unsupported model format version {meta.get('version')!r}")
-    kind = meta["kind"]
+    for key in ("m", "n", "d", "seed", "sweep_count"):
+        if not isinstance(meta.get(key), int) or isinstance(meta[key], bool):
+            raise FormatError(f"{directory}/meta.json: {key!r} must be an integer")
+    kind = meta.get("kind")
     if kind not in KINDS:
-        raise FormatError(f"unknown model kind {kind!r}")
+        raise FormatError(f"{directory}/meta.json: unknown model kind {kind!r} under 'kind'")
     if expect_kind is not None and kind != expect_kind:
         raise KindMismatchError(f"model kind is {kind!r}, expected {expect_kind!r}")
     W = binio.read_matrix(directory / "W.bin", _BLOCK_MAGIC["W"])
@@ -208,5 +213,7 @@ def load_model(directory: str | Path, expect_kind: str | None = None) -> ModelSt
         U = binio.read_matrix(directory / "U.bin", _BLOCK_MAGIC["U"])
     if W.shape != (meta["m"], meta["d"]) or V.shape != (meta["n"], meta["d"]):
         raise FormatError("matrix shapes disagree with meta.json")
-    return ModelState(kind, int(meta["d"]), W, V, U, int(meta["seed"]),
-                      int(meta["sweep_count"]), meta.get("score_mode", "cosine"))
+    score_mode = meta.get("score_mode", "cosine")
+    if score_mode not in ("dot", "cosine"):
+        raise FormatError(f"{directory}/meta.json: unknown score mode {score_mode!r}")
+    return ModelState(kind, meta["d"], W, V, U, meta["seed"], meta["sweep_count"], score_mode)

@@ -1,4 +1,5 @@
 """End-to-end runs of the zsr command line through main()."""
+import importlib.util
 import json
 
 import numpy as np
@@ -54,7 +55,15 @@ class TestIngest:
         assert set(manifest["inputs"]) == {"items", "sequences"}
         for rec in manifest["inputs"].values():
             assert len(rec["sha256"]) == 64
+        assert manifest["threads"] == {"requested": None, "applied": False}
         assert "4 items" in capsys.readouterr().out
+        rc = main(["ingest", "--items", str(workspace / "items.jsonl"),
+                   "--out", str(workspace / "c1"), "--threads", "1"])
+        assert rc == 0
+        manifest = json.loads((workspace / "c1" / "manifest.json").read_text())
+        # --threads acts through threadpoolctl, and only when it is installed.
+        applied = importlib.util.find_spec("threadpoolctl") is not None
+        assert manifest["threads"] == {"requested": 1, "applied": applied}
 
     def test_missing_items_file_is_data_error(self, workspace, capsys):
         rc = main(["ingest", "--items", str(workspace / "nope.jsonl"),
@@ -196,6 +205,18 @@ class TestEval:
         report = json.loads((workspace / "ev2" / "report.json").read_text())
         assert report["k"] == 2 and report["scored"] == 2
 
+    def test_recall_by_length_buckets_by_query_words(self, workspace):
+        corpus = ingest(workspace)
+        model = train(workspace, corpus)
+        # "red apple fruit" hits 3 words and 2 bigrams of the vocabulary.
+        (workspace / "pairs.tsv").write_text("red apple fruit\ta\napple\tb\n")
+        rc = main(["eval", "--model", str(model), "--corpus", str(corpus),
+                   "--out", str(workspace / "ev"), "--metric", "recall",
+                   "--pairs", str(workspace / "pairs.tsv"), "--k", "2", "--by-length"])
+        assert rc == 0
+        report = json.loads((workspace / "ev" / "report.json").read_text())
+        assert set(report["by_length"]) == {"1", "3"}
+
     def test_unknown_item_in_pairs_is_data_error(self, workspace):
         corpus = ingest(workspace)
         model = train(workspace, corpus)
@@ -283,6 +304,16 @@ def _drop_max_neighbors(corpus):
     (corpus / "corpus_meta.json").write_text(json.dumps(meta))
 
 
+def _edit_model_meta(model, key, value=None):
+    """Set one meta.json key of a trained model; None deletes it."""
+    meta = json.loads((model / "meta.json").read_text())
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    (model / "meta.json").write_text(json.dumps(meta))
+
+
 # Each case damages one input; the command must exit 2 with one line.
 MALFORMED = {
     "graph-count-not-an-integer": (
@@ -318,6 +349,30 @@ MALFORMED = {
         lambda ws, c: binio.write_int_lists(c / "adjacency.bin", ADJ_MAGIC,
                                             np.array([0, 0]), np.zeros(0), np.zeros(0)),
         "train"),
+    "model-meta-without-kind": (lambda ws, c: _edit_model_meta(ws / "model", "kind"), "retrieve"),
+    "model-meta-without-n": (lambda ws, c: _edit_model_meta(ws / "model", "n"), "retrieve"),
+    "model-meta-m-not-an-integer": (
+        lambda ws, c: _edit_model_meta(ws / "model", "m", 9.5), "retrieve"),
+    "model-meta-d-a-string": (lambda ws, c: _edit_model_meta(ws / "model", "d", "4"), "retrieve"),
+    "model-meta-seed-a-boolean": (
+        lambda ws, c: _edit_model_meta(ws / "model", "seed", True), "retrieve"),
+    "model-meta-without-sweep-count": (
+        lambda ws, c: _edit_model_meta(ws / "model", "sweep_count"), "retrieve"),
+    "labeled-relevant-not-a-list": (
+        lambda ws, c: (ws / "labeled.jsonl").write_text('{"query": ["apple"], "relevant": 5}\n'),
+        "eval-pooled"),
+    "labeled-query-not-a-list": (
+        lambda ws, c: (ws / "labeled.jsonl").write_text('{"query": 7, "relevant": ["a"]}\n'),
+        "eval-pooled"),
+    "labeled-relevant-empty": (
+        lambda ws, c: (ws / "labeled.jsonl").write_text('{"query": ["apple"], "relevant": []}\n'),
+        "eval-pooled"),
+    "labeled-set-name-not-a-string": (
+        lambda ws, c: (ws / "labeled.jsonl").write_text(
+            '{"query": ["apple"], "relevant": ["a"], "set": ["x"]}\n'), "eval-pooled"),
+    "labeled-relevant-id-a-number": (
+        lambda ws, c: (ws / "labeled.jsonl").write_text(
+            '{"query": ["apple"], "relevant": ["a", 3]}\n'), "eval-pooled"),
 }
 
 
@@ -325,11 +380,21 @@ MALFORMED = {
 def test_malformed_input_exits_2_with_one_line(workspace, capsys, case):
     damage, command = MALFORMED[case]
     corpus = ingest(workspace)
+    if command in ("retrieve", "eval-pooled"):
+        model = train(workspace, corpus)
     capsys.readouterr()
     damage(workspace, corpus)
     if command == "train":
         argv = ["train", "--corpus", str(corpus), "--out", str(workspace / "m"),
                 "--model", "zsl_te", "--dim", "2", "--sweeps", "1"]
+    elif command == "retrieve":
+        (workspace / "q.txt").write_text("apple\n")
+        argv = ["retrieve", "--model", str(model), "--corpus", str(corpus),
+                "--queries", str(workspace / "q.txt"), "--out", str(workspace / "ret")]
+    elif command == "eval-pooled":
+        argv = ["eval", "--model", str(model), "--corpus", str(corpus),
+                "--out", str(workspace / "ev"), "--metric", "pooled",
+                "--labeled", str(workspace / "labeled.jsonl")]
     else:
         argv = ["ingest", "--items", str(workspace / "items.jsonl"),
                 "--out", str(workspace / "c2")]

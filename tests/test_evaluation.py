@@ -22,6 +22,32 @@ def make_state(rng, n, m, d=3):
     return ModelState(ZSL_TE, d, W, V, None, seed=0)
 
 
+def make_int_state(rng, n, m, d=3):
+    """Small-integer blocks: exact scores and many exact ties, with duplicate
+    and zero-norm item rows and a zero word row."""
+    W = rng.integers(-2, 3, size=(m, d)).astype(np.float32)
+    V = rng.integers(-2, 3, size=(n, d)).astype(np.float32)
+    W[0] = 0.0
+    V[1::7] = V[0]
+    V[2::11] = 0.0
+    return ModelState(ZSL_TE, d, W, V, None, seed=0)
+
+
+def exact_mean_words(rng, m):
+    """1, 2 or 4 word indices: their mean is exact, so exact ties stay ties."""
+    return rng.integers(0, m, size=int(rng.choice([1, 2, 4]))).tolist()
+
+
+def naive_scores(q, V, mode):
+    """Scores of q against each row of V, one row at a time; -inf for the
+    zero-norm rows that cosine skips."""
+    if mode == "dot":
+        return [float(v @ q) for v in V]
+    nq = np.linalg.norm(q)
+    return [float(v @ q) / (np.linalg.norm(v) * nq) if np.linalg.norm(v) > 0 else -np.inf
+            for v in V]
+
+
 def naive_topk(scores, k, exclude=()):
     order = sorted((i for i in range(len(scores)) if i not in exclude
                     and scores[i] > -np.inf),
@@ -48,10 +74,10 @@ class TestReconstructionRecall:
         assert len(rep.per_query) == 2
 
     def test_matches_naive_oracle(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(2, 12))
-            corpus = make_random_corpus(rng, n, 3)
-            state = make_state(rng, n, 3)
+        for trial in range(31):
+            n = 400 if trial == 30 else int(rng.integers(2, 12))  # 400 crosses a block
+            corpus = make_random_corpus(rng, n, 3, max_degree=8)
+            state = (make_int_state if trial % 2 == 0 else make_state)(rng, n, 3)
             for mode in ("dot", "cosine"):
                 rep = reconstruction_recall(state, corpus.graph, mode)
                 expect = []
@@ -59,7 +85,7 @@ class TestReconstructionRecall:
                 norms = np.linalg.norm(V, axis=1)
                 for i in range(n):
                     true = set(corpus.graph.neighbors[i].tolist())
-                    if not true:
+                    if not true or (mode == "cosine" and norms[i] == 0):
                         continue
                     if mode == "cosine":
                         scores = [V[j] @ V[i] / (norms[j] * norms[i])
@@ -104,25 +130,35 @@ class TestPooledRecall:
         assert rep.skipped == 1 and len(rep.per_query) == 1
 
     def test_matches_naive_oracle(self, rng):
-        for _ in range(25):
+        for trial in range(26):
             n, m = int(rng.integers(3, 10)), int(rng.integers(2, 6))
-            state = make_state(rng, n, m)
+            exact = trial % 2 == 0
+            state = (make_int_state if exact else make_state)(rng, n, m)
             queries = []
-            for _ in range(int(rng.integers(1, 5))):
-                words = rng.integers(0, m, size=int(rng.integers(1, 4))).tolist()
+            n_queries = 300 if trial == 25 else int(rng.integers(1, 5))  # 300 crosses a block
+            for _ in range(n_queries):
+                words = (exact_mean_words(rng, m) if exact
+                         else rng.integers(0, m, size=int(rng.integers(1, 4))).tolist())
                 rel = set(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                      replace=False).tolist())
                 queries.append((words, rel))
             labeled = LabeledSet(queries)
-            rep = pooled_recall(state, labeled, "dot")
             pool = sorted(labeled.pool)
-            expect = []
-            for words, rel in queries:
-                q = state.W.astype(np.float64)[words].mean(axis=0)
-                scores = [float(state.V[j].astype(np.float64) @ q) for j in pool]
-                pred = {pool[i] for i in naive_topk(scores, len(rel))}
-                expect.append(len(pred & rel) / len(rel))
-            assert rep.per_query == expect
+            Vp = state.V.astype(np.float64)[pool]
+            for mode in ("dot", "cosine"):
+                rep = pooled_recall(state, labeled, mode)
+                expect, skipped = [], 0
+                for words, rel in queries:
+                    q = state.W.astype(np.float64)[words].mean(axis=0)
+                    nq = np.linalg.norm(q)
+                    if mode == "cosine" and nq == 0:
+                        skipped += 1
+                        continue
+                    scores = naive_scores(q, Vp, mode)
+                    pred = {pool[i] for i in naive_topk(scores, len(rel))}
+                    expect.append(len(pred & rel) / len(rel))
+                assert rep.per_query == expect
+                assert rep.skipped == skipped
 
 
 class TestRecallAtK:
@@ -154,19 +190,27 @@ class TestRecallAtK:
         assert set(rep2.extra["by_length"]) == {"1", "2", "3"}
 
     def test_matches_naive_oracle(self, rng):
-        for _ in range(25):
+        for trial in range(26):
             n, m = int(rng.integers(2, 10)), int(rng.integers(2, 5))
-            state = make_state(rng, n, m)
-            pairs = [(rng.integers(0, m, size=int(rng.integers(1, 4))).tolist(),
-                      int(rng.integers(0, n))) for _ in range(8)]
-            K = int(rng.integers(1, n + 1))
-            rep = recall_at_k(state, pairs, K, "dot")
-            expect = []
-            for words, target in pairs:
-                q = state.W.astype(np.float64)[words].mean(axis=0)
-                scores = [float(state.V[j].astype(np.float64) @ q) for j in range(n)]
-                expect.append(float(target in naive_topk(scores, K)))
-            assert rep.per_query == expect
+            exact = trial % 2 == 0
+            state = (make_int_state if exact else make_state)(rng, n, m)
+            n_pairs = 300 if trial == 24 else 8  # 300 crosses a block
+            pairs = [(exact_mean_words(rng, m) if exact
+                      else rng.integers(0, m, size=int(rng.integers(1, 4))).tolist(),
+                      int(rng.integers(0, n))) for _ in range(n_pairs)]
+            K = int(rng.integers(1, n + 2))
+            V = state.V.astype(np.float64)
+            for mode in ("dot", "cosine"):
+                rep = recall_at_k(state, pairs, K, mode)
+                expect, skipped = [], 0
+                for words, target in pairs:
+                    q = state.W.astype(np.float64)[words].mean(axis=0)
+                    if mode == "cosine" and np.linalg.norm(q) == 0:
+                        skipped += 1
+                        continue
+                    expect.append(float(target in naive_topk(naive_scores(q, V, mode), K)))
+                assert rep.per_query == expect
+                assert rep.skipped == skipped
 
 
 class TestSyntheticCorpus:

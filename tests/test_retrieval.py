@@ -2,8 +2,15 @@
 import numpy as np
 import pytest
 
-from zsretrieval.errors import ConfigError, ScoreError
-from zsretrieval.retrieval import RankedList, ensemble_interleave, retrieve_topk
+from zsretrieval.encoder import encode_bow
+from zsretrieval.errors import ConfigError, EncodeError, ScoreError
+from zsretrieval.retrieval import (
+    BLOCK_ROWS,
+    RankedList,
+    ensemble_interleave,
+    retrieve_topk,
+    search,
+)
 
 
 def ranked(items, scores=None):
@@ -14,9 +21,16 @@ def ranked(items, scores=None):
                       k=len(items), score_mode="dot")
 
 
-def sort_all_oracle(q, V, mode):
+def small_ints(rng, shape):
+    """Integer entries in [-2, 2]: exact scores, many exact ties, zero rows."""
+    return rng.integers(-2, 3, size=shape).astype(np.float32)
+
+
+def sort_all_oracle(q, V, mode, exclude=()):
     scored = []
     for i in range(len(V)):
+        if i in exclude:
+            continue
         v = V[i].astype(np.float64)
         if mode == "cosine":
             nv = np.linalg.norm(v)
@@ -67,13 +81,69 @@ class TestRetrieveTopK:
 
     @pytest.mark.parametrize("mode", ["dot", "cosine"])
     def test_matches_sort_all_oracle(self, mode, rng):
-        for _ in range(30):
+        for trial in range(120):
             n, d = int(rng.integers(1, 15)), int(rng.integers(1, 5))
-            V = rng.standard_normal((n, d)).astype(np.float32)
-            q = rng.standard_normal(d)
-            k = int(rng.integers(1, n + 1))
-            out = retrieve_topk(q, V, k, mode)
-            assert out.items.tolist() == sort_all_oracle(q, V, mode)[:k]
+            if trial % 2:
+                V = rng.standard_normal((n, d)).astype(np.float32)
+                q = rng.standard_normal(d)
+            else:
+                V = small_ints(rng, (n, d))
+                q = small_ints(rng, d).astype(np.float64)
+                q[0] = q[0] or 1.0  # keep the query scorable under cosine
+            exclude = set(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist())
+            k = int(rng.integers(1, n + 3))  # may exceed the candidates
+            out = retrieve_topk(q, V, k, mode, exclude)
+            expect = sort_all_oracle(q, V, mode, exclude)
+            assert out.items.tolist() == expect[:k]
+            assert out.short == (len(expect) < k)
+
+
+class TestSearch:
+    @pytest.mark.parametrize("mode", ["dot", "cosine"])
+    def test_matches_per_query_retrieval(self, mode, rng):
+        n, m, d = 40, 30, 3
+        V = small_ints(rng, (n, d))
+        V[5:10] = V[0]  # duplicate items
+        V[10:13] = 0.0  # zero-norm items
+        W = small_ints(rng, (m, d))
+        W[0] = 0.0  # a zero-norm query under cosine
+        # 1, 2 or 4 words: the mean stays exact, so exact ties stay ties.
+        queries = [rng.integers(1, m, size=int(rng.choice([1, 2, 4]))).tolist()
+                   for _ in range(2 * BLOCK_ROWS + 50)]
+        queries[BLOCK_ROWS + 3] = queries[3]  # one query in two blocks
+        queries[7] = []  # skipped in the middle of the first block
+        queries[BLOCK_ROWS + 9] = [0, 0]
+        ks = rng.integers(1, n + 5, size=len(queries)).tolist()
+        ks[BLOCK_ROWS + 3] = ks[3]
+        results = search(queries, W, V, ks, mode)
+        assert len(results) == len(queries)
+        for words, k, got in zip(queries, ks, results):
+            try:
+                q = encode_bow(words, W)
+                want = retrieve_topk(q, V, k, mode)
+            except (EncodeError, ScoreError) as exc:
+                assert got == str(exc)
+                continue
+            assert got.items.tolist() == want.items.tolist()
+            assert got.items.tolist() == sort_all_oracle(q.values, V, mode)[:k]
+            np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-12)
+            assert (got.k, got.short, got.score_mode) == (k, want.short, mode)
+        assert results[7] == "no in-vocabulary words to encode"
+        assert results[3].items.tolist() == results[BLOCK_ROWS + 3].items.tolist()
+        if mode == "cosine":
+            assert results[BLOCK_ROWS + 9] == "cosine undefined for zero-norm query"
+
+    def test_rejects_bad_k_and_mode(self):
+        W, V = np.ones((2, 2), dtype=np.float32), np.ones((3, 2), dtype=np.float32)
+        with pytest.raises(ConfigError):
+            search([[0], [1]], W, V, [1, 0], "dot")
+        with pytest.raises(ScoreError):
+            search([[0]], W, V, 1, "euclid")
+
+    def test_empty_item_matrix_skips_every_query(self):
+        W = np.ones((2, 2), dtype=np.float32)
+        out = search([[0], []], W, np.zeros((0, 2), dtype=np.float32), 3, "dot")
+        assert out == ["empty item matrix", "no in-vocabulary words to encode"]
 
 
 class TestEnsembleInterleave:
