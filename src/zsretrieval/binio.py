@@ -11,11 +11,13 @@ nnz, then each value array of nnz int64 entries.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import tempfile
 import zlib
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -24,18 +26,26 @@ from .errors import ChecksumError, FormatError
 _HEADER = struct.Struct("<8sII")
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write to a temp file in the same directory, then rename."""
+@contextlib.contextmanager
+def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary handle on a temp file in the same directory, renamed over
+    ``path`` when the block completes and removed when it raises."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write to a temp file in the same directory, then rename."""
+    with atomic_writer(path) as fh:
+        fh.write(data)
 
 
 def write_block(path: str | Path, magic: bytes, rows: int, cols: int, payload: bytes) -> None:

@@ -3,7 +3,8 @@
 Subcommands: ingest, train, retrieve, eval, ensemble-eval, refresh,
 loss-audit. Every run writes a manifest.json next to its artifacts with the
 resolved configuration, sha256 digests of the inputs, and the tool version.
-Option precedence is flags > --config JSON file > built-in defaults.
+Option precedence is flags > --config JSON file > built-in defaults; refresh
+and loss-audit default to the objective stored with the model.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
 """
@@ -13,9 +14,11 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -48,12 +51,21 @@ from .evaluation import (
     recall_at_k,
     reconstruction_recall,
 )
-from .retrieval import search
-from .sl_trainer import sl_loss_bruteforce, sl_loss_efficient, train_sl_model
+from .retrieval import BLOCK_ROWS, search
+from .sl_trainer import SWEEP_STATS, sl_loss_bruteforce, sl_loss_efficient, train_sl_model
 from .smc import SMCConfig, train_smc
-from .store import KINDS, SMC, TrainConfig, load_model, save_model, warm_start_extend
+from .store import (
+    KINDS,
+    SMC,
+    ModelState,
+    TrainConfig,
+    load_model,
+    save_model,
+    warm_start_extend,
+)
 
-TRACE_FIELDS = ["sweep", "loss_total", "loss_task1", "loss_task2", "loss_reg", "seconds"]
+TRACE_FIELDS = ["sweep", "loss_total", "loss_task1", "loss_task2", "loss_reg", "seconds",
+                *SWEEP_STATS]
 
 
 class UsageError(Exception):
@@ -232,6 +244,20 @@ def _train_defaults() -> dict:
             "task1_encoded": base.task1_encoded}
 
 
+def _resolve_for_model(args: argparse.Namespace, defaults: dict, state: ModelState) -> dict:
+    """``_resolve`` with the model's stored objective between the built-in
+    defaults and --config/flags; an explicit value that differs from a
+    stored one wins, with one notice line on stderr."""
+    stored = state.objective or {}
+    cfg = _resolve(args, {**defaults, **stored})
+    changed = [f"{key}={cfg[key]!r} (model: {value!r})"
+               for key, value in stored.items() if cfg[key] != value]
+    if changed:
+        print("notice: overriding the model's training config: " + ", ".join(changed),
+              file=sys.stderr)
+    return cfg
+
+
 def _train_config(cfg: dict) -> TrainConfig:
     if cfg["model"] not in KINDS:
         raise ConfigError(f"unknown model kind {cfg['model']!r}")
@@ -284,31 +310,45 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _split_lines(fh: Iterable[str]) -> Iterator[str]:
+    """The lines of a text file as ``str.splitlines`` splits its whole text,
+    read one physical line at a time."""
+    for line in fh:
+        yield from line.splitlines()
+
+
 def cmd_retrieve(args: argparse.Namespace) -> int:
     defaults = {"k": 100, "score": None, "bigrams": True}
     cfg = _resolve(args, defaults)
     state = load_model(args.model)
     corpus = load_corpus(args.corpus)
     mode = cfg["score"] or state.score_mode
-    lines = Path(args.queries).read_text().splitlines()
-    queries = [words_to_indices(corpus, raw.split(), bigrams=cfg["bigrams"]) for raw in lines]
-    results = search(queries, state.W, state.V, int(cfg["k"]), mode)
-    out_rows = []
-    skipped = 0
-    for qno, (raw, ranked) in enumerate(zip(lines, results)):
-        out_rows.append(f"# query {qno}\t{raw}")
-        if isinstance(ranked, str):
-            out_rows.append(f"# skipped: {ranked}")
-            skipped += 1
-            continue
-        for rank, (item, score) in enumerate(ranked, 1):
-            out_rows.append(f"{rank}\t{corpus.item_ids[item]}\t{score:.8g}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    binio.atomic_write_bytes(out / "results.tsv", ("\n".join(out_rows) + "\n").encode())
+    count = skipped = 0
+    with open(args.queries) as fh:
+        out.mkdir(parents=True, exist_ok=True)
+        with binio.atomic_writer(out / "results.tsv") as results_fh:
+            lines = _split_lines(fh)
+            while block := list(itertools.islice(lines, BLOCK_ROWS)):
+                queries = [words_to_indices(corpus, raw.split(), bigrams=cfg["bigrams"])
+                           for raw in block]
+                out_rows = []
+                for raw, ranked in zip(block, search(queries, state.W, state.V,
+                                                     int(cfg["k"]), mode)):
+                    out_rows.append(f"# query {count}\t{raw}")
+                    count += 1
+                    if isinstance(ranked, str):
+                        out_rows.append(f"# skipped: {ranked}")
+                        skipped += 1
+                        continue
+                    for rank, (item, score) in enumerate(ranked, 1):
+                        out_rows.append(f"{rank}\t{corpus.item_ids[item]}\t{score:.8g}")
+                results_fh.write(("\n".join(out_rows) + "\n").encode())
+            if not count:
+                results_fh.write(b"\n")
     _write_manifest(out, args, cfg,
                     {"model": args.model, "corpus": args.corpus, "queries": args.queries})
-    print(f"retrieved top-{cfg['k']} ({mode}) for {len(lines)} queries "
+    print(f"retrieved top-{cfg['k']} ({mode}) for {count} queries "
           f"({skipped} skipped) -> {out / 'results.tsv'}")
     return 0
 
@@ -402,8 +442,8 @@ def cmd_refresh(args: argparse.Namespace) -> int:
     defaults = _train_defaults()
     defaults["sweeps"] = 2  # refresh runs a few sweeps, not a full training
     defaults.update({"prune": False, "sub_seed": None})
-    cfg = _resolve(args, defaults)
     state = load_model(args.model)
+    cfg = _resolve_for_model(args, defaults, state)
     old_corpus = load_corpus(args.old_corpus)
     new_corpus = load_corpus(args.new_corpus)
     cfg["model"] = state.kind
@@ -425,9 +465,8 @@ def cmd_refresh(args: argparse.Namespace) -> int:
 
 
 def cmd_loss_audit(args: argparse.Namespace) -> int:
-    defaults = _train_defaults()
-    cfg = _resolve(args, defaults)
     state = load_model(args.model)
+    cfg = _resolve_for_model(args, _train_defaults(), state)
     corpus = load_corpus(args.corpus)
     cfg["model"] = state.kind
     train_cfg = _train_config({**cfg, "dim": state.d})

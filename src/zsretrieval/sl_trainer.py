@@ -232,14 +232,96 @@ def sl_loss_efficient(
 # ---------------------------------------------------------------------------
 # Coordinate descent
 
+# A chunk of rows holds at most this many float64 numbers in its stacked
+# systems (rows x d x d) and in its gathered term rows (terms x d).
+CHUNK_FLOATS = 1 << 17
+SWEEP_STATS = ("seconds_V", "seconds_U", "seconds_W", "fallbacks_jitter", "fallbacks_lstsq")
+
+
+def _segments(csr: Rows, take: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ``csr.values`` of the entries of rows ``take``, row after
+    row, and the offsets of each row's run in that list."""
+    starts = csr.indptr[take]
+    lens = csr.indptr[take + 1] - starts
+    ptr = np.zeros(len(take) + 1, dtype=np.int64)
+    np.cumsum(lens, out=ptr[1:])
+    return np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], lens), ptr
+
+
+def _owners(rows: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """The row each gathered term belongs to."""
+    return np.repeat(rows, ptr[1:] - ptr[:-1])
+
+
+def _runs(ptr: np.ndarray):
+    """(chunk row, start, stop) of every non-empty run."""
+    return [(r, lo, hi) for r, (lo, hi) in enumerate(zip(ptr[:-1].tolist(), ptr[1:].tolist()))
+            if lo < hi]
+
+
+def _add_terms(A: np.ndarray, b: np.ndarray, P: np.ndarray, ptr: np.ndarray,
+               wa: np.ndarray, wb: np.ndarray) -> None:
+    """A[r] += (P_r * wa_r).T @ P_r and b[r] += wb_r @ P_r, where ``_r`` is
+    row r's run ``ptr[r]:ptr[r + 1]``: one gemm and one gemv per row, the
+    products a row solved on its own forms."""
+    PW = P * wa[:, None]
+    for r, lo, hi in _runs(ptr):
+        A[r] += PW[lo:hi].T @ P[lo:hi]
+        b[r] += wb[lo:hi] @ P[lo:hi]
+
+
+def _outer(U: np.ndarray) -> np.ndarray:
+    """Stacked outer products ``u u^T`` of the rows of U."""
+    return U[:, :, None] * U[:, None, :]
+
+
+def _level_schedule(word_items: Rows, n_items: int) -> list[np.ndarray]:
+    """Levels of the encoder-side W pass. Words are taken in index order and
+    ``level(e) = 1 + the last level given to a word on any item holding e``
+    (0 when there is none).
+
+    No two words of a level share an item, and every word comes after each
+    lower-index word it shares an item with. A word's system reads the
+    encoded contexts only through its own items, so solving level by level
+    gives the sequential Gauss-Seidel pass bit for bit.
+    """
+    last = [-1] * n_items
+    indptr, items = word_items.indptr.tolist(), word_items.values.tolist()
+    level = np.empty(len(word_items), dtype=np.int64)
+    for e in range(len(level)):
+        its = items[indptr[e]:indptr[e + 1]]
+        lv = 1 + max((last[i] for i in its), default=-1)
+        level[e] = lv
+        for i in its:
+            last[i] = lv
+    order = np.argsort(level, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(level))[:-1])
+
+
+def _chunks(rows: np.ndarray, cost: np.ndarray, d: int):
+    """Consecutive runs of ``rows`` whose systems and gathered terms
+    (``cost`` term rows per row) fit in CHUNK_FLOATS; at least one row each."""
+    max_rows = max(1, CHUNK_FLOATS // (d * d))
+    max_terms = max(1, CHUNK_FLOATS // d)
+    ends = np.cumsum(cost[rows])
+    start = 0
+    while start < len(rows):
+        base = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, base + max_terms, side="right"))
+        stop = min(max(stop, start + 1), start + max_rows)
+        yield rows[start:stop]
+        start = stop
+
 
 class SLTrainer:
-    """Sequential Gauss-Seidel coordinate descent over model blocks.
+    """Exact coordinate descent over model blocks, Gauss-Seidel across blocks.
 
     Caches (Gramians, context encodings, weight vectors) are refreshed at
-    each block pass; within a pass only the encoded-context cache changes
-    and is updated incrementally. The trainer mutates ``state`` in place,
-    storing solved rows as float32 while accumulating in float64.
+    each block pass. Rows of one level (``levels``) do not read one another,
+    so a pass assembles and solves a level's rows in chunks; within a pass
+    only the encoded-context cache changes, updated after each chunk of the
+    encoder-side W pass. The trainer mutates ``state`` in place, storing
+    solved rows as float32 while accumulating in float64.
     """
 
     def __init__(self, state: ModelState, corpus: Corpus, config: TrainConfig,
@@ -258,6 +340,21 @@ class SLTrainer:
         self.in_edges, _ = corpus.graph.neighbors.transpose(corpus.n)
         self.self_in_ne = _self_edges(corpus.graph)
         self.text_len = corpus.word_lists.lengths().astype(np.float64)
+        # Per block: the levels of its pass, and the term rows each row's
+        # system gathers (what a chunk is budgeted by).
+        in_deg = self.in_edges.lengths()
+        every_item = [np.arange(corpus.n)]
+        self.levels = {"V": every_item, "U": every_item, "W": [np.arange(corpus.m)]}
+        self.cost = {"V": self.incidence.lengths() + corpus.graph.neighbors.lengths(),
+                     "U": in_deg, "W": self.word_items.lengths()}
+        if self.t1_mode != "perword":  # encoder-side words couple through items
+            self.levels["W"] = _level_schedule(self.word_items, corpus.n)
+        if self.t1_mode is None:  # zsl_te word rows gather the seeds of their items
+            self.cost["W"] = self.cost["W"] + np.bincount(
+                self.word_items.row_ids(), weights=in_deg[self.word_items.values],
+                minlength=corpus.m)
+        self.fallbacks = {"jitter": 0, "lstsq": 0}
+        self.ridge = config.lam * np.eye(config.d)
         self.refresh()
 
     # -- caches ------------------------------------------------------------
@@ -293,199 +390,203 @@ class SLTrainer:
             warnings.warn(f"singular system at {block}[{row}]; adding 1e-10 jitter")
             try:
                 x = np.linalg.solve(A + 1e-10 * np.eye(len(b)), b)
+                self.fallbacks["jitter"] += 1
             except np.linalg.LinAlgError:
                 # Jitter is below working precision when A is large and rank
                 # deficient; fall back to the min-norm least-squares solution.
                 x = np.linalg.lstsq(A, b, rcond=None)[0]
+                self.fallbacks["lstsq"] += 1
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite update at block {block}, row {row}")
         return x
 
+    def _solve_rows(self, A: np.ndarray, b: np.ndarray, block: str,
+                    rows: np.ndarray) -> np.ndarray:
+        """Solve a chunk's systems together; a chunk with a singular or
+        non-finite system is solved again row by row through ``_solve``."""
+        try:
+            x = np.linalg.solve(A, b[:, :, None])[:, :, 0]
+            if np.isfinite(x).all():
+                return x
+        except np.linalg.LinAlgError:
+            pass
+        return np.stack([self._solve(A[r], b[r], block, int(row)) for r, row in enumerate(rows)])
+
     # -- row updates -------------------------------------------------------
 
     def update_row(self, block: str, row: int) -> np.ndarray:
-        if block == "V":
-            new = self._update_v(row)
-        elif block == "U":
-            if not self.free_u:
-                raise ConfigError("no free context block for this kind")
-            new = self._update_u(row)
-        elif block == "W":
-            new = self._update_w(row)
-        else:
+        if block == "U" and not self.free_u:
+            raise ConfigError("no free context block for this kind")
+        if block not in ("V", "U", "W"):
             raise ConfigError(f"unknown block {block!r}")
-        return new
+        self._pass(block, [np.array([row], dtype=np.int64)])
+        return getattr(self.state, block)[row].copy()
 
-    def _update_v(self, i: int) -> np.ndarray:
-        cfg = self.config
-        d = cfg.d
-        om = cfg.omega0
-        A = cfg.lam * np.eye(d)
-        b = np.zeros(d)
+    def _pass(self, block: str, levels: list[np.ndarray]) -> None:
+        """Solve the rows of ``block`` level by level, in chunks: gather each
+        row's terms, assemble the chunk's systems, solve them in one batch
+        and write the rows back. Rows of one level must not read one another."""
+        system = {"V": self._system_v, "U": self._system_u, "W": self._system_w}[block]
+        out = getattr(self.state, block)
+        out64 = {"V": self.V64, "U": self.U64, "W": self.W64}[block]
+        for level in levels:
+            for rows in _chunks(level, self.cost[block], self.config.d):
+                A, b, written = system(rows)
+                out[rows] = self._solve_rows(A, b, block, rows).astype(np.float32)
+                out64[rows] = out[rows]
+                if written is not None:
+                    written()
+
+    def _start(self, scale: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Systems ``lam I + scale[r] G`` and zero right-hand sides."""
+        A = scale[:, None, None] * G
+        A += self.ridge
+        return A, np.zeros((len(scale), self.config.d))
+
+    def _system_v(self, rows: np.ndarray):
+        om = self.config.omega0
+        scale = om * self.neg_r[rows]
+        first = {"perword": self.Gw, "encoded": self.Gq, None: self.Gu}[self.t1_mode]
+        A, b = self._start(scale, first)
         if self.t1_mode == "perword":
-            A += om * self.neg_r[i] * self.Gw
-            idx, cnt = self.incidence[i], self.inc_mult[i]
-            if len(idx):
-                P = self.W64[idx]
-                coef = self.pos_r[i] * cnt - om * self.neg_r[i]
-                A += (P * coef[:, None]).T @ P
-                b += (self.pos_r[i] * cnt) @ P
+            pos, ptr = _segments(self.incidence, rows)
+            rid = _owners(rows, ptr)
+            wpos = self.pos_r[rid] * self.inc_mult.values[pos]
+            _add_terms(A, b, self.W64[self.incidence.values[pos]], ptr,
+                       wpos - om * self.neg_r[rid], wpos)
         elif self.t1_mode == "encoded":
-            A += om * self.neg_r[i] * self.Gq
-            k = self.enc_slot[i]
-            if k >= 0:
-                q = self.enc[k]
-                A += (self.pos_r[i] - om * self.neg_r[i]) * np.outer(q, q)
-                b += self.pos_r[i] * q
+            k = self.enc_slot[rows]
+            has = k >= 0
+            ids, q = rows[has], self.enc[k[has]]
+            A[has] += (self.pos_r[ids] - om * self.neg_r[ids])[:, None, None] * _outer(q)
+            b[has] += self.pos_r[ids][:, None] * q
         if self.t2:
-            A += om * self.neg_r[i] * self.Gu
-            nb = self.corpus.graph.neighbors[i]
-            if len(nb):
-                if self.free_u:
-                    cols, ctxm = nb, self.U64[nb]
-                else:
-                    slot = self.enc_slot[nb]
-                    keep = slot >= 0
-                    cols, ctxm = nb[keep], self.enc[slot[keep]]
-                if len(cols):
-                    cpos = self.pos_r[i] * self.pos_c[cols]
-                    coef = cpos - om * self.neg_r[i] * self.neg_c[cols]
-                    A += (ctxm * coef[:, None]).T @ ctxm
-                    b += cpos @ ctxm
-            if cfg.exclude_self_negative and not self.self_in_ne[i]:
-                u = self._ctx_vec(i)
-                if u is not None:
-                    A -= om * self.neg_r[i] * self.neg_c[i] * np.outer(u, u)
-        x = self._solve(A, b, "V", i)
-        self.state.V[i] = x.astype(np.float32)
-        self.V64[i] = self.state.V[i]
-        return self.state.V[i].copy()
+            if self.t1_mode is not None:
+                A += scale[:, None, None] * self.Gu
+            pos, ptr = _segments(self.corpus.graph.neighbors, rows)
+            cols = self.corpus.graph.neighbors.values[pos]
+            if self.free_u:
+                ctx = self.U64[cols]
+            else:  # contexts without text carry no edge term
+                slot = self.enc_slot[cols]
+                keep = slot >= 0
+                ptr = np.concatenate(([0], np.cumsum(keep)))[ptr]
+                cols, ctx = cols[keep], self.enc[slot[keep]]
+            rid = _owners(rows, ptr)
+            cpos = self.pos_r[rid] * self.pos_c[cols]
+            _add_terms(A, b, ctx, ptr, cpos - om * self.neg_r[rid] * self.neg_c[cols], cpos)
+            if self.config.exclude_self_negative:
+                sel = ~self.self_in_ne[rows]
+                if not self.free_u:
+                    sel &= self.enc_slot[rows] >= 0
+                ids = rows[sel]
+                u = self.U64[ids] if self.free_u else self.enc[self.enc_slot[ids]]
+                A[sel] -= (om * self.neg_r[ids] * self.neg_c[ids])[:, None, None] * _outer(u)
+        return A, b, None
 
-    def _ctx_vec(self, j: int) -> np.ndarray | None:
-        if self.free_u:
-            return self.U64[j]
-        k = self.enc_slot[j]
-        return None if k < 0 else self.enc[k]
+    def _system_u(self, rows: np.ndarray):
+        om = self.config.omega0
+        A, b = self._start(om * self.neg_c[rows], self.Gv_neg)
+        pos, ptr = _segments(self.in_edges, rows)
+        seeds = self.in_edges.values[pos]
+        rid = _owners(rows, ptr)
+        cpos = self.pos_r[seeds] * self.pos_c[rid]
+        _add_terms(A, b, self.V64[seeds], ptr,
+                   cpos - om * self.neg_r[seeds] * self.neg_c[rid], cpos)
+        if self.config.exclude_self_negative:
+            sel = ~self.self_in_ne[rows]
+            ids = rows[sel]
+            cneg = om * self.neg_r[ids] * self.neg_c[ids]
+            A[sel] -= cneg[:, None, None] * _outer(self.V64[ids])
+        return A, b, None
 
-    def _update_u(self, j: int) -> np.ndarray:
-        cfg = self.config
-        om = cfg.omega0
-        A = cfg.lam * np.eye(cfg.d) + om * self.neg_c[j] * self.Gv_neg
-        b = np.zeros(cfg.d)
-        seeds = self.in_edges[j]
-        if len(seeds):
-            P = self.V64[seeds]
-            coef = (self.pos_r[seeds] * self.pos_c[j]
-                    - om * self.neg_r[seeds] * self.neg_c[j])
-            A += (P * coef[:, None]).T @ P
-            b += (self.pos_r[seeds] * self.pos_c[j]) @ P
-        if cfg.exclude_self_negative and not self.self_in_ne[j]:
-            A -= om * self.neg_r[j] * self.neg_c[j] * np.outer(self.V64[j], self.V64[j])
-        x = self._solve(A, b, "U", j)
-        self.state.U[j] = x.astype(np.float32)
-        self.U64[j] = self.state.U[j]
-        return self.state.U[j].copy()
-
-    def _update_w(self, e: int) -> np.ndarray:
-        cfg = self.config
-        om = cfg.omega0
-        d = cfg.d
-        A = cfg.lam * np.eye(d)
-        b = np.zeros(d)
-        items, mult = self.word_items[e], self.word_mult[e]
+    def _system_w(self, rows: np.ndarray):
+        om = self.config.omega0
+        pos, ptr = _segments(self.word_items, rows)
+        items, mult = self.word_items.values[pos], self.word_mult.values[pos]
 
         if self.t1_mode == "perword":
             # Implicit over every item, corrected at the incident ones.
-            A += om * self.Gv_neg
-            if len(items):
-                P = self.V64[items]
-                coef = self.pos_r[items] * mult - om * self.neg_r[items]
-                A += (P * coef[:, None]).T @ P
-                b += (self.pos_r[items] * mult) @ P
-            x = self._solve(A, b, "W", e)
-            old = self.W64[e].copy()
-            self.state.W[e] = x.astype(np.float32)
-            self.W64[e] = self.state.W[e]
-            if self.Gw is not None:
-                self.Gw += np.outer(self.W64[e], self.W64[e]) - np.outer(old, old)
-            return self.state.W[e].copy()
+            A, b = self._start(np.full(len(rows), om), self.Gv_neg)
+            wpos = self.pos_r[items] * mult
+            _add_terms(A, b, self.V64[items], ptr, wpos - om * self.neg_r[items], wpos)
+            old = self.W64[rows]
 
-        # Encoder-side word row: the word enters through BOW contexts.
-        # Each context l containing the word contributes alpha_l = mult/k_l,
-        # so its encoding splits as rest_l + alpha_l * w_e.
-        slot = self.enc_slot[items]
-        keep = slot >= 0
-        ctx_items = items[keep]
-        ks = slot[keep]
-        alphas = mult[keep] / self.text_len[ctx_items]
-        restM = self.enc[ks] - alphas[:, None] * self.W64[e]
+            def written() -> None:
+                new = self.W64[rows]
+                self.Gw += new.T @ new - old.T @ old
 
+            return A, b, written
+
+        # Encoder-side word row: the word enters through BOW contexts. Each
+        # context l holding the word (every such item has text) contributes
+        # alpha_l = mult/k_l, so its encoding splits as rest_l + alpha_l * w_e.
+        ks = self.enc_slot[items]
+        alphas = mult / self.text_len[items]
+        w_of = _owners(rows, ptr)
+        restM = self.enc[ks] - alphas[:, None] * self.W64[w_of]
         if self.t1_mode == "encoded":
-            A += om * float(np.sum(alphas * alphas)) * self.Gv_neg
-            if len(ctx_items):
-                b -= om * self.Gv_neg @ (alphas @ restM)
-                Vs = self.V64[ctx_items]
-                beta = np.einsum("td,td->t", Vs, restM)
-                cpos = self.pos_r[ctx_items]
-                cneg = om * self.neg_r[ctx_items]
-                coef = (cpos - cneg) * alphas * alphas
-                A += (Vs * coef[:, None]).T @ Vs
-                b += ((cpos * (1.0 - beta) + cneg * beta) * alphas) @ Vs
+            w_rest = alphas
+            Vs = self.V64[items]
+            beta = np.einsum("td,td->t", Vs, restM)
+            cpos = self.pos_r[items]
+            cneg = om * self.neg_r[items]
+            a, tptr = alphas, ptr
         else:  # zsl_te: task 2 with encoded contexts
-            cneg_ctx = self.neg_c[ctx_items]
-            A += om * float(np.sum(cneg_ctx * alphas * alphas)) * self.Gv_neg
-            if len(ctx_items):
-                b -= om * self.Gv_neg @ ((cneg_ctx * alphas) @ restM)
-                # Seeds of every context item, gathered from the transposed graph.
-                starts = self.in_edges.indptr[ctx_items]
-                lens_in = self.in_edges.indptr[ctx_items + 1] - starts
-                pslot = np.repeat(np.arange(len(ctx_items)), lens_in)
-                if len(pslot):
-                    skip = starts - (np.cumsum(lens_in) - lens_in)
-                    seeds = self.in_edges.values[np.arange(len(pslot)) + skip[pslot]]
-                    Vs = self.V64[seeds]
-                    beta = np.einsum("pd,pd->p", Vs, restM[pslot])
-                    a = alphas[pslot]
-                    dst = ctx_items[pslot]
-                    cpos = self.pos_r[seeds] * self.pos_c[dst]
-                    cneg = om * self.neg_r[seeds] * self.neg_c[dst]
-                    coef = (cpos - cneg) * a * a
-                    A += (Vs * coef[:, None]).T @ Vs
-                    b += ((cpos * (1.0 - beta) + cneg * beta) * a) @ Vs
-                if cfg.exclude_self_negative:
-                    sel = ~self.self_in_ne[ctx_items]
-                    if np.any(sel):
-                        ells = ctx_items[sel]
-                        Vse = self.V64[ells]
-                        beta = np.einsum("pd,pd->p", Vse, restM[sel])
-                        a = alphas[sel]
-                        cneg = om * self.neg_r[ells] * self.neg_c[ells]
-                        A -= (Vse * (cneg * a * a)[:, None]).T @ Vse
-                        b += (cneg * beta * a) @ Vse
+            w_rest = self.neg_c[items] * alphas
+            # Seeds of every context item, gathered from the transposed graph.
+            spos, sptr = _segments(self.in_edges, items)
+            seeds = self.in_edges.values[spos]
+            pslot = _owners(np.arange(len(items)), sptr)
+            Vs = self.V64[seeds]
+            beta = np.einsum("pd,pd->p", Vs, restM[pslot])
+            a = alphas[pslot]
+            dst = items[pslot]
+            cpos = self.pos_r[seeds] * self.pos_c[dst]
+            cneg = om * self.neg_r[seeds] * self.neg_c[dst]
+            tptr = sptr[ptr]
+        w_gram = w_rest * alphas
+        gram = np.zeros(len(rows))
+        b = np.zeros((len(rows), self.config.d))
+        omG = om * self.Gv_neg
+        for r, lo, hi in _runs(ptr):
+            gram[r] = np.add.reduce(w_gram[lo:hi])
+            b[r] -= omG @ (w_rest[lo:hi] @ restM[lo:hi])
+        A, _ = self._start(om * gram, self.Gv_neg)
+        _add_terms(A, b, Vs, tptr, (cpos - cneg) * a * a, (cpos * (1.0 - beta) + cneg * beta) * a)
+        if self.t1_mode is None and self.config.exclude_self_negative:
+            sel = ~self.self_in_ne[items]
+            ells = items[sel]
+            Vse = self.V64[ells]
+            beta = np.einsum("pd,pd->p", Vse, restM[sel])
+            a = alphas[sel]
+            cneg = om * self.neg_r[ells] * self.neg_c[ells]
+            _add_terms(A, b, Vse, np.concatenate(([0], np.cumsum(sel)))[ptr],
+                       -(cneg * a * a), cneg * beta * a)
 
-        x = self._solve(A, b, "W", e)
-        self.state.W[e] = x.astype(np.float32)
-        self.W64[e] = self.state.W[e]
-        if len(ctx_items):
-            self.enc[ks] = restM + alphas[:, None] * self.W64[e]
-        return self.state.W[e].copy()
+        def written() -> None:
+            self.enc[ks] = restM + alphas[:, None] * self.W64[w_of]
+
+        return A, b, written
 
     # -- sweeps ------------------------------------------------------------
 
-    def sweep(self) -> None:
-        """One full pass: V rows, then U rows (free contexts), then W rows."""
-        self.refresh()
-        for i in range(self.corpus.n):
-            self._update_v(i)
-        if self.free_u:
+    def sweep(self) -> dict:
+        """One full pass: V rows, then U rows (free contexts), then W rows.
+
+        Returns the seconds each block took and the solver fallbacks."""
+        stats = dict.fromkeys(SWEEP_STATS, 0.0)
+        before = dict(self.fallbacks)
+        blocks = ["V"] + (["U"] if self.free_u else []) + (["W"] if self._w_has_terms() else [])
+        for block in blocks:
+            t0 = time.perf_counter()
             self.refresh()
-            for j in range(self.corpus.n):
-                self._update_u(j)
-        if self._w_has_terms():
-            self.refresh()
-            for e in range(self.corpus.m):
-                self._update_w(e)
+            self._pass(block, self.levels[block])
+            stats[f"seconds_{block}"] = time.perf_counter() - t0
+        for kind in self.fallbacks:
+            stats[f"fallbacks_{kind}"] = self.fallbacks[kind] - before[kind]
         self.state.sweep_count += 1
+        return stats
 
     def _w_has_terms(self) -> bool:
         return self.t1_mode is not None or not self.free_u
@@ -514,7 +615,9 @@ def train_sl_model(corpus: Corpus, config: TrainConfig,
                    state: ModelState | None = None) -> tuple[ModelState, list[dict]]:
     """Initialize (unless resuming) and run the configured number of sweeps.
 
-    Returns the trained state and a per-sweep trace of loss components.
+    Returns the trained state, which carries ``config.objective()``, and a
+    per-sweep trace of loss components, seconds per block and solver
+    fallbacks.
     """
     if state is None:
         state = init_model_state(config, corpus)
@@ -523,13 +626,15 @@ def train_sl_model(corpus: Corpus, config: TrainConfig,
     parts: dict = {}
     loss = trainer.loss(parts)
     trace.append({"sweep": state.sweep_count, "loss_total": loss, **{
-        f"loss_{k}": v for k, v in parts.items()}, "seconds": 0.0})
+        f"loss_{k}": v for k, v in parts.items()}, "seconds": 0.0,
+        **dict.fromkeys(SWEEP_STATS, 0)})
     for _ in range(config.sweeps):
         t0 = time.perf_counter()
-        trainer.sweep()
+        stats = trainer.sweep()
         parts = {}
         loss = trainer.loss(parts)
         trace.append({"sweep": state.sweep_count, "loss_total": loss, **{
             f"loss_{k}": v for k, v in parts.items()},
-            "seconds": time.perf_counter() - t0})
+            "seconds": time.perf_counter() - t0, **stats})
+    state.objective = config.objective()
     return state, trace

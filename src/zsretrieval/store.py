@@ -27,6 +27,11 @@ KINDS = (STL, ZSL_ME, ZSL_TE, SMC)
 
 _BLOCK_MAGIC = {"W": b"ZSRMAT_W", "V": b"ZSRMAT_V", "U": b"ZSRMAT_U"}
 _BLOCK_ID = {"W": 1, "V": 2, "U": 3}
+# TrainConfig fields a model carries in meta.json; refresh and loss-audit
+# default to them. Each maps to the type it must have there.
+OBJECTIVE_FIELDS = {"omega0": float, "lam": float, "use_weights": bool,
+                    "weight_negatives": bool, "exclude_self_negative": bool,
+                    "task1_encoded": bool, "init_std": float}
 
 
 @dataclass
@@ -44,6 +49,10 @@ class TrainConfig:
     task1_encoded: bool = False  # STL/ZSL_ME Task 1: encoded text instead of per-word
     init_std: float = 0.1
     seed: int = 0
+
+    def objective(self) -> dict:
+        """The fields that define the trained objective, as saved with a model."""
+        return {key: want(getattr(self, key)) for key, want in OBJECTIVE_FIELDS.items()}
 
     def validate(self) -> None:
         if self.kind not in (STL, ZSL_ME, ZSL_TE):
@@ -72,6 +81,7 @@ class ModelState:
     seed: int
     sweep_count: int = 0
     score_mode: str = "cosine"
+    objective: dict | None = None  # TrainConfig.objective() of the last training
 
     @property
     def m(self) -> int:
@@ -178,6 +188,8 @@ def save_model(state: ModelState, directory: str | Path, corpus: Corpus | None =
         "sweep_count": state.sweep_count,
         "score_mode": state.score_mode,
     }
+    if state.objective is not None:
+        meta["objective"] = state.objective
     binio.atomic_write_bytes(directory / "meta.json",
                              json.dumps(meta, indent=2, sort_keys=True).encode())
     binio.write_matrix(directory / "W.bin", _BLOCK_MAGIC["W"], state.W)
@@ -216,4 +228,15 @@ def load_model(directory: str | Path, expect_kind: str | None = None) -> ModelSt
     score_mode = meta.get("score_mode", "cosine")
     if score_mode not in ("dot", "cosine"):
         raise FormatError(f"{directory}/meta.json: unknown score mode {score_mode!r}")
-    return ModelState(kind, meta["d"], W, V, U, meta["seed"], meta["sweep_count"], score_mode)
+    objective = meta.get("objective")
+    if objective is not None:
+        if not isinstance(objective, dict):
+            raise FormatError(f"{directory}/meta.json: 'objective' must be an object")
+        for key, value in objective.items():
+            want = OBJECTIVE_FIELDS.get(key)
+            if (want is None or not isinstance(value, (int, float))
+                    or isinstance(value, bool) != (want is bool)):
+                raise FormatError(f"{directory}/meta.json: bad objective field {key!r}")
+        objective = {key: OBJECTIVE_FIELDS[key](value) for key, value in objective.items()}
+    return ModelState(kind, meta["d"], W, V, U, meta["seed"], meta["sweep_count"],
+                      score_mode, objective)

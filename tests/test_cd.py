@@ -1,8 +1,11 @@
 """Coordinate descent: exact row minimization, monotone sweeps, training."""
+import itertools
+
 import numpy as np
 import pytest
 
 from tests.conftest import make_random_corpus
+from zsretrieval import sl_trainer
 from zsretrieval.corpus import Corpus, CorrelationGraph, Rows
 from zsretrieval.sl_trainer import (
     SLTrainer,
@@ -172,3 +175,271 @@ class TestTrainSLModel:
         state2, _ = train_sl_model(corpus, config, state=state)
         assert state2.sweep_count == 4
         assert sl_loss_efficient(state2, corpus, config) <= before + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The pass routine against a row-by-row Gauss-Seidel reference.
+#
+# ref_update_* are the one-row updates the trainer made before its passes
+# were chunked and level-scheduled, kept here as the oracle: each builds one
+# row's normal equations from the trainer's caches and solves them.
+
+
+def ref_update_v(t, i):
+    cfg, om, d = t.config, t.config.omega0, t.config.d
+    A = cfg.lam * np.eye(d)
+    b = np.zeros(d)
+    if t.t1_mode == "perword":
+        A += om * t.neg_r[i] * t.Gw
+        idx, cnt = t.incidence[i], t.inc_mult[i]
+        if len(idx):
+            P = t.W64[idx]
+            coef = t.pos_r[i] * cnt - om * t.neg_r[i]
+            A += (P * coef[:, None]).T @ P
+            b += (t.pos_r[i] * cnt) @ P
+    elif t.t1_mode == "encoded":
+        A += om * t.neg_r[i] * t.Gq
+        k = t.enc_slot[i]
+        if k >= 0:
+            q = t.enc[k]
+            A += (t.pos_r[i] - om * t.neg_r[i]) * np.outer(q, q)
+            b += t.pos_r[i] * q
+    if t.t2:
+        A += om * t.neg_r[i] * t.Gu
+        nb = t.corpus.graph.neighbors[i]
+        if len(nb):
+            if t.free_u:
+                cols, ctxm = nb, t.U64[nb]
+            else:
+                slot = t.enc_slot[nb]
+                keep = slot >= 0
+                cols, ctxm = nb[keep], t.enc[slot[keep]]
+            if len(cols):
+                cpos = t.pos_r[i] * t.pos_c[cols]
+                coef = cpos - om * t.neg_r[i] * t.neg_c[cols]
+                A += (ctxm * coef[:, None]).T @ ctxm
+                b += cpos @ ctxm
+        if cfg.exclude_self_negative and not t.self_in_ne[i]:
+            u = t.U64[i] if t.free_u else (t.enc[t.enc_slot[i]] if t.enc_slot[i] >= 0 else None)
+            if u is not None:
+                A -= om * t.neg_r[i] * t.neg_c[i] * np.outer(u, u)
+    t.state.V[i] = t._solve(A, b, "V", i).astype(np.float32)
+    t.V64[i] = t.state.V[i]
+
+
+def ref_update_u(t, j):
+    cfg, om = t.config, t.config.omega0
+    A = cfg.lam * np.eye(cfg.d) + om * t.neg_c[j] * t.Gv_neg
+    b = np.zeros(cfg.d)
+    seeds = t.in_edges[j]
+    if len(seeds):
+        P = t.V64[seeds]
+        coef = t.pos_r[seeds] * t.pos_c[j] - om * t.neg_r[seeds] * t.neg_c[j]
+        A += (P * coef[:, None]).T @ P
+        b += (t.pos_r[seeds] * t.pos_c[j]) @ P
+    if cfg.exclude_self_negative and not t.self_in_ne[j]:
+        A -= om * t.neg_r[j] * t.neg_c[j] * np.outer(t.V64[j], t.V64[j])
+    t.state.U[j] = t._solve(A, b, "U", j).astype(np.float32)
+    t.U64[j] = t.state.U[j]
+
+
+def ref_update_w(t, e):
+    cfg, om, d = t.config, t.config.omega0, t.config.d
+    A = cfg.lam * np.eye(d)
+    b = np.zeros(d)
+    items, mult = t.word_items[e], t.word_mult[e]
+    if t.t1_mode == "perword":
+        A += om * t.Gv_neg
+        if len(items):
+            P = t.V64[items]
+            coef = t.pos_r[items] * mult - om * t.neg_r[items]
+            A += (P * coef[:, None]).T @ P
+            b += (t.pos_r[items] * mult) @ P
+        t.state.W[e] = t._solve(A, b, "W", e).astype(np.float32)
+        t.W64[e] = t.state.W[e]
+        return
+    slot = t.enc_slot[items]
+    keep = slot >= 0
+    ctx, ks = items[keep], slot[keep]
+    alphas = mult[keep] / t.text_len[ctx]
+    restM = t.enc[ks] - alphas[:, None] * t.W64[e]
+    if t.t1_mode == "encoded":
+        A += om * float(np.sum(alphas * alphas)) * t.Gv_neg
+        if len(ctx):
+            b -= om * t.Gv_neg @ (alphas @ restM)
+            Vs = t.V64[ctx]
+            beta = np.einsum("td,td->t", Vs, restM)
+            cpos, cneg = t.pos_r[ctx], om * t.neg_r[ctx]
+            A += (Vs * ((cpos - cneg) * alphas * alphas)[:, None]).T @ Vs
+            b += ((cpos * (1.0 - beta) + cneg * beta) * alphas) @ Vs
+    else:
+        cneg_ctx = t.neg_c[ctx]
+        A += om * float(np.sum(cneg_ctx * alphas * alphas)) * t.Gv_neg
+        if len(ctx):
+            b -= om * t.Gv_neg @ ((cneg_ctx * alphas) @ restM)
+            starts = t.in_edges.indptr[ctx]
+            lens_in = t.in_edges.indptr[ctx + 1] - starts
+            pslot = np.repeat(np.arange(len(ctx)), lens_in)
+            if len(pslot):
+                skip = starts - (np.cumsum(lens_in) - lens_in)
+                seeds = t.in_edges.values[np.arange(len(pslot)) + skip[pslot]]
+                Vs = t.V64[seeds]
+                beta = np.einsum("pd,pd->p", Vs, restM[pslot])
+                a = alphas[pslot]
+                dst = ctx[pslot]
+                cpos = t.pos_r[seeds] * t.pos_c[dst]
+                cneg = om * t.neg_r[seeds] * t.neg_c[dst]
+                A += (Vs * ((cpos - cneg) * a * a)[:, None]).T @ Vs
+                b += ((cpos * (1.0 - beta) + cneg * beta) * a) @ Vs
+            if cfg.exclude_self_negative:
+                sel = ~t.self_in_ne[ctx]
+                if np.any(sel):
+                    ells = ctx[sel]
+                    Vse = t.V64[ells]
+                    beta = np.einsum("pd,pd->p", Vse, restM[sel])
+                    a = alphas[sel]
+                    cneg = om * t.neg_r[ells] * t.neg_c[ells]
+                    A -= (Vse * (cneg * a * a)[:, None]).T @ Vse
+                    b += (cneg * beta * a) @ Vse
+    t.state.W[e] = t._solve(A, b, "W", e).astype(np.float32)
+    t.W64[e] = t.state.W[e]
+    if len(ctx):
+        t.enc[ks] = restM + alphas[:, None] * t.W64[e]
+
+
+def ref_sweep(t):
+    """Every row in index order, each solved against all rows before it."""
+    t.refresh()
+    for i in range(t.corpus.n):
+        ref_update_v(t, i)
+    if t.free_u:
+        t.refresh()
+        for j in range(t.corpus.n):
+            ref_update_u(t, j)
+    if t._w_has_terms():
+        t.refresh()
+        for e in range(t.corpus.m):
+            ref_update_w(t, e)
+    t.state.sweep_count += 1
+
+
+def edge_case_corpus(seed=5, n=16, m=14):
+    """Random corpus with items 0-1 without text, the last two words on no
+    item, item 2 isolated (no edges in or out) and some self edges."""
+    rng = np.random.default_rng(seed)
+    words = [[] if i < 2 else np.sort(rng.integers(0, m - 2, size=int(rng.integers(1, 6))))
+             for i in range(n)]
+    others = [j for j in range(n) if j != 2]
+    neighbors, counts = [], []
+    for i in range(n):
+        deg = 0 if i == 2 else int(rng.integers(0, 6))
+        nb = np.sort(rng.choice(others, size=deg, replace=False))
+        neighbors.append(nb)
+        counts.append(rng.integers(1, 4, size=deg))
+    nbrs = Rows.from_lists(neighbors)
+    graph = CorrelationGraph(nbrs, Rows(nbrs.indptr, np.concatenate(counts).astype(np.int64)), 10)
+    return Corpus([f"i{k}" for k in range(n)], [f"w{k}" for k in range(m)],
+                  Rows.from_lists(words), graph, {})
+
+
+def assert_states_match(a, b):
+    for block in ("W", "V", "U"):
+        x, y = getattr(a, block), getattr(b, block)
+        if x is None:
+            assert y is None
+            continue
+        np.testing.assert_allclose(x.astype(np.float64), y.astype(np.float64),
+                                   rtol=1e-12, atol=0, err_msg=block)
+
+
+FLAGS = [dict(zip(("exclude_self_negative", "task1_encoded", "use_weights",
+                   "weight_negatives"), combo))
+         for combo in itertools.product((False, True), repeat=4)]
+
+
+class TestPassesMatchRowByRow:
+    @pytest.mark.parametrize("chunk_floats", [None, 20])
+    @pytest.mark.parametrize("flags", FLAGS,
+                             ids=lambda f: "-".join(k for k, v in f.items() if v) or "plain")
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sweep_equals_sequential_gauss_seidel(self, kind, flags, chunk_floats, monkeypatch):
+        if chunk_floats is not None:  # two rows or six term rows per chunk
+            monkeypatch.setattr(sl_trainer, "CHUNK_FLOATS", chunk_floats)
+        corpus = edge_case_corpus()
+        config = TrainConfig(kind=kind, d=3, omega0=0.05, lam=0.3, seed=12, **flags)
+        state = init_model_state(config, corpus)
+        ref = state.copy()
+        trainer, oracle = SLTrainer(state, corpus, config), SLTrainer(ref, corpus, config)
+        if oracle.t1_mode != "perword":
+            assert len(oracle.levels["W"]) > 2  # the W pass runs on a real schedule
+        for _ in range(2):
+            stats = trainer.sweep()
+            ref_sweep(oracle)
+            assert_states_match(state, ref)
+            assert trainer.loss() == pytest.approx(oracle.loss(), rel=1e-12)
+            assert stats["fallbacks_jitter"] == stats["fallbacks_lstsq"] == 0
+            assert (stats["seconds_U"] > 0) == (kind == ZSL_ME)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_update_row_is_the_one_row_case(self, kind):
+        corpus = edge_case_corpus(seed=8)
+        config = TrainConfig(kind=kind, d=3, omega0=0.05, lam=0.3, seed=13,
+                             exclude_self_negative=True)
+        state = init_model_state(config, corpus)
+        ref = state.copy()
+        trainer, oracle = SLTrainer(state, corpus, config), SLTrainer(ref, corpus, config)
+        updates = {"V": ref_update_v, "U": ref_update_u, "W": ref_update_w}
+        for block in ["V"] + (["U"] if kind == ZSL_ME else []) + ["W"]:
+            for row in (0, 2, 5, corpus.m - 1 if block == "W" else corpus.n - 1):
+                got = trainer.update_row(block, row)
+                updates[block](oracle, row)
+                assert np.array_equal(got, getattr(ref, block)[row])
+        assert_states_match(state, ref)
+
+    def test_singular_rows_fall_back_one_by_one(self):
+        # lam = 0: the two words on no item have A = 0; their chunk is solved
+        # again row by row, each warning by name, the other rows unchanged.
+        corpus = edge_case_corpus()
+        config = TrainConfig(kind=ZSL_TE, d=3, omega0=0.05, lam=0.0, seed=14)
+        state = init_model_state(config, corpus)
+        ref = state.copy()
+        trainer, oracle = SLTrainer(state, corpus, config), SLTrainer(ref, corpus, config)
+        assert any(12 in level and len(level) > 2 for level in trainer.levels["W"])
+        with pytest.warns(UserWarning) as caught:
+            stats = trainer.sweep()
+        messages = sorted(str(w.message) for w in caught)
+        assert messages == [f"singular system at W[{e}]; adding 1e-10 jitter" for e in (12, 13)]
+        assert (stats["fallbacks_jitter"], stats["fallbacks_lstsq"]) == (2, 0)
+        with pytest.warns(UserWarning):
+            ref_sweep(oracle)
+        assert_states_match(state, ref)
+        assert not np.any(state.W[12:])
+
+    def test_lstsq_fallback_is_counted(self):
+        corpus = edge_case_corpus()
+        config = TrainConfig(kind=ZSL_TE, d=2, lam=0.0)
+        trainer = SLTrainer(init_model_state(config, corpus), corpus, config)
+        A = np.full((2, 2), 2.0 ** 100)  # exactly singular; jitter is below its ulp
+        with pytest.warns(UserWarning, match=r"singular system at V\[3\]"):
+            x = trainer._solve(A, np.ones(2), "V", 3)
+        assert np.allclose(x, np.linalg.lstsq(A, np.ones(2), rcond=None)[0])
+        assert trainer.fallbacks == {"jitter": 0, "lstsq": 1}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_level_schedule_invariants(self, seed):
+        rng = np.random.default_rng(seed)
+        corpus = make_random_corpus(rng, 40, 30, max_text=7)
+        config = TrainConfig(kind=ZSL_TE, d=2)
+        trainer = SLTrainer(init_model_state(config, corpus), corpus, config)
+        levels = trainer.levels["W"]
+        assert np.array_equal(np.sort(np.concatenate(levels)), np.arange(corpus.m))
+        level_of = np.empty(corpus.m, dtype=np.int64)
+        for lv, words in enumerate(levels):
+            level_of[words] = lv
+            assert np.all(np.diff(words) > 0)  # index order within a level
+            items = np.concatenate([trainer.word_items[e] for e in words])
+            assert len(np.unique(items)) == len(items), f"level {lv} shares an item"
+        for i in range(corpus.n):
+            holders = np.unique(corpus.word_lists[i])
+            # every word comes after each lower-index word it shares an item with
+            assert np.all(np.diff(level_of[holders]) > 0)

@@ -83,7 +83,8 @@ class TestTrain:
         model = train(workspace, corpus)
         assert (model / "manifest.json").exists()
         trace = (model / "loss_trace.csv").read_text().splitlines()
-        assert trace[0] == "sweep,loss_total,loss_task1,loss_task2,loss_reg,seconds"
+        assert trace[0] == ("sweep,loss_total,loss_task1,loss_task2,loss_reg,seconds,"
+                            "seconds_V,seconds_U,seconds_W,fallbacks_jitter,fallbacks_lstsq")
         assert len(trace) == 6  # header + initial + 4 sweeps
         manifest = json.loads((model / "manifest.json").read_text())
         assert manifest["config"]["model"] == "zsl_te"
@@ -154,6 +155,39 @@ class TestRetrieve:
         assert rc == 0
         manifest = json.loads((workspace / "ret" / "manifest.json").read_text())
         assert manifest["config"]["k"] == 100
+
+    def test_streams_queries_in_blocks(self, workspace, capsys, monkeypatch):
+        # More queries than a block, with unscorable lines and line breaks
+        # other than "\n"; every query keeps its number and line text.
+        import zsretrieval.cli as cli
+        corpus = ingest(workspace)
+        model = train(workspace, corpus)
+        lines = ["apple", "zzz", "", "red fire", "fire\x0ctruck", "pie"] * 3
+        (workspace / "q.txt").write_text("\n".join(lines[:-1]) + "\r\n" + lines[-1])
+        expected = (workspace / "q.txt").read_text().splitlines()
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+        argv = ["retrieve", "--model", str(model), "--corpus", str(corpus),
+                "--queries", str(workspace / "q.txt"), "--k", "2"]
+        assert main(argv + ["--out", str(workspace / "small")]) == 0
+        small = capsys.readouterr().out
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 1000)
+        assert main(argv + ["--out", str(workspace / "one")]) == 0
+        assert f"for {len(expected)} queries (6 skipped)" in small
+        assert capsys.readouterr().out.split(" -> ")[0] == small.split(" -> ")[0]
+        text = (workspace / "small" / "results.tsv").read_text()
+        assert text == (workspace / "one" / "results.tsv").read_text()
+        heads = [line for line in text.split("\n") if line.startswith("# query ")]
+        assert heads == [f"# query {i}\t{raw}" for i, raw in enumerate(expected)]
+
+    def test_empty_queries_file(self, workspace, capsys):
+        corpus = ingest(workspace)
+        model = train(workspace, corpus)
+        (workspace / "q.txt").write_text("")
+        assert main(["retrieve", "--model", str(model), "--corpus", str(corpus),
+                     "--queries", str(workspace / "q.txt"), "--out", str(workspace / "r")]) == 0
+        assert (workspace / "r" / "results.tsv").read_text() == "\n"
+        assert "for 0 queries (0 skipped)" in capsys.readouterr().out
 
     def test_missing_model_dir_is_data_error(self, workspace):
         corpus = ingest(workspace)
@@ -267,8 +301,71 @@ class TestRefresh:
         trace = (workspace / "model2" / "loss_trace.csv").read_text().splitlines()
         assert len(trace) == 4  # header + initial + 2 default sweeps
         for row in trace[1:]:
-            _, _, task1, task2, reg, _ = row.split(",")
+            _, _, task1, task2, reg = row.split(",")[:5]
             assert task1 and task2 and reg  # loss components filled in
+
+
+def grow(ws):
+    """A corpus with one more item, for refresh."""
+    (ws / "items2.jsonl").write_text(ITEMS + '{"id": "e", "words": ["blue", "water", "bottle"]}\n')
+    (ws / "seq2.tsv").write_text(SEQUENCES + "u4\te,a,e\n")
+    assert main(["ingest", "--items", str(ws / "items2.jsonl"), "--sequences",
+                 str(ws / "seq2.tsv"), "--out", str(ws / "corpus2")]) == 0
+    return ws / "corpus2"
+
+
+def refresh(ws, model, corpus, *extra):
+    return main(["refresh", "--model", str(model), "--old-corpus", str(corpus),
+                 "--new-corpus", str(grow(ws)), "--out", str(ws / "model2"), *extra])
+
+
+class TestModelCarriesObjective:
+    def test_train_stores_objective_in_meta(self, workspace):
+        model = train(workspace, ingest(workspace), extra=["--omega0", "0.01"])
+        meta = json.loads((model / "meta.json").read_text())
+        assert meta["objective"] == {
+            "omega0": 0.01, "lam": 4.0, "use_weights": True, "weight_negatives": True,
+            "exclude_self_negative": False, "task1_encoded": False, "init_std": 0.1}
+
+    def test_refresh_inherits_stored_objective(self, workspace, capsys):
+        corpus = ingest(workspace)
+        model = train(workspace, corpus,
+                      extra=["--omega0", "0.01", "--no-weights", "--lambda", "2"])
+        capsys.readouterr()
+        assert refresh(workspace, model, corpus) == 0
+        assert capsys.readouterr().err == ""
+        config = json.loads((workspace / "model2" / "manifest.json").read_text())["config"]
+        assert (config["omega0"], config["use_weights"], config["lam"]) == (0.01, False, 2.0)
+        assert config["sweeps"] == 2  # sweeps is not inherited
+        meta = json.loads((workspace / "model2" / "meta.json").read_text())
+        assert meta["objective"]["omega0"] == 0.01
+
+    def test_explicit_flag_wins_with_one_notice(self, workspace, capsys):
+        corpus = ingest(workspace)
+        model = train(workspace, corpus, extra=["--omega0", "0.01"])
+        capsys.readouterr()
+        assert refresh(workspace, model, corpus, "--omega0", "0.02", "--lambda", "4") == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "omega0=0.02" in err[0] and "lam" not in err[0]
+        config = json.loads((workspace / "model2" / "manifest.json").read_text())["config"]
+        assert config["omega0"] == 0.02
+
+    def test_loss_audit_uses_stored_objective(self, workspace, capsys):
+        corpus = ingest(workspace)
+        model = train(workspace, corpus, extra=["--omega0", "0.5", "--lambda", "0.25"])
+        capsys.readouterr()
+        assert main(["loss-audit", "--model", str(model), "--corpus", str(corpus)]) == 0
+        audited = float(capsys.readouterr().out.split()[0].split("=")[1])
+        final = float((model / "loss_trace.csv").read_text().splitlines()[-1].split(",")[1])
+        assert audited == pytest.approx(final, rel=1e-9)
+
+    def test_meta_without_objective_still_loads(self, workspace, capsys):
+        corpus = ingest(workspace)
+        model = train(workspace, corpus, extra=["--omega0", "0.01"])
+        _edit_model_meta(model, "objective")
+        assert refresh(workspace, model, corpus) == 0
+        config = json.loads((workspace / "model2" / "manifest.json").read_text())["config"]
+        assert config["omega0"] == 0.001  # the built-in default
 
 
 class TestLossAudit:
@@ -358,6 +455,12 @@ MALFORMED = {
         lambda ws, c: _edit_model_meta(ws / "model", "seed", True), "retrieve"),
     "model-meta-without-sweep-count": (
         lambda ws, c: _edit_model_meta(ws / "model", "sweep_count"), "retrieve"),
+    "model-meta-objective-not-an-object": (
+        lambda ws, c: _edit_model_meta(ws / "model", "objective", [0.01]), "retrieve"),
+    "model-meta-objective-lam-a-string": (
+        lambda ws, c: _edit_model_meta(ws / "model", "objective", {"lam": "4"}), "retrieve"),
+    "model-meta-objective-unknown-field": (
+        lambda ws, c: _edit_model_meta(ws / "model", "objective", {"sweeps": 3}), "retrieve"),
     "labeled-relevant-not-a-list": (
         lambda ws, c: (ws / "labeled.jsonl").write_text('{"query": ["apple"], "relevant": 5}\n'),
         "eval-pooled"),
