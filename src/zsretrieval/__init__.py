@@ -12,7 +12,7 @@ from .corpus import (
     load_corpus,
     save_corpus,
 )
-from .encoder import QueryVector, encode_bow, rescale_item_norms, score_pair
+from .encoder import QueryVector, encode_bow, rescale_item_norms
 from .evaluation import (
     LabeledSet,
     ensemble_recall_at_k,
@@ -23,8 +23,6 @@ from .evaluation import (
 from .retrieval import RankedList, ensemble_interleave, retrieve_topk, search
 from .sl_trainer import (
     SLTrainer,
-    cd_sweep,
-    cd_update_row,
     sl_loss_bruteforce,
     sl_loss_efficient,
     train_sl_model,

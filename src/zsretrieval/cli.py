@@ -27,6 +27,7 @@ from .corpus import (
     Corpus,
     ingest_corpus,
     load_corpus,
+    open_text,
     read_graph_tsv,
     read_items_jsonl,
     read_sequences_tsv,
@@ -107,8 +108,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     resolved = dict(defaults)
     if getattr(args, "config", None):
         try:
-            overlay = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            overlay = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
             raise IngestError(f"--config {args.config}: {exc}") from exc
         if not isinstance(overlay, dict):
             raise ConfigError("--config must contain a JSON object")
@@ -158,7 +159,7 @@ def _read_pairs_tsv(path: str | Path,
     Returns the (word indices, item) pairs and each query's token count.
     """
     pairs, token_counts = [], []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
@@ -178,7 +179,7 @@ def _read_pairs_tsv(path: str | Path,
 def _read_labeled_sets(path: str | Path, corpus: Corpus) -> dict[str, LabeledSet]:
     """labeled_sets.jsonl: {"query": [tokens], "relevant": [ids], "set": name?}."""
     sets: dict[str, list] = {}
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -325,7 +326,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     mode = cfg["score"] or state.score_mode
     out = Path(args.out)
     count = skipped = 0
-    with open(args.queries) as fh:
+    with open_text(args.queries) as fh:
         out.mkdir(parents=True, exist_ok=True)
         with binio.atomic_writer(out / "results.tsv") as results_fh:
             lines = _split_lines(fh)

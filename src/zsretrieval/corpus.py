@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -249,10 +250,21 @@ def compute_training_weights(graph: CorrelationGraph, empty_weight_one: bool = F
 # File ingestion
 
 
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """A text input opened as UTF-8, whatever the locale; bytes that do not
+    decode raise ``IngestError`` naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_items_jsonl(path: str | Path) -> dict[str, list[str]]:
     """items.jsonl: one {"id": ..., "words": [...]} object per line."""
     items: dict[str, list[str]] = {}
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -275,7 +287,7 @@ def read_items_jsonl(path: str | Path) -> dict[str, list[str]]:
 def read_sequences_tsv(path: str | Path) -> list[tuple[str, list[str]]]:
     """sequences.tsv: user_id TAB comma-separated ordered item ids."""
     out = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
@@ -291,7 +303,7 @@ def read_sequences_tsv(path: str | Path) -> list[tuple[str, list[str]]]:
 def read_graph_tsv(path: str | Path, corpus: Corpus, max_neighbors: int = 250) -> CorrelationGraph:
     """graph.tsv direct ingest: seed_id TAB neighbor_id TAB count."""
     edges: list[tuple[int, int, int]] = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
@@ -364,7 +376,7 @@ def write_id_tables(corpus: Corpus, directory: Path) -> None:
 
 def _read_tsv_index(path: Path) -> list[str]:
     tokens = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
@@ -386,7 +398,7 @@ def load_corpus(directory: str | Path) -> Corpus:
     if counts is None:
         raise IngestError(f"{directory}/adjacency.bin: missing counts")
     try:
-        meta = json.loads((directory / "corpus_meta.json").read_text())
+        meta = json.loads((directory / "corpus_meta.json").read_text(encoding="utf-8"))
         max_neighbors, stats = int(meta["max_neighbors"]), dict(meta.get("stats", {}))
     except (ValueError, KeyError, TypeError) as exc:
         raise IngestError(f"{directory}/corpus_meta.json: malformed: {exc!r}") from None

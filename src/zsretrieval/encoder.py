@@ -1,4 +1,4 @@
-"""Bag-of-words encoding, pair scoring, and item-norm rescaling."""
+"""Bag-of-words encoding and item-norm rescaling."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -23,21 +23,6 @@ def encode_bow(word_indices: Sequence[int], W: np.ndarray) -> QueryVector:
     if idx.min() < 0 or idx.max() >= W.shape[0]:
         raise EncodeError("word index out of vocabulary range")
     return QueryVector(W[idx].astype(np.float64).mean(axis=0), int(idx.size))
-
-
-def score_pair(q: np.ndarray, v: np.ndarray, mode: str = "dot") -> float:
-    q = np.asarray(q, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if q.shape != v.shape:
-        raise ScoreError(f"dimension mismatch: {q.shape} vs {v.shape}")
-    if mode == "dot":
-        return float(q @ v)
-    if mode == "cosine":
-        nq, nv = np.linalg.norm(q), np.linalg.norm(v)
-        if nq == 0.0 or nv == 0.0:
-            raise ScoreError("cosine undefined for zero-norm vector")
-        return float(q @ v / (nq * nv))
-    raise ScoreError(f"unknown score mode {mode!r}")
 
 
 def rescale_item_norms(target: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

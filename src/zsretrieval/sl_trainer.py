@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,65 +167,9 @@ def sl_loss_efficient(
     weights: TrainingWeights | None = None,
     parts: dict | None = None,
 ) -> float:
-    """Same value as the brute-force oracle, via Gramian accumulation.
-
-    Cost is O((n + m) d^2 + nnz d): the all-pairs implicit sums collapse to
-    traces of d x d second-moment products; positive pairs are then
-    reclaimed term by term.
-    """
-    t1_mode, t2, free_u = task_modes(config)
-    pos_r, pos_c, neg_r, neg_c = resolve_weights(corpus, config, weights)
-    W = state.W.astype(np.float64)
-    V = state.V.astype(np.float64)
-    om = config.omega0
-    Gv_neg = (V * neg_r[:, None]).T @ V
-    loss_t1 = loss_t2 = 0.0
-
-    if t1_mode == "perword":
-        Gw = W.T @ W
-        loss_t1 += om * float(np.sum(Gv_neg * Gw))
-        incidence, mult = _distinct_incidence(corpus)
-        src = incidence.row_ids()
-        s = np.einsum("pd,pd->p", W[incidence.values], V[src])
-        loss_t1 += float(np.sum(pos_r[src] * mult.values * (s - 1.0) ** 2))
-        loss_t1 -= om * float(np.sum(neg_r[src] * s * s))
-    elif t1_mode == "encoded":
-        q_ids, q_enc = _bow_rows(corpus, W)
-        Gq = q_enc.T @ q_enc
-        loss_t1 += om * float(np.sum(Gv_neg * Gq))
-        s = np.einsum("pd,pd->p", V[q_ids], q_enc)
-        loss_t1 += float(np.sum(pos_r[q_ids] * (s - 1.0) ** 2 - om * neg_r[q_ids] * s * s))
-
-    if t2:
-        if free_u:
-            ctx_ids = np.arange(corpus.n)
-            ctx = state.U.astype(np.float64)
-        else:
-            ctx_ids, ctx = _bow_rows(corpus, W)
-        ctx_slot = np.full(corpus.n, -1, dtype=np.int64)
-        ctx_slot[ctx_ids] = np.arange(len(ctx_ids))
-        Gu = (ctx * neg_c[ctx_ids][:, None]).T @ ctx
-        loss_t2 += om * float(np.sum(Gv_neg * Gu))
-        src, dst = corpus.graph.neighbors.row_ids(), corpus.graph.neighbors.values
-        slot = ctx_slot[dst]
-        keep = slot >= 0  # contexts without text (zsl_te) carry no edge term
-        src, dst, slot = src[keep], dst[keep], slot[keep]
-        s = np.einsum("pd,pd->p", V[src], ctx[slot])
-        loss_t2 += float(np.sum(pos_r[src] * pos_c[dst] * (s - 1.0) ** 2))
-        loss_t2 -= om * float(np.sum(neg_r[src] * neg_c[dst] * s * s))
-        if config.exclude_self_negative:
-            sel = ctx_ids[~_self_edges(corpus.graph)[ctx_ids]]
-            if len(sel):
-                s = np.einsum("pd,pd->p", V[sel], ctx[ctx_slot[sel]])
-                loss_t2 -= om * float(np.sum(neg_r[sel] * neg_c[sel] * s * s))
-
-    loss_reg = config.lam * (float(np.sum(W * W)) + float(np.sum(V * V)))
-    if free_u:
-        U = state.U.astype(np.float64)
-        loss_reg += config.lam * float(np.sum(U * U))
-    if parts is not None:
-        parts.update(task1=loss_t1, task2=loss_t2, reg=loss_reg)
-    return loss_t1 + loss_t2 + loss_reg
+    """Same value as the brute-force oracle, via Gramian accumulation: the
+    one-call form of ``SLTrainer.loss``."""
+    return SLTrainer(state, corpus, config, weights).loss(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +259,14 @@ def _chunks(rows: np.ndarray, cost: np.ndarray, d: int):
 class SLTrainer:
     """Exact coordinate descent over model blocks, Gauss-Seidel across blocks.
 
-    Caches (Gramians, context encodings, weight vectors) are refreshed at
-    each block pass. Rows of one level (``levels``) do not read one another,
-    so a pass assembles and solves a level's rows in chunks; within a pass
-    only the encoded-context cache changes, updated after each chunk of the
-    encoder-side W pass. The trainer mutates ``state`` in place, storing
-    solved rows as float32 while accumulating in float64.
+    Caches (Gramians, context rows, weight vectors) are refreshed at each
+    block pass and by ``loss``, which reads the same caches. Rows of one
+    level (``levels``) do not read one another, so a pass assembles and
+    solves a level's rows in chunks; within a pass only the encoded-context
+    cache changes, updated after each chunk of the encoder-side W pass (the
+    per-word W pass leaves ``Gw`` stale: its systems read only ``Gv_neg``).
+    The trainer mutates ``state`` in place, storing solved rows as float32
+    while accumulating in float64.
     """
 
     def __init__(self, state: ModelState, corpus: Corpus, config: TrainConfig,
@@ -374,14 +319,16 @@ class SLTrainer:
         self.enc_slot = np.full(self.corpus.n, -1, dtype=np.int64)
         self.enc_slot[self.enc_ids] = np.arange(len(self.enc_ids))
         self.Gq = self.enc.T @ self.enc if self.t1_mode == "encoded" else None
-        if self.t2:
-            if self.free_u:
-                self.Gu = (self.U64 * self.neg_c[:, None]).T @ self.U64
-            else:
-                cw = self.neg_c[self.enc_ids]
-                self.Gu = (self.enc * cw[:, None]).T @ self.enc
+        # Task-2 context rows: item ctx_ids[k] has row ctx[k], and
+        # ctx_slot[i] is item i's k (-1 for an item without a context row).
+        if self.free_u:
+            every_item = np.arange(self.corpus.n)
+            self.ctx_ids, self.ctx, self.ctx_slot = every_item, self.U64, every_item
         else:
-            self.Gu = None
+            self.ctx_ids, self.ctx, self.ctx_slot = self.enc_ids, self.enc, self.enc_slot
+        self.Gu = None
+        if self.t2:
+            self.Gu = (self.ctx * self.neg_c[self.ctx_ids][:, None]).T @ self.ctx
 
     def _solve(self, A: np.ndarray, b: np.ndarray, block: str, row: int) -> np.ndarray:
         try:
@@ -465,22 +412,17 @@ class SLTrainer:
                 A += scale[:, None, None] * self.Gu
             pos, ptr = _segments(self.corpus.graph.neighbors, rows)
             cols = self.corpus.graph.neighbors.values[pos]
-            if self.free_u:
-                ctx = self.U64[cols]
-            else:  # contexts without text carry no edge term
-                slot = self.enc_slot[cols]
-                keep = slot >= 0
-                ptr = np.concatenate(([0], np.cumsum(keep)))[ptr]
-                cols, ctx = cols[keep], self.enc[slot[keep]]
+            slot = self.ctx_slot[cols]
+            keep = slot >= 0  # contexts without text carry no edge term
+            ptr = np.concatenate(([0], np.cumsum(keep)))[ptr]
+            cols, ctx = cols[keep], self.ctx[slot[keep]]
             rid = _owners(rows, ptr)
             cpos = self.pos_r[rid] * self.pos_c[cols]
             _add_terms(A, b, ctx, ptr, cpos - om * self.neg_r[rid] * self.neg_c[cols], cpos)
             if self.config.exclude_self_negative:
-                sel = ~self.self_in_ne[rows]
-                if not self.free_u:
-                    sel &= self.enc_slot[rows] >= 0
+                sel = ~self.self_in_ne[rows] & (self.ctx_slot[rows] >= 0)
                 ids = rows[sel]
-                u = self.U64[ids] if self.free_u else self.enc[self.enc_slot[ids]]
+                u = self.ctx[self.ctx_slot[ids]]
                 A[sel] -= (om * self.neg_r[ids] * self.neg_c[ids])[:, None, None] * _outer(u)
         return A, b, None
 
@@ -510,13 +452,7 @@ class SLTrainer:
             A, b = self._start(np.full(len(rows), om), self.Gv_neg)
             wpos = self.pos_r[items] * mult
             _add_terms(A, b, self.V64[items], ptr, wpos - om * self.neg_r[items], wpos)
-            old = self.W64[rows]
-
-            def written() -> None:
-                new = self.W64[rows]
-                self.Gw += new.T @ new - old.T @ old
-
-            return A, b, written
+            return A, b, None
 
         # Encoder-side word row: the word enters through BOW contexts. Each
         # context l holding the word (every such item has text) contributes
@@ -592,23 +528,51 @@ class SLTrainer:
         return self.t1_mode is not None or not self.free_u
 
     def loss(self, parts: dict | None = None) -> float:
-        return sl_loss_efficient(self.state, self.corpus, self.config,
-                                 TrainingWeights(self.pos_r, self.pos_c)
-                                 if self.config.use_weights else None,
-                                 parts=parts)
+        """The regularized objective at the current state, from refreshed caches.
 
+        Cost is O((n + m) d^2 + nnz d): the all-pairs implicit sums collapse to
+        traces of d x d Gramian products; positive pairs are then reclaimed
+        term by term. ``parts`` receives the task1, task2 and reg terms.
+        """
+        self.refresh()
+        om = self.config.omega0
+        W, V = self.W64, self.V64
+        loss_t1 = loss_t2 = 0.0
 
-def cd_update_row(state: ModelState, corpus: Corpus, config: TrainConfig,
-                  block: str, row: int,
-                  weights: TrainingWeights | None = None) -> np.ndarray:
-    """Solve one row exactly against the current state (state is mutated)."""
-    return SLTrainer(state, corpus, config, weights).update_row(block, row)
+        if self.t1_mode == "perword":
+            loss_t1 += om * float(np.sum(self.Gv_neg * self.Gw))
+            src = self.incidence.row_ids()
+            s = np.einsum("pd,pd->p", W[self.incidence.values], V[src])
+            loss_t1 += float(np.sum(self.pos_r[src] * self.inc_mult.values * (s - 1.0) ** 2))
+            loss_t1 -= om * float(np.sum(self.neg_r[src] * s * s))
+        elif self.t1_mode == "encoded":
+            ids = self.enc_ids
+            loss_t1 += om * float(np.sum(self.Gv_neg * self.Gq))
+            s = np.einsum("pd,pd->p", V[ids], self.enc)
+            loss_t1 += float(np.sum(self.pos_r[ids] * (s - 1.0) ** 2
+                                    - om * self.neg_r[ids] * s * s))
 
+        if self.t2:
+            loss_t2 += om * float(np.sum(self.Gv_neg * self.Gu))
+            src, dst = self.corpus.graph.neighbors.row_ids(), self.corpus.graph.neighbors.values
+            slot = self.ctx_slot[dst]
+            keep = slot >= 0  # contexts without text (zsl_te) carry no edge term
+            src, dst, slot = src[keep], dst[keep], slot[keep]
+            s = np.einsum("pd,pd->p", V[src], self.ctx[slot])
+            loss_t2 += float(np.sum(self.pos_r[src] * self.pos_c[dst] * (s - 1.0) ** 2))
+            loss_t2 -= om * float(np.sum(self.neg_r[src] * self.neg_c[dst] * s * s))
+            if self.config.exclude_self_negative:
+                sel = self.ctx_ids[~self.self_in_ne[self.ctx_ids]]
+                if len(sel):
+                    s = np.einsum("pd,pd->p", V[sel], self.ctx[self.ctx_slot[sel]])
+                    loss_t2 -= om * float(np.sum(self.neg_r[sel] * self.neg_c[sel] * s * s))
 
-def cd_sweep(state: ModelState, corpus: Corpus, config: TrainConfig,
-             weights: TrainingWeights | None = None) -> ModelState:
-    SLTrainer(state, corpus, config, weights).sweep()
-    return state
+        loss_reg = self.config.lam * (float(np.sum(W * W)) + float(np.sum(V * V)))
+        if self.free_u:
+            loss_reg += self.config.lam * float(np.sum(self.U64 * self.U64))
+        if parts is not None:
+            parts.update(task1=loss_t1, task2=loss_t2, reg=loss_reg)
+        return loss_t1 + loss_t2 + loss_reg
 
 
 def train_sl_model(corpus: Corpus, config: TrainConfig,

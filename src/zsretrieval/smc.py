@@ -157,24 +157,33 @@ def train_smc(pairs: QueryItemPairs, corpus: Corpus, config: SMCConfig) -> Model
                       None, config.seed, config.steps, score_mode="dot")
 
 
-def ce_loss_exact(state: ModelState, pairs: QueryItemPairs,
-                  max_items: int = CE_MAX_ITEMS) -> float:
-    """Mean full-softmax cross-entropy of each pair's target. Desk scale only."""
+def _mean_full_ce(state: ModelState, pairs: list, encode, max_items: int) -> float:
+    """Mean over ``(context, target)`` pairs of the full-softmax cross-entropy
+    -log Pr(target | encode(context)) with logits ``V @ encode(context)``."""
     if state.n > max_items:
         raise SizeGuardError(f"{state.n} items exceeds the exact-CE guard ({max_items})")
-    W = state.W.astype(np.float64)
+    if not pairs:
+        raise ConfigError("no pairs to score")
     V = state.V.astype(np.float64)
     total = 0.0
-    for widx, t in pairs:
-        q = W[np.asarray(widx, dtype=np.int64)].mean(axis=0)
-        logits = V @ q
+    for context, t in pairs:
+        logits = V @ encode(context)
         z = np.delete(logits, t) - logits[t]
-        zm = float(z.max()) if len(z) else -np.inf
-        if len(z) == 0:
+        if not len(z):  # a one-item model predicts its only item with certainty
             continue
+        zm = float(z.max())
         s = float(np.exp(z - zm).sum())
         total += float(np.logaddexp(0.0, zm + math.log(s)))
     return total / len(pairs)
+
+
+def ce_loss_exact(state: ModelState, pairs: QueryItemPairs,
+                  max_items: int = CE_MAX_ITEMS) -> float:
+    """Mean full-softmax cross-entropy of each pair's target. Desk scale only."""
+    W = state.W.astype(np.float64)
+    return _mean_full_ce(state, pairs,
+                         lambda widx: W[np.asarray(widx, dtype=np.int64)].mean(axis=0),
+                         max_items)
 
 
 def ce_loss_exact_context(state: ModelState, item_pairs: list[tuple[int, int]],
@@ -185,9 +194,6 @@ def ce_loss_exact_context(state: ModelState, item_pairs: list[tuple[int, int]],
     Context vectors come from the free U block when present, otherwise from
     the BOW encoding of the context item's text (requires ``corpus``).
     """
-    if state.n > max_items:
-        raise SizeGuardError(f"{state.n} items exceeds the exact-CE guard ({max_items})")
-    V = state.V.astype(np.float64)
     if state.U is not None:
         ctx = state.U.astype(np.float64)
         get = lambda j: ctx[j]
@@ -202,11 +208,4 @@ def ce_loss_exact_context(state: ModelState, item_pairs: list[tuple[int, int]],
                 raise ConfigError(f"context item {j} has no text to encode")
             return W[wl].mean(axis=0)
 
-    total = 0.0
-    for j, t in item_pairs:
-        logits = V @ get(j)
-        z = np.delete(logits, t) - logits[t]
-        zm = float(z.max())
-        s = float(np.exp(z - zm).sum())
-        total += float(np.logaddexp(0.0, zm + math.log(s)))
-    return total / len(item_pairs)
+    return _mean_full_ce(state, item_pairs, get, max_items)

@@ -203,8 +203,8 @@ def save_model(state: ModelState, directory: str | Path, corpus: Corpus | None =
 def load_model(directory: str | Path, expect_kind: str | None = None) -> ModelState:
     directory = Path(directory)
     try:
-        meta = json.loads((directory / "meta.json").read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise FormatError(f"{directory}/meta.json: {exc}") from exc
     if not isinstance(meta, dict):
         raise FormatError(f"{directory}/meta.json: not a JSON object")

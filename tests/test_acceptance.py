@@ -24,7 +24,6 @@ from zsretrieval.evaluation import (
 from zsretrieval.retrieval import retrieve_topk
 from zsretrieval.sl_trainer import (
     SLTrainer,
-    cd_sweep,
     sl_loss_bruteforce,
     sl_loss_efficient,
     train_sl_model,
@@ -118,7 +117,7 @@ def test_criterion_02_cd_monotonicity(capsys):
             state = init_model_state(config, corpus)
             prev = sl_loss_efficient(state, corpus, config)
             for _ in range(10):
-                cd_sweep(state, corpus, config)
+                SLTrainer(state, corpus, config).sweep()
                 cur = sl_loss_efficient(state, corpus, config)
                 worst = max(worst, (cur - prev) / max(1.0, abs(prev)))
                 prev = cur

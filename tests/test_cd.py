@@ -9,8 +9,6 @@ from zsretrieval import sl_trainer
 from zsretrieval.corpus import Corpus, CorrelationGraph, Rows
 from zsretrieval.sl_trainer import (
     SLTrainer,
-    cd_sweep,
-    cd_update_row,
     sl_loss_bruteforce,
     sl_loss_efficient,
     train_sl_model,
@@ -44,7 +42,7 @@ class TestRowUpdate:
         config = TrainConfig(kind=ZSL_TE, d=1, omega0=1e-12, lam=0.0,
                              use_weights=False)
         with np.errstate(all="ignore"):
-            row = cd_update_row(state, corpus, config, "V", 0)
+            row = SLTrainer(state, corpus, config).update_row("V", 0)
         assert row[0] == pytest.approx(0.5, rel=1e-5)
 
     def test_huge_lambda_shrinks_row_to_zero(self, rng):
@@ -52,7 +50,7 @@ class TestRowUpdate:
         config = TrainConfig(kind=ZSL_ME, d=3, omega0=0.1, lam=1e12, seed=1)
         state = init_model_state(config, corpus)
         for block, row in (("V", 2), ("U", 1), ("W", 0)):
-            out = cd_update_row(state, corpus, config, block, row)
+            out = SLTrainer(state, corpus, config).update_row(block, row)
             assert np.max(np.abs(out)) < 1e-9
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -87,19 +85,36 @@ class TestSweeps:
         state = init_model_state(config, corpus)
         prev = sl_loss_efficient(state, corpus, config)
         for _ in range(6):
-            cd_sweep(state, corpus, config)
+            SLTrainer(state, corpus, config).sweep()
             cur = sl_loss_efficient(state, corpus, config)
             brute = sl_loss_bruteforce(state, corpus, config)
             assert abs(cur - brute) / max(1.0, abs(brute)) <= 1e-8
             assert cur <= prev + 1e-9 * max(1.0, abs(prev))
             prev = cur
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_loss_reads_state_edited_after_a_sweep(self, kind):
+        corpus = edge_case_corpus(seed=9)
+        config = TrainConfig(kind=kind, d=3, omega0=0.05, lam=0.3, seed=15,
+                             exclude_self_negative=True)
+        state = init_model_state(config, corpus)
+        trainer = SLTrainer(state, corpus, config)
+        trainer.sweep()
+        before = trainer.loss()
+        for block in ("W", "V", "U"):
+            mat = getattr(state, block)
+            if mat is not None:
+                mat[3] += 0.5
+                brute = sl_loss_bruteforce(state, corpus, config)
+                assert abs(trainer.loss() - brute) / max(1.0, abs(brute)) <= 1e-8
+        assert trainer.loss() != before
+
     def test_fixed_point_stays_put(self, rng):
         corpus = make_random_corpus(rng, 6, 4)
         config = TrainConfig(kind=ZSL_TE, d=2, omega0=0.1, lam=1.0, sweeps=25, seed=4)
         state, _ = train_sl_model(corpus, config)
         before = sl_loss_efficient(state, corpus, config)
-        cd_sweep(state, corpus, config)
+        SLTrainer(state, corpus, config).sweep()
         after = sl_loss_efficient(state, corpus, config)
         assert after == pytest.approx(before, rel=1e-6)
 
@@ -113,7 +128,7 @@ class TestSweeps:
                         {})
         config = TrainConfig(kind=ZSL_ME, d=2, omega0=1e-6, lam=1.0, seed=5)
         state = init_model_state(config, corpus)
-        cd_sweep(state, corpus, config)
+        SLTrainer(state, corpus, config).sweep()
         assert np.max(np.abs(state.V)) < 1e-6
         assert np.max(np.abs(state.U)) < 1e-6
         assert np.max(np.abs(state.W)) < 1e-6
@@ -377,6 +392,8 @@ class TestPassesMatchRowByRow:
             ref_sweep(oracle)
             assert_states_match(state, ref)
             assert trainer.loss() == pytest.approx(oracle.loss(), rel=1e-12)
+            brute = sl_loss_bruteforce(state, corpus, config)
+            assert abs(trainer.loss() - brute) / max(1.0, abs(brute)) <= 1e-8
             assert stats["fallbacks_jitter"] == stats["fallbacks_lstsq"] == 0
             assert (stats["seconds_U"] > 0) == (kind == ZSL_ME)
 

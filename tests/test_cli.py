@@ -1,10 +1,15 @@
 """End-to-end runs of the zsr command line through main()."""
 import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zsretrieval
 from zsretrieval import binio
 from zsretrieval.cli import main
 from zsretrieval.corpus import ADJ_MAGIC, WORDS_MAGIC
@@ -377,6 +382,65 @@ class TestLossAudit:
         out = capsys.readouterr().out
         assert "bruteforce=" in out and "efficient=" in out and "rel_diff=" in out
 
+    def test_out_of_range_omega0_is_config_error(self, workspace, capsys):
+        corpus = ingest(workspace)
+        model = train(workspace, corpus)
+        capsys.readouterr()
+        rc = main(["loss-audit", "--model", str(model), "--corpus", str(corpus),
+                   "--omega0", "2.0"])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().splitlines()[-1] == \
+            "config error: omega0 must be in (0, 1]"
+
+
+NON_ASCII_ITEMS = """\
+{"id": "café", "words": ["crème", "brûlée", "dessert"]}
+{"id": "naïve", "words": ["crème", "fraîche", "dessert"]}
+{"id": "c", "words": ["red", "fire", "truck"]}
+{"id": "d", "words": ["fast", "fire", "engine"]}
+"""
+NON_ASCII_SEQUENCES = "u1\tcafé,naïve,café,naïve\nu2\tc,d,c,d\nü3\tcafé,naïve\n"
+
+
+class TestNonAsciiUnderCLocale:
+    def zsr(self, ws, *argv):
+        """Run zsr in the C locale with neither UTF-8 mode nor locale coercion:
+        the locale's encoding is ASCII, so a read that relies on it fails."""
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHON"))}
+        env.update(LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(zsretrieval.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-X", "utf8=0", "-m", "zsretrieval.cli", *argv],
+                              cwd=ws, env=env, capture_output=True, timeout=300)
+
+    def test_round_trip(self, tmp_path):
+        (tmp_path / "items.jsonl").write_bytes(NON_ASCII_ITEMS.encode())
+        (tmp_path / "sequences.tsv").write_bytes(NON_ASCII_SEQUENCES.encode())
+        (tmp_path / "queries.txt").write_bytes("crème\nfraîche dessert\n".encode())
+        (tmp_path / "pairs.tsv").write_bytes("brûlée\tcafé\ncrème fraîche\tnaïve\n".encode())
+        for argv in (["ingest", "--items", "items.jsonl", "--sequences", "sequences.tsv",
+                      "--out", "corpus"],
+                     ["train", "--corpus", "corpus", "--out", "model", "--model", "zsl_me",
+                      "--dim", "4", "--sweeps", "2"],
+                     ["retrieve", "--model", "model", "--corpus", "corpus",
+                      "--queries", "queries.txt", "--out", "ret", "--k", "2"],
+                     ["eval", "--model", "model", "--corpus", "corpus", "--out", "ev",
+                      "--metric", "recall", "--pairs", "pairs.tsv", "--k", "2"]):
+            proc = self.zsr(tmp_path, *argv)
+            assert proc.returncode == 0, proc.stderr.decode()
+        assert "café" in (tmp_path / "corpus" / "items.tsv").read_bytes().decode()
+        results = (tmp_path / "ret" / "results.tsv").read_bytes().decode().splitlines()
+        assert results[0] == "# query 0\tcrème"
+        assert {line.split("\t")[1] for line in results[1:3]} == {"café", "naïve"}
+        report = json.loads((tmp_path / "ev" / "report.json").read_bytes())
+        assert report["scored"] == 2 and report["skipped"] == 0
+
+    def test_undecodable_input_names_the_file(self, tmp_path):
+        (tmp_path / "items.jsonl").write_bytes(b'{"id": "caf\xe9", "words": ["x"]}\n')
+        proc = self.zsr(tmp_path, "ingest", "--items", "items.jsonl", "--out", "corpus")
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == [
+            "data error: items.jsonl: not UTF-8 text (invalid continuation byte)"]
+
 
 class TestExitCodes:
     def test_no_subcommand_is_usage_error(self, capsys):
@@ -476,6 +540,10 @@ MALFORMED = {
     "labeled-relevant-id-a-number": (
         lambda ws, c: (ws / "labeled.jsonl").write_text(
             '{"query": ["apple"], "relevant": ["a", 3]}\n'), "eval-pooled"),
+    "items-not-utf8": (
+        lambda ws, c: (ws / "items.jsonl").write_bytes(
+            ITEMS.encode() + b'{"id": "e", "words": ["caf\xe9"]}\n'), "ingest"),
+    "queries-not-utf8": (lambda ws, c: (ws / "q.txt").write_bytes(b"apple\n\xff\n"), "retrieve"),
 }
 
 
@@ -485,13 +553,13 @@ def test_malformed_input_exits_2_with_one_line(workspace, capsys, case):
     corpus = ingest(workspace)
     if command in ("retrieve", "eval-pooled"):
         model = train(workspace, corpus)
+    (workspace / "q.txt").write_text("apple\n")
     capsys.readouterr()
     damage(workspace, corpus)
     if command == "train":
         argv = ["train", "--corpus", str(corpus), "--out", str(workspace / "m"),
                 "--model", "zsl_te", "--dim", "2", "--sweeps", "1"]
     elif command == "retrieve":
-        (workspace / "q.txt").write_text("apple\n")
         argv = ["retrieve", "--model", str(model), "--corpus", str(corpus),
                 "--queries", str(workspace / "q.txt"), "--out", str(workspace / "ret")]
     elif command == "eval-pooled":

@@ -1,9 +1,9 @@
-"""BOW encoding, pair scoring, norm rescaling."""
+"""BOW encoding, norm rescaling."""
 import numpy as np
 import pytest
 
-from zsretrieval.encoder import encode_bow, rescale_item_norms, score_pair
-from zsretrieval.errors import EncodeError, ScoreError
+from zsretrieval.encoder import encode_bow, rescale_item_norms
+from zsretrieval.errors import EncodeError
 from zsretrieval.retrieval import retrieve_topk
 
 
@@ -35,30 +35,6 @@ class TestEncodeBow:
     def test_empty_list_rejected(self):
         with pytest.raises(EncodeError, match="no in-vocabulary words"):
             encode_bow([], np.zeros((3, 2), dtype=np.float32))
-
-
-class TestScorePair:
-    def test_identical_vectors_cosine_one(self):
-        v = np.array([0.3, -0.4])
-        assert score_pair(v, v, "cosine") == pytest.approx(1.0)
-
-    def test_orthogonal_both_modes_zero(self):
-        a, b = np.array([1.0, 0.0]), np.array([0.0, 2.0])
-        assert score_pair(a, b, "dot") == 0.0
-        assert score_pair(a, b, "cosine") == 0.0
-
-    def test_dot_hand_value(self):
-        assert score_pair(np.array([1.0, 2.0]), np.array([3.0, 4.0]), "dot") == 11.0
-
-    def test_zero_vector_cosine_rejected(self):
-        with pytest.raises(ScoreError):
-            score_pair(np.zeros(2), np.array([1.0, 0.0]), "cosine")
-
-    def test_cosine_scale_invariance(self, rng):
-        q = rng.standard_normal(5)
-        v = rng.standard_normal(5)
-        s = score_pair(q, v, "cosine")
-        assert score_pair(3.7 * q, 0.2 * v, "cosine") == pytest.approx(s, abs=1e-12)
 
 
 class TestRescaleItemNorms:

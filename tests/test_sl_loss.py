@@ -4,7 +4,7 @@ import pytest
 
 from tests.conftest import make_random_corpus
 from zsretrieval.corpus import Corpus, CorrelationGraph, Rows, empty_graph
-from zsretrieval.errors import SizeGuardError
+from zsretrieval.errors import ConfigError, SizeGuardError
 from zsretrieval.sl_trainer import (
     resolve_weights,
     sl_loss_bruteforce,
@@ -89,6 +89,14 @@ class TestHandFixtures:
         parts = {}
         sl_loss_efficient(state, corpus, config, parts=parts)
         assert parts["reg"] == pytest.approx(reg, rel=1e-12)
+
+
+class TestConfigChecks:
+    def test_efficient_rejects_a_state_of_another_kind(self):
+        state, corpus, _ = two_item_fixture()
+        config = TrainConfig(kind=STL, d=1, use_weights=False)
+        with pytest.raises(ConfigError, match="state kind"):
+            sl_loss_efficient(state, corpus, config)
 
 
 class TestSizeGuard:
