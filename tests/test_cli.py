@@ -1,4 +1,5 @@
 """End-to-end runs of the zsr command line through main()."""
+import argparse
 import importlib.util
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import zsretrieval
 from zsretrieval import binio
-from zsretrieval.cli import main
+from zsretrieval.cli import build_parser, main
 from zsretrieval.corpus import ADJ_MAGIC, WORDS_MAGIC
 
 ITEMS = """\
@@ -440,6 +441,143 @@ class TestNonAsciiUnderCLocale:
         assert proc.returncode == 2
         assert proc.stderr.decode().splitlines() == [
             "data error: items.jsonl: not UTF-8 text (invalid continuation byte)"]
+
+
+
+# The command-line surface, pinned: per subcommand, its parser actions in
+# order as (option strings, dest, type, choices, const, default, required,
+# action class without its "_" and "Action").
+HELP = ("-h --help", "help", None, None, None, argparse.SUPPRESS, False, "Help")
+COMMON = [("--config", "config", None, None, None, None, False, "Store"),
+          ("--threads", "threads", int, None, None, None, False, "Store")]
+SL_FLAGS = [
+    ("--dim", "dim", int, None, None, None, False, "Store"),
+    ("--omega0", "omega0", float, None, None, None, False, "Store"),
+    ("--lambda", "lam", float, None, None, None, False, "Store"),
+    ("--sweeps", "sweeps", int, None, None, None, False, "Store"),
+    ("--seed", "seed", int, None, None, None, False, "Store"),
+    ("--init-std", "init_std", float, None, None, None, False, "Store"),
+    ("--no-weights", "use_weights", None, None, False, None, False, "StoreConst"),
+    ("--unweighted-negatives", "weight_negatives", None, None, False, None, False, "StoreConst"),
+    ("--exclude-self-negative", "exclude_self_negative", None, None, True, None, False,
+     "StoreConst"),
+    ("--task1-encoded", "task1_encoded", None, None, True, None, False, "StoreConst"),
+]
+SURFACE = {
+    "ingest": [
+        HELP,
+        ("--items", "items", None, None, None, None, True, "Store"),
+        ("--sequences", "sequences", None, None, None, None, False, "Store"),
+        ("--graph", "graph", None, None, None, None, False, "Store"),
+        ("--out", "out", None, None, None, None, True, "Store"),
+        ("--min-word-count", "min_word_count", int, None, None, None, False, "Store"),
+        ("--min-item-count", "min_item_count", int, None, None, None, False, "Store"),
+        ("--max-neighbors", "max_neighbors", int, None, None, None, False, "Store"),
+        ("--window", "window", int, None, None, None, False, "Store"),
+        ("--symmetrize", "symmetrize", None, None, True, None, False, "StoreConst"),
+        *COMMON,
+    ],
+    "train": [
+        HELP,
+        ("--corpus", "corpus", None, None, None, None, True, "Store"),
+        ("--out", "out", None, None, None, None, True, "Store"),
+        ("--pairs", "pairs", None, None, None, None, False, "Store"),
+        ("--model", "model", None, ("stl", "zsl_me", "zsl_te", "smc"), None, None, False,
+         "Store"),
+        *SL_FLAGS,
+        ("--negatives", "negatives", int, None, None, None, False, "Store"),
+        ("--batch-size", "batch_size", int, None, None, None, False, "Store"),
+        ("--learning-rate", "learning_rate", float, None, None, None, False, "Store"),
+        ("--steps", "steps", int, None, None, None, False, "Store"),
+        ("--sampling", "sampling", None, ("uniform", "log_uniform"), None, None, False, "Store"),
+        *COMMON,
+    ],
+    "retrieve": [
+        HELP,
+        ("--model", "model", None, None, None, None, True, "Store"),
+        ("--corpus", "corpus", None, None, None, None, True, "Store"),
+        ("--queries", "queries", None, None, None, None, True, "Store"),
+        ("--out", "out", None, None, None, None, True, "Store"),
+        ("--k", "k", int, None, None, None, False, "Store"),
+        ("--score", "score", None, ("dot", "cosine"), None, None, False, "Store"),
+        ("--no-bigrams", "bigrams", None, None, False, None, False, "StoreConst"),
+        *COMMON,
+    ],
+    "eval": [
+        HELP,
+        ("--model", "model", None, None, None, None, True, "Store"),
+        ("--corpus", "corpus", None, None, None, None, True, "Store"),
+        ("--out", "out", None, None, None, None, True, "Store"),
+        ("--metric", "metric", None, ("reconstruction", "pooled", "recall"), None, None, False,
+         "Store"),
+        ("--labeled", "labeled", None, None, None, None, False, "Store"),
+        ("--pairs", "pairs", None, None, None, None, False, "Store"),
+        ("--k", "k", int, None, None, None, False, "Store"),
+        ("--score", "score", None, ("dot", "cosine"), None, None, False, "Store"),
+        ("--by-length", "by_length", None, None, True, None, False, "StoreConst"),
+        *COMMON,
+    ],
+    "ensemble-eval": [
+        HELP,
+        ("--primary", "primary", None, None, None, None, True, "Store"),
+        ("--secondary", "secondary", None, None, None, None, True, "Store"),
+        ("--corpus", "corpus", None, None, None, None, True, "Store"),
+        ("--pairs", "pairs", None, None, None, None, True, "Store"),
+        ("--out", "out", None, None, None, None, True, "Store"),
+        ("--k", "k", int, None, None, None, False, "Store"),
+        ("--head", "head", int, None, None, None, False, "Store"),
+        *COMMON,
+    ],
+    "refresh": [
+        HELP,
+        ("--model", "model", None, None, None, None, True, "Store"),
+        ("--old-corpus", "old_corpus", None, None, None, None, True, "Store"),
+        ("--new-corpus", "new_corpus", None, None, None, None, True, "Store"),
+        ("--out", "out", None, None, None, None, True, "Store"),
+        ("--prune", "prune", None, None, True, None, False, "StoreConst"),
+        ("--sub-seed", "sub_seed", int, None, None, None, False, "Store"),
+        *SL_FLAGS,
+        *COMMON,
+    ],
+    "loss-audit": [
+        HELP,
+        ("--model", "model", None, None, None, None, True, "Store"),
+        ("--corpus", "corpus", None, None, None, None, True, "Store"),
+        *SL_FLAGS,
+        *COMMON,
+    ],
+}
+SL_KEYS = {"model", "dim", "omega0", "lam", "sweeps", "seed", "init_std", "use_weights",
+           "weight_negatives", "exclude_self_negative", "task1_encoded"}
+CONFIG_KEYS = {
+    "ingest": {"min_word_count", "min_item_count", "max_neighbors", "window", "symmetrize"},
+    "train": SL_KEYS | {"negatives", "batch_size", "learning_rate", "steps", "sampling"},
+    "refresh": SL_KEYS | {"prune", "sub_seed"},
+}
+
+
+class TestSurface:
+    def test_parser_actions_are_pinned(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        surface = {
+            name: [(" ".join(a.option_strings), a.dest, a.type,
+                    None if a.choices is None else tuple(a.choices), a.const, a.default,
+                    a.required, type(a).__name__.strip("_").removesuffix("Action"))
+                   for a in sp._actions]
+            for name, sp in sub.choices.items()}
+        assert list(surface) == list(SURFACE)
+        for name, actions in SURFACE.items():
+            assert surface[name] == actions, name
+
+    def test_manifest_config_keys(self, workspace):
+        corpus = ingest(workspace)
+        model = train(workspace, corpus)
+        assert refresh(workspace, model, corpus) == 0
+        for command, out in (("ingest", corpus), ("train", model),
+                             ("refresh", workspace / "model2")):
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert set(config) == CONFIG_KEYS[command], command
 
 
 class TestExitCodes:
