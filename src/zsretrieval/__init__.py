@@ -12,7 +12,7 @@ from .corpus import (
     load_corpus,
     save_corpus,
 )
-from .encoder import QueryVector, encode_bow, rescale_item_norms
+from .encoder import encode_bow, rescale_item_norms
 from .evaluation import (
     LabeledSet,
     ensemble_recall_at_k,

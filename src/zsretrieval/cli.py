@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import hashlib
 import io
 import itertools
 import json
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, get_type_hints
 
 import numpy as np
 
@@ -30,7 +32,9 @@ from .corpus import (
     open_text,
     read_graph_tsv,
     read_items_jsonl,
+    read_jsonl_rows,
     read_sequences_tsv,
+    read_tsv_rows,
     save_corpus,
     words_to_indices,
 )
@@ -56,7 +60,6 @@ from .retrieval import BLOCK_ROWS, search
 from .sl_trainer import SWEEP_STATS, sl_loss_bruteforce, sl_loss_efficient, train_sl_model
 from .smc import SMCConfig, train_smc
 from .store import (
-    KINDS,
     SMC,
     ModelState,
     TrainConfig,
@@ -124,6 +127,28 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
+@functools.cache  # get_type_hints evaluates every annotation
+def _options(cls) -> tuple[tuple[str, type, dataclasses.Field], ...]:
+    """(config key, type, field) per field of a config dataclass; see ``TrainConfig``."""
+    hints = get_type_hints(cls)
+    return tuple((f.metadata.get("key", f.name), hints[f.name], f) for f in dataclasses.fields(cls))
+
+
+def _defaults(cls) -> dict:
+    return {key: f.default for key, _, f in _options(cls)}
+
+
+def _build(cls, cfg: dict):
+    """A ``cls`` from resolved config keys, cast to the field types (a str as given)."""
+    kwargs = {}
+    for key, want, f in _options(cls):
+        try:
+            kwargs[f.name] = cfg[key] if want is str else want(cfg[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return cls(**kwargs)
+
+
 def _write_manifest(out_dir: Path, args: argparse.Namespace, resolved: dict,
                     inputs: dict[str, str | Path]) -> None:
     manifest = {
@@ -159,50 +184,33 @@ def _read_pairs_tsv(path: str | Path,
     Returns the (word indices, item) pairs and each query's token count.
     """
     pairs, token_counts = [], []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise IngestError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            text, item_id = parts
-            if item_id not in corpus.item_index:
-                raise IngestError(f"{path}:{lineno}: unknown item id {item_id!r}")
-            tokens = text.split()
-            pairs.append((words_to_indices(corpus, tokens), corpus.item_index[item_id]))
-            token_counts.append(len(tokens))
+    for lineno, (text, item_id) in read_tsv_rows(path, 2):
+        if item_id not in corpus.item_index:
+            raise IngestError(f"{path}:{lineno}: unknown item id {item_id!r}")
+        tokens = text.split()
+        pairs.append((words_to_indices(corpus, tokens), corpus.item_index[item_id]))
+        token_counts.append(len(tokens))
     return pairs, token_counts
 
 
 def _read_labeled_sets(path: str | Path, corpus: Corpus) -> dict[str, LabeledSet]:
     """labeled_sets.jsonl: {"query": [tokens], "relevant": [ids], "set": name?}."""
     sets: dict[str, list] = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                tokens, relevant = rec["query"], rec["relevant"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise IngestError(f"{path}:{lineno}: malformed labeled record: {exc}") from exc
-            for key, value in (("query", tokens), ("relevant", relevant)):
-                if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-                    raise IngestError(f"{path}:{lineno}: {key!r} must be a list of strings")
-            if not relevant:
-                raise IngestError(f"{path}:{lineno}: 'relevant' is empty")
-            name = rec.get("set", "default")
-            if not isinstance(name, str):
-                raise IngestError(f"{path}:{lineno}: 'set' must be a string")
-            rel_idx = set()
-            for item_id in relevant:
-                if item_id not in corpus.item_index:
-                    raise IngestError(f"{path}:{lineno}: unknown item id {item_id!r}")
-                rel_idx.add(corpus.item_index[item_id])
-            sets.setdefault(name, []).append((words_to_indices(corpus, tokens), rel_idx))
+    for lineno, rec, (tokens, relevant) in read_jsonl_rows(path, "labeled", "query", "relevant"):
+        for key, value in (("query", tokens), ("relevant", relevant)):
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise IngestError(f"{path}:{lineno}: {key!r} must be a list of strings")
+        if not relevant:
+            raise IngestError(f"{path}:{lineno}: 'relevant' is empty")
+        name = rec.get("set", "default")
+        if not isinstance(name, str):
+            raise IngestError(f"{path}:{lineno}: 'set' must be a string")
+        rel_idx = set()
+        for item_id in relevant:
+            if item_id not in corpus.item_index:
+                raise IngestError(f"{path}:{lineno}: unknown item id {item_id!r}")
+            rel_idx.add(corpus.item_index[item_id])
+        sets.setdefault(name, []).append((words_to_indices(corpus, tokens), rel_idx))
     return {name: LabeledSet(queries) for name, queries in sets.items()}
 
 
@@ -235,41 +243,31 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_defaults() -> dict:
-    base = TrainConfig()
-    return {"model": base.kind, "dim": base.d, "omega0": base.omega0,
-            "lam": base.lam, "sweeps": base.sweeps, "seed": base.seed,
-            "init_std": base.init_std, "use_weights": base.use_weights,
-            "weight_negatives": base.weight_negatives,
-            "exclude_self_negative": base.exclude_self_negative,
-            "task1_encoded": base.task1_encoded}
-
-
-def _resolve_for_model(args: argparse.Namespace, defaults: dict, state: ModelState) -> dict:
-    """``_resolve`` with the model's stored objective between the built-in
-    defaults and --config/flags; an explicit value that differs from a
-    stored one wins, with one notice line on stderr."""
+def _resolve_for_model(args: argparse.Namespace, state: ModelState,
+                       **extra) -> tuple[dict, TrainConfig]:
+    """``_resolve`` of the TrainConfig keys and ``extra``, with the model's
+    stored objective between the defaults and --config/flags: an explicit
+    value that differs from a stored one wins, with one notice line on
+    stderr. The resolved keys and the TrainConfig take the model's kind and d."""
     stored = state.objective or {}
-    cfg = _resolve(args, {**defaults, **stored})
+    cfg = _resolve(args, {**_defaults(TrainConfig), **extra, **stored})
     changed = [f"{key}={cfg[key]!r} (model: {value!r})"
                for key, value in stored.items() if cfg[key] != value]
     if changed:
         print("notice: overriding the model's training config: " + ", ".join(changed),
               file=sys.stderr)
-    return cfg
+    cfg["model"] = state.kind
+    return cfg, _build(TrainConfig, {**cfg, "dim": state.d})
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    if cfg["model"] not in KINDS:
-        raise ConfigError(f"unknown model kind {cfg['model']!r}")
-    return TrainConfig(kind=cfg["model"], d=int(cfg["dim"]),
-                       omega0=float(cfg["omega0"]), lam=float(cfg["lam"]),
-                       sweeps=int(cfg["sweeps"]), seed=int(cfg["seed"]),
-                       init_std=float(cfg["init_std"]),
-                       use_weights=bool(cfg["use_weights"]),
-                       weight_negatives=bool(cfg["weight_negatives"]),
-                       exclude_self_negative=bool(cfg["exclude_self_negative"]),
-                       task1_encoded=bool(cfg["task1_encoded"]))
+def _load_model(model_dir: str, corpus: Corpus, corpus_dir: str) -> ModelState:
+    """``load_model``, refused unless the model has the corpus's item and word counts."""
+    state = load_model(model_dir)
+    if (state.n, state.m) != (corpus.n, corpus.m):
+        raise ModelIOError(
+            f"model {model_dir} has n={state.n} items and m={state.m} words, "
+            f"but corpus {corpus_dir} has n={corpus.n} and m={corpus.m}")
+    return state
 
 
 def _write_trace(path: Path, trace: list[dict]) -> None:
@@ -282,26 +280,18 @@ def _write_trace(path: Path, trace: list[dict]) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    defaults = _train_defaults()
-    defaults.update({"negatives": 100, "batch_size": 128,
-                     "learning_rate": 0.06, "steps": 1000, "sampling": "uniform"})
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args, {**_defaults(SMCConfig), **_defaults(TrainConfig)})
     corpus = load_corpus(args.corpus)
     out = Path(args.out)
     if cfg["model"] == SMC:
         if not args.pairs:
             raise ConfigError("--pairs is required for the smc model")
         pairs, _ = _read_pairs_tsv(args.pairs, corpus)
-        smc_cfg = SMCConfig(d=int(cfg["dim"]), negatives=int(cfg["negatives"]),
-                            batch_size=int(cfg["batch_size"]),
-                            learning_rate=float(cfg["learning_rate"]),
-                            steps=int(cfg["steps"]), seed=int(cfg["seed"]),
-                            sampling=cfg["sampling"], init_std=float(cfg["init_std"]))
-        state = train_smc(pairs, corpus, smc_cfg)
+        state = train_smc(pairs, corpus, _build(SMCConfig, cfg))
         trace: list[dict] = []
         inputs = {"corpus": args.corpus, "pairs": args.pairs}
     else:
-        state, trace = train_sl_model(corpus, _train_config(cfg))
+        state, trace = train_sl_model(corpus, _build(TrainConfig, cfg))
         inputs = {"corpus": args.corpus}
     save_model(state, out, corpus)
     _write_trace(out / "loss_trace.csv", trace)
@@ -321,8 +311,8 @@ def _split_lines(fh: Iterable[str]) -> Iterator[str]:
 def cmd_retrieve(args: argparse.Namespace) -> int:
     defaults = {"k": 100, "score": None, "bigrams": True}
     cfg = _resolve(args, defaults)
-    state = load_model(args.model)
     corpus = load_corpus(args.corpus)
+    state = _load_model(args.model, corpus, args.corpus)
     mode = cfg["score"] or state.score_mode
     out = Path(args.out)
     count = skipped = 0
@@ -373,8 +363,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     defaults = {"metric": "reconstruction", "k": 10, "score": None,
                 "by_length": False}
     cfg = _resolve(args, defaults)
-    state = load_model(args.model)
     corpus = load_corpus(args.corpus)
+    state = _load_model(args.model, corpus, args.corpus)
     mode = cfg["score"] or state.score_mode
     inputs: dict[str, str | Path] = {"model": args.model, "corpus": args.corpus}
     report: dict = {"metric": cfg["metric"], "score_mode": mode}
@@ -415,9 +405,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_ensemble_eval(args: argparse.Namespace) -> int:
     defaults = {"k": 100, "head": None}
     cfg = _resolve(args, defaults)
-    primary = load_model(args.primary)
-    secondary = load_model(args.secondary)
     corpus = load_corpus(args.corpus)
+    primary = _load_model(args.primary, corpus, args.corpus)
+    secondary = _load_model(args.secondary, corpus, args.corpus)
     pairs, _ = _read_pairs_tsv(args.pairs, corpus)
     k = int(cfg["k"])
     head = k // 2 if cfg["head"] is None else int(cfg["head"])
@@ -440,19 +430,14 @@ def cmd_ensemble_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_refresh(args: argparse.Namespace) -> int:
-    defaults = _train_defaults()
-    defaults["sweeps"] = 2  # refresh runs a few sweeps, not a full training
-    defaults.update({"prune": False, "sub_seed": None})
-    state = load_model(args.model)
-    cfg = _resolve_for_model(args, defaults, state)
     old_corpus = load_corpus(args.old_corpus)
+    state = _load_model(args.model, old_corpus, args.old_corpus)
+    # refresh runs a few sweeps, not a full training
+    cfg, train_cfg = _resolve_for_model(args, state, sweeps=2, prune=False, sub_seed=None)
     new_corpus = load_corpus(args.new_corpus)
-    cfg["model"] = state.kind
     sub_seed = None if cfg["sub_seed"] is None else int(cfg["sub_seed"])
     extended = warm_start_extend(state, old_corpus, new_corpus, sub_seed,
-                                 prune=bool(cfg["prune"]),
-                                 init_std=float(cfg["init_std"]))
-    train_cfg = _train_config({**cfg, "dim": extended.d})
+                                 prune=bool(cfg["prune"]), init_std=train_cfg.init_std)
     _, trace = train_sl_model(new_corpus, train_cfg, state=extended)
     out = Path(args.out)
     save_model(extended, out, new_corpus)
@@ -466,11 +451,9 @@ def cmd_refresh(args: argparse.Namespace) -> int:
 
 
 def cmd_loss_audit(args: argparse.Namespace) -> int:
-    state = load_model(args.model)
-    cfg = _resolve_for_model(args, _train_defaults(), state)
     corpus = load_corpus(args.corpus)
-    cfg["model"] = state.kind
-    train_cfg = _train_config({**cfg, "dim": state.d})
+    state = _load_model(args.model, corpus, args.corpus)
+    _, train_cfg = _resolve_for_model(args, state)
     brute = sl_loss_bruteforce(state, corpus, train_cfg)
     efficient = sl_loss_efficient(state, corpus, train_cfg)
     rel = abs(efficient - brute) / max(1.0, abs(brute))
@@ -490,23 +473,17 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="cap internal thread pools (default: all cores)")
 
 
-def _add_train_flags(sp: argparse.ArgumentParser, with_model: bool = True) -> None:
-    if with_model:
-        sp.add_argument("--model", dest="model",
-                        choices=["stl", "zsl_me", "zsl_te", "smc"])
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--omega0", type=float)
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--sweeps", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--init-std", dest="init_std", type=float)
-    sp.add_argument("--no-weights", dest="use_weights", action="store_const", const=False)
-    sp.add_argument("--unweighted-negatives", dest="weight_negatives",
-                    action="store_const", const=False)
-    sp.add_argument("--exclude-self-negative", dest="exclude_self_negative",
-                    action="store_const", const=True)
-    sp.add_argument("--task1-encoded", dest="task1_encoded",
-                    action="store_const", const=True)
+def _add_flags(sp: argparse.ArgumentParser, cls, skip: Iterable[str] = ()) -> None:
+    """One flag per field of the config dataclass ``cls``, but for keys in ``skip``."""
+    for key, want, f in _options(cls):
+        if key in skip:
+            continue
+        flag = f.metadata.get("flag", "--" + key.replace("_", "-"))
+        if want is bool:
+            sp.add_argument(flag, dest=key, action="store_const", const=not f.default)
+        else:
+            sp.add_argument(flag, dest=key, type=None if want is str else want,
+                            choices=f.metadata.get("choices"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -531,12 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--pairs", help="pairs.tsv, required for --model smc")
-    _add_train_flags(sp)
-    sp.add_argument("--negatives", type=int)
-    sp.add_argument("--batch-size", dest="batch_size", type=int)
-    sp.add_argument("--learning-rate", dest="learning_rate", type=float)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--sampling", choices=["uniform", "log_uniform"])
+    _add_flags(sp, TrainConfig)
+    _add_flags(sp, SMCConfig, skip=_defaults(TrainConfig))
     _add_common(sp)
     sp.set_defaults(func=cmd_train)
 
@@ -584,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--prune", action="store_const", const=True)
     sp.add_argument("--sub-seed", dest="sub_seed", type=int)
-    _add_train_flags(sp, with_model=False)
+    _add_flags(sp, TrainConfig, skip=["model"])
     _add_common(sp)
     sp.set_defaults(func=cmd_refresh)
 
@@ -592,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="compare brute-force and efficient loss paths")
     sp.add_argument("--model", required=True)
     sp.add_argument("--corpus", required=True)
-    _add_train_flags(sp, with_model=False)
+    _add_flags(sp, TrainConfig, skip=["model"])
     _add_common(sp)
     sp.set_defaults(func=cmd_loss_audit)
 

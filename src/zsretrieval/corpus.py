@@ -261,9 +261,21 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
             raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def read_items_jsonl(path: str | Path) -> dict[str, list[str]]:
-    """items.jsonl: one {"id": ..., "words": [...]} object per line."""
-    items: dict[str, list[str]] = {}
+def read_tsv_rows(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-empty line of a text input, which
+    must have ``n_fields`` tab-separated fields."""
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) == n_fields:
+                yield lineno, parts
+            elif parts != [""]:  # an empty line is skipped
+                raise IngestError(f"{path}:{lineno}: expected {n_fields} tab-separated fields")
+
+
+def read_jsonl_rows(path: str | Path, what: str, *keys: str) -> Iterator[tuple[int, dict, list]]:
+    """(line number, record, the values of ``keys``) of each non-empty line of
+    a JSON-lines input; a line without such a record raises ``IngestError``."""
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -271,53 +283,41 @@ def read_items_jsonl(path: str | Path) -> dict[str, list[str]]:
                 continue
             try:
                 rec = json.loads(line)
-                item_id, words = rec["id"], rec["words"]
+                values = [rec[key] for key in keys]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise IngestError(f"{path}:{lineno}: malformed item record: {exc}") from exc
-            if not isinstance(item_id, str) or not isinstance(words, list):
-                raise IngestError(f"{path}:{lineno}: 'id' must be a string and 'words' a list")
-            words = [str(w) for w in words]
-            text = "".join([item_id, *words])  # stored one per line in .tsv tables
-            if any(c in text for c in "\t\n\r"):
-                raise IngestError(f"{path}:{lineno}: tab or line break in an id or word")
-            items[item_id] = words
+                raise IngestError(f"{path}:{lineno}: malformed {what} record: {exc}") from exc
+            yield lineno, rec, values
+
+
+def read_items_jsonl(path: str | Path) -> dict[str, list[str]]:
+    """items.jsonl: one {"id": ..., "words": [...]} object per line."""
+    items: dict[str, list[str]] = {}
+    for lineno, _, (item_id, words) in read_jsonl_rows(path, "item", "id", "words"):
+        if not isinstance(item_id, str) or not isinstance(words, list):
+            raise IngestError(f"{path}:{lineno}: 'id' must be a string and 'words' a list")
+        words = [str(w) for w in words]
+        text = "".join([item_id, *words])  # stored one per line in .tsv tables
+        if any(c in text for c in "\t\n\r"):
+            raise IngestError(f"{path}:{lineno}: tab or line break in an id or word")
+        items[item_id] = words
     return items
 
 
 def read_sequences_tsv(path: str | Path) -> list[tuple[str, list[str]]]:
     """sequences.tsv: user_id TAB comma-separated ordered item ids."""
-    out = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise IngestError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            user, seq = parts
-            out.append((user, [s for s in seq.split(",") if s]))
-    return out
+    return [(user, [s for s in seq.split(",") if s]) for _, (user, seq) in read_tsv_rows(path, 2)]
 
 
 def read_graph_tsv(path: str | Path, corpus: Corpus, max_neighbors: int = 250) -> CorrelationGraph:
     """graph.tsv direct ingest: seed_id TAB neighbor_id TAB count."""
     edges: list[tuple[int, int, int]] = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise IngestError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            seed_id, nbr_id, count_s = parts
-            for item_id in (seed_id, nbr_id):
-                if item_id not in corpus.item_index:
-                    raise IngestError(f"{path}:{lineno}: unknown item id {item_id!r}")
-            if not count_s.isdecimal() or int(count_s) < 1:
-                raise IngestError(f"{path}:{lineno}: count must be an integer >= 1")
-            edges.append((corpus.item_index[seed_id], corpus.item_index[nbr_id], int(count_s)))
+    for lineno, (seed_id, nbr_id, count_s) in read_tsv_rows(path, 3):
+        for item_id in (seed_id, nbr_id):
+            if item_id not in corpus.item_index:
+                raise IngestError(f"{path}:{lineno}: unknown item id {item_id!r}")
+        if not count_s.isdecimal() or int(count_s) < 1:
+            raise IngestError(f"{path}:{lineno}: count must be an integer >= 1")
+        edges.append((corpus.item_index[seed_id], corpus.item_index[nbr_id], int(count_s)))
     src, dst, counts = np.array(edges, dtype=np.int64).reshape(-1, 3).T
     keys = np.sort(src * corpus.n + dst)
     dup = keys[1:][keys[1:] == keys[:-1]]

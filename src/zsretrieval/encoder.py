@@ -1,7 +1,6 @@
 """Bag-of-words encoding and item-norm rescaling."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -9,20 +8,14 @@ import numpy as np
 from .errors import EncodeError, ScoreError
 
 
-@dataclass
-class QueryVector:
-    values: np.ndarray
-    source_len: int
-
-
-def encode_bow(word_indices: Sequence[int], W: np.ndarray) -> QueryVector:
-    """Arithmetic mean of the selected word rows, duplicates counted."""
+def encode_bow(word_indices: Sequence[int], W: np.ndarray) -> np.ndarray:
+    """Arithmetic mean of the selected word rows, duplicates counted, as float64."""
     idx = np.asarray(word_indices, dtype=np.int64)
     if idx.size == 0:
         raise EncodeError("no in-vocabulary words to encode")
     if idx.min() < 0 or idx.max() >= W.shape[0]:
         raise EncodeError("word index out of vocabulary range")
-    return QueryVector(W[idx].astype(np.float64).mean(axis=0), int(idx.size))
+    return W[idx].astype(np.float64).mean(axis=0)
 
 
 def rescale_item_norms(target: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

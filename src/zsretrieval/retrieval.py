@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import QueryVector, encode_bow
+from .encoder import encode_bow
 from .errors import ConfigError, EncodeError, ScoreError
 
 BLOCK_ROWS = 256  # query rows scored by one matrix product
@@ -77,7 +77,7 @@ def _rank(Q: np.ndarray, q_norms, ks, V: np.ndarray, mode: str,
 
 
 def retrieve_topk(
-    q: QueryVector | np.ndarray,
+    q: np.ndarray,
     V: np.ndarray,
     k: int,
     mode: str = "dot",
@@ -91,7 +91,7 @@ def retrieve_topk(
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
-    qv = q.values if isinstance(q, QueryVector) else np.asarray(q, dtype=np.float64)
+    qv = np.asarray(q, dtype=np.float64)
     return _rank(qv[None, :], [_query_norm(qv, V, mode)], [k], V, mode, exclude)[0]
 
 
@@ -107,7 +107,7 @@ def search(queries: list[list[int]], W: np.ndarray, V: np.ndarray,
     rows, vecs, q_norms = [], [], []
     for i, words in enumerate(queries):
         try:
-            qv = encode_bow(words, W).values
+            qv = encode_bow(words, W)
             q_norm = _query_norm(qv, V, mode)
         except (EncodeError, ScoreError) as exc:
             out[i] = str(exc)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from functools import cached_property
 
 import numpy as np
 
@@ -169,7 +170,7 @@ def sl_loss_efficient(
 ) -> float:
     """Same value as the brute-force oracle, via Gramian accumulation: the
     one-call form of ``SLTrainer.loss``."""
-    return SLTrainer(state, corpus, config, weights).loss(parts)
+    return SLTrainer(state, corpus, config, weights)._loss(parts)  # a new trainer is refreshed
 
 
 # ---------------------------------------------------------------------------
@@ -280,27 +281,43 @@ class SLTrainer:
         self.t1_mode, self.t2, self.free_u = task_modes(config)
         self.pos_r, self.pos_c, self.neg_r, self.neg_c = resolve_weights(corpus, config, weights)
         self.incidence, self.inc_mult = _distinct_incidence(corpus)
-        self.word_items, order = self.incidence.transpose(corpus.m)
-        self.word_mult = Rows(self.word_items.indptr, self.inc_mult.values[order])
-        self.in_edges, _ = corpus.graph.neighbors.transpose(corpus.n)
         self.self_in_ne = _self_edges(corpus.graph)
         self.text_len = corpus.word_lists.lengths().astype(np.float64)
-        # Per block: the levels of its pass, and the term rows each row's
-        # system gathers (what a chunk is budgeted by).
-        in_deg = self.in_edges.lengths()
-        every_item = [np.arange(corpus.n)]
-        self.levels = {"V": every_item, "U": every_item, "W": [np.arange(corpus.m)]}
-        self.cost = {"V": self.incidence.lengths() + corpus.graph.neighbors.lengths(),
-                     "U": in_deg, "W": self.word_items.lengths()}
-        if self.t1_mode != "perword":  # encoder-side words couple through items
-            self.levels["W"] = _level_schedule(self.word_items, corpus.n)
-        if self.t1_mode is None:  # zsl_te word rows gather the seeds of their items
-            self.cost["W"] = self.cost["W"] + np.bincount(
-                self.word_items.row_ids(), weights=in_deg[self.word_items.values],
-                minlength=corpus.m)
         self.fallbacks = {"jitter": 0, "lstsq": 0}
         self.ridge = config.lam * np.eye(config.d)
         self.refresh()
+
+    # -- built on first use: only a pass reads these ------------------------
+
+    @cached_property
+    def _by_word(self) -> tuple[Rows, Rows]:
+        """Per word: its items, ascending, and its multiplicity on each."""
+        items, order = self.incidence.transpose(self.corpus.m)
+        return items, Rows(items.indptr, self.inc_mult.values[order])
+
+    word_items = property(lambda self: self._by_word[0])
+    word_mult = property(lambda self: self._by_word[1])
+    # Per item, the items that list it as a neighbor.
+    in_edges = cached_property(lambda self: self.corpus.graph.neighbors.transpose(self.corpus.n)[0])
+
+    @cached_property
+    def levels(self) -> dict[str, list[np.ndarray]]:
+        """Per block, the levels of its pass; encoder-side words couple through items."""
+        every_item, words = [np.arange(self.corpus.n)], [np.arange(self.corpus.m)]
+        if self.t1_mode != "perword":
+            words = _level_schedule(self.word_items, self.corpus.n)
+        return {"V": every_item, "U": every_item, "W": words}
+
+    @cached_property
+    def cost(self) -> dict[str, np.ndarray]:
+        """Per block, the term rows each row's system gathers: a chunk's budget."""
+        in_deg, words = self.in_edges.lengths(), self.word_items
+        cost_w = words.lengths()
+        if self.t1_mode is None:  # zsl_te word rows gather the seeds of their items
+            cost_w = cost_w + np.bincount(words.row_ids(), weights=in_deg[words.values],
+                                          minlength=self.corpus.m)
+        return {"V": self.incidence.lengths() + self.corpus.graph.neighbors.lengths(),
+                "U": in_deg, "W": cost_w}
 
     # -- caches ------------------------------------------------------------
 
@@ -514,10 +531,11 @@ class SLTrainer:
         stats = dict.fromkeys(SWEEP_STATS, 0.0)
         before = dict(self.fallbacks)
         blocks = ["V"] + (["U"] if self.free_u else []) + (["W"] if self._w_has_terms() else [])
+        levels = self.levels  # built on the first sweep, outside the block timings
         for block in blocks:
             t0 = time.perf_counter()
             self.refresh()
-            self._pass(block, self.levels[block])
+            self._pass(block, levels[block])
             stats[f"seconds_{block}"] = time.perf_counter() - t0
         for kind in self.fallbacks:
             stats[f"fallbacks_{kind}"] = self.fallbacks[kind] - before[kind]
@@ -535,6 +553,10 @@ class SLTrainer:
         term by term. ``parts`` receives the task1, task2 and reg terms.
         """
         self.refresh()
+        return self._loss(parts)
+
+    def _loss(self, parts: dict | None) -> float:
+        """``loss`` from the caches as they stand."""
         om = self.config.omega0
         W, V = self.W64, self.V64
         loss_t1 = loss_t2 = 0.0

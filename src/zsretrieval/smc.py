@@ -9,7 +9,7 @@ evaluator used as the training oracle and for diagnostics on any model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,25 +18,28 @@ from .errors import ConfigError, NumericError, SizeGuardError
 from .store import SMC, ModelState, init_rows
 
 CE_MAX_ITEMS = 50_000
+SAMPLINGS = ("uniform", "log_uniform")
 
 QueryItemPairs = list[tuple[list[int], int]]  # (query word indices, target item)
 
 
 @dataclass
 class SMCConfig:
-    d: int = 200
+    """Sampled-softmax training configuration; fields are options as in ``TrainConfig``."""
+
+    d: int = field(default=200, metadata={"key": "dim"})
     negatives: int = 100
     batch_size: int = 128
     learning_rate: float = 0.06
     steps: int = 1000
     seed: int = 0
-    sampling: str = "uniform"  # or "log_uniform"
+    sampling: str = field(default="uniform", metadata={"choices": SAMPLINGS})
     init_std: float = 0.1
 
     def validate(self) -> None:
         if self.d < 1 or self.negatives < 0 or self.batch_size < 1 or self.steps < 0:
             raise ConfigError("invalid SMC configuration")
-        if self.sampling not in ("uniform", "log_uniform"):
+        if self.sampling not in SAMPLINGS:
             raise ConfigError(f"unknown sampling scheme {self.sampling!r}")
 
 

@@ -7,6 +7,7 @@ and row) so it is reproducible across runs and platforms.
 from __future__ import annotations
 
 import json
+import typing
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -27,28 +28,30 @@ KINDS = (STL, ZSL_ME, ZSL_TE, SMC)
 
 _BLOCK_MAGIC = {"W": b"ZSRMAT_W", "V": b"ZSRMAT_V", "U": b"ZSRMAT_U"}
 _BLOCK_ID = {"W": 1, "V": 2, "U": 3}
-# TrainConfig fields a model carries in meta.json; refresh and loss-audit
-# default to them. Each maps to the type it must have there.
-OBJECTIVE_FIELDS = {"omega0": float, "lam": float, "use_weights": bool,
-                    "weight_negatives": bool, "exclude_self_negative": bool,
-                    "task1_encoded": bool, "init_std": float}
+OBJECTIVE = {"objective": True}  # metadata of a TrainConfig field saved with a model
 
 
 @dataclass
 class TrainConfig:
-    """Square-loss training configuration; defaults follow the reference setup."""
+    """Square-loss training configuration; defaults follow the reference setup.
 
-    kind: str = ZSL_TE
-    d: int = 200
-    omega0: float = 0.001
-    lam: float = 4.0
+    Each field is a ``zsr`` option keyed by its name (or metadata ``key``), with
+    flag ``--key-with-dashes`` (or metadata ``flag``; a bool flag sets the
+    opposite of the default). ``objective`` fields are saved with a model.
+    """
+
+    kind: str = field(default=ZSL_TE, metadata={"key": "model", "choices": KINDS})
+    d: int = field(default=200, metadata={"key": "dim"})
+    omega0: float = field(default=0.001, metadata=OBJECTIVE)
+    lam: float = field(default=4.0, metadata={"flag": "--lambda", **OBJECTIVE})
     sweeps: int = 10
-    use_weights: bool = True
-    weight_negatives: bool = True
-    exclude_self_negative: bool = False
-    task1_encoded: bool = False  # STL/ZSL_ME Task 1: encoded text instead of per-word
-    init_std: float = 0.1
     seed: int = 0
+    init_std: float = field(default=0.1, metadata=OBJECTIVE)
+    use_weights: bool = field(default=True, metadata={"flag": "--no-weights", **OBJECTIVE})
+    weight_negatives: bool = field(default=True,
+                                   metadata={"flag": "--unweighted-negatives", **OBJECTIVE})
+    exclude_self_negative: bool = field(default=False, metadata=OBJECTIVE)
+    task1_encoded: bool = field(default=False, metadata=OBJECTIVE)  # STL/ZSL_ME: encoded task 1
 
     def objective(self) -> dict:
         """The fields that define the trained objective, as saved with a model."""
@@ -67,6 +70,11 @@ class TrainConfig:
             raise ConfigError("sweeps must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+
+
+# Objective field -> the type it has in meta.json; refresh and loss-audit default to them.
+OBJECTIVE_FIELDS = {name: want for name, want in typing.get_type_hints(TrainConfig).items()
+                    if TrainConfig.__dataclass_fields__[name].metadata.get("objective")}
 
 
 @dataclass

@@ -9,7 +9,6 @@ PUBLIC = [
     "CorrelationGraph",
     "LabeledSet",
     "ModelState",
-    "QueryVector",
     "RankedList",
     "Rows",
     "SLTrainer",

@@ -116,6 +116,16 @@ class TestTrain:
                    "--out", str(workspace / "m"), "--config", str(cfgfile)])
         assert rc == 1
 
+    def test_uncastable_config_value_is_config_error(self, workspace, capsys):
+        corpus = ingest(workspace)
+        (workspace / "train.json").write_text(json.dumps({"dim": "four"}))
+        capsys.readouterr()
+        rc = main(["train", "--corpus", str(corpus), "--out", str(workspace / "m"),
+                   "--config", str(workspace / "train.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "config error: dim: invalid literal for int() with base 10: 'four'"]
+
     def test_smc_requires_pairs(self, workspace):
         corpus = ingest(workspace)
         rc = main(["train", "--corpus", str(corpus),
@@ -442,6 +452,45 @@ class TestNonAsciiUnderCLocale:
         assert proc.stderr.decode().splitlines() == [
             "data error: items.jsonl: not UTF-8 text (invalid continuation byte)"]
 
+
+
+# Each case runs a command on a model and a corpus of other item and word
+# counts (``fits`` is a model of that corpus); it must exit 2 with one line
+# naming both directories.
+MISMATCHED = {
+    "retrieve": lambda ws, model, corpus, fits: [
+        "retrieve", "--model", model, "--corpus", corpus, "--queries", ws / "q.txt",
+        "--out", ws / "ret"],
+    "eval": lambda ws, model, corpus, fits: [
+        "eval", "--model", model, "--corpus", corpus, "--out", ws / "ev"],
+    "ensemble-eval-primary": lambda ws, model, corpus, fits: [
+        "ensemble-eval", "--primary", model, "--secondary", fits, "--corpus", corpus,
+        "--pairs", ws / "pairs.tsv", "--out", ws / "ens"],
+    "ensemble-eval-secondary": lambda ws, model, corpus, fits: [
+        "ensemble-eval", "--primary", fits, "--secondary", model, "--corpus", corpus,
+        "--pairs", ws / "pairs.tsv", "--out", ws / "ens"],
+    "loss-audit": lambda ws, model, corpus, fits: [
+        "loss-audit", "--model", model, "--corpus", corpus],
+    "refresh-old-corpus": lambda ws, model, corpus, fits: [
+        "refresh", "--model", model, "--old-corpus", corpus, "--new-corpus", ws / "corpus2",
+        "--out", ws / "model3"],
+}
+
+
+@pytest.mark.parametrize("larger", [False, True], ids=["smaller-model", "larger-model"])
+@pytest.mark.parametrize("case", sorted(MISMATCHED))
+def test_model_of_another_corpus_exits_2_with_one_line(workspace, capsys, case, larger):
+    small = train(workspace, ingest(workspace))  # 4 items
+    large = train(workspace, grow(workspace), "model2")  # 5 items
+    model, corpus, fits = ((large, workspace / "corpus", small) if larger
+                           else (small, workspace / "corpus2", large))
+    (workspace / "q.txt").write_text("apple\n")
+    (workspace / "pairs.tsv").write_text("apple\ta\n")
+    capsys.readouterr()
+    assert main([str(arg) for arg in MISMATCHED[case](workspace, model, corpus, fits)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    assert f"model {model} " in err[0] and f"corpus {corpus} " in err[0]
 
 
 # The command-line surface, pinned: per subcommand, its parser actions in

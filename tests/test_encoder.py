@@ -11,25 +11,24 @@ class TestEncodeBow:
     def test_mean_of_two_rows(self):
         W = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
         q = encode_bow([0, 1], W)
-        assert q.values.tolist() == [0.5, 0.5]
-        assert q.source_len == 2
+        assert q.dtype == np.float64 and q.tolist() == [0.5, 0.5]
 
     def test_single_word_identity(self):
         W = np.array([[0.25, -1.5, 2.0]], dtype=np.float32)
         q = encode_bow([0], W)
-        assert np.allclose(q.values, W[0])
+        assert np.allclose(q, W[0])
 
     def test_multiplicity_weighted_mean(self):
         # [a,a,b] with a=[3,0], b=[0,3] -> [2,1]
         W = np.array([[3.0, 0.0], [0.0, 3.0]], dtype=np.float32)
         q = encode_bow([0, 0, 1], W)
-        assert q.values.tolist() == [2.0, 1.0]
+        assert q.tolist() == [2.0, 1.0]
 
     def test_permutation_invariant(self, rng):
         W = rng.standard_normal((6, 4)).astype(np.float32)
         words = [3, 1, 1, 5, 0]
-        a = encode_bow(words, W).values
-        b = encode_bow(list(reversed(words)), W).values
+        a = encode_bow(words, W)
+        b = encode_bow(list(reversed(words)), W)
         assert np.allclose(a, b)
 
     def test_empty_list_rejected(self):

@@ -125,7 +125,7 @@ class TestSearch:
                 assert got == str(exc)
                 continue
             assert got.items.tolist() == want.items.tolist()
-            assert got.items.tolist() == sort_all_oracle(q.values, V, mode)[:k]
+            assert got.items.tolist() == sort_all_oracle(q, V, mode)[:k]
             np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-12)
             assert (got.k, got.short, got.score_mode) == (k, want.short, mode)
         assert results[7] == "no in-vocabulary words to encode"

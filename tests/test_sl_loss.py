@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_random_corpus
+from zsretrieval import sl_trainer
 from zsretrieval.corpus import Corpus, CorrelationGraph, Rows, empty_graph
 from zsretrieval.errors import ConfigError, SizeGuardError
 from zsretrieval.sl_trainer import (
+    SLTrainer,
     resolve_weights,
     sl_loss_bruteforce,
     sl_loss_efficient,
@@ -97,6 +99,24 @@ class TestConfigChecks:
         config = TrainConfig(kind=STL, d=1, use_weights=False)
         with pytest.raises(ConfigError, match="state kind"):
             sl_loss_efficient(state, corpus, config)
+
+
+class TestLazyTrainer:
+    @pytest.mark.parametrize("kind,task1_encoded", [(ZSL_TE, False), (STL, True),
+                                                    (ZSL_ME, True)])
+    def test_efficient_loss_builds_no_level_schedule(self, rng, monkeypatch, kind,
+                                                     task1_encoded):
+        # Only a W pass reads the level schedule; a loss alone never builds it.
+        corpus = make_random_corpus(rng, 12, 9)
+        config = TrainConfig(kind=kind, d=3, seed=1, task1_encoded=task1_encoded)
+        state = init_model_state(config, corpus)
+        want = SLTrainer(state, corpus, config).loss()
+
+        def refuse(*args):
+            raise AssertionError("the level schedule was built for a loss")
+
+        monkeypatch.setattr(sl_trainer, "_level_schedule", refuse)
+        assert sl_loss_efficient(state, corpus, config) == want
 
 
 class TestSizeGuard:
