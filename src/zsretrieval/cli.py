@@ -107,7 +107,8 @@ def _digest(path: str | Path) -> str:
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults; only keys in ``defaults`` participate."""
+    """flags > config file > defaults; only keys in ``defaults`` participate. A
+    config value must have its option's type (an int serves a float; null a null default)."""
     resolved = dict(defaults)
     if getattr(args, "config", None):
         try:
@@ -119,6 +120,11 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         for key, value in overlay.items():
             if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r}")
+            want, null = args.config_types[key], defaults[key] is None
+            if not (value is None and null or isinstance(value, bool) == (want is bool)
+                    and isinstance(value, (int, float) if want is float else want)):
+                raise ConfigError(f"{key}: expected {want.__name__}{' or null' if null else ''}, "
+                                  f"got {json.dumps(value)}")
             resolved[key] = value
     for key in defaults:
         value = getattr(args, key, None)
@@ -139,14 +145,8 @@ def _defaults(cls) -> dict:
 
 
 def _build(cls, cfg: dict):
-    """A ``cls`` from resolved config keys, cast to the field types (a str as given)."""
-    kwargs = {}
-    for key, want, f in _options(cls):
-        try:
-            kwargs[f.name] = cfg[key] if want is str else want(cfg[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-    return cls(**kwargs)
+    """A ``cls`` from resolved config keys, which ``_resolve`` has type-checked."""
+    return cls(**{f.name: cfg[key] for key, _, f in _options(cls)})
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace, resolved: dict,
@@ -248,25 +248,31 @@ def _resolve_for_model(args: argparse.Namespace, state: ModelState,
     """``_resolve`` of the TrainConfig keys and ``extra``, with the model's
     stored objective between the defaults and --config/flags: an explicit
     value that differs from a stored one wins, with one notice line on
-    stderr. The resolved keys and the TrainConfig take the model's kind and d."""
+    stderr. The resolved keys and the TrainConfig take the model's kind and d;
+    a dim other than the model's is refused."""
     stored = state.objective or {}
-    cfg = _resolve(args, {**_defaults(TrainConfig), **extra, **stored})
+    cfg = _resolve(args, {**_defaults(TrainConfig), **extra, **stored, "dim": state.d})
+    if cfg["dim"] != state.d:
+        raise ConfigError(f"dim: model {args.model} has d={state.d}, not {cfg['dim']}")
     changed = [f"{key}={cfg[key]!r} (model: {value!r})"
                for key, value in stored.items() if cfg[key] != value]
     if changed:
         print("notice: overriding the model's training config: " + ", ".join(changed),
               file=sys.stderr)
     cfg["model"] = state.kind
-    return cfg, _build(TrainConfig, {**cfg, "dim": state.d})
+    return cfg, _build(TrainConfig, cfg)
 
 
 def _load_model(model_dir: str, corpus: Corpus, corpus_dir: str) -> ModelState:
-    """``load_model``, refused unless the model has the corpus's item and word counts."""
+    """``load_model``, refused unless it fits the corpus: n, m and any id digest."""
     state = load_model(model_dir)
     if (state.n, state.m) != (corpus.n, corpus.m):
         raise ModelIOError(
             f"model {model_dir} has n={state.n} items and m={state.m} words, "
             f"but corpus {corpus_dir} has n={corpus.n} and m={corpus.m}")
+    if state.ids_sha256 not in (None, corpus.id_digest()):
+        raise ModelIOError(f"model {model_dir} was trained on other item ids or words "
+                           f"than corpus {corpus_dir} has")
     return state
 
 
@@ -325,7 +331,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                            for raw in block]
                 out_rows = []
                 for raw, ranked in zip(block, search(queries, state.W, state.V,
-                                                     int(cfg["k"]), mode)):
+                                                     cfg["k"], mode)):
                     out_rows.append(f"# query {count}\t{raw}")
                     count += 1
                     if isinstance(ranked, str):
@@ -388,9 +394,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ConfigError("--pairs is required for the recall metric")
         inputs["pairs"] = args.pairs
         pairs, token_counts = _read_pairs_tsv(args.pairs, corpus)
-        rep = recall_at_k(state, pairs, int(cfg["k"]), mode,
-                          by_length=bool(cfg["by_length"]), unigram_lens=token_counts)
-        report.update(k=int(cfg["k"]), mean_recall=rep.mean,
+        rep = recall_at_k(state, pairs, cfg["k"], mode,
+                          by_length=cfg["by_length"], unigram_lens=token_counts)
+        report.update(k=cfg["k"], mean_recall=rep.mean,
                       scored=len(rep.per_query), skipped=rep.skipped, **rep.extra)
     else:
         raise ConfigError(f"unknown metric {cfg['metric']!r}")
@@ -409,8 +415,8 @@ def cmd_ensemble_eval(args: argparse.Namespace) -> int:
     primary = _load_model(args.primary, corpus, args.corpus)
     secondary = _load_model(args.secondary, corpus, args.corpus)
     pairs, _ = _read_pairs_tsv(args.pairs, corpus)
-    k = int(cfg["k"])
-    head = k // 2 if cfg["head"] is None else int(cfg["head"])
+    k = cfg["k"]
+    head = k // 2 if cfg["head"] is None else cfg["head"]
     rep_p = recall_at_k(primary, pairs, k, primary.score_mode)
     rep_s = recall_at_k(secondary, pairs, k, secondary.score_mode)
     rep_e = ensemble_recall_at_k(primary, secondary, pairs, k, head)
@@ -435,9 +441,8 @@ def cmd_refresh(args: argparse.Namespace) -> int:
     # refresh runs a few sweeps, not a full training
     cfg, train_cfg = _resolve_for_model(args, state, sweeps=2, prune=False, sub_seed=None)
     new_corpus = load_corpus(args.new_corpus)
-    sub_seed = None if cfg["sub_seed"] is None else int(cfg["sub_seed"])
-    extended = warm_start_extend(state, old_corpus, new_corpus, sub_seed,
-                                 prune=bool(cfg["prune"]), init_std=train_cfg.init_std)
+    extended = warm_start_extend(state, old_corpus, new_corpus, cfg["sub_seed"],
+                                 prune=cfg["prune"], init_std=train_cfg.init_std)
     _, trace = train_sl_model(new_corpus, train_cfg, state=extended)
     out = Path(args.out)
     save_model(extended, out, new_corpus)
@@ -471,6 +476,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON file mirroring flag names")
     sp.add_argument("--threads", type=int, default=None,
                     help="cap internal thread pools (default: all cores)")
+    # Per option, the type its --config value must have: a switch takes a bool.
+    sp.set_defaults(config_types={a.dest: bool if a.const is not None else a.type or str
+                                  for a in sp._actions})
 
 
 def _add_flags(sp: argparse.ArgumentParser, cls, skip: Iterable[str] = ()) -> None:

@@ -9,6 +9,7 @@ CSR ``Rows``, the layout ``words.bin`` and ``adjacency.bin`` store.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -123,6 +124,10 @@ class Corpus:
     @property
     def m(self) -> int:
         return len(self.vocab)
+
+    def id_digest(self) -> str:
+        """sha256 over the item ids and the vocabulary, in index order."""
+        return hashlib.sha256(json.dumps([self.item_ids, self.vocab]).encode()).hexdigest()
 
 
 def empty_graph(n: int, max_neighbors: int = 250) -> CorrelationGraph:

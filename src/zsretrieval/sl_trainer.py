@@ -1,11 +1,11 @@
 """Weighted square-loss training with full negatives via coordinate descent.
 
-Three model kinds share one machinery:
+The objective is a sum of tasks; the model kind picks them:
 
-* ``stl``     -- text task only (per-word implicit factorization by default).
-* ``zsl_me``  -- text task plus neighbor-prediction task with free context rows.
-* ``zsl_te``  -- neighbor-prediction task only, context rows encoded as the
-                 bag-of-words mean of the item's text.
+* ``stl``     -- task 1: items against their words (free W rows, or encoded).
+* ``zsl_me``  -- task 1, plus task 2: items against their neighbors' free U rows.
+* ``zsl_te``  -- task 2 only, its context rows encoded as the bag-of-words
+                 mean of the item's text.
 
 Every unobserved pair contributes an implicit term weighted by ``omega0``;
 the quadratic structure lets the full-negative sums be accumulated through
@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import time
 import warnings
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -257,17 +258,40 @@ def _chunks(rows: np.ndarray, cost: np.ndarray, d: int):
         start = stop
 
 
+@dataclass(eq=False)
+class _Task:
+    """One weighted implicit factorization of the item rows V against context
+    rows: each (item i, context c) pair is a negative of weight ``omega0 *
+    neg_r[i] * neg_c[c]``, and the positive pairs are corrected term by term.
+    ``refresh`` caches context c's row as ``ctx[slot[c]]`` (slot -1: no row),
+    the contexts that have a row as ``ids`` and their ``neg_c``-weighted Gramian as ``G``.
+    """
+
+    name: str           # the loss part it fills
+    block: str          # the block its context rows come from: "W" or "U"
+    encoded: bool       # contexts are items, their rows the BOW means of W rows
+    pos: Rows           # per item, its positive contexts, ascending
+    pos_w: np.ndarray   # the weight of each entry of ``pos``
+    neg_c: np.ndarray   # the negative weight of each context
+    self_neg: bool      # the pair (item, itself as a context) is not a negative
+
+    @cached_property
+    def by_context(self) -> tuple[Rows, np.ndarray]:
+        """Per context: its positive items ("seeds"), ascending, and their weights."""
+        seeds, order = self.pos.transpose(len(self.neg_c))
+        return seeds, self.pos_w[order]
+
+
 class SLTrainer:
     """Exact coordinate descent over model blocks, Gauss-Seidel across blocks.
 
-    Caches (Gramians, context rows, weight vectors) are refreshed at each
-    block pass and by ``loss``, which reads the same caches. Rows of one
-    level (``levels``) do not read one another, so a pass assembles and
-    solves a level's rows in chunks; within a pass only the encoded-context
-    cache changes, updated after each chunk of the encoder-side W pass (the
-    per-word W pass leaves ``Gw`` stale: its systems read only ``Gv_neg``).
-    The trainer mutates ``state`` in place, storing solved rows as float32
-    while accumulating in float64.
+    The objective is the sum of ``tasks``. Caches (Gramians, context rows)
+    are refreshed at each block pass and by ``loss``, which reads the same
+    caches. Rows of one level (``levels``) do not read one another, so a pass
+    assembles and solves a level's rows in chunks; within a pass only an
+    encoded task's context rows change, after each chunk of the W pass. The
+    trainer mutates ``state`` in place, storing solved rows as float32 while
+    accumulating in float64.
     """
 
     def __init__(self, state: ModelState, corpus: Corpus, config: TrainConfig,
@@ -278,14 +302,33 @@ class SLTrainer:
         self.state = state
         self.corpus = corpus
         self.config = config
-        self.t1_mode, self.t2, self.free_u = task_modes(config)
         self.pos_r, self.pos_c, self.neg_r, self.neg_c = resolve_weights(corpus, config, weights)
         self.incidence, self.inc_mult = _distinct_incidence(corpus)
         self.self_in_ne = _self_edges(corpus.graph)
         self.text_len = corpus.word_lists.lengths().astype(np.float64)
+        self.tasks = self._tasks()
+        self.owner = {task.block: task for task in self.tasks}
+        self.blocks = ["V"] + [block for block in ("U", "W") if block in self.owner]
         self.fallbacks = {"jitter": 0, "lstsq": 0}
         self.ridge = config.lam * np.eye(config.d)
         self.refresh()
+
+    def _tasks(self) -> list[_Task]:
+        """Task 1: items against their words' free W rows, or each item against
+        its own BOW encoding. Task 2: items against their graph neighbors."""
+        config, n, words = self.config, self.corpus.n, self.incidence
+        if config.task1_encoded:
+            task1 = _Task("task1", "W", True, Rows(np.arange(n + 1), np.arange(n)),
+                          self.pos_r, np.ones(n), False)
+        else:
+            task1 = _Task("task1", "W", False, words,
+                          self.pos_r[words.row_ids()] * self.inc_mult.values,
+                          np.ones(self.corpus.m), False)
+        edges = self.corpus.graph.neighbors
+        task2 = _Task("task2", "U" if config.kind == ZSL_ME else "W", config.kind == ZSL_TE,
+                      edges, self.pos_r[edges.row_ids()] * self.pos_c[edges.values],
+                      self.neg_c, config.exclude_self_negative)
+        return {STL: [task1], ZSL_ME: [task1, task2], ZSL_TE: [task2]}[config.kind]
 
     # -- built on first use: only a pass reads these ------------------------
 
@@ -297,27 +340,28 @@ class SLTrainer:
 
     word_items = property(lambda self: self._by_word[0])
     word_mult = property(lambda self: self._by_word[1])
-    # Per item, the items that list it as a neighbor.
-    in_edges = cached_property(lambda self: self.corpus.graph.neighbors.transpose(self.corpus.n)[0])
 
     @cached_property
     def levels(self) -> dict[str, list[np.ndarray]]:
-        """Per block, the levels of its pass; encoder-side words couple through items."""
-        every_item, words = [np.arange(self.corpus.n)], [np.arange(self.corpus.m)]
-        if self.t1_mode != "perword":
-            words = _level_schedule(self.word_items, self.corpus.n)
-        return {"V": every_item, "U": every_item, "W": words}
+        """Per block, the levels of its pass; an encoded task's words couple through items."""
+        levels = {"V": [np.arange(self.corpus.n)]}
+        for task in self.tasks:
+            levels[task.block] = (_level_schedule(self.word_items, self.corpus.n) if task.encoded
+                                  else [np.arange(len(task.neg_c))])
+        return levels
 
     @cached_property
     def cost(self) -> dict[str, np.ndarray]:
         """Per block, the term rows each row's system gathers: a chunk's budget."""
-        in_deg, words = self.in_edges.lengths(), self.word_items
-        cost_w = words.lengths()
-        if self.t1_mode is None:  # zsl_te word rows gather the seeds of their items
-            cost_w = cost_w + np.bincount(words.row_ids(), weights=in_deg[words.values],
-                                          minlength=self.corpus.m)
-        return {"V": self.incidence.lengths() + self.corpus.graph.neighbors.lengths(),
-                "U": in_deg, "W": cost_w}
+        cost = {"V": sum(task.pos.lengths() for task in self.tasks)}
+        for task in self.tasks:
+            seeds = task.by_context[0].lengths()
+            if task.encoded:  # a word row gathers the seeds of its items
+                words = self.word_items
+                seeds = words.lengths() + np.bincount(words.row_ids(), weights=seeds[words.values],
+                                                      minlength=self.corpus.m)
+            cost[task.block] = seeds
+        return cost
 
     # -- caches ------------------------------------------------------------
 
@@ -326,26 +370,13 @@ class SLTrainer:
         self.V64 = self.state.V.astype(np.float64)
         self.U64 = None if self.state.U is None else self.state.U.astype(np.float64)
         self.Gv_neg = (self.V64 * self.neg_r[:, None]).T @ self.V64
-        d = self.config.d
-        self.Gw = self.W64.T @ self.W64 if self.t1_mode == "perword" else None
-        if self.t1_mode == "encoded" or (self.t2 and not self.free_u):
-            self.enc_ids, self.enc = _bow_rows(self.corpus, self.W64)
-        else:
-            self.enc_ids = np.array([], dtype=np.int64)
-            self.enc = np.zeros((0, d))
-        self.enc_slot = np.full(self.corpus.n, -1, dtype=np.int64)
-        self.enc_slot[self.enc_ids] = np.arange(len(self.enc_ids))
-        self.Gq = self.enc.T @ self.enc if self.t1_mode == "encoded" else None
-        # Task-2 context rows: item ctx_ids[k] has row ctx[k], and
-        # ctx_slot[i] is item i's k (-1 for an item without a context row).
-        if self.free_u:
-            every_item = np.arange(self.corpus.n)
-            self.ctx_ids, self.ctx, self.ctx_slot = every_item, self.U64, every_item
-        else:
-            self.ctx_ids, self.ctx, self.ctx_slot = self.enc_ids, self.enc, self.enc_slot
-        self.Gu = None
-        if self.t2:
-            self.Gu = (self.ctx * self.neg_c[self.ctx_ids][:, None]).T @ self.ctx
+        for task in self.tasks:
+            rows = getattr(self, f"{task.block}64")
+            task.ids, task.ctx = (_bow_rows(self.corpus, rows) if task.encoded
+                                  else (np.arange(len(rows)), rows))
+            task.slot = np.full(len(task.neg_c), -1, dtype=np.int64)
+            task.slot[task.ids] = np.arange(len(task.ids))
+            task.G = (task.ctx * task.neg_c[task.ids][:, None]).T @ task.ctx
 
     def _solve(self, A: np.ndarray, b: np.ndarray, block: str, row: int) -> np.ndarray:
         try:
@@ -379,10 +410,8 @@ class SLTrainer:
     # -- row updates -------------------------------------------------------
 
     def update_row(self, block: str, row: int) -> np.ndarray:
-        if block == "U" and not self.free_u:
-            raise ConfigError("no free context block for this kind")
-        if block not in ("V", "U", "W"):
-            raise ConfigError(f"unknown block {block!r}")
+        if block not in self.blocks:
+            raise ConfigError(f"no block {block!r} for kind {self.config.kind!r}")
         self._pass(block, [np.array([row], dtype=np.int64)])
         return getattr(self.state, block)[row].copy()
 
@@ -390,9 +419,10 @@ class SLTrainer:
         """Solve the rows of ``block`` level by level, in chunks: gather each
         row's terms, assemble the chunk's systems, solve them in one batch
         and write the rows back. Rows of one level must not read one another."""
-        system = {"V": self._system_v, "U": self._system_u, "W": self._system_w}[block]
-        out = getattr(self.state, block)
-        out64 = {"V": self.V64, "U": self.U64, "W": self.W64}[block]
+        task = self.owner.get(block)
+        system = self._system_v if task is None else partial(
+            self._system_encoded if task.encoded else self._system_free, task)
+        out, out64 = getattr(self.state, block), getattr(self, f"{block}64")
         for level in levels:
             for rows in _chunks(level, self.cost[block], self.config.d):
                 A, b, written = system(rows)
@@ -408,96 +438,68 @@ class SLTrainer:
         return A, np.zeros((len(scale), self.config.d))
 
     def _system_v(self, rows: np.ndarray):
+        """Item rows: per task, implicit over every context, corrected at the positive ones."""
         om = self.config.omega0
         scale = om * self.neg_r[rows]
-        first = {"perword": self.Gw, "encoded": self.Gq, None: self.Gu}[self.t1_mode]
-        A, b = self._start(scale, first)
-        if self.t1_mode == "perword":
-            pos, ptr = _segments(self.incidence, rows)
-            rid = _owners(rows, ptr)
-            wpos = self.pos_r[rid] * self.inc_mult.values[pos]
-            _add_terms(A, b, self.W64[self.incidence.values[pos]], ptr,
-                       wpos - om * self.neg_r[rid], wpos)
-        elif self.t1_mode == "encoded":
-            k = self.enc_slot[rows]
-            has = k >= 0
-            ids, q = rows[has], self.enc[k[has]]
-            A[has] += (self.pos_r[ids] - om * self.neg_r[ids])[:, None, None] * _outer(q)
-            b[has] += self.pos_r[ids][:, None] * q
-        if self.t2:
-            if self.t1_mode is not None:
-                A += scale[:, None, None] * self.Gu
-            pos, ptr = _segments(self.corpus.graph.neighbors, rows)
-            cols = self.corpus.graph.neighbors.values[pos]
-            slot = self.ctx_slot[cols]
-            keep = slot >= 0  # contexts without text carry no edge term
-            ptr = np.concatenate(([0], np.cumsum(keep)))[ptr]
-            cols, ctx = cols[keep], self.ctx[slot[keep]]
-            rid = _owners(rows, ptr)
-            cpos = self.pos_r[rid] * self.pos_c[cols]
-            _add_terms(A, b, ctx, ptr, cpos - om * self.neg_r[rid] * self.neg_c[cols], cpos)
-            if self.config.exclude_self_negative:
-                sel = ~self.self_in_ne[rows] & (self.ctx_slot[rows] >= 0)
+        A = np.repeat(self.ridge[None], len(rows), axis=0)
+        b = np.zeros((len(rows), self.config.d))
+        for task in self.tasks:
+            A += scale[:, None, None] * task.G
+            rid, cols, w, at, ptr = self._positives(task, rows)
+            _add_terms(A, b, task.ctx[at], ptr, w - om * self.neg_r[rid] * task.neg_c[cols], w)
+            if task.self_neg:
+                sel = ~self.self_in_ne[rows] & (task.slot[rows] >= 0)
                 ids = rows[sel]
-                u = self.ctx[self.ctx_slot[ids]]
-                A[sel] -= (om * self.neg_r[ids] * self.neg_c[ids])[:, None, None] * _outer(u)
+                A[sel] -= (om * self.neg_r[ids] * task.neg_c[ids])[:, None, None] * _outer(
+                    task.ctx[task.slot[ids]])
         return A, b, None
 
-    def _system_u(self, rows: np.ndarray):
+    def _positives(self, task: _Task, rows: np.ndarray):
+        """(item, context, weight, context row index) of the positive pairs of
+        items ``rows``, row after row, and each row's run offsets."""
+        pos, ptr = _segments(task.pos, rows)
+        slot = task.slot[task.pos.values[pos]]
+        keep = slot >= 0  # an encoded context without text carries no pair
+        pos, ptr = pos[keep], np.concatenate(([0], np.cumsum(keep)))[ptr]
+        return _owners(rows, ptr), task.pos.values[pos], task.pos_w[pos], slot[keep], ptr
+
+    def _system_free(self, task: _Task, rows: np.ndarray):
+        """Free context rows: implicit over every item, corrected at the context's seeds."""
         om = self.config.omega0
-        A, b = self._start(om * self.neg_c[rows], self.Gv_neg)
-        pos, ptr = _segments(self.in_edges, rows)
-        seeds = self.in_edges.values[pos]
-        rid = _owners(rows, ptr)
-        cpos = self.pos_r[seeds] * self.pos_c[rid]
-        _add_terms(A, b, self.V64[seeds], ptr,
-                   cpos - om * self.neg_r[seeds] * self.neg_c[rid], cpos)
-        if self.config.exclude_self_negative:
+        A, b = self._start(om * task.neg_c[rows], self.Gv_neg)
+        seeds_of, weight_of = task.by_context
+        pos, ptr = _segments(seeds_of, rows)
+        seeds, w, rid = seeds_of.values[pos], weight_of[pos], _owners(rows, ptr)
+        _add_terms(A, b, self.V64[seeds], ptr, w - om * self.neg_r[seeds] * task.neg_c[rid], w)
+        if task.self_neg:
             sel = ~self.self_in_ne[rows]
             ids = rows[sel]
-            cneg = om * self.neg_r[ids] * self.neg_c[ids]
+            cneg = om * self.neg_r[ids] * task.neg_c[ids]
             A[sel] -= cneg[:, None, None] * _outer(self.V64[ids])
         return A, b, None
 
-    def _system_w(self, rows: np.ndarray):
+    def _system_encoded(self, task: _Task, rows: np.ndarray):
+        """Word rows of an encoded task: the word enters through the BOW
+        contexts of its items. Each context l holding the word (every such
+        item has text) takes alpha_l = mult/k_l of it, so its encoding splits
+        as rest_l + alpha_l * w_e; the terms are those of l's seeds."""
         om = self.config.omega0
         pos, ptr = _segments(self.word_items, rows)
         items, mult = self.word_items.values[pos], self.word_mult.values[pos]
-
-        if self.t1_mode == "perword":
-            # Implicit over every item, corrected at the incident ones.
-            A, b = self._start(np.full(len(rows), om), self.Gv_neg)
-            wpos = self.pos_r[items] * mult
-            _add_terms(A, b, self.V64[items], ptr, wpos - om * self.neg_r[items], wpos)
-            return A, b, None
-
-        # Encoder-side word row: the word enters through BOW contexts. Each
-        # context l holding the word (every such item has text) contributes
-        # alpha_l = mult/k_l, so its encoding splits as rest_l + alpha_l * w_e.
-        ks = self.enc_slot[items]
+        ks = task.slot[items]
         alphas = mult / self.text_len[items]
         w_of = _owners(rows, ptr)
-        restM = self.enc[ks] - alphas[:, None] * self.W64[w_of]
-        if self.t1_mode == "encoded":
-            w_rest = alphas
-            Vs = self.V64[items]
-            beta = np.einsum("td,td->t", Vs, restM)
-            cpos = self.pos_r[items]
-            cneg = om * self.neg_r[items]
-            a, tptr = alphas, ptr
-        else:  # zsl_te: task 2 with encoded contexts
-            w_rest = self.neg_c[items] * alphas
-            # Seeds of every context item, gathered from the transposed graph.
-            spos, sptr = _segments(self.in_edges, items)
-            seeds = self.in_edges.values[spos]
-            pslot = _owners(np.arange(len(items)), sptr)
-            Vs = self.V64[seeds]
-            beta = np.einsum("pd,pd->p", Vs, restM[pslot])
-            a = alphas[pslot]
-            dst = items[pslot]
-            cpos = self.pos_r[seeds] * self.pos_c[dst]
-            cneg = om * self.neg_r[seeds] * self.neg_c[dst]
-            tptr = sptr[ptr]
+        restM = task.ctx[ks] - alphas[:, None] * self.W64[w_of]
+        w_rest = task.neg_c[items] * alphas
+        seeds_of, weight_of = task.by_context
+        spos, sptr = _segments(seeds_of, items)
+        seeds = seeds_of.values[spos]
+        pslot = _owners(np.arange(len(items)), sptr)
+        Vs = self.V64[seeds]
+        beta = np.einsum("pd,pd->p", Vs, restM[pslot])
+        a = alphas[pslot]
+        cpos = weight_of[spos]
+        cneg = om * self.neg_r[seeds] * task.neg_c[items[pslot]]
         w_gram = w_rest * alphas
         gram = np.zeros(len(rows))
         b = np.zeros((len(rows), self.config.d))
@@ -506,33 +508,33 @@ class SLTrainer:
             gram[r] = np.add.reduce(w_gram[lo:hi])
             b[r] -= omG @ (w_rest[lo:hi] @ restM[lo:hi])
         A, _ = self._start(om * gram, self.Gv_neg)
-        _add_terms(A, b, Vs, tptr, (cpos - cneg) * a * a, (cpos * (1.0 - beta) + cneg * beta) * a)
-        if self.t1_mode is None and self.config.exclude_self_negative:
+        _add_terms(A, b, Vs, sptr[ptr], (cpos - cneg) * a * a,
+                   (cpos * (1.0 - beta) + cneg * beta) * a)
+        if task.self_neg:
             sel = ~self.self_in_ne[items]
             ells = items[sel]
             Vse = self.V64[ells]
             beta = np.einsum("pd,pd->p", Vse, restM[sel])
             a = alphas[sel]
-            cneg = om * self.neg_r[ells] * self.neg_c[ells]
+            cneg = om * self.neg_r[ells] * task.neg_c[ells]
             _add_terms(A, b, Vse, np.concatenate(([0], np.cumsum(sel)))[ptr],
                        -(cneg * a * a), cneg * beta * a)
 
         def written() -> None:
-            self.enc[ks] = restM + alphas[:, None] * self.W64[w_of]
+            task.ctx[ks] = restM + alphas[:, None] * self.W64[w_of]
 
         return A, b, written
 
     # -- sweeps ------------------------------------------------------------
 
     def sweep(self) -> dict:
-        """One full pass: V rows, then U rows (free contexts), then W rows.
+        """One full pass: V rows, then the rows of each block a task owns (U, then W).
 
         Returns the seconds each block took and the solver fallbacks."""
         stats = dict.fromkeys(SWEEP_STATS, 0.0)
         before = dict(self.fallbacks)
-        blocks = ["V"] + (["U"] if self.free_u else []) + (["W"] if self._w_has_terms() else [])
         levels = self.levels  # built on the first sweep, outside the block timings
-        for block in blocks:
+        for block in self.blocks:
             t0 = time.perf_counter()
             self.refresh()
             self._pass(block, levels[block])
@@ -541,9 +543,6 @@ class SLTrainer:
             stats[f"fallbacks_{kind}"] = self.fallbacks[kind] - before[kind]
         self.state.sweep_count += 1
         return stats
-
-    def _w_has_terms(self) -> bool:
-        return self.t1_mode is not None or not self.free_u
 
     def loss(self, parts: dict | None = None) -> float:
         """The regularized objective at the current state, from refreshed caches.
@@ -557,44 +556,26 @@ class SLTrainer:
 
     def _loss(self, parts: dict | None) -> float:
         """``loss`` from the caches as they stand."""
-        om = self.config.omega0
-        W, V = self.W64, self.V64
-        loss_t1 = loss_t2 = 0.0
-
-        if self.t1_mode == "perword":
-            loss_t1 += om * float(np.sum(self.Gv_neg * self.Gw))
-            src = self.incidence.row_ids()
-            s = np.einsum("pd,pd->p", W[self.incidence.values], V[src])
-            loss_t1 += float(np.sum(self.pos_r[src] * self.inc_mult.values * (s - 1.0) ** 2))
-            loss_t1 -= om * float(np.sum(self.neg_r[src] * s * s))
-        elif self.t1_mode == "encoded":
-            ids = self.enc_ids
-            loss_t1 += om * float(np.sum(self.Gv_neg * self.Gq))
-            s = np.einsum("pd,pd->p", V[ids], self.enc)
-            loss_t1 += float(np.sum(self.pos_r[ids] * (s - 1.0) ** 2
-                                    - om * self.neg_r[ids] * s * s))
-
-        if self.t2:
-            loss_t2 += om * float(np.sum(self.Gv_neg * self.Gu))
-            src, dst = self.corpus.graph.neighbors.row_ids(), self.corpus.graph.neighbors.values
-            slot = self.ctx_slot[dst]
-            keep = slot >= 0  # contexts without text (zsl_te) carry no edge term
-            src, dst, slot = src[keep], dst[keep], slot[keep]
-            s = np.einsum("pd,pd->p", V[src], self.ctx[slot])
-            loss_t2 += float(np.sum(self.pos_r[src] * self.pos_c[dst] * (s - 1.0) ** 2))
-            loss_t2 -= om * float(np.sum(self.neg_r[src] * self.neg_c[dst] * s * s))
-            if self.config.exclude_self_negative:
-                sel = self.ctx_ids[~self.self_in_ne[self.ctx_ids]]
-                if len(sel):
-                    s = np.einsum("pd,pd->p", V[sel], self.ctx[self.ctx_slot[sel]])
-                    loss_t2 -= om * float(np.sum(self.neg_r[sel] * self.neg_c[sel] * s * s))
-
+        om, V = self.config.omega0, self.V64
+        tasks = {"task1": 0.0, "task2": 0.0}
+        for task in self.tasks:
+            src, dst, w, at, _ = self._positives(task, np.arange(self.corpus.n))
+            s = np.einsum("pd,pd->p", V[src], task.ctx[at])
+            part = om * float(np.sum(self.Gv_neg * task.G))
+            part += float(np.sum(w * (s - 1.0) ** 2))
+            part -= om * float(np.sum(self.neg_r[src] * task.neg_c[dst] * s * s))
+            if task.self_neg:
+                ids = task.ids[~self.self_in_ne[task.ids]]
+                s = np.einsum("pd,pd->p", V[ids], task.ctx[task.slot[ids]])
+                part -= om * float(np.sum(self.neg_r[ids] * task.neg_c[ids] * s * s))
+            tasks[task.name] = part
+        W = self.W64
         loss_reg = self.config.lam * (float(np.sum(W * W)) + float(np.sum(V * V)))
-        if self.free_u:
+        if self.U64 is not None:
             loss_reg += self.config.lam * float(np.sum(self.U64 * self.U64))
         if parts is not None:
-            parts.update(task1=loss_t1, task2=loss_t2, reg=loss_reg)
-        return loss_t1 + loss_t2 + loss_reg
+            parts.update(tasks, reg=loss_reg)
+        return tasks["task1"] + tasks["task2"] + loss_reg
 
 
 def train_sl_model(corpus: Corpus, config: TrainConfig,

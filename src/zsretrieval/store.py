@@ -90,6 +90,7 @@ class ModelState:
     sweep_count: int = 0
     score_mode: str = "cosine"
     objective: dict | None = None  # TrainConfig.objective() of the last training
+    ids_sha256: str | None = None  # Corpus.id_digest() of the corpus it was saved with
 
     @property
     def m(self) -> int:
@@ -183,7 +184,7 @@ def warm_start_extend(
 
 
 def save_model(state: ModelState, directory: str | Path, corpus: Corpus | None = None) -> None:
-    """Write meta.json and the binary blocks; optionally copy the id tables."""
+    """Write meta.json and the binary blocks; with a corpus, its id tables and id digest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -198,6 +199,8 @@ def save_model(state: ModelState, directory: str | Path, corpus: Corpus | None =
     }
     if state.objective is not None:
         meta["objective"] = state.objective
+    if corpus is not None:
+        meta["ids_sha256"] = corpus.id_digest()
     binio.atomic_write_bytes(directory / "meta.json",
                              json.dumps(meta, indent=2, sort_keys=True).encode())
     binio.write_matrix(directory / "W.bin", _BLOCK_MAGIC["W"], state.W)
@@ -247,4 +250,4 @@ def load_model(directory: str | Path, expect_kind: str | None = None) -> ModelSt
                 raise FormatError(f"{directory}/meta.json: bad objective field {key!r}")
         objective = {key: OBJECTIVE_FIELDS[key](value) for key, value in objective.items()}
     return ModelState(kind, meta["d"], W, V, U, meta["seed"], meta["sweep_count"],
-                      score_mode, objective)
+                      score_mode, objective, meta.get("ids_sha256"))

@@ -138,8 +138,7 @@ def test_criterion_03_row_update_optimality(capsys):
         config = TrainConfig(kind=kind, d=3, omega0=0.1, lam=0.7, seed=21)
         state = init_model_state(config, corpus)
         trainer = SLTrainer(state, corpus, config)
-        blocks = ["V"] + (["U"] if kind == ZSL_ME else []) + \
-            (["W"] if trainer._w_has_terms() else [])
+        blocks = ["V"] + (["U"] if kind == ZSL_ME else []) + ["W"]
         for block in blocks:
             for row in (0, 3):
                 trainer.refresh()

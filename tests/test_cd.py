@@ -9,8 +9,10 @@ from zsretrieval import sl_trainer
 from zsretrieval.corpus import Corpus, CorrelationGraph, Rows
 from zsretrieval.sl_trainer import (
     SLTrainer,
+    _bow_rows,
     sl_loss_bruteforce,
     sl_loss_efficient,
+    task_modes,
     train_sl_model,
 )
 from zsretrieval.store import (
@@ -60,8 +62,7 @@ class TestRowUpdate:
         config = TrainConfig(kind=kind, d=3, omega0=0.1, lam=1.0, seed=2)
         state = init_model_state(config, corpus)
         trainer = SLTrainer(state, corpus, config)
-        blocks = ["V"] + (["U"] if kind == ZSL_ME else []) + \
-            (["W"] if trainer._w_has_terms() else [])
+        blocks = ["V"] + (["U"] if kind == ZSL_ME else []) + ["W"]
         for block in blocks:
             trainer.refresh()
             trainer.update_row(block, 1)
@@ -197,7 +198,28 @@ class TestTrainSLModel:
 #
 # ref_update_* are the one-row updates the trainer made before its passes
 # were chunked and level-scheduled, kept here as the oracle: each builds one
-# row's normal equations from the trainer's caches and solves them.
+# row's normal equations from the caches of ref_refresh and solves them.
+
+
+def ref_refresh(t):
+    """The caches ref_update_* read, computed here from the state and the
+    corpus: the task modes, the Gramians, the BOW encodings and the
+    transposed graph. Weights, incidences, text lengths and self edges come
+    from the trainer."""
+    n = t.corpus.n
+    t.t1_mode, t.t2, t.free_u = task_modes(t.config)
+    t.W64 = t.state.W.astype(np.float64)
+    t.V64 = t.state.V.astype(np.float64)
+    t.U64 = None if t.state.U is None else t.state.U.astype(np.float64)
+    t.Gv_neg = (t.V64 * t.neg_r[:, None]).T @ t.V64
+    t.Gw = t.W64.T @ t.W64
+    t.enc_ids, t.enc = _bow_rows(t.corpus, t.W64)
+    t.enc_slot = np.full(n, -1, dtype=np.int64)
+    t.enc_slot[t.enc_ids] = np.arange(len(t.enc_ids))
+    t.Gq = t.enc.T @ t.enc
+    ctx_ids, ctx = (np.arange(n), t.U64) if t.free_u else (t.enc_ids, t.enc)
+    t.Gu = (ctx * t.neg_c[ctx_ids][:, None]).T @ ctx
+    t.in_edges = t.corpus.graph.neighbors.transpose(n)[0]
 
 
 def ref_update_v(t, i):
@@ -324,17 +346,16 @@ def ref_update_w(t, e):
 
 def ref_sweep(t):
     """Every row in index order, each solved against all rows before it."""
-    t.refresh()
+    ref_refresh(t)
     for i in range(t.corpus.n):
         ref_update_v(t, i)
     if t.free_u:
-        t.refresh()
+        ref_refresh(t)
         for j in range(t.corpus.n):
             ref_update_u(t, j)
-    if t._w_has_terms():
-        t.refresh()
-        for e in range(t.corpus.m):
-            ref_update_w(t, e)
+    ref_refresh(t)
+    for e in range(t.corpus.m):
+        ref_update_w(t, e)
     t.state.sweep_count += 1
 
 
@@ -385,7 +406,7 @@ class TestPassesMatchRowByRow:
         state = init_model_state(config, corpus)
         ref = state.copy()
         trainer, oracle = SLTrainer(state, corpus, config), SLTrainer(ref, corpus, config)
-        if oracle.t1_mode != "perword":
+        if task_modes(config)[0] != "perword":
             assert len(oracle.levels["W"]) > 2  # the W pass runs on a real schedule
         for _ in range(2):
             stats = trainer.sweep()
@@ -405,6 +426,7 @@ class TestPassesMatchRowByRow:
         state = init_model_state(config, corpus)
         ref = state.copy()
         trainer, oracle = SLTrainer(state, corpus, config), SLTrainer(ref, corpus, config)
+        ref_refresh(oracle)
         updates = {"V": ref_update_v, "U": ref_update_u, "W": ref_update_w}
         for block in ["V"] + (["U"] if kind == ZSL_ME else []) + ["W"]:
             for row in (0, 2, 5, corpus.m - 1 if block == "W" else corpus.n - 1):
@@ -460,3 +482,29 @@ class TestPassesMatchRowByRow:
             holders = np.unique(corpus.word_lists[i])
             # every word comes after each lower-index word it shares an item with
             assert np.all(np.diff(level_of[holders]) > 0)
+
+
+# Per kind and task1_encoded: (name, block, encoded) of each task, and the
+# blocks a sweep solves, in order.
+TASKS = {
+    (STL, False): ([("task1", "W", False)], ["V", "W"]),
+    (STL, True): ([("task1", "W", True)], ["V", "W"]),
+    (ZSL_ME, False): ([("task1", "W", False), ("task2", "U", False)], ["V", "U", "W"]),
+    (ZSL_ME, True): ([("task1", "W", True), ("task2", "U", False)], ["V", "U", "W"]),
+    (ZSL_TE, False): ([("task2", "W", True)], ["V", "W"]),
+    (ZSL_TE, True): ([("task2", "W", True)], ["V", "W"]),
+}
+
+
+class TestTasks:
+    @pytest.mark.parametrize("kind,task1_encoded", sorted(TASKS))
+    def test_task_table_and_sweep_order(self, kind, task1_encoded, monkeypatch):
+        corpus = edge_case_corpus()
+        config = TrainConfig(kind=kind, d=3, seed=16, task1_encoded=task1_encoded)
+        trainer = SLTrainer(init_model_state(config, corpus), corpus, config)
+        tasks, blocks = TASKS[kind, task1_encoded]
+        assert [(t.name, t.block, t.encoded) for t in trainer.tasks] == tasks
+        solved = []
+        monkeypatch.setattr(trainer, "_pass", lambda block, levels: solved.append(block))
+        trainer.sweep()
+        assert solved == blocks

@@ -124,7 +124,7 @@ class TestTrain:
                    "--config", str(workspace / "train.json")])
         assert rc == 1
         assert capsys.readouterr().err.strip().splitlines() == [
-            "config error: dim: invalid literal for int() with base 10: 'four'"]
+            'config error: dim: expected int, got "four"']
 
     def test_smc_requires_pairs(self, workspace):
         corpus = ingest(workspace)
@@ -491,6 +491,103 @@ def test_model_of_another_corpus_exits_2_with_one_line(workspace, capsys, case, 
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1, err
     assert f"model {model} " in err[0] and f"corpus {corpus} " in err[0]
+
+
+# Each case gives one command a --config value that lacks its option's JSON
+# type: (key, value, the command line without --config).
+BAD_CONFIG = {
+    "train-switch-as-string": ("use_weights", "false", lambda ws, corpus, model: [
+        "train", "--corpus", corpus, "--out", ws / "m", "--model", "stl"]),
+    "train-int-as-float": ("dim", 4.7, lambda ws, corpus, model: [
+        "train", "--corpus", corpus, "--out", ws / "m", "--model", "stl"]),
+    "eval-switch-as-string": ("by_length", "no", lambda ws, corpus, model: [
+        "eval", "--model", model, "--corpus", corpus, "--out", ws / "ev", "--metric", "recall",
+        "--pairs", ws / "pairs.tsv"]),
+    "ingest-int-as-string": ("min_word_count", "2", lambda ws, corpus, model: [
+        "ingest", "--items", ws / "items.jsonl", "--sequences", ws / "sequences.tsv",
+        "--out", ws / "c2"]),
+    "retrieve-int-as-string": ("k", "ten", lambda ws, corpus, model: [
+        "retrieve", "--model", model, "--corpus", corpus, "--queries", ws / "q.txt",
+        "--out", ws / "r"]),
+    "ensemble-eval-int-as-string": ("head", "x", lambda ws, corpus, model: [
+        "ensemble-eval", "--primary", model, "--secondary", model, "--corpus", corpus,
+        "--pairs", ws / "pairs.tsv", "--out", ws / "ens"]),
+    "refresh-int-as-string": ("sub_seed", "x", lambda ws, corpus, model: [
+        "refresh", "--model", model, "--old-corpus", corpus, "--new-corpus", grow(ws),
+        "--out", ws / "m2"]),
+}
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIG))
+    def test_value_of_another_type_exits_1_with_one_line(self, workspace, capsys, case):
+        key, value, argv = BAD_CONFIG[case]
+        corpus = ingest(workspace)
+        model = train(workspace, corpus)
+        (workspace / "q.txt").write_text("apple\n")
+        (workspace / "pairs.tsv").write_text("apple\ta\n")
+        (workspace / "bad.json").write_text(json.dumps({key: value}))
+        capsys.readouterr()
+        argv = [str(arg) for arg in argv(workspace, corpus, model)]
+        assert main([*argv, "--config", str(workspace / "bad.json")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {key}: "), err
+
+    def test_int_for_a_float_and_null_where_the_default_is_null(self, workspace):
+        corpus = ingest(workspace)
+        model = train(workspace, corpus)
+        (workspace / "ok.json").write_text(json.dumps(
+            {"omega0": 1, "sub_seed": None, "prune": False}))
+        assert refresh(workspace, model, corpus, "--config", str(workspace / "ok.json")) == 0
+        config = json.loads((workspace / "model2" / "manifest.json").read_text())["config"]
+        assert (config["omega0"], config["sub_seed"], config["prune"]) == (1, None, False)
+
+
+class TestModelDim:
+    def test_refresh_manifest_records_the_model_d(self, workspace):
+        corpus = ingest(workspace)
+        assert refresh(workspace, train(workspace, corpus), corpus) == 0  # d=4, no --dim
+        config = json.loads((workspace / "model2" / "manifest.json").read_text())["config"]
+        assert config["dim"] == 4
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["refresh", "loss-audit"])
+    def test_another_dim_exits_1_with_one_line(self, workspace, capsys, command, how):
+        corpus = ingest(workspace)
+        model = train(workspace, corpus)  # d=4
+        (workspace / "dim.json").write_text(json.dumps({"dim": 8}))
+        extra = ["--dim", "8"] if how == "flag" else ["--config", str(workspace / "dim.json")]
+        capsys.readouterr()
+        if command == "refresh":
+            rc = refresh(workspace, model, corpus, *extra)
+        else:
+            rc = main(["loss-audit", "--model", str(model), "--corpus", str(corpus), *extra])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: dim: model {model} has d=4, not 8"]
+
+
+@pytest.mark.parametrize("command", ["retrieve", "eval"])
+def test_model_of_a_corpus_with_other_ids_exits_2_with_one_line(workspace, capsys, command):
+    model = train(workspace, ingest(workspace))
+    (workspace / "items_r.jsonl").write_text(ITEMS.replace('"id": "a"', '"id": "z"'))
+    (workspace / "sequences_r.tsv").write_text(SEQUENCES.replace("a", "z"))
+    renamed = workspace / "corpus_r"
+    assert main(["ingest", "--items", str(workspace / "items_r.jsonl"), "--sequences",
+                 str(workspace / "sequences_r.tsv"), "--out", str(renamed)]) == 0
+    meta = json.loads((model / "meta.json").read_text())
+    assert (meta["n"], meta["m"]) == (len((renamed / "items.tsv").read_text().splitlines()),
+                                      len((renamed / "vocab.tsv").read_text().splitlines()))
+    (workspace / "q.txt").write_text("apple\n")
+    argv = {"retrieve": ["--queries", workspace / "q.txt"], "eval": []}[command]
+    argv = [command, "--model", model, "--corpus", renamed, "--out", workspace / "o", *argv]
+    capsys.readouterr()
+    assert main([str(arg) for arg in argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    assert f"model {model} " in err[0] and f"corpus {renamed} " in err[0]
+    _edit_model_meta(model, "ids_sha256")  # without the digest: n and m only
+    assert main([str(arg) for arg in argv]) == 0
 
 
 # The command-line surface, pinned: per subcommand, its parser actions in
