@@ -108,7 +108,8 @@ def _digest(path: str | Path) -> str:
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """flags > config file > defaults; only keys in ``defaults`` participate. A
-    config value must have its option's type (an int serves a float; null a null default)."""
+    config value must have its option's type (an int serves a float; null a null
+    default) and be one of its choices, if it has any."""
     resolved = dict(defaults)
     if getattr(args, "config", None):
         try:
@@ -120,10 +121,13 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         for key, value in overlay.items():
             if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r}")
-            want, null = args.config_types[key], defaults[key] is None
+            (want, choices), null = args.config_types[key], defaults[key] is None
             if not (value is None and null or isinstance(value, bool) == (want is bool)
                     and isinstance(value, (int, float) if want is float else want)):
                 raise ConfigError(f"{key}: expected {want.__name__}{' or null' if null else ''}, "
+                                  f"got {json.dumps(value)}")
+            if value is not None and choices is not None and value not in choices:
+                raise ConfigError(f"{key}: expected one of {', '.join(map(json.dumps, choices))}, "
                                   f"got {json.dumps(value)}")
             resolved[key] = value
     for key in defaults:
@@ -248,10 +252,12 @@ def _resolve_for_model(args: argparse.Namespace, state: ModelState,
     """``_resolve`` of the TrainConfig keys and ``extra``, with the model's
     stored objective between the defaults and --config/flags: an explicit
     value that differs from a stored one wins, with one notice line on
-    stderr. The resolved keys and the TrainConfig take the model's kind and d;
-    a dim other than the model's is refused."""
+    stderr. The resolved keys and the TrainConfig take the model's kind and d:
+    ``model`` is not a key, and a dim other than the model's is refused."""
     stored = state.objective or {}
-    cfg = _resolve(args, {**_defaults(TrainConfig), **extra, **stored, "dim": state.d})
+    defaults = {**_defaults(TrainConfig), **extra, **stored, "dim": state.d}
+    del defaults["model"]  # --model names the model directory
+    cfg = _resolve(args, defaults)
     if cfg["dim"] != state.d:
         raise ConfigError(f"dim: model {args.model} has d={state.d}, not {cfg['dim']}")
     changed = [f"{key}={cfg[key]!r} (model: {value!r})"
@@ -476,9 +482,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON file mirroring flag names")
     sp.add_argument("--threads", type=int, default=None,
                     help="cap internal thread pools (default: all cores)")
-    # Per option, the type its --config value must have: a switch takes a bool.
-    sp.set_defaults(config_types={a.dest: bool if a.const is not None else a.type or str
-                                  for a in sp._actions})
+    # Per option, the type its --config value must have (a switch takes a bool)
+    # and the choices it must be one of, or None.
+    sp.set_defaults(config_types={a.dest: (bool if a.const is not None else a.type or str,
+                                           a.choices) for a in sp._actions})
 
 
 def _add_flags(sp: argparse.ArgumentParser, cls, skip: Iterable[str] = ()) -> None:

@@ -362,7 +362,10 @@ def ingest_corpus(
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_id_tables(corpus, directory)
+    # vocab.tsv and items.tsv: one ``token TAB index`` line per entry.
+    for name, tokens in (("vocab.tsv", corpus.vocab), ("items.tsv", corpus.item_ids)):
+        binio.atomic_write_bytes(
+            directory / name, "".join(f"{t}\t{i}\n" for i, t in enumerate(tokens)).encode())
     words, graph = corpus.word_lists, corpus.graph
     binio.write_int_lists(directory / "words.bin", WORDS_MAGIC, words.indptr, words.values)
     binio.write_int_lists(directory / "adjacency.bin", ADJ_MAGIC, graph.neighbors.indptr,
@@ -370,13 +373,6 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     meta = {"max_neighbors": graph.max_neighbors, "stats": corpus.stats}
     binio.atomic_write_bytes(directory / "corpus_meta.json",
                              json.dumps(meta, indent=2).encode())
-
-
-def write_id_tables(corpus: Corpus, directory: Path) -> None:
-    """vocab.tsv and items.tsv: one ``token TAB index`` line per entry."""
-    for name, tokens in (("vocab.tsv", corpus.vocab), ("items.tsv", corpus.item_ids)):
-        binio.atomic_write_bytes(
-            directory / name, "".join(f"{t}\t{i}\n" for i, t in enumerate(tokens)).encode())
 
 
 def _read_tsv_index(path: Path) -> list[str]:

@@ -5,17 +5,40 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import Rows
 from .errors import EncodeError, ScoreError
 
 
-def encode_bow(word_indices: Sequence[int], W: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of the selected word rows, duplicates counted, as float64."""
-    idx = np.asarray(word_indices, dtype=np.int64)
+def _unencodable(idx: np.ndarray, m: int) -> str | None:
+    """Why the word indices ``idx`` cannot be encoded over m word rows, or None."""
     if idx.size == 0:
-        raise EncodeError("no in-vocabulary words to encode")
-    if idx.min() < 0 or idx.max() >= W.shape[0]:
-        raise EncodeError("word index out of vocabulary range")
-    return W[idx].astype(np.float64).mean(axis=0)
+        return "no in-vocabulary words to encode"
+    if idx.min() < 0 or idx.max() >= m:
+        return "word index out of vocabulary range"
+    return None
+
+
+def encode_rows(words: Rows, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indices of the rows of ``words`` that hold a word, their BOW encodings):
+    the arithmetic mean of each row's word rows of W, duplicates counted, as
+    float64. Word indices must lie in ``[0, len(W))``."""
+    lens = words.lengths()
+    ids = np.flatnonzero(lens)
+    if not len(ids):
+        return ids, np.zeros((0, W.shape[1]), dtype=np.float64)
+    Q = np.add.reduceat(W[words.values], words.indptr[ids], axis=0, dtype=np.float64)
+    Q /= lens[ids][:, None]
+    return ids, Q
+
+
+def encode_bow(word_indices: Sequence[int], W: np.ndarray) -> np.ndarray:
+    """Arithmetic mean of the selected word rows, duplicates counted, as float64:
+    the one-row case of ``encode_rows``."""
+    idx = np.asarray(word_indices, dtype=np.int64)
+    reason = _unencodable(idx, W.shape[0])
+    if reason:
+        raise EncodeError(reason)
+    return encode_rows(Rows(np.array([0, idx.size]), idx), W)[1][0]
 
 
 def rescale_item_norms(target: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,14 @@
 """Exact top-K retrieval over item vectors, plus list interleaving."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import encode_bow
-from .errors import ConfigError, EncodeError, ScoreError
+from .corpus import Rows
+from .encoder import _unencodable, encode_rows
+from .errors import ConfigError, ScoreError
 
 BLOCK_ROWS = 256  # query rows scored by one matrix product
 
@@ -28,16 +30,6 @@ class RankedList:
         return iter(zip(self.items.tolist(), self.scores.tolist()))
 
 
-def _query_norm(qv: np.ndarray, V: np.ndarray, mode: str) -> float:
-    """The query's norm; raises ScoreError when the query cannot be scored."""
-    if V.shape[0] == 0:
-        raise ScoreError("empty item matrix")
-    q_norm = np.linalg.norm(qv)
-    if mode == "cosine" and q_norm == 0.0:
-        raise ScoreError("cosine undefined for zero-norm query")
-    return q_norm
-
-
 def _topk(S: np.ndarray, k: int | np.ndarray) -> list[np.ndarray]:
     """The one ranking kernel: each row's first k candidates (k an int >= 1
     or one per row) by (score desc, index asc); -inf and NaN are not
@@ -51,18 +43,26 @@ def _topk(S: np.ndarray, k: int | np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _rank(Q: np.ndarray, q_norms, ks, V: np.ndarray, mode: str,
-          exclude: set[int] | None = None) -> list[RankedList]:
-    """Rank the items of V for each query row of Q, scoring BLOCK_ROWS rows at
-    a time against V as float64. Under cosine scores are divided by both
-    norms; zero-norm and ``exclude``d items score -inf (not candidates)."""
+def _rank(Q: np.ndarray, ks: np.ndarray, V: np.ndarray, mode: str,
+          exclude: set[int] | None = None) -> list[RankedList | str]:
+    """Rank the items of V for each query row of Q, or say why the row cannot
+    be scored: no items, or a zero norm under cosine. The scored rows are
+    taken BLOCK_ROWS at a time against V as float64. Under cosine scores are
+    divided by both norms; zero-norm and ``exclude``d items score -inf (not
+    candidates)."""
     if mode not in ("dot", "cosine"):
         raise ScoreError(f"unknown score mode {mode!r}")
+    if V.shape[0] == 0:
+        return ["empty item matrix"] * len(Q)
+    # Row by row as np.linalg.norm(q) computes it, bit for bit; norm(Q, axis=1) is not.
+    q_norms = np.sqrt((Q[:, None, :] @ Q[:, :, None])[:, 0, 0])
+    skip = (q_norms == 0.0) & (mode == "cosine")
+    out: list = ["cosine undefined for zero-norm query" if s else None for s in skip]
+    rows, ks = np.flatnonzero(~skip), np.asarray(ks)
     V64 = V.astype(np.float64)
     norms = np.linalg.norm(V64, axis=1) if mode == "cosine" else None
-    out = []
-    for start in range(0, len(Q), BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start:start + BLOCK_ROWS]
         S = Q[block] @ V64.T
         if norms is not None:
             live = norms > 0.0
@@ -70,9 +70,9 @@ def _rank(Q: np.ndarray, q_norms, ks, V: np.ndarray, mode: str,
             S[:, ~live] = -np.inf
         if exclude:
             S[:, np.fromiter(exclude, dtype=np.int64)] = -np.inf
-        out += [RankedList(items, row[items], int(k), mode, short=len(items) < k)
-                for row, items, k in zip(S, _topk(S, ks[block]), ks[block])]
-        del S  # free this block before the next one is scored
+        for i, row, items, k in zip(block, S, _topk(S, ks[block]), ks[block].tolist()):
+            out[i] = RankedList(items, row[items], k, mode, short=len(items) < k)
+        del S, row  # free this block (row is a view of it) before the next one is scored
     return out
 
 
@@ -87,37 +87,42 @@ def retrieve_topk(
 
     Excluded items are never returned; zero-norm rows are skipped under
     cosine. When fewer than k candidates remain, all are returned and the
-    result is flagged short.
+    result is flagged short. Raises ScoreError when the query cannot be scored.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
-    qv = np.asarray(q, dtype=np.float64)
-    return _rank(qv[None, :], [_query_norm(qv, V, mode)], [k], V, mode, exclude)[0]
+    ranked = _rank(np.asarray(q, dtype=np.float64)[None, :], [k], V, mode, exclude)[0]
+    if isinstance(ranked, str):
+        raise ScoreError(ranked)
+    return ranked
 
 
 def search(queries: list[list[int]], W: np.ndarray, V: np.ndarray,
            k: int | list[int], mode: str = "dot") -> list[RankedList | str]:
-    """Top-k items for each word-index query (``encode_bow`` over W); ``k`` is
-    an int or one per query. Per query, returns its RankedList or why it was
-    skipped: no in-vocabulary words, no items, or zero norm under cosine."""
+    """Top-k items for each word-index query, the block encoded at once by
+    ``encode_rows`` over W; ``k`` is an int or one per query. Per query,
+    returns its RankedList or why it was skipped: no in-vocabulary words, a
+    word index out of range, no items, or zero norm under cosine."""
     ks = np.broadcast_to(np.asarray(k, dtype=np.int64), (len(queries),))
     if np.any(ks < 1):
         raise ConfigError("k must be >= 1")
-    out: list = [None] * len(queries)
-    rows, vecs, q_norms = [], [], []
-    for i, words in enumerate(queries):
-        try:
-            qv = encode_bow(words, W)
-            q_norm = _query_norm(qv, V, mode)
-        except (EncodeError, ScoreError) as exc:
-            out[i] = str(exc)
-            continue
-        rows.append(i)
-        vecs.append(qv)
-        q_norms.append(q_norm)
-    for i, ranked in zip(rows, _rank(np.array(vecs), q_norms, ks[rows], V, mode)):
+    out: list = [_unencodable(np.asarray(words, dtype=np.int64), W.shape[0])
+                 for words in queries]
+    rows = [i for i, reason in enumerate(out) if reason is None]
+    _, Q = encode_rows(Rows.from_lists([queries[i] for i in rows]), W)
+    for i, ranked in zip(rows, _rank(Q, ks[rows], V, mode)):
         out[i] = ranked
     return out
+
+
+def _take_unseen(entries, out: dict[int, float]) -> bool:
+    """Move the next entry of ``entries`` whose item is not yet in ``out``
+    into it; False when ``entries`` runs out first."""
+    for item, score in entries:
+        if item not in out:
+            out[item] = score
+            return True
+    return False
 
 
 def ensemble_interleave(primary: RankedList, secondary: RankedList,
@@ -132,48 +137,16 @@ def ensemble_interleave(primary: RankedList, secondary: RankedList,
     """
     if head_len < 0:
         raise ConfigError("head_len must be >= 0")
-    out_items: list[int] = []
-    out_scores: list[float] = []
-    seen: set[int] = set()
-
-    def emit(item: int, score: float) -> None:
-        out_items.append(item)
-        out_scores.append(score)
-        seen.add(item)
-
-    p_entries = list(primary)
-    s_entries = list(secondary)
-    pi = si = 0
-    while pi < len(p_entries) and pi < head_len:
-        item, score = p_entries[pi]
-        pi += 1
-        if item not in seen:
-            emit(item, score)
-
-    s_cap = head_len if head_len > 0 else None
-    s_emitted = 0
-    turn_secondary = True
-    while pi < len(p_entries) or si < len(s_entries):
-        if turn_secondary:
-            if s_cap is not None and s_emitted >= s_cap:
-                si = len(s_entries)
-            while si < len(s_entries):
-                item, score = s_entries[si]
-                si += 1
-                if item not in seen:
-                    emit(item, score)
-                    s_emitted += 1
-                    break
-        else:
-            while pi < len(p_entries):
-                item, score = p_entries[pi]
-                pi += 1
-                if item not in seen:
-                    emit(item, score)
-                    break
-        turn_secondary = not turn_secondary
-
-    return RankedList(np.array(out_items, dtype=np.int64),
-                      np.array(out_scores, dtype=np.float64),
-                      k=len(out_items), score_mode=primary.score_mode,
-                      short=False)
+    out: dict[int, float] = {}  # item -> score, in emission order
+    p_entries, s_entries = iter(primary), iter(secondary)
+    for item, score in itertools.islice(p_entries, head_len):
+        out.setdefault(item, score)
+    s_left = head_len or len(secondary)
+    while True:
+        took_s = s_left > 0 and _take_unseen(s_entries, out)
+        s_left -= took_s
+        if not _take_unseen(p_entries, out) and not took_s:
+            break
+    return RankedList(np.array(list(out), dtype=np.int64),
+                      np.array(list(out.values()), dtype=np.float64),
+                      k=len(out), score_mode=primary.score_mode, short=False)

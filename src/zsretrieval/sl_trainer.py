@@ -26,6 +26,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .corpus import Corpus, CorrelationGraph, Rows, TrainingWeights, compute_training_weights
+from .encoder import encode_rows
 from .errors import ConfigError, NumericError, SizeGuardError
 from .store import STL, ZSL_ME, ZSL_TE, ModelState, TrainConfig, init_model_state
 
@@ -73,17 +74,6 @@ def _self_edges(graph: CorrelationGraph) -> np.ndarray:
     return np.bincount(src[graph.neighbors.values == src], minlength=graph.n) > 0
 
 
-def _bow_rows(corpus: Corpus, W64: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(item indices with text, their BOW encodings) as float64."""
-    words = corpus.word_lists
-    lens = words.lengths()
-    ids = np.flatnonzero(lens)
-    if not len(ids):
-        return ids, np.zeros((0, W64.shape[1]), dtype=np.float64)
-    enc = np.add.reduceat(W64[words.values], words.indptr[ids], axis=0) / lens[ids][:, None]
-    return ids, enc
-
-
 # ---------------------------------------------------------------------------
 # Loss oracles
 
@@ -128,7 +118,7 @@ def sl_loss_bruteforce(
                 else:
                     loss += om * neg_r[i] * s * s
     elif t1_mode == "encoded":
-        q_ids, q_enc = _bow_rows(corpus, W)
+        q_ids, q_enc = encode_rows(corpus.word_lists, W)
         for i in range(n):
             for k, ell in enumerate(q_ids):
                 s = float(V[i] @ q_enc[k])
@@ -142,7 +132,7 @@ def sl_loss_bruteforce(
             ctx_ids = np.arange(n)
             ctx = state.U.astype(np.float64)
         else:
-            ctx_ids, ctx = _bow_rows(corpus, W)
+            ctx_ids, ctx = encode_rows(corpus.word_lists, W)
         for i in range(n):
             ne = set(corpus.graph.neighbors[i].tolist())
             for k, ell in enumerate(ctx_ids):
@@ -372,7 +362,7 @@ class SLTrainer:
         self.Gv_neg = (self.V64 * self.neg_r[:, None]).T @ self.V64
         for task in self.tasks:
             rows = getattr(self, f"{task.block}64")
-            task.ids, task.ctx = (_bow_rows(self.corpus, rows) if task.encoded
+            task.ids, task.ctx = (encode_rows(self.corpus.word_lists, rows) if task.encoded
                                   else (np.arange(len(rows)), rows))
             task.slot = np.full(len(task.neg_c), -1, dtype=np.int64)
             task.slot[task.ids] = np.arange(len(task.ids))

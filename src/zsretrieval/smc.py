@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, Rows
+from .encoder import encode_bow, encode_rows
 from .errors import ConfigError, NumericError, SizeGuardError
 from .store import SMC, ModelState, init_rows
 
@@ -162,15 +163,16 @@ def train_smc(pairs: QueryItemPairs, corpus: Corpus, config: SMCConfig) -> Model
 
 def _mean_full_ce(state: ModelState, pairs: list, encode, max_items: int) -> float:
     """Mean over ``(context, target)`` pairs of the full-softmax cross-entropy
-    -log Pr(target | encode(context)) with logits ``V @ encode(context)``."""
+    -log Pr(target | x) with logits ``V @ x``, where ``encode(contexts)``
+    gives each pair's x."""
     if state.n > max_items:
         raise SizeGuardError(f"{state.n} items exceeds the exact-CE guard ({max_items})")
     if not pairs:
         raise ConfigError("no pairs to score")
     V = state.V.astype(np.float64)
     total = 0.0
-    for context, t in pairs:
-        logits = V @ encode(context)
+    for x, (_, t) in zip(encode([context for context, _ in pairs]), pairs):
+        logits = V @ x
         z = np.delete(logits, t) - logits[t]
         if not len(z):  # a one-item model predicts its only item with certainty
             continue
@@ -183,9 +185,8 @@ def _mean_full_ce(state: ModelState, pairs: list, encode, max_items: int) -> flo
 def ce_loss_exact(state: ModelState, pairs: QueryItemPairs,
                   max_items: int = CE_MAX_ITEMS) -> float:
     """Mean full-softmax cross-entropy of each pair's target. Desk scale only."""
-    W = state.W.astype(np.float64)
     return _mean_full_ce(state, pairs,
-                         lambda widx: W[np.asarray(widx, dtype=np.int64)].mean(axis=0),
+                         lambda queries: [encode_bow(words, state.W) for words in queries],
                          max_items)
 
 
@@ -197,18 +198,15 @@ def ce_loss_exact_context(state: ModelState, item_pairs: list[tuple[int, int]],
     Context vectors come from the free U block when present, otherwise from
     the BOW encoding of the context item's text (requires ``corpus``).
     """
-    if state.U is not None:
-        ctx = state.U.astype(np.float64)
-        get = lambda j: ctx[j]
-    else:
-        if corpus is None:
-            raise ConfigError("corpus required to encode context items for this model")
-        W = state.W.astype(np.float64)
+    if state.U is None and corpus is None:
+        raise ConfigError("corpus required to encode context items for this model")
 
-        def get(j: int) -> np.ndarray:
-            wl = corpus.word_lists[j]
-            if not len(wl):
-                raise ConfigError(f"context item {j} has no text to encode")
-            return W[wl].mean(axis=0)
+    def encode(items: list[int]) -> np.ndarray:
+        if state.U is not None:
+            return state.U.astype(np.float64)[items]
+        empty = [j for j in items if not len(corpus.word_lists[j])]
+        if empty:
+            raise ConfigError(f"context item {empty[0]} has no text to encode")
+        return encode_rows(Rows.from_lists([corpus.word_lists[j] for j in items]), state.W)[1]
 
-    return _mean_full_ce(state, item_pairs, get, max_items)
+    return _mean_full_ce(state, item_pairs, encode, max_items)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
-from .corpus import Corpus, write_id_tables
+from .corpus import Corpus
 from .errors import ConfigError, FormatError, KindMismatchError, RefreshError, VersionError
 
 FORMAT_VERSION = 1
@@ -131,8 +131,7 @@ def init_model_state(config: TrainConfig, corpus: Corpus) -> ModelState:
     U = None
     if config.kind == ZSL_ME:
         U = init_rows(config.seed, "U", range(corpus.n), config.d, config.init_std)
-    score_mode = "dot" if config.kind == SMC else "cosine"
-    return ModelState(config.kind, config.d, W, V, U, config.seed, 0, score_mode)
+    return ModelState(config.kind, config.d, W, V, U, config.seed, 0)
 
 
 def warm_start_extend(
@@ -184,7 +183,7 @@ def warm_start_extend(
 
 
 def save_model(state: ModelState, directory: str | Path, corpus: Corpus | None = None) -> None:
-    """Write meta.json and the binary blocks; with a corpus, its id tables and id digest."""
+    """Write meta.json and the binary blocks; with a corpus, its id digest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -207,8 +206,6 @@ def save_model(state: ModelState, directory: str | Path, corpus: Corpus | None =
     binio.write_matrix(directory / "V.bin", _BLOCK_MAGIC["V"], state.V)
     if state.U is not None:
         binio.write_matrix(directory / "U.bin", _BLOCK_MAGIC["U"], state.U)
-    if corpus is not None:
-        write_id_tables(corpus, directory)
 
 
 def load_model(directory: str | Path, expect_kind: str | None = None) -> ModelState:

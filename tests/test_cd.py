@@ -7,9 +7,9 @@ import pytest
 from tests.conftest import make_random_corpus
 from zsretrieval import sl_trainer
 from zsretrieval.corpus import Corpus, CorrelationGraph, Rows
+from zsretrieval.encoder import encode_rows
 from zsretrieval.sl_trainer import (
     SLTrainer,
-    _bow_rows,
     sl_loss_bruteforce,
     sl_loss_efficient,
     task_modes,
@@ -213,7 +213,7 @@ def ref_refresh(t):
     t.U64 = None if t.state.U is None else t.state.U.astype(np.float64)
     t.Gv_neg = (t.V64 * t.neg_r[:, None]).T @ t.V64
     t.Gw = t.W64.T @ t.W64
-    t.enc_ids, t.enc = _bow_rows(t.corpus, t.W64)
+    t.enc_ids, t.enc = encode_rows(t.corpus.word_lists, t.W64)
     t.enc_slot = np.full(n, -1, dtype=np.int64)
     t.enc_slot[t.enc_ids] = np.arange(len(t.enc_ids))
     t.Gq = t.enc.T @ t.enc

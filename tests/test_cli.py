@@ -533,6 +533,20 @@ class TestConfigTypes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {key}: "), err
 
+    @pytest.mark.parametrize("command", ["retrieve", "eval"])
+    def test_value_outside_the_choices_exits_1_with_one_line(self, workspace, capsys, command):
+        corpus = ingest(workspace)
+        model = train(workspace, corpus)
+        (workspace / "q.txt").write_text("apple\n")
+        (workspace / "bad.json").write_text(json.dumps({"score": "cosin"}))
+        argv = {"retrieve": ["--queries", workspace / "q.txt"], "eval": []}[command]
+        argv = [command, "--model", model, "--corpus", corpus, "--out", workspace / "o", *argv,
+                "--config", workspace / "bad.json"]
+        capsys.readouterr()
+        assert main([str(arg) for arg in argv]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            'config error: score: expected one of "dot", "cosine", got "cosin"']
+
     def test_int_for_a_float_and_null_where_the_default_is_null(self, workspace):
         corpus = ingest(workspace)
         model = train(workspace, corpus)
@@ -565,6 +579,26 @@ class TestModelDim:
         assert rc == 1
         assert capsys.readouterr().err.strip().splitlines() == [
             f"config error: dim: model {model} has d=4, not 8"]
+
+
+@pytest.mark.parametrize("command", ["refresh", "loss-audit"])
+def test_model_key_in_config_exits_1_where_the_model_gives_the_kind(workspace, capsys, command):
+    corpus = ingest(workspace)
+    model = train(workspace, corpus)
+    (workspace / "kind.json").write_text(json.dumps({"model": "zsl_xx"}))
+    extra = ["--config", str(workspace / "kind.json")]
+    capsys.readouterr()
+    if command == "refresh":
+        rc = refresh(workspace, model, corpus, *extra)
+    else:
+        rc = main(["loss-audit", "--model", str(model), "--corpus", str(corpus), *extra])
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "config error: unknown config key 'model'"]
+    if command == "refresh":  # without the key: the manifest records the model's kind
+        assert refresh(workspace, model, corpus) == 0
+        config = json.loads((workspace / "model2" / "manifest.json").read_text())["config"]
+        assert config["model"] == "zsl_te"
 
 
 @pytest.mark.parametrize("command", ["retrieve", "eval"])

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from zsretrieval.encoder import encode_bow, rescale_item_norms
+from zsretrieval.corpus import Rows
+from zsretrieval.encoder import encode_bow, encode_rows, rescale_item_norms
 from zsretrieval.errors import EncodeError
 from zsretrieval.retrieval import retrieve_topk
 
@@ -34,6 +35,36 @@ class TestEncodeBow:
     def test_empty_list_rejected(self):
         with pytest.raises(EncodeError, match="no in-vocabulary words"):
             encode_bow([], np.zeros((3, 2), dtype=np.float32))
+
+    @pytest.mark.parametrize("word", [-1, 3])
+    def test_word_index_out_of_range_rejected(self, word):
+        with pytest.raises(EncodeError, match="^word index out of vocabulary range$"):
+            encode_bow([0, word], np.ones((3, 2), dtype=np.float32))
+
+
+class TestEncodeRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_each_row_bit_equal_to_the_one_row_mean(self, rng, dtype):
+        m, d = 50, 64
+        W = rng.standard_normal((m, d)).astype(dtype)
+        queries = [rng.integers(0, m, size=int(rng.integers(1, 41))).tolist()
+                   for _ in range(300)]
+        queries[5] = queries[200] = []  # rows without words are left out
+        ids, Q = encode_rows(Rows.from_lists(queries), W)
+        assert ids.tolist() == [i for i, words in enumerate(queries) if words]
+        assert Q.dtype == np.float64 and Q.shape == (len(ids), d)
+        for i, q in zip(ids, Q):
+            assert q.tobytes() == encode_bow(queries[i], W).tobytes()
+            mean = W[queries[i]].astype(np.float64).mean(axis=0)
+            if dtype == np.float32:
+                # float32 rows of this range sum exactly in float64, in any order
+                assert q.tobytes() == mean.tobytes()
+            else:
+                np.testing.assert_allclose(q, mean, rtol=1e-13, atol=1e-15)
+
+    def test_no_row_with_words(self):
+        ids, Q = encode_rows(Rows.from_lists([[], []]), np.ones((3, 5), dtype=np.float32))
+        assert ids.tolist() == [] and Q.shape == (0, 5) and Q.dtype == np.float64
 
 
 class TestRescaleItemNorms:

@@ -140,13 +140,77 @@ class TestSearch:
         with pytest.raises(ScoreError):
             search([[0]], W, V, 1, "euclid")
 
+    @pytest.mark.parametrize("mode", ["dot", "cosine"])
+    def test_word_index_out_of_range_is_skipped(self, mode):
+        W, V = np.eye(3, dtype=np.float32), np.eye(3, dtype=np.float32)
+        out = search([[0], [1, -1], [3], [2]], W, V, 1, mode)
+        assert out[1:3] == ["word index out of vocabulary range"] * 2
+        assert [out[0].items.tolist(), out[3].items.tolist()] == [[0], [2]]
+
     def test_empty_item_matrix_skips_every_query(self):
         W = np.ones((2, 2), dtype=np.float32)
         out = search([[0], []], W, np.zeros((0, 2), dtype=np.float32), 3, "dot")
         assert out == ["empty item matrix", "no in-vocabulary words to encode"]
 
 
+def interleave_oracle(primary, secondary, head_len):
+    """Reference for ``ensemble_interleave`` in a second form: index
+    counters, a turn flag and one scan per list and phase."""
+    out_items, out_scores, seen = [], [], set()
+
+    def emit(item, score):
+        out_items.append(item)
+        out_scores.append(score)
+        seen.add(item)
+
+    p_entries, s_entries = list(primary), list(secondary)
+    pi = si = 0
+    while pi < len(p_entries) and pi < head_len:
+        item, score = p_entries[pi]
+        pi += 1
+        if item not in seen:
+            emit(item, score)
+    s_cap = head_len if head_len > 0 else None
+    s_emitted = 0
+    turn_secondary = True
+    while pi < len(p_entries) or si < len(s_entries):
+        if turn_secondary:
+            if s_cap is not None and s_emitted >= s_cap:
+                si = len(s_entries)
+            while si < len(s_entries):
+                item, score = s_entries[si]
+                si += 1
+                if item not in seen:
+                    emit(item, score)
+                    s_emitted += 1
+                    break
+        else:
+            while pi < len(p_entries):
+                item, score = p_entries[pi]
+                pi += 1
+                if item not in seen:
+                    emit(item, score)
+                    break
+        turn_secondary = not turn_secondary
+    return out_items, out_scores
+
+
 class TestEnsembleInterleave:
+    def test_matches_the_reference_oracle(self, rng):
+        for case in range(12_000):
+            universe = int(rng.integers(1, 16))
+            # Every few cases a list repeats an item, which a RankedList does not.
+            draw = (lambda n: rng.integers(0, universe, size=n)) if case % 5 == 0 else (
+                lambda n: rng.permutation(universe)[:n])
+            p, s = (ranked(items, rng.standard_normal(len(items))) for items in
+                    (draw(int(rng.integers(0, universe + 1))) for _ in range(2)))
+            head = int(rng.integers(0, universe + 2))
+            out = ensemble_interleave(p, s, head)
+            items, scores = interleave_oracle(p, s, head)
+            assert out.items.tolist() == items
+            assert out.scores.tobytes() == np.array(scores, dtype=np.float64).tobytes()
+            assert (out.k, out.short, out.score_mode) == (len(items), False, p.score_mode)
+
     def test_spec_example_with_dedup(self):
         # primary [A,B,C,D], secondary [E,A,F], head 2 -> [A,B,E,C,F,D]
         A, B, C, D, E, F = range(6)

@@ -86,7 +86,16 @@ class TestPersistence:
         assert np.array_equal(back.W, state.W)
         assert np.array_equal(back.V, state.V)
         assert np.array_equal(back.U, state.U)
-        assert (tmp_path / "m" / "vocab.tsv").exists()
+        # The corpus binds through meta.json's ids_sha256; no id tables are copied.
+        assert not (tmp_path / "m" / "vocab.tsv").exists()
+        assert not (tmp_path / "m" / "items.tsv").exists()
+
+    def test_model_dir_with_id_tables_still_loads(self, tmp_path):
+        state = init_model_state(TrainConfig(kind=ZSL_TE, d=3), small_corpus())
+        save_model(state, tmp_path / "m", small_corpus())
+        for name in ("items.tsv", "vocab.tsv"):  # as older versions wrote them
+            (tmp_path / "m" / name).write_text("stale\t0\n")
+        assert np.array_equal(load_model(tmp_path / "m").V, state.V)
 
     def test_corrupted_matrix_checksum_error(self, tmp_path):
         state = init_model_state(TrainConfig(kind=ZSL_TE, d=4), small_corpus())
