@@ -423,9 +423,8 @@ def cmd_ensemble_eval(args: argparse.Namespace) -> int:
     pairs, _ = _read_pairs_tsv(args.pairs, corpus)
     k = cfg["k"]
     head = k // 2 if cfg["head"] is None else cfg["head"]
-    rep_p = recall_at_k(primary, pairs, k, primary.score_mode)
-    rep_s = recall_at_k(secondary, pairs, k, secondary.score_mode)
     rep_e = ensemble_recall_at_k(primary, secondary, pairs, k, head)
+    rep_p, rep_s = rep_e.extra["primary"], rep_e.extra["secondary"]
     report = {"k": k, "head_len": head,
               "recall": {"primary": rep_p.mean, "secondary": rep_s.mean,
                          "ensemble": rep_e.mean},

@@ -295,7 +295,8 @@ def read_jsonl_rows(path: str | Path, what: str, *keys: str) -> Iterator[tuple[i
 
 
 def read_items_jsonl(path: str | Path) -> dict[str, list[str]]:
-    """items.jsonl: one {"id": ..., "words": [...]} object per line."""
+    """items.jsonl: one {"id": ..., "words": [...]} object per line, each id
+    once; ids and words are text the .tsv tables can store."""
     items: dict[str, list[str]] = {}
     for lineno, _, (item_id, words) in read_jsonl_rows(path, "item", "id", "words"):
         if not isinstance(item_id, str) or not isinstance(words, list):
@@ -304,6 +305,13 @@ def read_items_jsonl(path: str | Path) -> dict[str, list[str]]:
         text = "".join([item_id, *words])  # stored one per line in .tsv tables
         if any(c in text for c in "\t\n\r"):
             raise IngestError(f"{path}:{lineno}: tab or line break in an id or word")
+        try:
+            text.encode()
+        except UnicodeEncodeError as exc:
+            raise IngestError(f"{path}:{lineno}: an id or word UTF-8 cannot encode "
+                              f"({exc.reason})") from None
+        if item_id in items:
+            raise IngestError(f"{path}:{lineno}: repeated item id {item_id!r}")
         items[item_id] = words
     return items
 

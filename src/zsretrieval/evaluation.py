@@ -83,6 +83,14 @@ def _length_bucket(words: list[int], unigram_len: int | None = None) -> str:
     return str(n) if n <= LENGTH_BUCKETS[-1] else f"{LENGTH_BUCKETS[-1] + 1}+"
 
 
+def _hits(pairs: list[tuple[list[int], int]], results: list, K: int) -> dict[int, float]:
+    """Pair index -> 1.0 when its target is among the first K items ranked for
+    it, else 0.0; a pair whose result is a skip reason is left out."""
+    return {i: float(target in set(ranked.items[:K].tolist()))
+            for i, ((_, target), ranked) in enumerate(zip(pairs, results))
+            if isinstance(ranked, RankedList)}
+
+
 def recall_at_k(
     state: ModelState,
     pairs: list[tuple[list[int], int]],
@@ -97,21 +105,15 @@ def recall_at_k(
     for pair i when given (the query's token count, as the CLI passes it),
     else the number of word indices, which counts bigrams too.
     """
-    results = search([words for words, _ in pairs], state.W, state.V, K, mode)
-    hits = []
-    bucket_hits: dict[str, list[float]] = {}
-    for idx, ((words, target), ranked) in enumerate(zip(pairs, results)):
-        if not isinstance(ranked, RankedList):
-            continue
-        hit = float(target in set(ranked.items.tolist()))
-        hits.append(hit)
-        if by_length:
-            ul = unigram_lens[idx] if unigram_lens is not None else None
-            bucket_hits.setdefault(_length_bucket(words, ul), []).append(hit)
+    hits = _hits(pairs, search([words for words, _ in pairs], state.W, state.V, K, mode), K)
     extra = {}
     if by_length:
+        bucket_hits: dict[str, list[float]] = {}
+        for idx, hit in hits.items():
+            ul = unigram_lens[idx] if unigram_lens is not None else None
+            bucket_hits.setdefault(_length_bucket(pairs[idx][0], ul), []).append(hit)
         extra["by_length"] = {b: float(np.mean(v)) for b, v in sorted(bucket_hits.items())}
-    return RecallReport.of(hits, len(results) - len(hits), extra)
+    return RecallReport.of(list(hits.values()), len(pairs) - len(hits), extra)
 
 
 def ensemble_recall_at_k(
@@ -126,17 +128,18 @@ def ensemble_recall_at_k(
     Each query is retrieved from both models (with each model's own score
     mode), the lists are interleaved with the given head length (default
     K // 2), and the hit test uses the first K merged entries. A query is
-    skipped only when neither model can score it.
+    skipped only when neither model can score it. ``extra`` holds each
+    model's own recall@K report, "primary" and "secondary", from the same runs.
     """
     if head_len is None:
         head_len = K // 2
     words = [w for w, _ in pairs]
     runs = [search(words, st.W, st.V, K, st.score_mode) for st in (primary, secondary)]
-    hits = []
-    for (_, target), a, b in zip(pairs, *runs):
-        lists = [r for r in (a, b) if isinstance(r, RankedList)]
-        if not lists:
-            continue
-        merged = ensemble_interleave(a, b, head_len) if len(lists) == 2 else lists[0]
-        hits.append(float(target in set(merged.items[:K].tolist())))
-    return RecallReport.of(hits, len(pairs) - len(hits))
+    merged = [(ensemble_interleave(a, b, head_len) if isinstance(b, RankedList) else a)
+              if isinstance(a, RankedList) else b for a, b in zip(*runs)]
+
+    def report(results: list, extra: dict | None = None) -> RecallReport:
+        hits = _hits(pairs, results, K)
+        return RecallReport.of(list(hits.values()), len(pairs) - len(hits), extra)
+
+    return report(merged, {"primary": report(runs[0]), "secondary": report(runs[1])})

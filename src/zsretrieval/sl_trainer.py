@@ -25,7 +25,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .corpus import Corpus, CorrelationGraph, Rows, TrainingWeights, compute_training_weights
+from .corpus import Corpus, Rows, TrainingWeights, compute_training_weights
 from .encoder import encode_rows
 from .errors import ConfigError, NumericError, SizeGuardError
 from .store import STL, ZSL_ME, ZSL_TE, ModelState, TrainConfig, init_model_state
@@ -66,12 +66,6 @@ def _distinct_incidence(corpus: Corpus) -> tuple[Rows, Rows]:
     keys, mult = np.unique(words.row_ids() * m + words.values, return_counts=True)
     incidence = Rows.from_coo(keys // m, keys % m, corpus.n)
     return incidence, Rows(incidence.indptr, mult.astype(np.float64))
-
-
-def _self_edges(graph: CorrelationGraph) -> np.ndarray:
-    """Boolean per item: whether the item lists itself as a neighbor."""
-    src = graph.neighbors.row_ids()
-    return np.bincount(src[graph.neighbors.values == src], minlength=graph.n) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +199,6 @@ def _add_terms(A: np.ndarray, b: np.ndarray, P: np.ndarray, ptr: np.ndarray,
         b[r] += wb[lo:hi] @ P[lo:hi]
 
 
-def _outer(U: np.ndarray) -> np.ndarray:
-    """Stacked outer products ``u u^T`` of the rows of U."""
-    return U[:, :, None] * U[:, None, :]
-
-
 def _level_schedule(word_items: Rows, n_items: int) -> list[np.ndarray]:
     """Levels of the encoder-side W pass. Words are taken in index order and
     ``level(e) = 1 + the last level given to a word on any item holding e``
@@ -252,22 +241,27 @@ def _chunks(rows: np.ndarray, cost: np.ndarray, d: int):
 class _Task:
     """One weighted implicit factorization of the item rows V against context
     rows: each (item i, context c) pair is a negative of weight ``omega0 *
-    neg_r[i] * neg_c[c]``, and the positive pairs are corrected term by term.
-    ``refresh`` caches context c's row as ``ctx[slot[c]]`` (slot -1: no row),
-    the contexts that have a row as ``ids`` and their ``neg_c``-weighted Gramian as ``G``.
+    neg_r[i] * neg_c[c]``, and the pairs of ``pos`` are corrected term by term
+    to their own weight; a pair of weight 0 is thereby no term at all. Only
+    the contexts ``ids`` have a row, context c's as ``ctx[slot[c]]`` (slot -1:
+    none); ``refresh`` caches ``ctx`` and their ``neg_c``-weighted Gramian ``G``.
     """
 
     name: str           # the loss part it fills
     block: str          # the block its context rows come from: "W" or "U"
     encoded: bool       # contexts are items, their rows the BOW means of W rows
-    pos: Rows           # per item, its positive contexts, ascending
+    pos: Rows           # per item, its corrected contexts, ascending; each has a row
     pos_w: np.ndarray   # the weight of each entry of ``pos``
     neg_c: np.ndarray   # the negative weight of each context
-    self_neg: bool      # the pair (item, itself as a context) is not a negative
+    ids: np.ndarray     # the contexts that have a row, ascending
+
+    def __post_init__(self) -> None:
+        self.slot = np.full(len(self.neg_c), -1, dtype=np.int64)
+        self.slot[self.ids] = np.arange(len(self.ids))
 
     @cached_property
     def by_context(self) -> tuple[Rows, np.ndarray]:
-        """Per context: its positive items ("seeds"), ascending, and their weights."""
+        """Per context: the items pairing with it ("seeds"), ascending, and their weights."""
         seeds, order = self.pos.transpose(len(self.neg_c))
         return seeds, self.pos_w[order]
 
@@ -294,7 +288,6 @@ class SLTrainer:
         self.config = config
         self.pos_r, self.pos_c, self.neg_r, self.neg_c = resolve_weights(corpus, config, weights)
         self.incidence, self.inc_mult = _distinct_incidence(corpus)
-        self.self_in_ne = _self_edges(corpus.graph)
         self.text_len = corpus.word_lists.lengths().astype(np.float64)
         self.tasks = self._tasks()
         self.owner = {task.block: task for task in self.tasks}
@@ -305,20 +298,35 @@ class SLTrainer:
 
     def _tasks(self) -> list[_Task]:
         """Task 1: items against their words' free W rows, or each item against
-        its own BOW encoding. Task 2: items against their graph neighbors."""
-        config, n, words = self.config, self.corpus.n, self.incidence
+        its own BOW encoding. Task 2: items against their graph neighbors and,
+        under ``exclude_self_negative``, against themselves with weight 0 where
+        they are not their own neighbor, so that pair is no negative."""
+        config, n, words, edges = self.config, self.corpus.n, self.incidence, self.corpus.graph
+        items, src, dst = np.arange(n), edges.neighbors.row_ids(), edges.neighbors.values
         if config.task1_encoded:
-            task1 = _Task("task1", "W", True, Rows(np.arange(n + 1), np.arange(n)),
-                          self.pos_r, np.ones(n), False)
+            task1 = self._task("task1", "W", True, items, items, self.pos_r, np.ones(n))
         else:
-            task1 = _Task("task1", "W", False, words,
-                          self.pos_r[words.row_ids()] * self.inc_mult.values,
-                          np.ones(self.corpus.m), False)
-        edges = self.corpus.graph.neighbors
-        task2 = _Task("task2", "U" if config.kind == ZSL_ME else "W", config.kind == ZSL_TE,
-                      edges, self.pos_r[edges.row_ids()] * self.pos_c[edges.values],
-                      self.neg_c, config.exclude_self_negative)
+            task1 = self._task("task1", "W", False, words.row_ids(), words.values,
+                               self.pos_r[words.row_ids()] * self.inc_mult.values,
+                               np.ones(self.corpus.m))
+        w = self.pos_r[src] * self.pos_c[dst]
+        if config.exclude_self_negative:
+            alone = np.setdiff1d(items, src[src == dst])
+            at = np.searchsorted(src * n + dst, alone * n + alone)  # rows stay ascending
+            src, dst, w = np.insert(src, at, alone), np.insert(dst, at, alone), np.insert(w, at, 0.0)
+        task2 = self._task("task2", "U" if config.kind == ZSL_ME else "W", config.kind == ZSL_TE,
+                           src, dst, w, self.neg_c)
         return {STL: [task1], ZSL_ME: [task1, task2], ZSL_TE: [task2]}[config.kind]
+
+    def _task(self, name: str, block: str, encoded: bool, src: np.ndarray, dst: np.ndarray,
+              w: np.ndarray, neg_c: np.ndarray) -> _Task:
+        """The task of the pairs (item ``src``, context ``dst``) of weight ``w``,
+        sorted by item, then context. An encoded task's contexts with a row are
+        the items with text; a pair with a context without one is no term."""
+        ids = np.flatnonzero(self.text_len) if encoded else np.arange(len(neg_c))
+        keep = self.text_len[dst] > 0 if encoded else slice(None)
+        return _Task(name, block, encoded, Rows.from_coo(src[keep], dst[keep], self.corpus.n),
+                     w[keep], neg_c, ids)
 
     # -- built on first use: only a pass reads these ------------------------
 
@@ -362,10 +370,7 @@ class SLTrainer:
         self.Gv_neg = (self.V64 * self.neg_r[:, None]).T @ self.V64
         for task in self.tasks:
             rows = getattr(self, f"{task.block}64")
-            task.ids, task.ctx = (encode_rows(self.corpus.word_lists, rows) if task.encoded
-                                  else (np.arange(len(rows)), rows))
-            task.slot = np.full(len(task.neg_c), -1, dtype=np.int64)
-            task.slot[task.ids] = np.arange(len(task.ids))
+            task.ctx = encode_rows(self.corpus.word_lists, rows)[1] if task.encoded else rows
             task.G = (task.ctx * task.neg_c[task.ids][:, None]).T @ task.ctx
 
     def _solve(self, A: np.ndarray, b: np.ndarray, block: str, row: int) -> np.ndarray:
@@ -428,7 +433,7 @@ class SLTrainer:
         return A, np.zeros((len(scale), self.config.d))
 
     def _system_v(self, rows: np.ndarray):
-        """Item rows: per task, implicit over every context, corrected at the positive ones."""
+        """Item rows: per task, implicit over every context, corrected at its pairs."""
         om = self.config.omega0
         scale = om * self.neg_r[rows]
         A = np.repeat(self.ridge[None], len(rows), axis=0)
@@ -437,21 +442,14 @@ class SLTrainer:
             A += scale[:, None, None] * task.G
             rid, cols, w, at, ptr = self._positives(task, rows)
             _add_terms(A, b, task.ctx[at], ptr, w - om * self.neg_r[rid] * task.neg_c[cols], w)
-            if task.self_neg:
-                sel = ~self.self_in_ne[rows] & (task.slot[rows] >= 0)
-                ids = rows[sel]
-                A[sel] -= (om * self.neg_r[ids] * task.neg_c[ids])[:, None, None] * _outer(
-                    task.ctx[task.slot[ids]])
         return A, b, None
 
     def _positives(self, task: _Task, rows: np.ndarray):
-        """(item, context, weight, context row index) of the positive pairs of
+        """(item, context, weight, context row index) of the pairs in ``pos`` of
         items ``rows``, row after row, and each row's run offsets."""
         pos, ptr = _segments(task.pos, rows)
-        slot = task.slot[task.pos.values[pos]]
-        keep = slot >= 0  # an encoded context without text carries no pair
-        pos, ptr = pos[keep], np.concatenate(([0], np.cumsum(keep)))[ptr]
-        return _owners(rows, ptr), task.pos.values[pos], task.pos_w[pos], slot[keep], ptr
+        cols = task.pos.values[pos]
+        return _owners(rows, ptr), cols, task.pos_w[pos], task.slot[cols], ptr
 
     def _system_free(self, task: _Task, rows: np.ndarray):
         """Free context rows: implicit over every item, corrected at the context's seeds."""
@@ -461,11 +459,6 @@ class SLTrainer:
         pos, ptr = _segments(seeds_of, rows)
         seeds, w, rid = seeds_of.values[pos], weight_of[pos], _owners(rows, ptr)
         _add_terms(A, b, self.V64[seeds], ptr, w - om * self.neg_r[seeds] * task.neg_c[rid], w)
-        if task.self_neg:
-            sel = ~self.self_in_ne[rows]
-            ids = rows[sel]
-            cneg = om * self.neg_r[ids] * task.neg_c[ids]
-            A[sel] -= cneg[:, None, None] * _outer(self.V64[ids])
         return A, b, None
 
     def _system_encoded(self, task: _Task, rows: np.ndarray):
@@ -500,15 +493,6 @@ class SLTrainer:
         A, _ = self._start(om * gram, self.Gv_neg)
         _add_terms(A, b, Vs, sptr[ptr], (cpos - cneg) * a * a,
                    (cpos * (1.0 - beta) + cneg * beta) * a)
-        if task.self_neg:
-            sel = ~self.self_in_ne[items]
-            ells = items[sel]
-            Vse = self.V64[ells]
-            beta = np.einsum("pd,pd->p", Vse, restM[sel])
-            a = alphas[sel]
-            cneg = om * self.neg_r[ells] * task.neg_c[ells]
-            _add_terms(A, b, Vse, np.concatenate(([0], np.cumsum(sel)))[ptr],
-                       -(cneg * a * a), cneg * beta * a)
 
         def written() -> None:
             task.ctx[ks] = restM + alphas[:, None] * self.W64[w_of]
@@ -554,10 +538,6 @@ class SLTrainer:
             part = om * float(np.sum(self.Gv_neg * task.G))
             part += float(np.sum(w * (s - 1.0) ** 2))
             part -= om * float(np.sum(self.neg_r[src] * task.neg_c[dst] * s * s))
-            if task.self_neg:
-                ids = task.ids[~self.self_in_ne[task.ids]]
-                s = np.einsum("pd,pd->p", V[ids], task.ctx[task.slot[ids]])
-                part -= om * float(np.sum(self.neg_r[ids] * task.neg_c[ids] * s * s))
             tasks[task.name] = part
         W = self.W64
         loss_reg = self.config.lam * (float(np.sum(W * W)) + float(np.sum(V * V)))

@@ -233,9 +233,10 @@ def load_model(directory: str | Path, expect_kind: str | None = None) -> ModelSt
         U = binio.read_matrix(directory / "U.bin", _BLOCK_MAGIC["U"])
     if W.shape != (meta["m"], meta["d"]) or V.shape != (meta["n"], meta["d"]):
         raise FormatError("matrix shapes disagree with meta.json")
-    score_mode = meta.get("score_mode", "cosine")
+    score_mode = meta.get("score_mode")
     if score_mode not in ("dot", "cosine"):
-        raise FormatError(f"{directory}/meta.json: unknown score mode {score_mode!r}")
+        raise FormatError(f"{directory}/meta.json: unknown score mode {score_mode!r} "
+                          "under 'score_mode'")
     objective = meta.get("objective")
     if objective is not None:
         if not isinstance(objective, dict):
@@ -246,5 +247,9 @@ def load_model(directory: str | Path, expect_kind: str | None = None) -> ModelSt
                     or isinstance(value, bool) != (want is bool)):
                 raise FormatError(f"{directory}/meta.json: bad objective field {key!r}")
         objective = {key: OBJECTIVE_FIELDS[key](value) for key, value in objective.items()}
+        try:
+            TrainConfig(**objective).validate()
+        except ConfigError as exc:
+            raise FormatError(f"{directory}/meta.json: objective: {exc}") from None
     return ModelState(kind, meta["d"], W, V, U, meta["seed"], meta["sweep_count"],
                       score_mode, objective, meta.get("ids_sha256"))

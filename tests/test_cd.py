@@ -203,9 +203,9 @@ class TestTrainSLModel:
 
 def ref_refresh(t):
     """The caches ref_update_* read, computed here from the state and the
-    corpus: the task modes, the Gramians, the BOW encodings and the
-    transposed graph. Weights, incidences, text lengths and self edges come
-    from the trainer."""
+    corpus: the task modes, the Gramians, the BOW encodings, the transposed
+    graph and which items list themselves as a neighbor. Weights, incidences
+    and text lengths come from the trainer."""
     n = t.corpus.n
     t.t1_mode, t.t2, t.free_u = task_modes(t.config)
     t.W64 = t.state.W.astype(np.float64)
@@ -220,6 +220,7 @@ def ref_refresh(t):
     ctx_ids, ctx = (np.arange(n), t.U64) if t.free_u else (t.enc_ids, t.enc)
     t.Gu = (ctx * t.neg_c[ctx_ids][:, None]).T @ ctx
     t.in_edges = t.corpus.graph.neighbors.transpose(n)[0]
+    t.self_in_ne = np.array([i in t.corpus.graph.neighbors[i] for i in range(n)])
 
 
 def ref_update_v(t, i):

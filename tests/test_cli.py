@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import zsretrieval
-from zsretrieval import binio
+from zsretrieval import binio, evaluation
 from zsretrieval.cli import build_parser, main
 from zsretrieval.corpus import ADJ_MAGIC, WORDS_MAGIC
 
@@ -296,6 +296,29 @@ class TestEnsembleEval:
         assert report["head_len"] == 2  # defaults to k // 2
         assert set(report["recall"]) == {"primary", "secondary", "ensemble"}
 
+    def test_searches_each_model_once(self, workspace, monkeypatch):
+        corpus = ingest(workspace)
+        zsl = train(workspace, corpus, "zsl")
+        dot = train(workspace, corpus, "dot", extra=["--seed", "2"])
+        _edit_model_meta(dot, "score_mode", "dot")
+        (workspace / "pairs.tsv").write_text("apple\ta\nfire\tc\nred apple\tb\nzzz\td\n")
+        calls = []
+        search = evaluation.search
+        monkeypatch.setattr(evaluation, "search",
+                            lambda *a, **kw: calls.append(a) or search(*a, **kw))
+        rc = main(["ensemble-eval", "--primary", str(dot), "--secondary", str(zsl),
+                   "--corpus", str(corpus), "--pairs", str(workspace / "pairs.tsv"),
+                   "--out", str(workspace / "ens"), "--k", "3"])
+        assert rc == 0 and len(calls) == 2
+        report = json.loads((workspace / "ens" / "report.json").read_text())
+        for name, model in (("primary", dot), ("secondary", zsl)):
+            assert main(["eval", "--model", str(model), "--corpus", str(corpus),
+                         "--out", str(workspace / name), "--metric", "recall",
+                         "--pairs", str(workspace / "pairs.tsv"), "--k", "3"]) == 0
+            alone = json.loads((workspace / name / "report.json").read_text())
+            assert (report["recall"][name], report["skipped"][name]) == (
+                alone["mean_recall"], alone["skipped"])
+
 
 class TestRefresh:
     def test_extends_model_onto_grown_corpus(self, workspace, capsys):
@@ -374,6 +397,20 @@ class TestModelCarriesObjective:
         audited = float(capsys.readouterr().out.split()[0].split("=")[1])
         final = float((model / "loss_trace.csv").read_text().splitlines()[-1].split(",")[1])
         assert audited == pytest.approx(final, rel=1e-9)
+
+    @pytest.mark.parametrize("command", ["refresh", "loss-audit"])
+    def test_stored_objective_out_of_range_exits_2_naming_meta_json(self, workspace, capsys,
+                                                                    command):
+        corpus = ingest(workspace)
+        model = train(workspace, corpus)
+        _edit_model_meta(model, "objective", {"lam": -1})
+        capsys.readouterr()
+        if command == "refresh":
+            assert refresh(workspace, model, corpus) == 2
+        else:
+            assert main(["loss-audit", "--model", str(model), "--corpus", str(corpus)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"data error: {model}/meta.json: objective: lambda must be >= 0"]
 
     def test_meta_without_objective_still_loads(self, workspace, capsys):
         corpus = ingest(workspace)
@@ -800,6 +837,12 @@ MALFORMED = {
     "item-id-with-a-tab": (
         lambda ws, c: _rewrite(ws / "items.jsonl", "\n", '\n{"id": "e\\tx", "words": []}\n'),
         "ingest"),
+    "item-id-repeated": (
+        lambda ws, c: _rewrite(ws / "items.jsonl", "\n", '\n{"id": "a", "words": []}\n'),
+        "ingest"),
+    "item-id-a-lone-surrogate": (
+        lambda ws, c: _rewrite(ws / "items.jsonl", "\n", '\n{"id": "\\ud800", "words": []}\n'),
+        "ingest"),
     "word-with-a-line-break": (
         lambda ws, c: _rewrite(ws / "items.jsonl", '"red"', '"r\\ned"'), "ingest"),
     "vocab-line-without-index": (
@@ -841,6 +884,10 @@ MALFORMED = {
         lambda ws, c: _edit_model_meta(ws / "model", "objective", [0.01]), "retrieve"),
     "model-meta-objective-lam-a-string": (
         lambda ws, c: _edit_model_meta(ws / "model", "objective", {"lam": "4"}), "retrieve"),
+    "model-meta-objective-omega0-out-of-range": (
+        lambda ws, c: _edit_model_meta(ws / "model", "objective", {"omega0": 2.0}), "retrieve"),
+    "model-meta-without-score-mode": (
+        lambda ws, c: _edit_model_meta(ws / "model", "score_mode"), "retrieve"),
     "model-meta-objective-unknown-field": (
         lambda ws, c: _edit_model_meta(ws / "model", "objective", {"sweeps": 3}), "retrieve"),
     "labeled-relevant-not-a-list": (

@@ -1,4 +1,6 @@
 """Corpus construction: graph counting, thresholds, weights, persistence."""
+import json
+
 import numpy as np
 import pytest
 
@@ -231,3 +233,61 @@ class TestCorpusPersistence:
             for a, b in zip(back.graph.counts, corpus.graph.counts):
                 assert a.tolist() == b.tolist()
             assert back.graph.max_neighbors == corpus.graph.max_neighbors
+
+
+# Whitespace other than tab and line breaks, and combining marks of several blocks.
+ODD_SPACES = " \x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"
+COMBINING = "\u0301\u0308\u0345\u20d7\ufe20\U0001d165\U000e0100"
+
+
+def random_token(rng, max_len=6):
+    """A token of code points drawn from all 17 planes (no surrogates, tab or
+    line breaks), odd whitespace and combining marks."""
+    chars = []
+    while len(chars) < int(rng.integers(0, max_len + 1)) or not chars:
+        pick = int(rng.integers(3))
+        if pick == 0:
+            cp = int(rng.integers(17)) * 0x10000 + int(rng.integers(0x10000))
+            if 0xD800 <= cp < 0xE000 or chr(cp) in "\t\n\r":
+                continue
+            chars.append(chr(cp))
+        else:
+            pool = ODD_SPACES if pick == 1 else COMBINING
+            chars.append(pool[int(rng.integers(len(pool)))])
+    return "".join(chars)
+
+
+class TestUnicodeRoundTrip:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ingest_save_load_reproduces_the_corpus(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        items = {}
+        while len(items) < 25:  # "," separates the ids of a sequence
+            items[random_token(rng).replace(",", ".")] = [
+                random_token(rng) for _ in range(int(rng.integers(0, 5)))]
+        ids = list(items)
+        sequences = [(random_token(rng), [ids[i] for i in rng.integers(len(ids), size=8)])
+                     for _ in range(12)]
+        ascii_only = bool(seed % 2)  # \u escapes, or the characters themselves
+        (tmp_path / "items.jsonl").write_text("".join(
+            json.dumps({"id": k, "words": v}, ensure_ascii=ascii_only) + "\n"
+            for k, v in items.items()), encoding="utf-8")
+        (tmp_path / "sequences.tsv").write_text("".join(
+            f"{user}\t{','.join(seq)}\n" for user, seq in sequences), encoding="utf-8")
+
+        assert read_items_jsonl(tmp_path / "items.jsonl") == items
+        assert read_sequences_tsv(tmp_path / "sequences.tsv") == sequences
+        corpus = ingest_corpus(items, sequences, max_neighbors=3, window=2)
+        save_corpus(corpus, tmp_path / "corpus")
+        back = load_corpus(tmp_path / "corpus")
+        assert back.item_ids == ids
+        assert back.vocab == corpus.vocab
+        for item_id, row in zip(ids, back.word_lists):
+            assert [back.vocab[k] for k in row] == tokens_with_bigrams(items[item_id])
+        for got, want in ((back.word_lists, corpus.word_lists),
+                          (back.graph.neighbors, corpus.graph.neighbors),
+                          (back.graph.counts, corpus.graph.counts)):
+            assert got.indptr.tolist() == want.indptr.tolist()
+            assert got.values.tolist() == want.values.tolist()
+        assert corpus.graph.nnz > 0
+        assert back.graph.max_neighbors == 3
