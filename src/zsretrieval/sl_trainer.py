@@ -25,7 +25,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .corpus import Corpus, Rows, TrainingWeights, compute_training_weights
+from .corpus import Corpus, Rows, compute_training_weights
 from .encoder import encode_rows
 from .errors import ConfigError, NumericError, SizeGuardError
 from .store import STL, ZSL_ME, ZSL_TE, ModelState, TrainConfig, init_model_state
@@ -45,14 +45,12 @@ def task_modes(config: TrainConfig) -> tuple[str | None, bool, bool]:
     raise ConfigError(f"kind {config.kind!r} is not square-loss trainable")
 
 
-def resolve_weights(corpus: Corpus, config: TrainConfig,
-                    weights: TrainingWeights | None = None) -> tuple[np.ndarray, ...]:
+def resolve_weights(corpus: Corpus, config: TrainConfig) -> tuple[np.ndarray, ...]:
     """Effective (pos_row, pos_col, neg_row, neg_col) item weight vectors."""
     ones = np.ones(corpus.n, dtype=np.float64)
     if not config.use_weights:
         return ones, ones.copy(), ones.copy(), ones.copy()
-    if weights is None:
-        weights = compute_training_weights(corpus.graph)
+    weights = compute_training_weights(corpus.graph)
     pos_r, pos_c = weights.row.astype(np.float64), weights.col.astype(np.float64)
     if config.weight_negatives:
         return pos_r, pos_c, pos_r.copy(), pos_c.copy()
@@ -76,7 +74,6 @@ def sl_loss_bruteforce(
     state: ModelState,
     corpus: Corpus,
     config: TrainConfig,
-    weights: TrainingWeights | None = None,
     max_terms: int = BRUTEFORCE_MAX_TERMS,
 ) -> float:
     """Exact loss by enumerating every (target, context) pair. Desk scale only."""
@@ -94,7 +91,7 @@ def sl_loss_bruteforce(
             f"{terms} terms exceeds the brute-force guard ({max_terms}); "
             "use sl_loss_efficient")
 
-    pos_r, pos_c, neg_r, neg_c = resolve_weights(corpus, config, weights)
+    pos_r, pos_c, neg_r, neg_c = resolve_weights(corpus, config)
     W = state.W.astype(np.float64)
     V = state.V.astype(np.float64)
     om = config.omega0
@@ -150,12 +147,11 @@ def sl_loss_efficient(
     state: ModelState,
     corpus: Corpus,
     config: TrainConfig,
-    weights: TrainingWeights | None = None,
     parts: dict | None = None,
 ) -> float:
     """Same value as the brute-force oracle, via Gramian accumulation: the
     one-call form of ``SLTrainer.loss``."""
-    return SLTrainer(state, corpus, config, weights)._loss(parts)  # a new trainer is refreshed
+    return SLTrainer(state, corpus, config)._loss(parts)  # a new trainer is refreshed
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +193,18 @@ def _add_terms(A: np.ndarray, b: np.ndarray, P: np.ndarray, ptr: np.ndarray,
     for r, lo, hi in _runs(ptr):
         A[r] += PW[lo:hi].T @ P[lo:hi]
         b[r] += wb[lo:hi] @ P[lo:hi]
+
+
+def _add_side(A: np.ndarray, b: np.ndarray, rows: np.ndarray, scale: np.ndarray,
+              G: np.ndarray, pairs: tuple[Rows, np.ndarray, np.ndarray], other: np.ndarray) -> None:
+    """Add one task to the systems of ``rows``: ``scale[r] G``, then each pair
+    of row r's ``pairs`` (partners, weights, negative weights) corrected from
+    its negative weight to its own against the partner's row of ``other``."""
+    partners, pos_w, pos_neg = pairs
+    A += scale[:, None, None] * G
+    at, ptr = _segments(partners, rows)
+    w = pos_w[at]
+    _add_terms(A, b, other[partners.values[at]], ptr, w - pos_neg[at], w)
 
 
 def _level_schedule(word_items: Rows, n_items: int) -> list[np.ndarray]:
@@ -242,28 +250,24 @@ class _Task:
     """One weighted implicit factorization of the item rows V against context
     rows: each (item i, context c) pair is a negative of weight ``omega0 *
     neg_r[i] * neg_c[c]``, and the pairs of ``pos`` are corrected term by term
-    to their own weight; a pair of weight 0 is thereby no term at all. Only
-    the contexts ``ids`` have a row, context c's as ``ctx[slot[c]]`` (slot -1:
-    none); ``refresh`` caches ``ctx`` and their ``neg_c``-weighted Gramian ``G``.
+    from that weight (``pos_neg``) to their own (``pos_w``); a pair of weight 0
+    is thereby no term at all. ``refresh`` caches the context rows ``ctx``,
+    context c's as ``ctx[c]``, and their ``neg_c``-weighted Gramian ``G``.
     """
 
-    name: str           # the loss part it fills
-    block: str          # the block its context rows come from: "W" or "U"
-    encoded: bool       # contexts are items, their rows the BOW means of W rows
-    pos: Rows           # per item, its corrected contexts, ascending; each has a row
-    pos_w: np.ndarray   # the weight of each entry of ``pos``
-    neg_c: np.ndarray   # the negative weight of each context
-    ids: np.ndarray     # the contexts that have a row, ascending
-
-    def __post_init__(self) -> None:
-        self.slot = np.full(len(self.neg_c), -1, dtype=np.int64)
-        self.slot[self.ids] = np.arange(len(self.ids))
+    name: str            # the loss part it fills
+    block: str           # the block its context rows come from: "W" or "U"
+    encoded: bool        # contexts are items, their rows the BOW means of W rows
+    pos: Rows            # per item, its corrected contexts, ascending
+    pos_w: np.ndarray    # the weight of each entry of ``pos``
+    pos_neg: np.ndarray  # the negative weight of each entry of ``pos``
+    neg_c: np.ndarray    # the negative weight of each context
 
     @cached_property
-    def by_context(self) -> tuple[Rows, np.ndarray]:
-        """Per context: the items pairing with it ("seeds"), ascending, and their weights."""
+    def by_context(self) -> tuple[Rows, np.ndarray, np.ndarray]:
+        """Per context: the items pairing with it ("seeds"), ascending, and both weights."""
         seeds, order = self.pos.transpose(len(self.neg_c))
-        return seeds, self.pos_w[order]
+        return seeds, self.pos_w[order], self.pos_neg[order]
 
 
 class SLTrainer:
@@ -278,15 +282,14 @@ class SLTrainer:
     accumulating in float64.
     """
 
-    def __init__(self, state: ModelState, corpus: Corpus, config: TrainConfig,
-                 weights: TrainingWeights | None = None):
+    def __init__(self, state: ModelState, corpus: Corpus, config: TrainConfig):
         config.validate()
         if state.kind != config.kind:
             raise ConfigError(f"state kind {state.kind!r} != config kind {config.kind!r}")
         self.state = state
         self.corpus = corpus
         self.config = config
-        self.pos_r, self.pos_c, self.neg_r, self.neg_c = resolve_weights(corpus, config, weights)
+        self.pos_r, self.pos_c, self.neg_r, self.neg_c = resolve_weights(corpus, config)
         self.incidence, self.inc_mult = _distinct_incidence(corpus)
         self.text_len = corpus.word_lists.lengths().astype(np.float64)
         self.tasks = self._tasks()
@@ -321,12 +324,12 @@ class SLTrainer:
     def _task(self, name: str, block: str, encoded: bool, src: np.ndarray, dst: np.ndarray,
               w: np.ndarray, neg_c: np.ndarray) -> _Task:
         """The task of the pairs (item ``src``, context ``dst``) of weight ``w``,
-        sorted by item, then context. An encoded task's contexts with a row are
-        the items with text; a pair with a context without one is no term."""
-        ids = np.flatnonzero(self.text_len) if encoded else np.arange(len(neg_c))
+        sorted by item, then context. An encoded task's context without text
+        is no context: its row is zero, and a pair naming it is no term."""
         keep = self.text_len[dst] > 0 if encoded else slice(None)
-        return _Task(name, block, encoded, Rows.from_coo(src[keep], dst[keep], self.corpus.n),
-                     w[keep], neg_c, ids)
+        src, dst = src[keep], dst[keep]
+        return _Task(name, block, encoded, Rows.from_coo(src, dst, self.corpus.n), w[keep],
+                     self.config.omega0 * self.neg_r[src] * neg_c[dst], neg_c)
 
     # -- built on first use: only a pass reads these ------------------------
 
@@ -369,9 +372,13 @@ class SLTrainer:
         self.U64 = None if self.state.U is None else self.state.U.astype(np.float64)
         self.Gv_neg = (self.V64 * self.neg_r[:, None]).T @ self.V64
         for task in self.tasks:
-            rows = getattr(self, f"{task.block}64")
-            task.ctx = encode_rows(self.corpus.word_lists, rows)[1] if task.encoded else rows
-            task.G = (task.ctx * task.neg_c[task.ids][:, None]).T @ task.ctx
+            task.ctx = rows = getattr(self, f"{task.block}64")
+            ids = slice(None)
+            if task.encoded:  # G sums the encoded rows only
+                ids, rows = encode_rows(self.corpus.word_lists, rows)
+                task.ctx = np.zeros((self.corpus.n, self.config.d))
+                task.ctx[ids] = rows
+            task.G = (rows * task.neg_c[ids][:, None]).T @ rows
 
     def _solve(self, A: np.ndarray, b: np.ndarray, block: str, row: int) -> np.ndarray:
         try:
@@ -426,39 +433,23 @@ class SLTrainer:
                 if written is not None:
                     written()
 
-    def _start(self, scale: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Systems ``lam I + scale[r] G`` and zero right-hand sides."""
-        A = scale[:, None, None] * G
-        A += self.ridge
-        return A, np.zeros((len(scale), self.config.d))
+    def _start(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` systems ``lam I`` and zero right-hand sides."""
+        return np.repeat(self.ridge[None], count, axis=0), np.zeros((count, self.config.d))
 
     def _system_v(self, rows: np.ndarray):
         """Item rows: per task, implicit over every context, corrected at its pairs."""
-        om = self.config.omega0
-        scale = om * self.neg_r[rows]
-        A = np.repeat(self.ridge[None], len(rows), axis=0)
-        b = np.zeros((len(rows), self.config.d))
+        A, b = self._start(len(rows))
+        scale = self.config.omega0 * self.neg_r[rows]
         for task in self.tasks:
-            A += scale[:, None, None] * task.G
-            rid, cols, w, at, ptr = self._positives(task, rows)
-            _add_terms(A, b, task.ctx[at], ptr, w - om * self.neg_r[rid] * task.neg_c[cols], w)
+            _add_side(A, b, rows, scale, task.G, (task.pos, task.pos_w, task.pos_neg), task.ctx)
         return A, b, None
-
-    def _positives(self, task: _Task, rows: np.ndarray):
-        """(item, context, weight, context row index) of the pairs in ``pos`` of
-        items ``rows``, row after row, and each row's run offsets."""
-        pos, ptr = _segments(task.pos, rows)
-        cols = task.pos.values[pos]
-        return _owners(rows, ptr), cols, task.pos_w[pos], task.slot[cols], ptr
 
     def _system_free(self, task: _Task, rows: np.ndarray):
         """Free context rows: implicit over every item, corrected at the context's seeds."""
-        om = self.config.omega0
-        A, b = self._start(om * task.neg_c[rows], self.Gv_neg)
-        seeds_of, weight_of = task.by_context
-        pos, ptr = _segments(seeds_of, rows)
-        seeds, w, rid = seeds_of.values[pos], weight_of[pos], _owners(rows, ptr)
-        _add_terms(A, b, self.V64[seeds], ptr, w - om * self.neg_r[seeds] * task.neg_c[rid], w)
+        A, b = self._start(len(rows))
+        _add_side(A, b, rows, self.config.omega0 * task.neg_c[rows], self.Gv_neg,
+                  task.by_context, self.V64)
         return A, b, None
 
     def _system_encoded(self, task: _Task, rows: np.ndarray):
@@ -469,33 +460,31 @@ class SLTrainer:
         om = self.config.omega0
         pos, ptr = _segments(self.word_items, rows)
         items, mult = self.word_items.values[pos], self.word_mult.values[pos]
-        ks = task.slot[items]
         alphas = mult / self.text_len[items]
         w_of = _owners(rows, ptr)
-        restM = task.ctx[ks] - alphas[:, None] * self.W64[w_of]
+        restM = task.ctx[items] - alphas[:, None] * self.W64[w_of]
         w_rest = task.neg_c[items] * alphas
-        seeds_of, weight_of = task.by_context
+        seeds_of, weight_of, neg_of = task.by_context
         spos, sptr = _segments(seeds_of, items)
         seeds = seeds_of.values[spos]
         pslot = _owners(np.arange(len(items)), sptr)
         Vs = self.V64[seeds]
         beta = np.einsum("pd,pd->p", Vs, restM[pslot])
         a = alphas[pslot]
-        cpos = weight_of[spos]
-        cneg = om * self.neg_r[seeds] * task.neg_c[items[pslot]]
+        cpos, cneg = weight_of[spos], neg_of[spos]
         w_gram = w_rest * alphas
         gram = np.zeros(len(rows))
-        b = np.zeros((len(rows), self.config.d))
+        A, b = self._start(len(rows))
         omG = om * self.Gv_neg
         for r, lo, hi in _runs(ptr):
             gram[r] = np.add.reduce(w_gram[lo:hi])
             b[r] -= omG @ (w_rest[lo:hi] @ restM[lo:hi])
-        A, _ = self._start(om * gram, self.Gv_neg)
+        A += (om * gram)[:, None, None] * self.Gv_neg
         _add_terms(A, b, Vs, sptr[ptr], (cpos - cneg) * a * a,
                    (cpos * (1.0 - beta) + cneg * beta) * a)
 
         def written() -> None:
-            task.ctx[ks] = restM + alphas[:, None] * self.W64[w_of]
+            task.ctx[items] = restM + alphas[:, None] * self.W64[w_of]
 
         return A, b, written
 
@@ -533,11 +522,10 @@ class SLTrainer:
         om, V = self.config.omega0, self.V64
         tasks = {"task1": 0.0, "task2": 0.0}
         for task in self.tasks:
-            src, dst, w, at, _ = self._positives(task, np.arange(self.corpus.n))
-            s = np.einsum("pd,pd->p", V[src], task.ctx[at])
+            s = np.einsum("pd,pd->p", V[task.pos.row_ids()], task.ctx[task.pos.values])
             part = om * float(np.sum(self.Gv_neg * task.G))
-            part += float(np.sum(w * (s - 1.0) ** 2))
-            part -= om * float(np.sum(self.neg_r[src] * task.neg_c[dst] * s * s))
+            part += float(np.sum(task.pos_w * (s - 1.0) ** 2))
+            part -= float(np.sum(task.pos_neg * s * s))
             tasks[task.name] = part
         W = self.W64
         loss_reg = self.config.lam * (float(np.sum(W * W)) + float(np.sum(V * V)))

@@ -64,7 +64,7 @@ PARAMETERS = {
     ],
     "RankedList": ["items", "scores", "k", "score_mode", "short=False"],
     "Rows": ["indptr", "values"],
-    "SLTrainer": ["state", "corpus", "config", "weights=None"],
+    "SLTrainer": ["state", "corpus", "config"],
     "SMCConfig": [
         "d=200", "negatives=100", "batch_size=128", "learning_rate=0.06", "steps=1000", "seed=0",
         "sampling='uniform'", "init_std=0.1",
@@ -102,8 +102,8 @@ PARAMETERS = {
     "save_corpus": ["corpus", "directory"],
     "save_model": ["state", "directory", "corpus=None"],
     "search": ["queries", "W", "V", "k", "mode='dot'"],
-    "sl_loss_bruteforce": ["state", "corpus", "config", "weights=None", "max_terms=50000"],
-    "sl_loss_efficient": ["state", "corpus", "config", "weights=None", "parts=None"],
+    "sl_loss_bruteforce": ["state", "corpus", "config", "max_terms=50000"],
+    "sl_loss_efficient": ["state", "corpus", "config", "parts=None"],
     "train_sl_model": ["corpus", "config", "state=None"],
     "train_smc": ["pairs", "corpus", "config"],
     "warm_start_extend": [
