@@ -231,18 +231,18 @@ def build_corpus(
     return Corpus(kept_ids, vocab, word_lists, empty_graph(len(kept_ids)), stats)
 
 
-def compute_training_weights(graph: CorrelationGraph, empty_weight_one: bool = False) -> TrainingWeights:
+def compute_training_weights(graph: CorrelationGraph) -> TrainingWeights:
     """1/sqrt(nnz) row/column weights, each rescaled to arithmetic mean 1.0.
 
     Empty rows/columns receive the maximum raw weight among the nonempty
-    ones (or 1.0 when ``empty_weight_one``).
+    ones (1.0 when there are none).
     """
 
     def raw_weights(nnz: np.ndarray) -> np.ndarray:
         w = np.zeros(len(nnz), dtype=np.float64)
         nonempty = nnz > 0
         w[nonempty] = 1.0 / np.sqrt(nnz[nonempty])
-        fill = 1.0 if (empty_weight_one or not nonempty.any()) else float(w[nonempty].max())
+        fill = float(w[nonempty].max()) if nonempty.any() else 1.0
         w[~nonempty] = fill
         mean = w.mean() if len(w) else 1.0
         return w / mean if mean > 0 else np.ones_like(w)

@@ -47,7 +47,3 @@ class VersionError(ModelIOError):
 
 class ChecksumError(ModelIOError):
     """CRC mismatch on a binary block."""
-
-
-class KindMismatchError(ModelIOError):
-    """Loaded model kind does not match the expected kind."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import binio
 from .corpus import Corpus
-from .errors import ConfigError, FormatError, KindMismatchError, RefreshError, VersionError
+from .errors import ConfigError, FormatError, RefreshError, VersionError
 
 FORMAT_VERSION = 1
 
@@ -208,7 +208,7 @@ def save_model(state: ModelState, directory: str | Path, corpus: Corpus | None =
         binio.write_matrix(directory / "U.bin", _BLOCK_MAGIC["U"], state.U)
 
 
-def load_model(directory: str | Path, expect_kind: str | None = None) -> ModelState:
+def load_model(directory: str | Path) -> ModelState:
     directory = Path(directory)
     try:
         meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
@@ -224,8 +224,6 @@ def load_model(directory: str | Path, expect_kind: str | None = None) -> ModelSt
     kind = meta.get("kind")
     if kind not in KINDS:
         raise FormatError(f"{directory}/meta.json: unknown model kind {kind!r} under 'kind'")
-    if expect_kind is not None and kind != expect_kind:
-        raise KindMismatchError(f"model kind is {kind!r}, expected {expect_kind!r}")
     W = binio.read_matrix(directory / "W.bin", _BLOCK_MAGIC["W"])
     V = binio.read_matrix(directory / "V.bin", _BLOCK_MAGIC["V"])
     U = None

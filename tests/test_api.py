@@ -82,7 +82,7 @@ PARAMETERS = {
         "sequences", "n_items", "max_neighbors", "window=1", "symmetrize=False",
     ],
     "ce_loss_exact": ["state", "pairs", "max_items=50000"],
-    "compute_training_weights": ["graph", "empty_weight_one=False"],
+    "compute_training_weights": ["graph"],
     "encode_bow": ["word_indices", "W"],
     "ensemble_interleave": ["primary", "secondary", "head_len"],
     "ensemble_recall_at_k": ["primary", "secondary", "pairs", "K", "head_len=None"],
@@ -92,7 +92,7 @@ PARAMETERS = {
     ],
     "init_model_state": ["config", "corpus"],
     "load_corpus": ["directory"],
-    "load_model": ["directory", "expect_kind=None"],
+    "load_model": ["directory"],
     "make_synthetic_transfer_corpus": ["seed", "n_items", "spec", "extra_text=None"],
     "pooled_recall": ["state", "labeled", "mode='cosine'"],
     "recall_at_k": ["state", "pairs", "K", "mode='dot'", "by_length=False", "unigram_lens=None"],

@@ -149,16 +149,6 @@ class TestTrainingWeights:
         w = compute_training_weights(g)
         assert np.allclose(w.row, 1.0)
 
-    def test_empty_weight_one_flag(self):
-        # row nnz [4,0,0,0,0]: default fills empties with the max raw (0.5),
-        # so all rows rescale to 1.0; the flag fills with raw 1.0 instead.
-        g4 = build_correlation_graph([[0, 1], [0, 2], [0, 3], [0, 4]], 5, 250)
-        default = compute_training_weights(g4)
-        flagged = compute_training_weights(g4, empty_weight_one=True)
-        assert np.allclose(default.row, 1.0)
-        assert flagged.row[1] / flagged.row[0] == pytest.approx(2.0)
-        assert abs(flagged.row.mean() - 1.0) < 1e-12
-
     def test_zero_edge_graph_all_ones(self):
         g = build_correlation_graph([], 4, 250)
         w = compute_training_weights(g)

@@ -8,7 +8,6 @@ from zsretrieval.errors import (
     ChecksumError,
     ConfigError,
     FormatError,
-    KindMismatchError,
     RefreshError,
     VersionError,
 )
@@ -122,13 +121,6 @@ class TestPersistence:
         meta.write_text(meta.read_text().replace('"version": 1', '"version": 99'))
         with pytest.raises(VersionError):
             load_model(tmp_path / "m")
-
-    def test_kind_mismatch(self, tmp_path):
-        corpus = small_corpus()
-        state = init_model_state(TrainConfig(kind=ZSL_ME, d=4), corpus)
-        save_model(state, tmp_path / "m")
-        with pytest.raises(KindMismatchError):
-            load_model(tmp_path / "m", expect_kind=ZSL_TE)
 
 
 class TestWarmStart:
