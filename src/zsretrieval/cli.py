@@ -226,9 +226,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     defaults = {"min_word_count": 0, "min_item_count": 0, "max_neighbors": 250,
                 "window": 1, "symmetrize": False}
     cfg = _resolve(args, defaults)
+    if args.sequences and args.graph:
+        raise ConfigError("--sequences and --graph each give the graph; pass one of them")
+    unused = [key for key in ("min_item_count", "window", "symmetrize") if cfg[key] != defaults[key]]
+    if unused and not args.sequences:
+        raise ConfigError(f"{', '.join(unused)} act only on a graph built from --sequences")
     items = read_items_jsonl(args.items)
     inputs: dict[str, str | Path] = {"items": args.items}
     if args.sequences:
+        comma = next((item_id for item_id in items if "," in item_id), None)
+        if comma is not None:
+            raise IngestError(f"{args.items}: item id {comma!r} holds ',', which separates "
+                              "ids in sequences.tsv")
         sequences = read_sequences_tsv(args.sequences)
         corpus = ingest_corpus(items, sequences, cfg["min_item_count"],
                                cfg["min_word_count"], cfg["max_neighbors"],

@@ -82,6 +82,44 @@ class TestIngest:
                    "--out", str(workspace / "corpus")])
         assert rc == 2
 
+    # Options that could have no effect: --graph next to --sequences, and a
+    # non-default sequence option without --sequences, by flag or --config.
+    @pytest.mark.parametrize("sequences, flags, config", [
+        (True, ["--graph", "graph.tsv"], None),
+        (False, ["--min-item-count", "2"], None),
+        (False, ["--window", "2"], None),
+        (False, ["--symmetrize"], None),
+        (False, ["--graph", "graph.tsv", "--window", "3"], None),
+        (False, [], {"min_item_count": 1}),
+        (False, [], {"window": 2}),
+        (False, [], {"symmetrize": True}),
+    ])
+    def test_option_without_effect_is_config_error(self, workspace, capsys, monkeypatch,
+                                                   sequences, flags, config):
+        monkeypatch.chdir(workspace)
+        Path("graph.tsv").write_text("a\tb\t1\n")
+        argv = ["ingest", "--items", "items.jsonl", "--out", "corpus", *flags]
+        if sequences:
+            argv += ["--sequences", "sequences.tsv"]
+        if config is not None:
+            Path("cfg.json").write_text(json.dumps(config))
+            argv += ["--config", "cfg.json"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert not Path("corpus").exists()
+
+    def test_item_id_with_a_comma(self, workspace, capsys):
+        _rewrite(workspace / "items.jsonl", "\n", '\n{"id": "e,f", "words": ["pie"]}\n')
+        argv = ["ingest", "--items", str(workspace / "items.jsonl")]
+        assert main([*argv, "--sequences", str(workspace / "sequences.tsv"),
+                     "--out", str(workspace / "c1")]) == 2
+        err = capsys.readouterr().err
+        assert "'e,f'" in err and "separates ids in sequences.tsv" in err, err
+        (workspace / "graph.tsv").write_text("e,f\ta\t2\n")
+        assert main([*argv, "--graph", str(workspace / "graph.tsv"),
+                     "--out", str(workspace / "c2")]) == 0
+
 
 class TestTrain:
     def test_writes_model_trace_manifest(self, workspace):
@@ -836,6 +874,9 @@ MALFORMED = {
         lambda ws, c: (ws / "graph.tsv").write_text("a\tb\tthree\n"), "ingest-graph"),
     "item-id-with-a-tab": (
         lambda ws, c: _rewrite(ws / "items.jsonl", "\n", '\n{"id": "e\\tx", "words": []}\n'),
+        "ingest"),
+    "item-id-with-a-comma": (
+        lambda ws, c: _rewrite(ws / "items.jsonl", "\n", '\n{"id": "e,f", "words": []}\n'),
         "ingest"),
     "item-id-repeated": (
         lambda ws, c: _rewrite(ws / "items.jsonl", "\n", '\n{"id": "a", "words": []}\n'),
