@@ -228,8 +228,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = _resolve(args, defaults)
     if args.sequences and args.graph:
         raise ConfigError("--sequences and --graph each give the graph; pass one of them")
-    unused = [key for key in ("min_item_count", "window", "symmetrize") if cfg[key] != defaults[key]]
-    if unused and not args.sequences:
+    unused = [key for key in ("min_item_count", "window", "symmetrize")
+              if cfg[key] != defaults[key] and not args.sequences]
+    if unused:
         raise ConfigError(f"{', '.join(unused)} act only on a graph built from --sequences")
     items = read_items_jsonl(args.items)
     inputs: dict[str, str | Path] = {"items": args.items}

@@ -195,8 +195,8 @@ def _add_terms(A: np.ndarray, b: np.ndarray, P: np.ndarray, ptr: np.ndarray,
         b[r] += wb[lo:hi] @ P[lo:hi]
 
 
-def _add_side(A: np.ndarray, b: np.ndarray, rows: np.ndarray, scale: np.ndarray,
-              G: np.ndarray, pairs: tuple[Rows, np.ndarray, np.ndarray], other: np.ndarray) -> None:
+def _add_side(A: np.ndarray, b: np.ndarray, rows: np.ndarray, scale: np.ndarray, G: np.ndarray,
+              pairs: tuple[Rows, np.ndarray, np.ndarray], other: np.ndarray) -> None:
     """Add one task to the systems of ``rows``: ``scale[r] G``, then each pair
     of row r's ``pairs`` (partners, weights, negative weights) corrected from
     its negative weight to its own against the partner's row of ``other``."""
@@ -374,7 +374,7 @@ class SLTrainer:
         for task in self.tasks:
             task.ctx = rows = getattr(self, f"{task.block}64")
             ids = slice(None)
-            if task.encoded:  # G sums the encoded rows only
+            if task.encoded:  # an item without text has a zero row, which G leaves out
                 ids, rows = encode_rows(self.corpus.word_lists, rows)
                 task.ctx = np.zeros((self.corpus.n, self.config.d))
                 task.ctx[ids] = rows
