@@ -77,10 +77,12 @@ def write_matrix(path: str | Path, magic: bytes, matrix: np.ndarray) -> None:
 
 
 def read_matrix(path: str | Path, magic: bytes) -> np.ndarray:
+    """The matrix as a read-only view over the block's immutable payload:
+    numpy refuses to make it writeable, so copy it before editing."""
     rows, cols, payload = read_block(path, magic)
     if len(payload) != rows * cols * 4:
         raise FormatError(f"{path}: payload size does not match {rows}x{cols} float32")
-    return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
+    return np.frombuffer(payload, dtype="<f4").reshape(rows, cols)
 
 
 def write_int_lists(path: str | Path, magic: bytes, offsets: np.ndarray, values: np.ndarray,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,7 @@ from .encoder import _unencodable, encode_rows
 from .errors import ConfigError, ScoreError
 
 BLOCK_ROWS = 256  # query rows scored by one matrix product
+_SCALE_ROWS = 16  # score rows divided by one outer product of norms
 
 
 @dataclass
@@ -43,13 +45,57 @@ def _topk(S: np.ndarray, k: int | np.ndarray) -> list[np.ndarray]:
     return out
 
 
+@dataclass(frozen=True)
+class _Prepared:
+    """What every scan of an item block reads: V as float64 and, under
+    cosine, the divisor norms (1.0 for a zero-norm item) and the zero-norm
+    item indices."""
+
+    V64: np.ndarray
+    divisor: np.ndarray | None = None
+    dead: np.ndarray | None = None
+
+
+_PREPARED: dict[tuple[int, str], _Prepared] = {}  # (id(V), mode) of a block that cannot change
+
+
+def _immutable(V: np.ndarray) -> bool:
+    """True when V and every array it views are read-only and the memory
+    under them is a ``bytes`` object, as for a loaded model block."""
+    base = V
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return False
+        base = base.base
+    return isinstance(base, bytes)
+
+
+def _prepare(V: np.ndarray, mode: str) -> _Prepared:
+    """The prepared form of V under ``mode``. It is built once and kept for
+    as long as V lives when V cannot change, and built per call otherwise."""
+    key, memo = (id(V), mode), _immutable(V)
+    if memo and key in _PREPARED:
+        return _PREPARED[key]
+    V64 = V.astype(np.float64)
+    if mode == "cosine":
+        norms = np.linalg.norm(V64, axis=1)
+        live = norms > 0.0
+        prepared = _Prepared(V64, np.where(live, norms, 1.0), np.flatnonzero(~live))
+    else:
+        prepared = _Prepared(V64)
+    if memo:
+        _PREPARED[key] = prepared
+        weakref.finalize(V, _PREPARED.pop, key, None)  # V's id may be reused once it is freed
+    return prepared
+
+
 def _rank(Q: np.ndarray, ks: np.ndarray, V: np.ndarray, mode: str,
           exclude: set[int] | None = None) -> list[RankedList | str]:
     """Rank the items of V for each query row of Q, or say why the row cannot
     be scored: no items, or a zero norm under cosine. The scored rows are
-    taken BLOCK_ROWS at a time against V as float64. Under cosine scores are
-    divided by both norms; zero-norm and ``exclude``d items score -inf (not
-    candidates)."""
+    taken BLOCK_ROWS at a time against V's prepared form. Under cosine scores
+    are divided by both norms; zero-norm and ``exclude``d items score -inf
+    (not candidates)."""
     if mode not in ("dot", "cosine"):
         raise ScoreError(f"unknown score mode {mode!r}")
     if V.shape[0] == 0:
@@ -59,15 +105,15 @@ def _rank(Q: np.ndarray, ks: np.ndarray, V: np.ndarray, mode: str,
     skip = (q_norms == 0.0) & (mode == "cosine")
     out: list = ["cosine undefined for zero-norm query" if s else None for s in skip]
     rows, ks = np.flatnonzero(~skip), np.asarray(ks)
-    V64 = V.astype(np.float64)
-    norms = np.linalg.norm(V64, axis=1) if mode == "cosine" else None
+    prep = _prepare(V, mode)
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start:start + BLOCK_ROWS]
-        S = Q[block] @ V64.T
-        if norms is not None:
-            live = norms > 0.0
-            S /= np.outer(q_norms[block], np.where(live, norms, 1.0))
-            S[:, ~live] = -np.inf
+        S = Q[block] @ prep.V64.T
+        if prep.divisor is not None:
+            for lo in range(0, len(block), _SCALE_ROWS):
+                S[lo:lo + _SCALE_ROWS] /= np.outer(q_norms[block[lo:lo + _SCALE_ROWS]],
+                                                  prep.divisor)
+            S[:, prep.dead] = -np.inf
         if exclude:
             S[:, np.fromiter(exclude, dtype=np.int64)] = -np.inf
         for i, row, items, k in zip(block, S, _topk(S, ks[block]), ks[block].tolist()):

@@ -105,18 +105,19 @@ class ModelState:
                        U=None if self.U is None else self.U.copy())
 
 
-def _row_rng(seed: int, block: str, row: int) -> np.random.Generator:
-    key = np.array([
-        (seed * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF,
-        (_BLOCK_ID[block] << 48) | row,
-    ], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def init_rows(seed: int, block: str, rows: range | list[int], d: int, init_std: float) -> np.ndarray:
+    """A float32 row ``N(0, init_std²)`` for each index in ``rows``, drawn from
+    the Philox stream keyed by (seed, block, row). One generator is re-keyed
+    per row by setting its state, which is cheaper than building a new one."""
     out = np.empty((len(rows), d), dtype=np.float32)
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state  # counter 0 and an empty buffer, as a new generator has
+    key = fresh["state"]["key"]
+    key[0] = (seed * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     for k, row in enumerate(rows):
-        rng = _row_rng(seed, block, row)
+        key[1] = (_BLOCK_ID[block] << 48) | row
+        bitgen.state = fresh
         out[k] = (rng.standard_normal(d) * init_std).astype(np.float32)
     return out
 
@@ -166,8 +167,7 @@ def warm_start_extend(
             if new_row is not None:
                 out[new_row] = old[old_row]
                 fresh[new_row] = False
-        for new_row in np.nonzero(fresh)[0]:
-            out[new_row] = init_rows(sub_seed, block, [int(new_row)], state.d, init_std)[0]
+        out[fresh] = init_rows(sub_seed, block, np.flatnonzero(fresh).tolist(), state.d, init_std)
         return out
 
     W = extend("W", state.W, old_corpus.vocab, new_corpus.vocab_index, new_corpus.m)

@@ -2,6 +2,9 @@
 import numpy as np
 import pytest
 
+from zsretrieval import retrieval
+from zsretrieval.binio import read_matrix, write_matrix
+from zsretrieval.corpus import build_corpus
 from zsretrieval.encoder import encode_bow
 from zsretrieval.errors import ConfigError, EncodeError, ScoreError
 from zsretrieval.retrieval import (
@@ -11,6 +14,7 @@ from zsretrieval.retrieval import (
     retrieve_topk,
     search,
 )
+from zsretrieval.store import TrainConfig, init_model_state, load_model, save_model
 
 
 def ranked(items, scores=None):
@@ -151,6 +155,78 @@ class TestSearch:
         W = np.ones((2, 2), dtype=np.float32)
         out = search([[0], []], W, np.zeros((0, 2), dtype=np.float32), 3, "dot")
         assert out == ["empty item matrix", "no in-vocabulary words to encode"]
+
+
+def loaded(tmp_path, V):
+    """V written as a model block and read back: read-only over its bytes."""
+    write_matrix(tmp_path / "V.bin", b"ZSRMAT_V", V)
+    return read_matrix(tmp_path / "V.bin", b"ZSRMAT_V")
+
+
+def same_ranking(a, b):
+    """Same items, same score bits, same flags."""
+    return (a.items.tolist() == b.items.tolist() and a.scores.tobytes() == b.scores.tobytes()
+            and (a.k, a.short, a.score_mode) == (b.k, b.short, b.score_mode))
+
+
+class TestPreparedBlock:
+    @pytest.mark.parametrize("mode", ["dot", "cosine"])
+    def test_loaded_block_ranks_as_a_writable_copy(self, mode, rng, tmp_path):
+        n, m, d = 300, 40, 6
+        V = rng.standard_normal((n, d)).astype(np.float32)
+        V[5:12] = V[0]  # planted duplicates
+        V[20:24] = 0.0  # planted zero rows
+        W = rng.standard_normal((m, d)).astype(np.float32)
+        frozen = loaded(tmp_path, V)
+        assert not frozen.flags.writeable and np.array_equal(frozen, V)
+        for _ in range(2):  # the second pass reads the prepared form built by the first
+            for q in rng.standard_normal((20, d)):
+                for k in (1, 10, n):
+                    got = retrieve_topk(q, frozen, k, mode, exclude={3})
+                    assert same_ranking(got, retrieve_topk(q, V.copy(), k, mode, exclude={3}))
+            queries = [rng.integers(0, m, size=int(rng.integers(1, 4))).tolist()
+                       for _ in range(BLOCK_ROWS + retrieval._SCALE_ROWS + 5)]
+            for got, want in zip(search(queries, W, frozen, 50, mode),
+                                 search(queries, W, V.copy(), 50, mode)):
+                assert same_ranking(got, want)
+        assert (id(frozen), mode) in retrieval._PREPARED
+
+    @pytest.mark.parametrize("mode", ["dot", "cosine"])
+    def test_writable_block_edited_in_place_ranks_anew(self, mode, rng):
+        V = rng.standard_normal((50, 4)).astype(np.float32)
+        q = rng.standard_normal(4)
+        before = retrieve_topk(q, V, 5, mode)
+        V[before.items[0]] = -V[before.items[0]]  # the best item drops, in place
+        V[7] = 0.0
+        after = retrieve_topk(q, V, 5, mode)
+        assert after.items.tolist() == sort_all_oracle(q, V, mode)[:5]
+        assert before.items[0] not in after.items.tolist()
+        assert not any(key[0] == id(V) for key in retrieval._PREPARED)
+
+    @pytest.mark.parametrize("how", ["view", "owner"])
+    def test_read_only_array_over_writable_memory_is_not_kept(self, how, rng):
+        base = rng.standard_normal((50, 4)).astype(np.float32)
+        V = base.view() if how == "view" else base
+        V.flags.writeable = False  # read-only, yet its memory can still change
+        q = rng.standard_normal(4)
+        before = retrieve_topk(q, V, 5, "cosine")
+        base.flags.writeable = True  # the owner may set it back
+        base[before.items[0]] = 0.0
+        V.flags.writeable = False
+        after = retrieve_topk(q, V, 5, "cosine")
+        assert after.items.tolist() == sort_all_oracle(q, base, "cosine")[:5]
+        assert (id(V), "cosine") not in retrieval._PREPARED
+
+    def test_entry_freed_with_the_loaded_state(self, tmp_path, rng):
+        corpus = build_corpus({f"i{k}": [f"w{k % 3}"] for k in range(8)})
+        save_model(init_model_state(TrainConfig(kind="zsl_te", d=4), corpus), tmp_path / "m")
+        state = load_model(tmp_path / "m")
+        retrieve_topk(rng.standard_normal(4), state.V, 3, "cosine")
+        search([[0], [1, 2]], state.W, state.V, 3, "dot")
+        keys = [(id(state.V), "cosine"), (id(state.V), "dot")]
+        assert all(key in retrieval._PREPARED for key in keys)
+        del state
+        assert not any(key in retrieval._PREPARED for key in keys)
 
 
 def interleave_oracle(primary, secondary, head_len):

@@ -17,6 +17,7 @@ from zsretrieval.store import (
     ZSL_TE,
     TrainConfig,
     init_model_state,
+    init_rows,
     load_model,
     save_model,
     warm_start_extend,
@@ -72,6 +73,31 @@ class TestInit:
         assert float(state.V.std()) == pytest.approx(0.1, rel=0.05)
 
 
+def fresh_generator_rows(seed, block, rows, d, init_std):
+    """Rows as a new Philox generator per (seed, block, row) draws them."""
+    out = []
+    for row in rows:
+        key = np.array([(seed * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF,
+                        ({"W": 1, "V": 2, "U": 3}[block] << 48) | row], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        out.append((rng.standard_normal(d) * init_std).astype(np.float32))
+    return np.array(out, dtype=np.float32).reshape(len(rows), d)
+
+
+class TestInitRows:
+    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
+    @pytest.mark.parametrize("block", ["W", "V", "U"])
+    def test_rows_equal_a_fresh_generator_per_row(self, seed, block):
+        for rows in (range(0, 40), [0], [5, 0, 5, 2**47 - 1, 123_456_789_012],
+                     range(10**6, 10**6 + 3)):
+            got = init_rows(seed, block, rows, 7, 0.3)
+            assert got.dtype == np.float32 and got.shape == (len(rows), 7)
+            assert got.tobytes() == fresh_generator_rows(seed, block, rows, 7, 0.3).tobytes()
+
+    def test_no_rows(self):
+        assert init_rows(1, "V", [], 4, 0.1).shape == (0, 4)
+
+
 class TestPersistence:
     def test_roundtrip_bit_exact(self, tmp_path):
         corpus = small_corpus()
@@ -88,6 +114,22 @@ class TestPersistence:
         # The corpus binds through meta.json's ids_sha256; no id tables are copied.
         assert not (tmp_path / "m" / "vocab.tsv").exists()
         assert not (tmp_path / "m" / "items.tsv").exists()
+
+    def test_loaded_blocks_are_read_only(self, tmp_path):
+        corpus = small_corpus()
+        state = init_model_state(TrainConfig(kind=ZSL_ME, d=5, seed=4), corpus)
+        save_model(state, tmp_path / "m", corpus)
+        back = load_model(tmp_path / "m")
+        for block in ("W", "V", "U"):
+            loaded = getattr(back, block)
+            assert not loaded.flags.writeable
+            with pytest.raises(ValueError):
+                loaded.flags.writeable = True
+            with pytest.raises(ValueError):
+                loaded[0, 0] = 1.0
+            edited = getattr(back.copy(), block)
+            edited[0, 0] = 1.0  # a copy is the caller's to edit
+            assert edited.flags.writeable and loaded[0, 0] == getattr(state, block)[0, 0]
 
     def test_model_dir_with_id_tables_still_loads(self, tmp_path):
         state = init_model_state(TrainConfig(kind=ZSL_TE, d=3), small_corpus())
