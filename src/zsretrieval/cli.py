@@ -232,6 +232,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
               if cfg[key] != defaults[key] and not args.sequences]
     if unused:
         raise ConfigError(f"{', '.join(unused)} act only on a graph built from --sequences")
+    if cfg["max_neighbors"] != defaults["max_neighbors"] and not (args.sequences or args.graph):
+        raise ConfigError("max_neighbors acts only on a graph from --sequences or --graph")
     items = read_items_jsonl(args.items)
     inputs: dict[str, str | Path] = {"items": args.items}
     if args.sequences:

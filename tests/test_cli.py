@@ -82,8 +82,9 @@ class TestIngest:
                    "--out", str(workspace / "corpus")])
         assert rc == 2
 
-    # Options that could have no effect: --graph next to --sequences, and a
-    # non-default sequence option without --sequences, by flag or --config.
+    # Options that could have no effect: --graph next to --sequences, a
+    # non-default sequence option without --sequences, and a non-default
+    # max_neighbors with no graph source, by flag or --config.
     @pytest.mark.parametrize("sequences, flags, config", [
         (True, ["--graph", "graph.tsv"], None),
         (False, ["--min-item-count", "2"], None),
@@ -93,6 +94,8 @@ class TestIngest:
         (False, [], {"min_item_count": 1}),
         (False, [], {"window": 2}),
         (False, [], {"symmetrize": True}),
+        (False, ["--max-neighbors", "5"], None),
+        (False, [], {"max_neighbors": 5}),
     ])
     def test_option_without_effect_is_config_error(self, workspace, capsys, monkeypatch,
                                                    sequences, flags, config):
