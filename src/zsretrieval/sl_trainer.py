@@ -163,14 +163,16 @@ CHUNK_FLOATS = 1 << 17
 SWEEP_STATS = ("seconds_V", "seconds_U", "seconds_W", "fallbacks_jitter", "fallbacks_lstsq")
 
 
-def _segments(csr: Rows, take: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in ``csr.values`` of the entries of rows ``take``, row after
-    row, and the offsets of each row's run in that list."""
+def _gather(take: np.ndarray, csr: Rows, *per_entry: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entries of rows ``take`` of ``csr``, row after row: their values,
+    the same entries of each ``per_entry`` array, and the offsets of each
+    row's run in that list."""
     starts = csr.indptr[take]
     lens = csr.indptr[take + 1] - starts
     ptr = np.zeros(len(take) + 1, dtype=np.int64)
     np.cumsum(lens, out=ptr[1:])
-    return np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], lens), ptr
+    at = np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], lens)
+    return (csr.values[at], *(x[at] for x in per_entry), ptr)
 
 
 def _owners(rows: np.ndarray, ptr: np.ndarray) -> np.ndarray:
@@ -184,27 +186,22 @@ def _runs(ptr: np.ndarray):
             if lo < hi]
 
 
-def _add_terms(A: np.ndarray, b: np.ndarray, P: np.ndarray, ptr: np.ndarray,
-               wa: np.ndarray, wb: np.ndarray) -> None:
-    """A[r] += (P_r * wa_r).T @ P_r and b[r] += wb_r @ P_r, where ``_r`` is
-    row r's run ``ptr[r]:ptr[r + 1]``: one gemm and one gemv per row, the
-    products a row solved on its own forms."""
-    PW = P * wa[:, None]
+def _add_side(A: np.ndarray, b: np.ndarray, scale: np.ndarray, G: np.ndarray, ptr: np.ndarray,
+              P: np.ndarray, w: np.ndarray, neg: np.ndarray, a: float | np.ndarray,
+              beta: float | np.ndarray) -> None:
+    """Add one task to a chunk's systems: ``scale[r] G``, then each pair of
+    row r's run ``ptr[r]:ptr[r + 1]``, whose score is ``a p.x + beta`` in the
+    row's unknown x (p its row of ``P``), corrected from its negative weight
+    to its own: ``A[r] += sum (w - neg) a a p p^T`` and ``b[r] += sum
+    (w (1 - beta) + neg beta) a p``, one gemm and one gemv per row, the
+    products a row solved on its own forms. A free row's pairs have a = 1
+    and beta = 0."""
+    A += scale[:, None, None] * G
+    PW = P * ((w - neg) * a * a)[:, None]
+    wb = (w * (1.0 - beta) + neg * beta) * a
     for r, lo, hi in _runs(ptr):
         A[r] += PW[lo:hi].T @ P[lo:hi]
         b[r] += wb[lo:hi] @ P[lo:hi]
-
-
-def _add_side(A: np.ndarray, b: np.ndarray, rows: np.ndarray, scale: np.ndarray, G: np.ndarray,
-              pairs: tuple[Rows, np.ndarray, np.ndarray], other: np.ndarray) -> None:
-    """Add one task to the systems of ``rows``: ``scale[r] G``, then each pair
-    of row r's ``pairs`` (partners, weights, negative weights) corrected from
-    its negative weight to its own against the partner's row of ``other``."""
-    partners, pos_w, pos_neg = pairs
-    A += scale[:, None, None] * G
-    at, ptr = _segments(partners, rows)
-    w = pos_w[at]
-    _add_terms(A, b, other[partners.values[at]], ptr, w - pos_neg[at], w)
 
 
 def _level_schedule(word_items: Rows, n_items: int) -> list[np.ndarray]:
@@ -421,10 +418,13 @@ class SLTrainer:
         """Solve the rows of ``block`` level by level, in chunks: gather each
         row's terms, assemble the chunk's systems, solve them in one batch
         and write the rows back. Rows of one level must not read one another."""
+        out, out64 = getattr(self.state, block), getattr(self, f"{block}64")
+        if not out.flags.writeable:
+            raise ConfigError(f"block {block} of the state is read-only (a loaded model); "
+                              "train state.copy() instead")
         task = self.owner.get(block)
         system = self._system_v if task is None else partial(
             self._system_encoded if task.encoded else self._system_free, task)
-        out, out64 = getattr(self.state, block), getattr(self, f"{block}64")
         for level in levels:
             for rows in _chunks(level, self.cost[block], self.config.d):
                 A, b, written = system(rows)
@@ -442,36 +442,34 @@ class SLTrainer:
         A, b = self._start(len(rows))
         scale = self.config.omega0 * self.neg_r[rows]
         for task in self.tasks:
-            _add_side(A, b, rows, scale, task.G, (task.pos, task.pos_w, task.pos_neg), task.ctx)
+            contexts, w, neg, ptr = _gather(rows, task.pos, task.pos_w, task.pos_neg)
+            _add_side(A, b, scale, task.G, ptr, task.ctx[contexts], w, neg, 1.0, 0.0)
         return A, b, None
 
     def _system_free(self, task: _Task, rows: np.ndarray):
         """Free context rows: implicit over every item, corrected at the context's seeds."""
         A, b = self._start(len(rows))
-        _add_side(A, b, rows, self.config.omega0 * task.neg_c[rows], self.Gv_neg,
-                  task.by_context, self.V64)
+        seeds, w, neg, ptr = _gather(rows, *task.by_context)
+        _add_side(A, b, self.config.omega0 * task.neg_c[rows], self.Gv_neg, ptr, self.V64[seeds],
+                  w, neg, 1.0, 0.0)
         return A, b, None
 
     def _system_encoded(self, task: _Task, rows: np.ndarray):
         """Word rows of an encoded task: the word enters through the BOW
         contexts of its items. Each context l holding the word (every such
         item has text) takes alpha_l = mult/k_l of it, so its encoding splits
-        as rest_l + alpha_l * w_e; the terms are those of l's seeds."""
+        as rest_l + alpha_l * w_e; the terms are those of l's seeds i, each
+        with a = alpha_l and beta = v_i . rest_l."""
         om = self.config.omega0
-        pos, ptr = _segments(self.word_items, rows)
-        items, mult = self.word_items.values[pos], self.word_mult.values[pos]
+        items, mult, ptr = _gather(rows, self.word_items, self.word_mult.values)
         alphas = mult / self.text_len[items]
         w_of = _owners(rows, ptr)
         restM = task.ctx[items] - alphas[:, None] * self.W64[w_of]
         w_rest = task.neg_c[items] * alphas
-        seeds_of, weight_of, neg_of = task.by_context
-        spos, sptr = _segments(seeds_of, items)
-        seeds = seeds_of.values[spos]
+        seeds, w, neg, sptr = _gather(items, *task.by_context)
         pslot = _owners(np.arange(len(items)), sptr)
         Vs = self.V64[seeds]
         beta = np.einsum("pd,pd->p", Vs, restM[pslot])
-        a = alphas[pslot]
-        cpos, cneg = weight_of[spos], neg_of[spos]
         w_gram = w_rest * alphas
         gram = np.zeros(len(rows))
         A, b = self._start(len(rows))
@@ -479,9 +477,7 @@ class SLTrainer:
         for r, lo, hi in _runs(ptr):
             gram[r] = np.add.reduce(w_gram[lo:hi])
             b[r] -= omG @ (w_rest[lo:hi] @ restM[lo:hi])
-        A += (om * gram)[:, None, None] * self.Gv_neg
-        _add_terms(A, b, Vs, sptr[ptr], (cpos - cneg) * a * a,
-                   (cpos * (1.0 - beta) + cneg * beta) * a)
+        _add_side(A, b, om * gram, self.Gv_neg, sptr[ptr], Vs, w, neg, alphas[pslot], beta)
 
         def written() -> None:
             task.ctx[items] = restM + alphas[:, None] * self.W64[w_of]

@@ -42,6 +42,10 @@ class SMCConfig:
             raise ConfigError("invalid SMC configuration")
         if self.sampling not in SAMPLINGS:
             raise ConfigError(f"unknown sampling scheme {self.sampling!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be finite and > 0")
+        if not (math.isfinite(self.init_std) and self.init_std >= 0):
+            raise ConfigError("init_std must be finite and >= 0")
 
 
 def _log_uniform_probs(n: int) -> np.ndarray:

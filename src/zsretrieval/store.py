@@ -7,6 +7,7 @@ and row) so it is reproducible across runs and platforms.
 from __future__ import annotations
 
 import json
+import math
 import typing
 import warnings
 from dataclasses import dataclass, field, replace
@@ -64,8 +65,10 @@ class TrainConfig:
             raise ConfigError("embedding dimension d must be >= 1")
         if not (0 < self.omega0 <= 1.0):
             raise ConfigError("omega0 must be in (0, 1]")
-        if self.lam < 0:
-            raise ConfigError("lambda must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError("lambda must be finite and >= 0")
+        if not (math.isfinite(self.init_std) and self.init_std >= 0):
+            raise ConfigError("init_std must be finite and >= 0")
         if self.sweeps < 0:
             raise ConfigError("sweeps must be >= 0")
         if self.seed < 0:

@@ -8,6 +8,7 @@ from tests.conftest import make_random_corpus
 from zsretrieval import sl_trainer
 from zsretrieval.corpus import Corpus, CorrelationGraph, Rows
 from zsretrieval.encoder import encode_rows
+from zsretrieval.errors import ConfigError
 from zsretrieval.sl_trainer import (
     SLTrainer,
     sl_loss_bruteforce,
@@ -22,6 +23,8 @@ from zsretrieval.store import (
     ModelState,
     TrainConfig,
     init_model_state,
+    load_model,
+    save_model,
 )
 
 KINDS = [STL, ZSL_ME, ZSL_TE]
@@ -191,6 +194,26 @@ class TestTrainSLModel:
         state2, _ = train_sl_model(corpus, config, state=state)
         assert state2.sweep_count == 4
         assert sl_loss_efficient(state2, corpus, config) <= before + 1e-9
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_loaded_state_is_refused_and_left_unchanged(self, rng, tmp_path, kind):
+        corpus = make_random_corpus(rng, 6, 4)
+        config = TrainConfig(kind=kind, d=2, omega0=0.1, lam=0.5, sweeps=1, seed=10)
+        save_model(train_sl_model(corpus, config)[0], tmp_path, corpus)
+        loaded = load_model(tmp_path)
+        before = loaded.copy()
+        refused = r"^block V of the state is read-only .*state\.copy\(\)"
+        with pytest.raises(ConfigError, match=refused):
+            train_sl_model(corpus, config, state=loaded)
+        with pytest.raises(ConfigError, match="read-only"):
+            SLTrainer(loaded, corpus, config).update_row("W", 0)
+        for block in ("W", "V", "U"):
+            x, y = getattr(loaded, block), getattr(before, block)
+            assert (x is None and y is None) or np.array_equal(x, y)
+        assert loaded.sweep_count == before.sweep_count
+        assert sl_loss_efficient(loaded, corpus, config) == \
+            sl_loss_efficient(loaded.copy(), corpus, config)
+        assert train_sl_model(corpus, config, state=loaded.copy())[0].sweep_count == 2
 
 
 # ---------------------------------------------------------------------------

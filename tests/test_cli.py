@@ -439,19 +439,26 @@ class TestModelCarriesObjective:
         final = float((model / "loss_trace.csv").read_text().splitlines()[-1].split(",")[1])
         assert audited == pytest.approx(final, rel=1e-9)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("lam", -1, "lambda must be finite and >= 0"),
+        ("lam", float("nan"), "lambda must be finite and >= 0"),  # Python's json reads NaN
+        ("lam", float("inf"), "lambda must be finite and >= 0"),
+        ("init_std", -1.0, "init_std must be finite and >= 0"),
+        ("init_std", float("nan"), "init_std must be finite and >= 0"),
+    ])
     @pytest.mark.parametrize("command", ["refresh", "loss-audit"])
     def test_stored_objective_out_of_range_exits_2_naming_meta_json(self, workspace, capsys,
-                                                                    command):
+                                                                    command, key, value, message):
         corpus = ingest(workspace)
         model = train(workspace, corpus)
-        _edit_model_meta(model, "objective", {"lam": -1})
+        _edit_model_meta(model, "objective", {key: value})
         capsys.readouterr()
         if command == "refresh":
             assert refresh(workspace, model, corpus) == 2
         else:
             assert main(["loss-audit", "--model", str(model), "--corpus", str(corpus)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"data error: {model}/meta.json: objective: lambda must be >= 0"]
+        assert err == [f"data error: {model}/meta.json: objective: {message}"]
 
     def test_meta_without_objective_still_loads(self, workspace, capsys):
         corpus = ingest(workspace)
@@ -471,15 +478,45 @@ class TestLossAudit:
         out = capsys.readouterr().out
         assert "bruteforce=" in out and "efficient=" in out and "rel_diff=" in out
 
-    def test_out_of_range_omega0_is_config_error(self, workspace, capsys):
+    @pytest.mark.parametrize("command, flag, key, value, message", [
+        ("loss-audit", "--omega0", "omega0", 2.0, "omega0 must be in (0, 1]"),
+        ("loss-audit", "--lambda", "lam", float("inf"), "lambda must be finite and >= 0"),
+        ("loss-audit", "--lambda", "lam", float("nan"), "lambda must be finite and >= 0"),
+        ("loss-audit", "--init-std", "init_std", -1.0, "init_std must be finite and >= 0"),
+        ("train", "--lambda", "lam", float("inf"), "lambda must be finite and >= 0"),
+        ("train", "--lambda", "lam", float("nan"), "lambda must be finite and >= 0"),
+        ("train", "--init-std", "init_std", float("nan"), "init_std must be finite and >= 0"),
+        ("train", "--init-std", "init_std", float("inf"), "init_std must be finite and >= 0"),
+        ("train", "--init-std", "init_std", -1.0, "init_std must be finite and >= 0"),
+        ("smc", "--learning-rate", "learning_rate", float("nan"),
+         "learning_rate must be finite and > 0"),
+        ("smc", "--learning-rate", "learning_rate", float("inf"),
+         "learning_rate must be finite and > 0"),
+        ("smc", "--learning-rate", "learning_rate", 0.0, "learning_rate must be finite and > 0"),
+        ("smc", "--init-std", "init_std", float("nan"), "init_std must be finite and >= 0"),
+        ("smc", "--init-std", "init_std", -1.0, "init_std must be finite and >= 0"),
+    ])
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_out_of_range_omega0_is_config_error(self, workspace, capsys, how, command, flag,
+                                                 key, value, message):
         corpus = ingest(workspace)
         model = train(workspace, corpus)
+        (workspace / "pairs.tsv").write_text("apple\ta\n")
+        argv = {"loss-audit": ["loss-audit", "--model", model, "--corpus", corpus],
+                "train": ["train", "--corpus", corpus, "--out", workspace / "m"],
+                "smc": ["train", "--corpus", corpus, "--out", workspace / "m", "--model", "smc",
+                        "--pairs", workspace / "pairs.tsv", "--dim", "4", "--steps", "2"]}[command]
+        if how == "flag":
+            argv += [flag, repr(value)]
+        else:
+            (workspace / "cfg.json").write_text(json.dumps({key: value}))
+            argv += ["--config", workspace / "cfg.json"]
         capsys.readouterr()
-        rc = main(["loss-audit", "--model", str(model), "--corpus", str(corpus),
-                   "--omega0", "2.0"])
-        assert rc == 1
-        assert capsys.readouterr().err.strip().splitlines()[-1] == \
-            "config error: omega0 must be in (0, 1]"
+        assert main([str(arg) for arg in argv]) == 1
+        *notices, last = capsys.readouterr().err.strip().splitlines()  # loss-audit notes overrides
+        assert last == f"config error: {message}"
+        assert all(line.startswith("notice: ") for line in notices), notices
+        assert not (workspace / "m").exists()
 
 
 NON_ASCII_ITEMS = """\

@@ -4,7 +4,7 @@ import pytest
 
 from tests.conftest import make_random_corpus
 from zsretrieval.corpus import CorrelationGraph, Rows
-from zsretrieval.errors import IngestError
+from zsretrieval.errors import ConfigError, IngestError
 from zsretrieval.evaluation import (
     LabeledSet,
     ensemble_recall_at_k,
@@ -267,3 +267,10 @@ class TestEnsembleRecall:
         pairs = [([], 0), ([1], 1)]
         rep = ensemble_recall_at_k(a, b, pairs, 2)
         assert rep.skipped == 1
+
+    @pytest.mark.parametrize("pairs", [[], [([], 0)], [([1], 1)]],
+                             ids=["no-query", "no-query-scored", "one-scored"])
+    def test_negative_head_refused_before_any_query_is_ranked(self, rng, pairs):
+        a = make_state(rng, 4, 2)
+        with pytest.raises(ConfigError, match="head_len must be >= 0"):
+            ensemble_recall_at_k(a, a, pairs, 2, head_len=-1)
