@@ -241,7 +241,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if comma is not None:
             raise IngestError(f"{args.items}: item id {comma!r} holds ',', which separates "
                               "ids in sequences.tsv")
-        sequences = read_sequences_tsv(args.sequences)
+        sequences = read_sequences_tsv(args.sequences, {t: i for i, t in enumerate(items)})
         corpus = ingest_corpus(items, sequences, cfg["min_item_count"],
                                cfg["min_word_count"], cfg["max_neighbors"],
                                cfg["window"], cfg["symmetrize"])

@@ -12,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -165,7 +166,7 @@ def words_to_indices(corpus: Corpus, tokens: Sequence[str], bigrams: bool = True
 
 
 def build_correlation_graph(
-    sequences: Iterable[Sequence[int]],
+    sequences: Rows,
     n_items: int,
     max_neighbors: int,
     window: int = 1,
@@ -173,18 +174,15 @@ def build_correlation_graph(
 ) -> CorrelationGraph:
     """Count (earlier, later) consumptions and keep top neighbors.
 
+    ``sequences`` holds one row of item indices per consumption sequence.
     Rows are ranked by co-occurrence count (ties broken by ascending item
     index) and truncated to ``max_neighbors``. Self-transitions are skipped.
     """
     if window < 1:
         raise ConfigError("window must be >= 1")
-    seqs = list(sequences)
-    lens = np.array([len(s) for s in seqs], dtype=np.int64)
-    flat = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64)
-    bad = flat[(flat < 0) | (flat >= n_items)]
-    if len(bad):
-        raise IngestError(f"item index out of range in sequence: {bad[0]}")
-    seq_id = np.repeat(np.arange(len(seqs)), lens)
+    flat = np.asarray(sequences.values, dtype=np.int64)
+    _check_indices(flat, n_items)
+    seq_id = sequences.row_ids()
     keys = []
     for w in range(1, window + 1):
         q, p = flat[:-w], flat[w:]
@@ -195,6 +193,12 @@ def build_correlation_graph(
         keys += [(k % n_items) * n_items + k // n_items for k in keys]
     keys, counts = np.unique(np.concatenate(keys), return_counts=True)
     return _select_neighbors(keys // n_items, keys % n_items, counts, n_items, max_neighbors)
+
+
+def _check_indices(values: np.ndarray, n_items: int) -> None:
+    bad = values[(values < 0) | (values >= n_items)]
+    if len(bad):
+        raise IngestError(f"item index out of range in sequence: {bad[0]}")
 
 
 def build_corpus(
@@ -316,9 +320,19 @@ def read_items_jsonl(path: str | Path) -> dict[str, list[str]]:
     return items
 
 
-def read_sequences_tsv(path: str | Path) -> list[tuple[str, list[str]]]:
-    """sequences.tsv: user_id TAB comma-separated ordered item ids."""
-    return [(user, [s for s in seq.split(",") if s]) for _, (user, seq) in read_tsv_rows(path, 2)]
+def read_sequences_tsv(path: str | Path, item_index: Mapping[str, int]) -> Rows:
+    """sequences.tsv: user_id TAB comma-separated ordered item ids, one row
+    of ``item_index`` values per non-empty line; the user id is not kept."""
+    values, lengths = array("q"), array("q")
+    for lineno, (_, seq) in read_tsv_rows(path, 2):
+        ids = [s for s in seq.split(",") if s]
+        try:
+            values.extend(map(item_index.__getitem__, ids))
+        except KeyError as exc:
+            raise IngestError(f"{path}:{lineno}: unknown item id {exc.args[0]!r}") from None
+        lengths.append(len(ids))
+    return Rows(np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+                np.frombuffer(values, dtype=np.int64))
 
 
 def read_graph_tsv(path: str | Path, corpus: Corpus, max_neighbors: int = 250) -> CorrelationGraph:
@@ -341,24 +355,29 @@ def read_graph_tsv(path: str | Path, corpus: Corpus, max_neighbors: int = 250) -
 
 def ingest_corpus(
     item_text: Mapping[str, Sequence[str]],
-    sequences: list[tuple[str, list[str]]],
+    sequences: Rows,
     min_item_count: int = 0,
     min_word_count: int = 0,
     max_neighbors: int = 250,
     window: int = 1,
     symmetrize: bool = False,
 ) -> Corpus:
-    """Full pipeline: thresholds, vocabulary, and sequence-derived graph."""
-    consumption: dict[str, int] = {}
-    for lineno, (_, seq) in enumerate(sequences, 1):
-        for item_id in seq:
-            if item_id not in item_text:
-                raise IngestError(f"sequences line {lineno}: unknown item id {item_id!r}")
-            consumption[item_id] = consumption.get(item_id, 0) + 1
-    corpus = build_corpus(item_text, min_item_count, min_word_count, consumption)
-    index = corpus.item_index
-    # Dropped items leave holes in the sequences; pairs spanning a hole are skipped.
-    mapped = [[index[i] for i in seq if i in index] for _, seq in sequences]
+    """Full pipeline: thresholds, vocabulary, and sequence-derived graph.
+
+    ``sequences`` holds rows of indices into ``item_text``'s order, as
+    ``read_sequences_tsv`` reads them.
+    """
+    _check_indices(sequences.values, len(item_text))
+    consumption = np.bincount(sequences.values, minlength=len(item_text))
+    corpus = build_corpus(item_text, min_item_count, min_word_count,
+                          dict(zip(item_text, consumption.tolist())))
+    # A dropped item is removed from its sequence, which joins its neighbors:
+    # in a,x,b with x dropped, a and b become adjacent.
+    remap = np.array([corpus.item_index.get(i, -1) for i in item_text], dtype=np.int64)
+    mapped = remap[sequences.values]
+    kept = mapped >= 0
+    indptr = np.concatenate(([0], np.cumsum(kept)))[sequences.indptr]
+    mapped = Rows(indptr, mapped[kept])
     corpus.graph = build_correlation_graph(mapped, corpus.n, max_neighbors, window, symmetrize)
     return corpus
 

@@ -38,8 +38,14 @@ class SMCConfig:
     init_std: float = 0.1
 
     def validate(self) -> None:
-        if self.d < 1 or self.negatives < 0 or self.batch_size < 1 or self.steps < 0:
-            raise ConfigError("invalid SMC configuration")
+        if self.d < 1:
+            raise ConfigError("embedding dimension d must be >= 1")
+        if self.negatives < 0:
+            raise ConfigError("negatives must be >= 0")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.steps < 0:
+            raise ConfigError("steps must be >= 0")
         if self.sampling not in SAMPLINGS:
             raise ConfigError(f"unknown sampling scheme {self.sampling!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):

@@ -153,6 +153,8 @@ def warm_start_extend(
     """
     if sub_seed is None:
         sub_seed = state.seed + 1
+    elif sub_seed < 0:
+        raise ConfigError("sub_seed must be >= 0")
     removed_items = [i for i in old_corpus.item_ids if i not in new_corpus.item_index]
     removed_words = [w for w in old_corpus.vocab if w not in new_corpus.vocab_index]
     if (removed_items or removed_words) and not prune:

@@ -133,3 +133,10 @@ def test_public_parameters_are_pinned():
     assert sorted(PARAMETERS) == callables
     for name in callables:
         assert _parameters(getattr(zsretrieval, name)) == PARAMETERS[name], name
+
+
+def test_sequences_are_rows_of_item_indices():
+    # Consumption sequences go from the file to the graph as one CSR block.
+    for fn in (zsretrieval.ingest_corpus, zsretrieval.build_correlation_graph):
+        assert inspect.signature(fn).parameters["sequences"].annotation == "Rows", fn
+    assert _parameters(zsretrieval.corpus.read_sequences_tsv) == ["path", "item_index"]

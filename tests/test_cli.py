@@ -123,6 +123,16 @@ class TestIngest:
         assert main([*argv, "--graph", str(workspace / "graph.tsv"),
                      "--out", str(workspace / "c2")]) == 0
 
+    def test_unknown_sequence_id_names_file_and_line(self, workspace, capsys):
+        seqs = workspace / "sequences.tsv"
+        seqs.write_text("u1\ta,b\n\n\nu2\ta,zzz\n")
+        rc = main(["ingest", "--items", str(workspace / "items.jsonl"), "--sequences", str(seqs),
+                   "--out", str(workspace / "corpus")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"data error: {seqs}:4: unknown item id 'zzz'"], err
+        assert not (workspace / "corpus").exists()
+
 
 class TestTrain:
     def test_writes_model_trace_manifest(self, workspace):
@@ -384,6 +394,21 @@ class TestRefresh:
             _, _, task1, task2, reg = row.split(",")[:5]
             assert task1 and task2 and reg  # loss components filled in
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_negative_sub_seed_is_config_error(self, workspace, capsys, how):
+        corpus = ingest(workspace)
+        model = train(workspace, corpus)
+        if how == "flag":
+            extra = ["--sub-seed", "-1"]
+        else:
+            (workspace / "cfg.json").write_text(json.dumps({"sub_seed": -1}))
+            extra = ["--config", str(workspace / "cfg.json")]
+        capsys.readouterr()
+        assert refresh(workspace, model, corpus, *extra) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "config error: sub_seed must be >= 0"]
+        assert not (workspace / "model2").exists()
+
 
 def grow(ws):
     """A corpus with one more item, for refresh."""
@@ -495,6 +520,10 @@ class TestLossAudit:
         ("smc", "--learning-rate", "learning_rate", 0.0, "learning_rate must be finite and > 0"),
         ("smc", "--init-std", "init_std", float("nan"), "init_std must be finite and >= 0"),
         ("smc", "--init-std", "init_std", -1.0, "init_std must be finite and >= 0"),
+        ("smc", "--steps", "steps", -1, "steps must be >= 0"),
+        ("smc", "--negatives", "negatives", -1, "negatives must be >= 0"),
+        ("smc", "--batch-size", "batch_size", 0, "batch_size must be >= 1"),
+        ("smc", "--dim", "dim", 0, "embedding dimension d must be >= 1"),
     ])
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_out_of_range_omega0_is_config_error(self, workspace, capsys, how, command, flag,
@@ -505,7 +534,10 @@ class TestLossAudit:
         argv = {"loss-audit": ["loss-audit", "--model", model, "--corpus", corpus],
                 "train": ["train", "--corpus", corpus, "--out", workspace / "m"],
                 "smc": ["train", "--corpus", corpus, "--out", workspace / "m", "--model", "smc",
-                        "--pairs", workspace / "pairs.tsv", "--dim", "4", "--steps", "2"]}[command]
+                        "--pairs", workspace / "pairs.tsv",
+                        # a flag beats --config, so the tested option is not also passed here
+                        *(arg for pair in (("--dim", "4"), ("--steps", "2")) if pair[0] != flag
+                          for arg in pair)]}[command]
         if how == "flag":
             argv += [flag, repr(value)]
         else:

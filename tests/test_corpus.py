@@ -1,5 +1,6 @@
 """Corpus construction: graph counting, thresholds, weights, persistence."""
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,48 +28,48 @@ from zsretrieval.errors import ConfigError, IngestError
 class TestCorrelationGraph:
     def test_single_sequence_adjacency(self):
         # [A,B,C] -> Ne(A)={B}, Ne(B)={C}, Ne(C)={}
-        g = build_correlation_graph([[0, 1, 2]], 3, 250)
+        g = build_correlation_graph(Rows.from_lists([[0, 1, 2]]), 3, 250)
         assert g.neighbors[0].tolist() == [1]
         assert g.neighbors[1].tolist() == [2]
         assert g.neighbors[2].tolist() == []
 
     def test_count_ranking_with_cap(self):
         # [A,B],[A,B],[A,C] cap 1 -> Ne(A)={B} (count 2 beats count 1)
-        g = build_correlation_graph([[0, 1], [0, 1], [0, 2]], 3, 1)
+        g = build_correlation_graph(Rows.from_lists([[0, 1], [0, 1], [0, 2]]), 3, 1)
         assert g.neighbors[0].tolist() == [1]
         assert g.counts[0].tolist() == [2]
 
     def test_count_tie_broken_by_ascending_index(self):
-        g = build_correlation_graph([[0, 2], [0, 1]], 3, 1)
+        g = build_correlation_graph(Rows.from_lists([[0, 2], [0, 1]]), 3, 1)
         assert g.neighbors[0].tolist() == [1]
 
     def test_self_transition_skipped(self):
-        g = build_correlation_graph([[0, 0, 1]], 2, 250)
+        g = build_correlation_graph(Rows.from_lists([[0, 0, 1]]), 2, 250)
         assert g.neighbors[0].tolist() == [1]
 
     def test_symmetrize_flag(self):
-        g = build_correlation_graph([[0, 1]], 2, 250, symmetrize=True)
+        g = build_correlation_graph(Rows.from_lists([[0, 1]]), 2, 250, symmetrize=True)
         assert g.neighbors[0].tolist() == [1]
         assert g.neighbors[1].tolist() == [0]
 
     def test_window_extension(self):
-        g = build_correlation_graph([[0, 1, 2]], 3, 250, window=2)
+        g = build_correlation_graph(Rows.from_lists([[0, 1, 2]]), 3, 250, window=2)
         assert g.neighbors[0].tolist() == [1, 2]
 
     def test_empty_sequences_empty_graph(self):
-        g = build_correlation_graph([], 3, 250)
+        g = build_correlation_graph(Rows.from_lists([]), 3, 250)
         assert g.nnz == 0
 
     def test_bad_cap_rejected(self):
         with pytest.raises(ConfigError):
-            build_correlation_graph([], 3, 0)
+            build_correlation_graph(Rows.from_lists([]), 3, 0)
 
     @pytest.mark.parametrize("symmetrize", [False, True])
     @pytest.mark.parametrize("window", [1, 2])
     def test_rows_never_exceed_cap_and_keep_max_counts(self, rng, window, symmetrize):
         sequences = [rng.integers(0, 12, size=20).tolist() for _ in range(30)]
         cap = 3
-        g = build_correlation_graph(sequences, 12, cap, window, symmetrize)
+        g = build_correlation_graph(Rows.from_lists(sequences), 12, cap, window, symmetrize)
         raw = {}
         for seq in sequences:
             for w in range(1, window + 1):
@@ -85,7 +86,7 @@ class TestCorrelationGraph:
             assert g.counts[i].tolist() == [raw[(i, int(j))] for j in g.neighbors[i]]
 
     def test_in_edges_is_transpose(self):
-        g = build_correlation_graph([[0, 1, 2], [0, 2]], 3, 250)
+        g = build_correlation_graph(Rows.from_lists([[0, 1, 2], [0, 2]]), 3, 250)
         ins, order = g.neighbors.transpose(g.n)
         for i, row in enumerate(g.neighbors):
             for j in row:
@@ -139,18 +140,18 @@ class TestTrainingWeights:
             assert abs(w.col.mean() - 1.0) < 1e-12
 
     def test_equal_nnz_gives_unit_weights(self):
-        g = build_correlation_graph([[0, 1], [1, 2], [2, 0]], 3, 250)
+        g = build_correlation_graph(Rows.from_lists([[0, 1], [1, 2], [2, 0]]), 3, 250)
         w = compute_training_weights(g)
         assert np.allclose(w.row, 1.0)
 
     def test_empty_row_gets_max_raw_weight(self):
         # rows: nnz [1,1,0]; raw [1,1,1] after the empty-row rule -> all 1.0
-        g = build_correlation_graph([[0, 1], [1, 0]], 3, 250)
+        g = build_correlation_graph(Rows.from_lists([[0, 1], [1, 0]]), 3, 250)
         w = compute_training_weights(g)
         assert np.allclose(w.row, 1.0)
 
     def test_zero_edge_graph_all_ones(self):
-        g = build_correlation_graph([], 4, 250)
+        g = build_correlation_graph(Rows.from_lists([]), 4, 250)
         w = compute_training_weights(g)
         assert np.allclose(w.row, 1.0) and np.allclose(w.col, 1.0)
 
@@ -162,14 +163,34 @@ class TestIngestion:
                          '{"id": "b", "words": ["y"]}\n')
         seqs = tmp_path / "seq.tsv"
         seqs.write_text("u1\ta,b\nu2\ta,b\n")
-        corpus = ingest_corpus(read_items_jsonl(items), read_sequences_tsv(seqs))
+        item_text = read_items_jsonl(items)
+        sequences = read_sequences_tsv(seqs, {"a": 0, "b": 1})
+        assert sequences.indptr.tolist() == [0, 2, 4]
+        assert sequences.values.tolist() == [0, 1, 0, 1]
+        corpus = ingest_corpus(item_text, sequences)
         assert corpus.n == 2
         assert corpus.graph.neighbors[corpus.item_index["a"]].tolist() == [
             corpus.item_index["b"]]
 
-    def test_unknown_item_in_sequences(self, tmp_path):
-        with pytest.raises(IngestError, match="unknown item id"):
-            ingest_corpus({"a": ["x"]}, [("u1", ["a", "zzz"])])
+    def test_reader_keeps_empty_rows_and_skips_blank_lines(self, tmp_path):
+        p = tmp_path / "seq.tsv"
+        p.write_text("u1\ta,,b\n\nu2\t\nu3\tb\n")
+        rows = read_sequences_tsv(p, {"a": 0, "b": 1})
+        assert [r.tolist() for r in rows] == [[0, 1], [], [1]]
+
+    def test_unknown_item_in_sequences_names_file_and_line(self, tmp_path):
+        p = tmp_path / "seq.tsv"
+        p.write_text("u1\ta,b\n\n\nu2\ta,zzz\n")
+        with pytest.raises(IngestError) as info:
+            read_sequences_tsv(p, {"a": 0, "b": 1})
+        assert str(info.value) == f"{p}:4: unknown item id 'zzz'"
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_item_index_out_of_range_is_refused(self, bad):
+        with pytest.raises(IngestError, match="item index out of range"):
+            ingest_corpus({"a": ["x"], "b": ["y"]}, Rows.from_lists([[0, bad]]))
+        with pytest.raises(IngestError, match="item index out of range"):
+            build_correlation_graph(Rows.from_lists([[0, bad]]), 2, 250)
 
     def test_malformed_jsonl_names_line(self, tmp_path):
         p = tmp_path / "items.jsonl"
@@ -193,16 +214,91 @@ class TestIngestion:
             read_graph_tsv(p, corpus)
 
     def test_min_item_count_uses_consumption(self):
-        corpus = ingest_corpus({"a": ["x"], "b": ["y"]},
-                               [("u", ["a", "b"]), ("u", ["a"])],
+        corpus = ingest_corpus({"a": ["x"], "b": ["y"]}, Rows.from_lists([[0, 1], [0]]),
                                min_item_count=2)
         assert corpus.item_ids == ["a"]
+
+    def test_dropped_item_joins_its_neighbors(self):
+        # a,x,b / a,b / a,b with x consumed once: x is dropped, and the a,b
+        # on either side of it count as one more a->b transition.
+        corpus = ingest_corpus({"a": ["p"], "x": ["q"], "b": ["r"]},
+                               Rows.from_lists([[0, 1, 2], [0, 2], [0, 2]]), min_item_count=2)
+        assert corpus.item_ids == ["a", "b"]
+        assert corpus.graph.neighbors[0].tolist() == [1]
+        assert corpus.graph.counts[0].tolist() == [3]
 
     def test_words_to_indices_drops_oov(self):
         corpus = build_corpus({"a": ["x", "y"]})
         idx = words_to_indices(corpus, ["x", "zzz", "y"])
         # x, y survive; bigrams x_zzz/zzz_y are OOV; x_y never co-occurred
         assert [corpus.vocab[k] for k in idx] == ["x", "y"]
+
+
+def reference_ingest(item_text, sequences, min_item_count, min_word_count, max_neighbors,
+                     window, symmetrize):
+    """The dict-and-list ingest the array path replaced, kept as its
+    reference: ``sequences`` are (user, [item id]) pairs, counted one
+    transition at a time."""
+    consumption = Counter(item_id for _, seq in sequences for item_id in seq)
+    corpus = build_corpus(item_text, min_item_count, min_word_count, consumption)
+    index = corpus.item_index
+    mapped = [[index[i] for i in seq if i in index] for _, seq in sequences]
+    raw = Counter()
+    for seq in mapped:
+        for w in range(1, window + 1):
+            for q, p in zip(seq, seq[w:]):
+                if q != p:
+                    raw[q, p] += 1
+                    if symmetrize:
+                        raw[p, q] += 1
+    rows = [[] for _ in range(corpus.n)]
+    for (q, p), c in raw.items():
+        rows[q].append((p, c))
+    rows = [sorted(sorted(row, key=lambda e: (-e[1], e[0]))[:max_neighbors]) for row in rows]
+    neighbors = Rows.from_lists([[p for p, _ in row] for row in rows])
+    counts = Rows(neighbors.indptr, np.array([c for row in rows for _, c in row], dtype=np.int64))
+    corpus.graph = CorrelationGraph(neighbors, counts, max_neighbors)
+    return corpus
+
+
+CORPUS_FILES = ("vocab.tsv", "items.tsv", "words.bin", "adjacency.bin", "corpus_meta.json")
+
+
+class TestArrayIngestMatchesReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_arrays_and_bytes(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 15))
+        item_text = {f"i{k}": [f"w{w}" for w in rng.integers(6, size=int(rng.integers(0, 5)))]
+                     for k in range(n)}
+        ids = list(item_text)
+        lines = []
+        for u in range(int(rng.integers(0, 12))):
+            # empty, one-item and longer sequences over a few items, so ids repeat
+            length = int(rng.choice([0, 1, int(rng.integers(2, 12))]))
+            seq = rng.integers(int(rng.integers(1, n + 1)), size=length)
+            lines.append(f"u{u}\t{','.join(ids[i] for i in seq)}\n")
+            if rng.random() < 0.2:
+                lines.append("\n")
+        path = tmp_path / "sequences.tsv"
+        path.write_text("".join(lines))
+        text_rows = [line.rstrip("\n").split("\t") for line in lines if line != "\n"]
+        reference_seqs = [(user, [s for s in seq.split(",") if s]) for user, seq in text_rows]
+        args = (int(rng.integers(0, 4)), int(rng.integers(0, 3)),
+                int(rng.choice([1, 2, 3, 250])), int(rng.integers(1, 4)), bool(rng.random() < 0.5))
+
+        got = ingest_corpus(item_text, read_sequences_tsv(path, {t: i for i, t in enumerate(ids)}),
+                            *args)
+        want = reference_ingest(item_text, reference_seqs, *args)
+        assert (got.item_ids, got.vocab, got.stats) == (want.item_ids, want.vocab, want.stats)
+        for a, b in ((got.word_lists, want.word_lists), (got.graph.neighbors, want.graph.neighbors),
+                     (got.graph.counts, want.graph.counts)):
+            assert a.indptr.tolist() == b.indptr.tolist()
+            assert a.values.tolist() == b.values.tolist()
+        save_corpus(got, tmp_path / "got")
+        save_corpus(want, tmp_path / "want")
+        for name in CORPUS_FILES:
+            assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
 
 
 class TestCorpusPersistence:
@@ -266,8 +362,10 @@ class TestUnicodeRoundTrip:
             f"{user}\t{','.join(seq)}\n" for user, seq in sequences), encoding="utf-8")
 
         assert read_items_jsonl(tmp_path / "items.jsonl") == items
-        assert read_sequences_tsv(tmp_path / "sequences.tsv") == sequences
-        corpus = ingest_corpus(items, sequences, max_neighbors=3, window=2)
+        index = {item_id: i for i, item_id in enumerate(ids)}
+        rows = read_sequences_tsv(tmp_path / "sequences.tsv", index)
+        assert [r.tolist() for r in rows] == [[index[i] for i in seq] for _, seq in sequences]
+        corpus = ingest_corpus(items, rows, max_neighbors=3, window=2)
         save_corpus(corpus, tmp_path / "corpus")
         back = load_corpus(tmp_path / "corpus")
         assert back.item_ids == ids

@@ -1,9 +1,11 @@
-"""Seeded mutation fuzzing of every corpus and model artifact under the CLI.
+"""Seeded mutation fuzzing of the ingest inputs and of every corpus and model
+artifact under the CLI.
 
-Each case damages one file of a persisted corpus or model (a bit flip, a
-truncation, a duplicated run of bytes or a run of zeroed bytes) and runs one
-command that reads it. The command must exit 0, 1, 2 or 3 with at most one
-line on stderr and no traceback; damage to a binary block never exits 0.
+Each case damages one file (a bit flip, a truncation, a duplicated run of
+bytes or a run of zeroed bytes; an ingest input may instead get a text edit)
+and runs one command that reads it. The command must exit 0, 1, 2 or 3 with
+at most one line on stderr and no traceback; damage to a binary block never
+exits 0.
 """
 import warnings
 
@@ -14,6 +16,7 @@ from tests.test_cli import ITEMS, SEQUENCES
 from zsretrieval.cli import main
 
 MUTATIONS = 400
+INPUT_MUTATIONS = 100
 SEED = 20201
 
 
@@ -30,6 +33,50 @@ def _mutate(data: bytes, rng: np.random.Generator) -> bytes:
     if kind == 2:  # duplicate a run
         return data[:j] + data[i:j] + data[j:]
     return data[:i] + bytes(j - i) + data[j:]  # zero a run
+
+
+# Text edits that keep an ingest input decodable but break its rules.
+TEXT_EDITS = ("\n", "\t", ",", ",,", "zzz", '"', "{", "}", "[", "]", ":", "\\", "\u00e9",
+              '"id"', '"words"', "null", "1")
+
+
+def _edit(data: bytes, rng: np.random.Generator) -> bytes:
+    i = int(rng.integers(len(data) + 1))
+    j = int(rng.integers(i, min(len(data), i + 4) + 1))
+    return data[:i] + TEXT_EDITS[int(rng.integers(len(TEXT_EDITS)))].encode() + data[j:]
+
+
+def _run(argv, capsys, label):
+    """Exit code and stderr lines (and warnings) of one command."""
+    capsys.readouterr()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+    except Exception as exc:  # the command line would print a traceback
+        pytest.fail(f"{label}: {type(exc).__name__}: {exc}")
+    err = capsys.readouterr().err.strip().splitlines() + [str(w.message) for w in caught]
+    assert rc in (0, 1, 2, 3), label
+    assert len(err) <= 1, f"{label}: {err}"
+    return rc
+
+
+def test_mutated_ingest_inputs_never_crash(tmp_path, capsys):
+    rng = np.random.default_rng(SEED + 1)
+    inputs = {"items.jsonl": ITEMS.encode(), "sequences.tsv": SEQUENCES.encode()}
+    exits = {}
+    for case in range(INPUT_MUTATIONS):
+        name = sorted(inputs)[case % 2]
+        damage = _mutate if rng.random() < 0.5 else _edit
+        for file, data in inputs.items():
+            (tmp_path / file).write_bytes(damage(data, rng) if file == name else data)
+        argv = ["ingest", "--items", str(tmp_path / "items.jsonl"),
+                "--sequences", str(tmp_path / "sequences.tsv"), "--out", str(tmp_path / "out")]
+        if case % 3 == 1:  # drop rarely consumed items and widen the window
+            argv += ["--min-item-count", "3", "--window", "2", "--symmetrize"]
+        rc = _run(argv, capsys, f"case {case}: ingest with {name} {damage.__name__}")
+        exits[rc] = exits.get(rc, 0) + 1
+    assert exits.get(0, 0) > 0 and exits.get(2, 0) > 0, exits
 
 
 @pytest.fixture(scope="module")
@@ -78,19 +125,11 @@ def test_mutated_artifacts_never_crash(artifacts, capsys):
         original = path.read_bytes()
         damaged = _mutate(original, rng)
         path.write_bytes(damaged)
-        capsys.readouterr()
         label = f"case {case}: {command} with {path.parent.name}/{path.name} damaged"
         try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                rc = main(commands[command])
-        except Exception as exc:  # the command line would print a traceback
-            pytest.fail(f"{label}: {type(exc).__name__}: {exc}")
+            rc = _run(commands[command], capsys, label)
         finally:
             path.write_bytes(original)
-        err = capsys.readouterr().err.strip().splitlines() + [str(w.message) for w in caught]
-        assert rc in (0, 1, 2, 3), label
-        assert len(err) <= 1, f"{label}: {err}"
         if path.suffix == ".bin" and damaged != original:
             assert rc != 0, label
         exits[rc] = exits.get(rc, 0) + 1
