@@ -26,7 +26,9 @@ import numpy as np
 
 from . import __version__, binio
 from .corpus import (
+    INGEST_MINIMUMS,
     Corpus,
+    check_ingest_options,
     ingest_corpus,
     load_corpus,
     open_text,
@@ -226,6 +228,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     defaults = {"min_word_count": 0, "min_item_count": 0, "max_neighbors": 250,
                 "window": 1, "symmetrize": False}
     cfg = _resolve(args, defaults)
+    check_ingest_options(**{key: cfg[key] for key in INGEST_MINIMUMS})
     if args.sequences and args.graph:
         raise ConfigError("--sequences and --graph each give the graph; pass one of them")
     unused = [key for key in ("min_item_count", "window", "symmetrize")
@@ -247,7 +250,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                                cfg["window"], cfg["symmetrize"])
         inputs["sequences"] = args.sequences
     else:
-        corpus = _build_corpus(items, 0, cfg["min_word_count"])
+        corpus = _build_corpus(items, cfg["min_word_count"])
         if args.graph:
             corpus.graph = read_graph_tsv(args.graph, corpus, cfg["max_neighbors"])
             inputs["graph"] = args.graph

@@ -27,6 +27,16 @@ from .errors import ConfigError, IngestError
 ADJ_MAGIC = b"ZSRADJ\x00\x01"
 WORDS_MAGIC = b"ZSRWRD\x00\x01"
 
+# The least value of each ingest option.
+INGEST_MINIMUMS = {"min_item_count": 0, "min_word_count": 0, "max_neighbors": 1, "window": 1}
+
+
+def check_ingest_options(**options: int) -> None:
+    """Refuse an ingest option below its least value, naming the field."""
+    for key, value in options.items():
+        if value < INGEST_MINIMUMS[key]:
+            raise ConfigError(f"{key} must be >= {INGEST_MINIMUMS[key]}")
+
 
 @dataclass(eq=False)
 class Rows:
@@ -66,6 +76,16 @@ class Rows:
     def row_ids(self) -> np.ndarray:
         """The row index of every entry, parallel to ``values``."""
         return np.repeat(np.arange(len(self)), self.lengths())
+
+    def take(self, ids: np.ndarray) -> tuple["Rows", np.ndarray]:
+        """Rows ``ids``, in that order, and the positions their entries were
+        read from: a parallel array follows as ``a[at]``."""
+        starts = self.indptr[ids]
+        lens = self.indptr[ids + 1] - starts
+        ptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(lens, out=ptr[1:])
+        at = np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], lens)
+        return Rows(ptr, self.values[at]), at
 
     def transpose(self, n_cols: int) -> tuple["Rows", np.ndarray]:
         """Rows of the transpose (row ``j`` lists, ascending, the rows holding
@@ -140,8 +160,6 @@ def _select_neighbors(src: np.ndarray, dst: np.ndarray, counts: np.ndarray,
                       n_items: int, max_neighbors: int) -> CorrelationGraph:
     """The neighbor policy for distinct (src, dst) edges: rank each row by
     (count desc, index asc), cut to ``max_neighbors``, store by index asc."""
-    if max_neighbors < 1:
-        raise ConfigError("max_neighbors must be >= 1")
     order = np.lexsort((dst, -counts, src))
     src, dst, counts = src[order], dst[order], counts[order]
     rank = np.arange(len(src)) - np.searchsorted(src, src)  # place within its row
@@ -178,8 +196,7 @@ def build_correlation_graph(
     Rows are ranked by co-occurrence count (ties broken by ascending item
     index) and truncated to ``max_neighbors``. Self-transitions are skipped.
     """
-    if window < 1:
-        raise ConfigError("window must be >= 1")
+    check_ingest_options(max_neighbors=max_neighbors, window=window)
     flat = np.asarray(sequences.values, dtype=np.int64)
     _check_indices(flat, n_items)
     seq_id = sequences.row_ids()
@@ -201,28 +218,15 @@ def _check_indices(values: np.ndarray, n_items: int) -> None:
         raise IngestError(f"item index out of range in sequence: {bad[0]}")
 
 
-def build_corpus(
-    item_text: Mapping[str, Sequence[str]],
-    min_item_count: int = 0,
-    min_word_count: int = 0,
-    consumption_counts: Mapping[str, int] | None = None,
-) -> Corpus:
+def build_corpus(item_text: Mapping[str, Sequence[str]], min_word_count: int = 0) -> Corpus:
     """Build vocabulary and per-item word lists; the graph starts empty.
 
     ``min_word_count`` thresholds on the number of distinct items a word
-    occurs in. ``min_item_count`` thresholds on consumption counts and
-    requires ``consumption_counts``; without counts it is ignored.
+    occurs in. Every item is kept; ``ingest_corpus`` drops rarely consumed
+    ones before it builds.
     """
-    if min_item_count < 0 or min_word_count < 0:
-        raise ConfigError("thresholds must be >= 0")
-    kept_ids = []
-    for item_id in item_text:
-        if min_item_count > 0 and consumption_counts is not None:
-            if consumption_counts.get(item_id, 0) < min_item_count:
-                continue
-        kept_ids.append(item_id)
-
-    per_item_words = [tokens_with_bigrams(item_text[item_id]) for item_id in kept_ids]
+    check_ingest_options(min_word_count=min_word_count)
+    per_item_words = [tokens_with_bigrams(words) for words in item_text.values()]
     doc_freq = Counter(w for words in per_item_words for w in set(words))
     # vocabulary in order of first occurrence
     vocab = [w for w in dict.fromkeys(itertools.chain.from_iterable(per_item_words))
@@ -231,8 +235,8 @@ def build_corpus(
     word_lists = Rows.from_lists([[vocab_index[w] for w in words if w in vocab_index]
                                   for words in per_item_words])
     n_empty = int(np.sum(word_lists.lengths() == 0))
-    stats = {"items_with_empty_text": n_empty, "dropped_items": len(item_text) - len(kept_ids)}
-    return Corpus(kept_ids, vocab, word_lists, empty_graph(len(kept_ids)), stats)
+    stats = {"items_with_empty_text": n_empty, "dropped_items": 0}  # set by ingest_corpus
+    return Corpus(list(item_text), vocab, word_lists, empty_graph(len(item_text)), stats)
 
 
 def compute_training_weights(graph: CorrelationGraph) -> TrainingWeights:
@@ -337,6 +341,7 @@ def read_sequences_tsv(path: str | Path, item_index: Mapping[str, int]) -> Rows:
 
 def read_graph_tsv(path: str | Path, corpus: Corpus, max_neighbors: int = 250) -> CorrelationGraph:
     """graph.tsv direct ingest: seed_id TAB neighbor_id TAB count."""
+    check_ingest_options(max_neighbors=max_neighbors)
     edges: list[tuple[int, int, int]] = []
     for lineno, (seed_id, nbr_id, count_s) in read_tsv_rows(path, 3):
         for item_id in (seed_id, nbr_id):
@@ -367,13 +372,17 @@ def ingest_corpus(
     ``sequences`` holds rows of indices into ``item_text``'s order, as
     ``read_sequences_tsv`` reads them.
     """
+    check_ingest_options(min_item_count=min_item_count, min_word_count=min_word_count,
+                         max_neighbors=max_neighbors, window=window)
     _check_indices(sequences.values, len(item_text))
-    consumption = np.bincount(sequences.values, minlength=len(item_text))
-    corpus = build_corpus(item_text, min_item_count, min_word_count,
-                          dict(zip(item_text, consumption.tolist())))
+    keep = np.bincount(sequences.values, minlength=len(item_text)) >= min_item_count
+    corpus = build_corpus({item_id: item_text[item_id]
+                           for item_id, kept in zip(item_text, keep.tolist()) if kept},
+                          min_word_count)
+    corpus.stats["dropped_items"] = len(item_text) - corpus.n
     # A dropped item is removed from its sequence, which joins its neighbors:
     # in a,x,b with x dropped, a and b become adjacent.
-    remap = np.array([corpus.item_index.get(i, -1) for i in item_text], dtype=np.int64)
+    remap = np.where(keep, np.cumsum(keep) - 1, -1)
     mapped = remap[sequences.values]
     kept = mapped >= 0
     indptr = np.concatenate(([0], np.cumsum(kept)))[sequences.indptr]

@@ -167,12 +167,8 @@ def _gather(take: np.ndarray, csr: Rows, *per_entry: np.ndarray) -> tuple[np.nda
     """The entries of rows ``take`` of ``csr``, row after row: their values,
     the same entries of each ``per_entry`` array, and the offsets of each
     row's run in that list."""
-    starts = csr.indptr[take]
-    lens = csr.indptr[take + 1] - starts
-    ptr = np.zeros(len(take) + 1, dtype=np.int64)
-    np.cumsum(lens, out=ptr[1:])
-    at = np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], lens)
-    return (csr.values[at], *(x[at] for x in per_entry), ptr)
+    rows, at = csr.take(take)
+    return (rows.values, *(x[at] for x in per_entry), rows.indptr)
 
 
 def _owners(rows: np.ndarray, ptr: np.ndarray) -> np.ndarray:

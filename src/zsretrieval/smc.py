@@ -1,10 +1,13 @@
 """Supervised multiclass baseline: BOW queries, sampled softmax, SGD.
 
 Trains word and item embeddings on (query, item) pairs. Negatives are drawn
-uniformly per example, excluding the target, which is always placed in the
-candidate set; with the full candidate set the batch gradient equals the
-exact-softmax gradient. ``ce_loss_exact`` is the desk-scale full-softmax
-evaluator used as the training oracle and for diagnostics on any model.
+per example, uniformly or log-uniformly, excluding the target, which is
+always placed in the candidate set; with the full candidate set the batch
+gradient equals the exact-softmax gradient. A step works on the batch as one
+block: one ``encode_rows`` of its queries, one batched product for the
+logits and one scatter into the touched rows of each of W and V.
+``ce_loss_exact`` is the desk-scale full-softmax evaluator used as the
+training oracle and for diagnostics on any model.
 """
 from __future__ import annotations
 
@@ -60,47 +63,44 @@ def _log_uniform_probs(n: int) -> np.ndarray:
     return np.log((k + 2) / (k + 1)) / math.log(n + 1)
 
 
+def _scatter(rows: np.ndarray, grads: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct ``rows``, ascending; the sum of each one's ``grads``
+    rows in entry order, times ``scale``)."""
+    touched, at = np.unique(rows, return_inverse=True)
+    G = np.zeros((len(touched), grads.shape[1]))
+    np.add.at(G, at, grads)
+    return touched, G * scale
+
+
 def batch_gradients(
     W: np.ndarray,
     V: np.ndarray,
-    queries: list[np.ndarray],
-    targets: np.ndarray,
-    candidates: list[np.ndarray],
-    log_q: list[np.ndarray],
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray], float]:
-    """Mean sampled-softmax CE gradient for one batch.
+    queries: Rows,
+    candidates: np.ndarray,
+    log_q: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Mean sampled-softmax CE gradient for one batch of B queries.
 
-    ``candidates[b]`` lists the classes for example b with the target first;
-    ``log_q[b]`` holds the sampling-correction terms subtracted from logits.
-    Returns sparse row gradients for W and V plus the mean batch loss.
+    Each query row holds at least one word. Row b of the (B, c)
+    ``candidates`` lists the classes for query b with the target first; row b
+    of ``log_q`` holds the sampling-correction terms subtracted from its
+    logits. Returns the touched W rows and their gradients, the touched V
+    rows and their gradients, and the mean batch loss.
     """
-    gW: dict[int, np.ndarray] = {}
-    gV: dict[int, np.ndarray] = {}
-    bsz = len(queries)
-    loss = 0.0
-    for b in range(bsz):
-        widx = queries[b]
-        q = W[widx].mean(axis=0)
-        cand = candidates[b]
-        logits = V[cand] @ q - log_q[b]
-        logits -= logits.max()
-        p = np.exp(logits)
-        p /= p.sum()
-        loss += -math.log(max(p[0], 1e-300))
-        dlogit = p.copy()
-        dlogit[0] -= 1.0
-        dq = dlogit @ V[cand]
-        for c, g in zip(cand, dlogit[:, None] * q[None, :]):
-            c = int(c)
-            gV[c] = gV.get(c, 0.0) + g
-        gw = dq / len(widx)
-        for w in widx:
-            w = int(w)
-            gW[w] = gW.get(w, 0.0) + gw
-    scale = 1.0 / bsz
-    return ({k: v * scale for k, v in gW.items()},
-            {k: v * scale for k, v in gV.items()},
-            loss * scale)
+    _, Q = encode_rows(queries, W)
+    Vc = V[candidates]
+    logits = (Vc @ Q[:, :, None])[:, :, 0] - log_q
+    logits -= logits.max(axis=1, keepdims=True)
+    p = np.exp(logits)
+    p /= p.sum(axis=1, keepdims=True)
+    scale = 1.0 / len(Q)
+    loss = float(-np.log(np.maximum(p[:, 0], 1e-300)).sum()) * scale
+    p[:, 0] -= 1.0  # d loss / d logit
+    dQ = (p[:, None, :] @ Vc)[:, 0] / queries.lengths()[:, None]
+    w_rows, gW = _scatter(queries.values, dQ[queries.row_ids()], scale)
+    dV = p[:, :, None] * Q[:, None, :]
+    v_rows, gV = _scatter(candidates.ravel(), dV.reshape(-1, dV.shape[2]), scale)
+    return w_rows, gW, v_rows, gV, loss
 
 
 def sample_candidates(
@@ -110,22 +110,26 @@ def sample_candidates(
     negatives: int,
     sampling: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate classes (target first) and their logit corrections."""
+    """Candidate classes (target first) and their logit corrections.
+
+    The ``min(negatives, n_items - 1)`` negatives are drawn without
+    replacement as ranks among the items other than the target, each rank
+    then stepped past the target. With no negative to draw, ``rng`` is not
+    used.
+    """
     s = min(negatives, n_items - 1)
-    others = np.concatenate([np.arange(target), np.arange(target + 1, n_items)])
-    if sampling == "uniform":
-        neg = rng.choice(others, size=s, replace=False)
-        # Uniform without replacement: identical correction everywhere, so it
-        # cancels in the softmax; kept explicit for symmetry with log-uniform.
-        logq = np.full(s + 1, math.log(max(s, 1) / (n_items - 1)) if s else 0.0)
-    else:
-        probs = _log_uniform_probs(n_items)[others]
-        probs = probs / probs.sum()
-        neg = rng.choice(others, size=s, replace=False, p=probs)
+    p = None
+    if sampling == "log_uniform":
         full = _log_uniform_probs(n_items)
-        logq = np.log(np.concatenate([[full[target]], full[neg]]))
-    cand = np.concatenate([[target], neg]).astype(np.int64)
-    return cand, logq
+        p = np.delete(full, target)
+        p /= p.sum()
+    k = rng.choice(n_items - 1, size=s, replace=False, p=p) if s else np.zeros(0, np.int64)
+    cand = np.concatenate(([target], k + (k >= target))).astype(np.int64)
+    if p is not None:
+        return cand, np.log(full[cand])
+    # Uniform without replacement: identical correction everywhere, so it
+    # cancels in the softmax; kept explicit for symmetry with log-uniform.
+    return cand, np.full(s + 1, math.log(s / (n_items - 1)) if s else 0.0)
 
 
 def train_smc(pairs: QueryItemPairs, corpus: Corpus, config: SMCConfig) -> ModelState:
@@ -152,21 +156,15 @@ def train_smc(pairs: QueryItemPairs, corpus: Corpus, config: SMCConfig) -> Model
             cursor = 0
         take = order[cursor:cursor + config.batch_size]
         cursor += config.batch_size
-        bq = [queries[i] for i in take]
-        bt = targets[take]
-        cands, logqs = [], []
-        for t in bt:
-            cand, logq = sample_candidates(rng, corpus.n, int(t), config.negatives,
-                                           config.sampling)
-            cands.append(cand)
-            logqs.append(logq)
-        gW, gV, loss = batch_gradients(W, V, bq, bt, cands, logqs)
+        # one draw per example, in batch order: the stream fixes the candidates
+        cands, logqs = zip(*(sample_candidates(rng, corpus.n, t, config.negatives, config.sampling)
+                             for t in targets[take].tolist()))
+        w_rows, gW, v_rows, gV, loss = batch_gradients(W, V, queries.take(take)[0],
+                                                       np.stack(cands), np.stack(logqs))
         if not math.isfinite(loss):
             raise NumericError(f"training diverged at step {step}")
-        for w, g in gW.items():
-            W[w] -= config.learning_rate * g
-        for c, g in gV.items():
-            V[c] -= config.learning_rate * g
+        W[w_rows] -= config.learning_rate * gW
+        V[v_rows] -= config.learning_rate * gV
     return ModelState(SMC, config.d, W.astype(np.float32), V.astype(np.float32),
                       None, config.seed, config.steps, score_mode="dot")
 

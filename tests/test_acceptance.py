@@ -395,13 +395,9 @@ def test_criterion_10_smc_sanity(capsys, rng):
     V = rng.standard_normal((n, d))
     queries = [np.array([0, 2]), np.array([1]), np.array([3, 4])]
     targets = np.array([2, 6, 0])
-    cands = []
-    logqs = []
-    for t in targets:
-        others = np.array([j for j in range(n) if j != t])
-        cands.append(np.concatenate([[t], others]))
-        logqs.append(np.zeros(n))
-    gW, gV, _ = batch_gradients(W, V, queries, targets, cands, logqs)
+    cands = np.array([[t] + [j for j in range(n) if j != t] for t in targets])
+    w_rows, gW, v_rows, gV, _ = batch_gradients(W, V, Rows.from_lists(queries), cands,
+                                                np.zeros(cands.shape))
 
     eW = np.zeros_like(W)
     eV = np.zeros_like(V)
@@ -418,9 +414,8 @@ def test_criterion_10_smc_sanity(capsys, rng):
             eW[w] += dq / len(widx)
     eW /= len(queries)
     eV /= len(queries)
-    grad_err = max(
-        max(float(np.max(np.abs(g - eW[w]))) for w, g in gW.items()),
-        max(float(np.max(np.abs(g - eV[c]))) for c, g in gV.items()))
+    grad_err = max(float(np.max(np.abs(gW - eW[w_rows]))),
+                   float(np.max(np.abs(gV - eV[v_rows]))))
 
     uniform = ModelState(SMC, d, np.zeros((m, d), dtype=np.float32),
                          np.zeros((n, d), dtype=np.float32), None, seed=0)

@@ -75,9 +75,7 @@ PARAMETERS = {
         "task1_encoded=False",
     ],
     "TrainingWeights": ["row", "col"],
-    "build_corpus": [
-        "item_text", "min_item_count=0", "min_word_count=0", "consumption_counts=None",
-    ],
+    "build_corpus": ["item_text", "min_word_count=0"],
     "build_correlation_graph": [
         "sequences", "n_items", "max_neighbors", "window=1", "symmetrize=False",
     ],

@@ -133,6 +133,29 @@ class TestIngest:
         assert err == [f"data error: {seqs}:4: unknown item id 'zzz'"], err
         assert not (workspace / "corpus").exists()
 
+    # An option out of range is refused before any input is read, so it wins
+    # over the unknown id in sequences.tsv; the message names the field.
+    @pytest.mark.parametrize("by_config", [False, True])
+    @pytest.mark.parametrize("flag, key, value, message", [
+        ("--window", "window", 0, "window must be >= 1"),
+        ("--max-neighbors", "max_neighbors", 0, "max_neighbors must be >= 1"),
+        ("--min-word-count", "min_word_count", -1, "min_word_count must be >= 0"),
+        ("--min-item-count", "min_item_count", -1, "min_item_count must be >= 0"),
+    ])
+    def test_out_of_range_option_is_config_error(self, workspace, capsys, by_config,
+                                                 flag, key, value, message):
+        (workspace / "sequences.tsv").write_text("u1\ta,zzz\n")
+        argv = ["ingest", "--items", str(workspace / "items.jsonl"),
+                "--sequences", str(workspace / "sequences.tsv"), "--out", str(workspace / "corpus")]
+        if by_config:
+            (workspace / "cfg.json").write_text(json.dumps({key: value}))
+            argv += ["--config", str(workspace / "cfg.json")]
+        else:
+            argv += [flag, str(value)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
+        assert not (workspace / "corpus").exists()
+
 
 class TestTrain:
     def test_writes_model_trace_manifest(self, workspace):
@@ -193,6 +216,20 @@ class TestTrain:
                    "--learning-rate", "0.1"])
         assert rc == 0
         assert (workspace / "smc" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("sampling", ["uniform", "log_uniform"])
+    def test_smc_on_one_item_corpus(self, workspace, capsys, sampling):
+        # No negative can be drawn: both samplings train and exit 0.
+        (workspace / "items.jsonl").write_text('{"id": "a", "words": ["red", "apple"]}\n')
+        rc = main(["ingest", "--items", str(workspace / "items.jsonl"),
+                   "--out", str(workspace / "corpus")])
+        assert rc == 0
+        (workspace / "pairs.tsv").write_text("apple\ta\nred apple\ta\n")
+        rc = main(["train", "--corpus", str(workspace / "corpus"), "--out", str(workspace / "smc"),
+                   "--model", "smc", "--pairs", str(workspace / "pairs.tsv"), "--dim", "4",
+                   "--steps", "5", "--sampling", sampling])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestRetrieve:

@@ -95,6 +95,33 @@ class TestCorrelationGraph:
         assert g.neighbors.values[order].tolist() == ins.row_ids().tolist()
 
 
+class TestOptionRanges:
+    # Each entry point refuses an option below its least value, naming the
+    # field, before it reads anything: here sequences with an index out of
+    # range and a graph file that does not exist.
+    BAD_SEQUENCES = Rows.from_lists([[0, 9]])
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("min_item_count", -1, "min_item_count must be >= 0"),
+        ("min_word_count", -1, "min_word_count must be >= 0"),
+        ("max_neighbors", 0, "max_neighbors must be >= 1"),
+        ("window", 0, "window must be >= 1"),
+    ])
+    def test_ingest_corpus(self, key, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ingest_corpus({"a": ["x"]}, self.BAD_SEQUENCES, **{key: value})
+
+    def test_other_entry_points(self, tmp_path):
+        with pytest.raises(ConfigError, match="^min_word_count must be >= 0$"):
+            build_corpus({"a": ["x"]}, min_word_count=-1)
+        with pytest.raises(ConfigError, match="^window must be >= 1$"):
+            build_correlation_graph(self.BAD_SEQUENCES, 1, 250, window=0)
+        with pytest.raises(ConfigError, match="^max_neighbors must be >= 1$"):
+            build_correlation_graph(self.BAD_SEQUENCES, 1, 0)
+        with pytest.raises(ConfigError, match="^max_neighbors must be >= 1$"):
+            read_graph_tsv(tmp_path / "missing.tsv", build_corpus({"a": ["x"]}), 0)
+
+
 class TestBuildCorpus:
     def test_bigram_vocabulary(self):
         c = build_corpus({"x": ["fun", "prank"]})
@@ -240,7 +267,10 @@ def reference_ingest(item_text, sequences, min_item_count, min_word_count, max_n
     reference: ``sequences`` are (user, [item id]) pairs, counted one
     transition at a time."""
     consumption = Counter(item_id for _, seq in sequences for item_id in seq)
-    corpus = build_corpus(item_text, min_item_count, min_word_count, consumption)
+    kept = {item_id: words for item_id, words in item_text.items()
+            if min_item_count == 0 or consumption[item_id] >= min_item_count}
+    corpus = build_corpus(kept, min_word_count)
+    corpus.stats["dropped_items"] = len(item_text) - len(kept)
     index = corpus.item_index
     mapped = [[index[i] for i in seq if i in index] for _, seq in sequences]
     raw = Counter()

@@ -1,11 +1,11 @@
-"""Seeded mutation fuzzing of the ingest inputs and of every corpus and model
-artifact under the CLI.
+"""Seeded mutation fuzzing of the ingest inputs, the smc training pairs and
+every corpus and model artifact under the CLI.
 
 Each case damages one file (a bit flip, a truncation, a duplicated run of
-bytes or a run of zeroed bytes; an ingest input may instead get a text edit)
+bytes or a run of zeroed bytes; a text input may instead get a text edit)
 and runs one command that reads it. The command must exit 0, 1, 2 or 3 with
 at most one line on stderr and no traceback; damage to a binary block never
-exits 0.
+exits 0. The smc runs also sweep the sampling options over their edges.
 """
 import warnings
 
@@ -76,6 +76,39 @@ def test_mutated_ingest_inputs_never_crash(tmp_path, capsys):
             argv += ["--min-item-count", "3", "--window", "2", "--symmetrize"]
         rc = _run(argv, capsys, f"case {case}: ingest with {name} {damage.__name__}")
         exits[rc] = exits.get(rc, 0) + 1
+    assert exits.get(0, 0) > 0 and exits.get(2, 0) > 0, exits
+
+
+def test_smc_options_and_mutated_pairs_never_crash(tmp_path, capsys):
+    # One-item and four-item corpora; negatives 0, 1, n - 1 and n + 5; a
+    # batch of one and one larger than the pair count; intact and damaged
+    # pairs.tsv files.
+    rng = np.random.default_rng(SEED + 2)
+    one_item = '{"id": "a", "words": ["red", "apple"]}\n'
+    cases = [(one_item, "red apple\ta\napple\ta\n"),
+             (ITEMS, "red apple\ta\nfire\tc\napple pie\tb\nfast engine\td\nred\tc\n")]
+    exits = {}
+    for k, (items, pairs) in enumerate(cases):
+        (tmp_path / "items.jsonl").write_text(items)
+        corpus = str(tmp_path / f"corpus{k}")
+        assert main(["ingest", "--items", str(tmp_path / "items.jsonl"), "--out", corpus]) == 0
+        n, n_pairs = items.count("\n"), pairs.count("\n")
+        for sampling in ("uniform", "log_uniform"):
+            for negatives in (0, 1, n - 1, n + 5):
+                for batch in (1, n_pairs + 3):
+                    for damage in (None, _mutate, _edit):
+                        data = pairs.encode() if damage is None else damage(pairs.encode(), rng)
+                        (tmp_path / "pairs.tsv").write_bytes(data)
+                        label = (f"smc n={n} {sampling} negatives={negatives} batch={batch} "
+                                 f"pairs {damage.__name__ if damage else 'intact'}")
+                        rc = _run(["train", "--corpus", corpus, "--out", str(tmp_path / "smc"),
+                                   "--model", "smc", "--pairs", str(tmp_path / "pairs.tsv"),
+                                   "--dim", "3", "--steps", "4", "--sampling", sampling,
+                                   "--negatives", str(negatives), "--batch-size", str(batch)],
+                                  capsys, label)
+                        if damage is None:
+                            assert rc == 0, label
+                        exits[rc] = exits.get(rc, 0) + 1
     assert exits.get(0, 0) > 0 and exits.get(2, 0) > 0, exits
 
 
