@@ -184,19 +184,21 @@ def _limit_threads(threads: int | None):
 
 
 def _read_pairs_tsv(path: str | Path,
-                    corpus: Corpus) -> tuple[list[tuple[list[int], int]], list[int]]:
+                    corpus: Corpus) -> tuple[list[tuple[list[int], int]], list[int], list[int]]:
     """pairs.tsv: query text TAB item_id; queries tokenized like build_corpus.
 
-    Returns the (word indices, item) pairs and each query's token count.
+    Returns the (word indices, item) pairs, each query's token count and
+    each pair's line number.
     """
-    pairs, token_counts = [], []
+    pairs, token_counts, linenos = [], [], []
     for lineno, (text, item_id) in read_tsv_rows(path, 2):
         if item_id not in corpus.item_index:
             raise IngestError(f"{path}:{lineno}: unknown item id {item_id!r}")
         tokens = text.split()
         pairs.append((words_to_indices(corpus, tokens), corpus.item_index[item_id]))
         token_counts.append(len(tokens))
-    return pairs, token_counts
+        linenos.append(lineno)
+    return pairs, token_counts, linenos
 
 
 def _read_labeled_sets(path: str | Path, corpus: Corpus) -> dict[str, LabeledSet]:
@@ -313,8 +315,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     if cfg["model"] == SMC:
         if not args.pairs:
             raise ConfigError("--pairs is required for the smc model")
-        pairs, _ = _read_pairs_tsv(args.pairs, corpus)
-        state = train_smc(pairs, corpus, _build(SMCConfig, cfg))
+        config = _build(SMCConfig, cfg)
+        config.validate()
+        pairs, _, linenos = _read_pairs_tsv(args.pairs, corpus)
+        if not pairs:
+            raise IngestError(f"{args.pairs}: no training pairs")
+        for lineno, (words, _) in zip(linenos, pairs):
+            if not words:
+                raise IngestError(f"{args.pairs}:{lineno}: query has no in-vocabulary words")
+        state = train_smc(pairs, corpus, config)
         trace: list[dict] = []
         inputs = {"corpus": args.corpus, "pairs": args.pairs}
     else:
@@ -335,9 +344,18 @@ def _split_lines(fh: Iterable[str]) -> Iterator[str]:
         yield from line.splitlines()
 
 
+def _check_ranking_options(cfg: dict) -> None:
+    """Refuse a k below 1, or a head below 0, before any input is read."""
+    if cfg["k"] < 1:
+        raise ConfigError("k must be >= 1")
+    if cfg.get("head") is not None and cfg["head"] < 0:
+        raise ConfigError("head must be >= 0")
+
+
 def cmd_retrieve(args: argparse.Namespace) -> int:
     defaults = {"k": 100, "score": None, "bigrams": True}
     cfg = _resolve(args, defaults)
+    _check_ranking_options(cfg)
     corpus = load_corpus(args.corpus)
     state = _load_model(args.model, corpus, args.corpus)
     mode = cfg["score"] or state.score_mode
@@ -390,6 +408,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     defaults = {"metric": "reconstruction", "k": 10, "score": None,
                 "by_length": False}
     cfg = _resolve(args, defaults)
+    _check_ranking_options(cfg)
     corpus = load_corpus(args.corpus)
     state = _load_model(args.model, corpus, args.corpus)
     mode = cfg["score"] or state.score_mode
@@ -414,9 +433,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not args.pairs:
             raise ConfigError("--pairs is required for the recall metric")
         inputs["pairs"] = args.pairs
-        pairs, token_counts = _read_pairs_tsv(args.pairs, corpus)
+        pairs, token_counts, _ = _read_pairs_tsv(args.pairs, corpus)
         rep = recall_at_k(state, pairs, cfg["k"], mode,
-                          by_length=cfg["by_length"], unigram_lens=token_counts)
+                          token_counts if cfg["by_length"] else None)
         report.update(k=cfg["k"], mean_recall=rep.mean,
                       scored=len(rep.per_query), skipped=rep.skipped, **rep.extra)
     else:
@@ -432,10 +451,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_ensemble_eval(args: argparse.Namespace) -> int:
     defaults = {"k": 100, "head": None}
     cfg = _resolve(args, defaults)
+    _check_ranking_options(cfg)
     corpus = load_corpus(args.corpus)
     primary = _load_model(args.primary, corpus, args.corpus)
     secondary = _load_model(args.secondary, corpus, args.corpus)
-    pairs, _ = _read_pairs_tsv(args.pairs, corpus)
+    pairs, _, _ = _read_pairs_tsv(args.pairs, corpus)
     k = cfg["k"]
     head = k // 2 if cfg["head"] is None else cfg["head"]
     rep_e = ensemble_recall_at_k(primary, secondary, pairs, k, head)

@@ -10,7 +10,7 @@ from .errors import ConfigError
 from .retrieval import RankedList, ensemble_interleave, search
 from .store import ModelState
 
-LENGTH_BUCKETS = (1, 2, 3, 4)  # plus a 5+ bucket
+MAX_LENGTH_BUCKET = 4  # longer queries share one "5+" bucket
 
 
 @dataclass
@@ -40,28 +40,23 @@ class RecallReport:
         return cls(values, mean, skipped, extra or {})
 
 
-def reconstruction_recall(
-    state: ModelState,
-    graph: CorrelationGraph,
-    mode: str = "cosine",
-    exclude_seed: bool = True,
-) -> RecallReport:
+def reconstruction_recall(state: ModelState, graph: CorrelationGraph,
+                          mode: str = "cosine") -> RecallReport:
     """For each item with neighbors, retrieve top-k_i items by score with its
     own vector and measure the fraction of true neighbors recovered.
 
     Each item is a one-word query over V, ranked by ``search``. The seed is
-    excluded (unless ``exclude_seed`` is False) by ranking one extra item
-    and dropping it. Items without neighbors, and zero-norm items under
-    cosine, are skipped.
+    excluded by ranking one extra item and dropping it. Items without
+    neighbors, and zero-norm items under cosine, are skipped.
     """
     lens = graph.neighbors.lengths()
     seeds = np.flatnonzero(lens > 0)
-    results = search([[i] for i in seeds], state.V, state.V, lens[seeds] + int(exclude_seed), mode)
+    results = search([[i] for i in seeds], state.V, state.V, lens[seeds] + 1, mode)
     recalls = []
     for i, ranked in zip(seeds.tolist(), results):
         if isinstance(ranked, RankedList):
             true = graph.neighbors[i]
-            pred = [j for j in ranked.items.tolist() if not (exclude_seed and j == i)]
+            pred = [j for j in ranked.items.tolist() if j != i]
             recalls.append(len(set(pred[:len(true)]) & set(true.tolist())) / len(true))
     return RecallReport.of(recalls, graph.n - len(recalls))
 
@@ -79,11 +74,6 @@ def pooled_recall(state: ModelState, labeled: LabeledSet, mode: str = "cosine") 
     return RecallReport.of(recalls, len(results) - len(recalls))
 
 
-def _length_bucket(words: list[int], unigram_len: int | None = None) -> str:
-    n = unigram_len if unigram_len is not None else len(words)
-    return str(n) if n <= LENGTH_BUCKETS[-1] else f"{LENGTH_BUCKETS[-1] + 1}+"
-
-
 def _hits(pairs: list[tuple[list[int], int]], results: list, K: int) -> dict[int, float]:
     """Pair index -> 1.0 when its target is among the first K items ranked for
     it, else 0.0; a pair whose result is a skip reason is left out."""
@@ -97,22 +87,23 @@ def recall_at_k(
     pairs: list[tuple[list[int], int]],
     K: int,
     mode: str = "dot",
-    by_length: bool = False,
-    unigram_lens: list[int] | None = None,
+    lengths: list[int] | None = None,
 ) -> RecallReport:
     """Fraction of pairs whose target appears in the query's top-K.
 
-    ``by_length`` adds a split by query length: ``unigram_lens[i]`` words
-    for pair i when given (the query's token count, as the CLI passes it),
-    else the number of word indices, which counts bigrams too.
+    ``lengths``, one per pair (the query's token count, as the CLI passes
+    it), adds a split by query length under ``extra["by_length"]``.
     """
+    if lengths is not None and len(lengths) != len(pairs):
+        raise ConfigError(f"{len(lengths)} lengths for {len(pairs)} pairs")
     hits = _hits(pairs, search([words for words, _ in pairs], state.W, state.V, K, mode), K)
     extra = {}
-    if by_length:
+    if lengths is not None:
         bucket_hits: dict[str, list[float]] = {}
         for idx, hit in hits.items():
-            ul = unigram_lens[idx] if unigram_lens is not None else None
-            bucket_hits.setdefault(_length_bucket(pairs[idx][0], ul), []).append(hit)
+            n = lengths[idx]
+            bucket = str(n) if n <= MAX_LENGTH_BUCKET else f"{MAX_LENGTH_BUCKET + 1}+"
+            bucket_hits.setdefault(bucket, []).append(hit)
         extra["by_length"] = {b: float(np.mean(v)) for b, v in sorted(bucket_hits.items())}
     return RecallReport.of(list(hits.values()), len(pairs) - len(hits), extra)
 

@@ -23,7 +23,10 @@ class RankedList:
     scores: np.ndarray
     k: int
     score_mode: str
-    short: bool = False  # fewer than k candidates were available
+
+    @property
+    def short(self) -> bool:  # fewer than k candidates were available
+        return len(self.items) < self.k
 
     def __len__(self) -> int:
         return len(self.items)
@@ -89,13 +92,11 @@ def _prepare(V: np.ndarray, mode: str) -> _Prepared:
     return prepared
 
 
-def _rank(Q: np.ndarray, ks: np.ndarray, V: np.ndarray, mode: str,
-          exclude: set[int] | None = None) -> list[RankedList | str]:
+def _rank(Q: np.ndarray, ks: np.ndarray, V: np.ndarray, mode: str) -> list[RankedList | str]:
     """Rank the items of V for each query row of Q, or say why the row cannot
     be scored: no items, or a zero norm under cosine. The scored rows are
     taken BLOCK_ROWS at a time against V's prepared form. Under cosine scores
-    are divided by both norms; zero-norm and ``exclude``d items score -inf
-    (not candidates)."""
+    are divided by both norms; zero-norm items score -inf (not candidates)."""
     if mode not in ("dot", "cosine"):
         raise ScoreError(f"unknown score mode {mode!r}")
     if V.shape[0] == 0:
@@ -114,30 +115,20 @@ def _rank(Q: np.ndarray, ks: np.ndarray, V: np.ndarray, mode: str,
                 S[lo:lo + _SCALE_ROWS] /= np.outer(q_norms[block[lo:lo + _SCALE_ROWS]],
                                                   prep.divisor)
             S[:, prep.dead] = -np.inf
-        if exclude:
-            S[:, np.fromiter(exclude, dtype=np.int64)] = -np.inf
         for i, row, items, k in zip(block, S, _topk(S, ks[block]), ks[block].tolist()):
-            out[i] = RankedList(items, row[items], k, mode, short=len(items) < k)
+            out[i] = RankedList(items, row[items], k, mode)
         del S, row  # free this block (row is a view of it) before the next one is scored
     return out
 
 
-def retrieve_topk(
-    q: np.ndarray,
-    V: np.ndarray,
-    k: int,
-    mode: str = "dot",
-    exclude: set[int] | None = None,
-) -> RankedList:
-    """Full-scan top-k by score, ties broken by ascending item index.
-
-    Excluded items are never returned; zero-norm rows are skipped under
-    cosine. When fewer than k candidates remain, all are returned and the
-    result is flagged short. Raises ScoreError when the query cannot be scored.
-    """
+def retrieve_topk(q: np.ndarray, V: np.ndarray, k: int, mode: str = "dot") -> RankedList:
+    """Full-scan top-k by score, ties broken by ascending item index. Zero-norm
+    rows are skipped under cosine; with fewer than k candidates, all are
+    returned and the result is short. Raises ScoreError when the query cannot
+    be scored."""
     if k < 1:
         raise ConfigError("k must be >= 1")
-    ranked = _rank(np.asarray(q, dtype=np.float64)[None, :], [k], V, mode, exclude)[0]
+    ranked = _rank(np.asarray(q, dtype=np.float64)[None, :], [k], V, mode)[0]
     if isinstance(ranked, str):
         raise ScoreError(ranked)
     return ranked
@@ -195,4 +186,4 @@ def ensemble_interleave(primary: RankedList, secondary: RankedList,
             break
     return RankedList(np.array(list(out), dtype=np.int64),
                       np.array(list(out.values()), dtype=np.float64),
-                      k=len(out), score_mode=primary.score_mode, short=False)
+                      k=len(out), score_mode=primary.score_mode)

@@ -169,18 +169,18 @@ def train_smc(pairs: QueryItemPairs, corpus: Corpus, config: SMCConfig) -> Model
                       None, config.seed, config.steps, score_mode="dot")
 
 
-def _mean_full_ce(state: ModelState, pairs: list, encode, max_items: int) -> float:
-    """Mean over ``(context, target)`` pairs of the full-softmax cross-entropy
-    -log Pr(target | x) with logits ``V @ x``, where ``encode(contexts)``
-    gives each pair's x."""
+def ce_loss_exact(state: ModelState, pairs: QueryItemPairs,
+                  max_items: int = CE_MAX_ITEMS) -> float:
+    """Mean over pairs of the full-softmax cross-entropy -log Pr(target | query)
+    with logits ``V @ encode_bow(query)``. Desk scale only."""
     if state.n > max_items:
         raise SizeGuardError(f"{state.n} items exceeds the exact-CE guard ({max_items})")
     if not pairs:
         raise ConfigError("no pairs to score")
     V = state.V.astype(np.float64)
     total = 0.0
-    for x, (_, t) in zip(encode([context for context, _ in pairs]), pairs):
-        logits = V @ x
+    for words, t in pairs:
+        logits = V @ encode_bow(words, state.W)
         z = np.delete(logits, t) - logits[t]
         if not len(z):  # a one-item model predicts its only item with certainty
             continue
@@ -188,33 +188,3 @@ def _mean_full_ce(state: ModelState, pairs: list, encode, max_items: int) -> flo
         s = float(np.exp(z - zm).sum())
         total += float(np.logaddexp(0.0, zm + math.log(s)))
     return total / len(pairs)
-
-
-def ce_loss_exact(state: ModelState, pairs: QueryItemPairs,
-                  max_items: int = CE_MAX_ITEMS) -> float:
-    """Mean full-softmax cross-entropy of each pair's target. Desk scale only."""
-    return _mean_full_ce(state, pairs,
-                         lambda queries: [encode_bow(words, state.W) for words in queries],
-                         max_items)
-
-
-def ce_loss_exact_context(state: ModelState, item_pairs: list[tuple[int, int]],
-                          corpus: Corpus | None = None,
-                          max_items: int = CE_MAX_ITEMS) -> float:
-    """Full-softmax CE of Pr(target | context item) for diagnostic use.
-
-    Context vectors come from the free U block when present, otherwise from
-    the BOW encoding of the context item's text (requires ``corpus``).
-    """
-    if state.U is None and corpus is None:
-        raise ConfigError("corpus required to encode context items for this model")
-
-    def encode(items: list[int]) -> np.ndarray:
-        if state.U is not None:
-            return state.U.astype(np.float64)[items]
-        empty = [j for j in items if not len(corpus.word_lists[j])]
-        if empty:
-            raise ConfigError(f"context item {empty[0]} has no text to encode")
-        return encode_rows(Rows.from_lists([corpus.word_lists[j] for j in items]), state.W)[1]
-
-    return _mean_full_ce(state, item_pairs, encode, max_items)

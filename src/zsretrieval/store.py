@@ -187,8 +187,8 @@ def warm_start_extend(
 # Persistence
 
 
-def save_model(state: ModelState, directory: str | Path, corpus: Corpus | None = None) -> None:
-    """Write meta.json and the binary blocks; with a corpus, its id digest."""
+def save_model(state: ModelState, directory: str | Path, corpus: Corpus) -> None:
+    """Write meta.json, with the id digest of the model's corpus, and the binary blocks."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -200,11 +200,10 @@ def save_model(state: ModelState, directory: str | Path, corpus: Corpus | None =
         "seed": state.seed,
         "sweep_count": state.sweep_count,
         "score_mode": state.score_mode,
+        "ids_sha256": corpus.id_digest(),
     }
     if state.objective is not None:
         meta["objective"] = state.objective
-    if corpus is not None:
-        meta["ids_sha256"] = corpus.id_digest()
     binio.atomic_write_bytes(directory / "meta.json",
                              json.dumps(meta, indent=2, sort_keys=True).encode())
     binio.write_matrix(directory / "W.bin", _BLOCK_MAGIC["W"], state.W)

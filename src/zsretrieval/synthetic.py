@@ -9,7 +9,6 @@ held-out pairs are exactly those cross-cluster (query, item) relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ class ClusterSpec:
     background_words: int = 2  # per-cluster background vocabulary size
     background_repeats: int = 1  # background draws appended to each item
     text_repeats: int = 2  # topic word multiplicity per item
-    within_cluster_edges: bool = True  # same-topic edges inside a cluster too
     max_neighbors: int = 250
 
     def validate(self) -> None:
@@ -35,17 +33,9 @@ class ClusterSpec:
 
 
 def make_synthetic_transfer_corpus(
-    seed: int,
-    n_items: int,
-    spec: ClusterSpec,
-    extra_text: Mapping[str, Sequence[str]] | None = None,
+    seed: int, n_items: int, spec: ClusterSpec
 ) -> tuple[Corpus, list[tuple[list[int], int]]]:
-    """Build the corpus and the held-out cross-cluster (query, item) pairs.
-
-    ``extra_text`` appends tokens to named items before validation; it exists
-    so callers can extend item text, and a spec that co-locates both members
-    of a synonym pair in one item is rejected.
-    """
+    """Build the corpus and the held-out cross-cluster (query, item) pairs."""
     spec.validate()
     rng = np.random.default_rng(seed)
     topics = spec.n_clusters * spec.n_pairs
@@ -77,33 +67,11 @@ def make_synthetic_transfer_corpus(
                 members.append(idx)
             topic_items[(c, p)] = members
 
-    if extra_text:
-        by_id = {iid: k for k, iid in enumerate(item_ids)}
-        for iid, extra in extra_text.items():
-            if iid not in by_id:
-                raise IngestError(f"extra_text names unknown item {iid!r}")
-            texts[by_id[iid]].extend(extra)
-            for w in extra:
-                if w not in vocab_index:
-                    vocab_index[w] = len(vocab)
-                    vocab.append(w)
-
-    for words in texts:
-        present = set(words)
-        for pair in pair_words:
-            if sum(1 for w in pair if w in present) > 1:
-                raise IngestError(
-                    f"paired words {pair} co-located in one item's text; "
-                    "cross-cluster relevance would leak through text")
-
     word_lists = Rows.from_lists([[vocab_index[w] for w in words] for words in texts])
 
     rows: list[list[int]] = [[] for _ in item_ids]
     for (c, p), members in topic_items.items():
-        partners = sorted(
-            j for c2 in range(spec.n_clusters)
-            if c2 != c or spec.within_cluster_edges
-            for j in topic_items[(c2, p)])
+        partners = sorted(j for c2 in range(spec.n_clusters) for j in topic_items[(c2, p)])
         for i in members:
             rows[i] = [j for j in partners if j != i][:spec.max_neighbors]
     neighbors = Rows.from_lists(rows)

@@ -53,7 +53,7 @@ PUBLIC = [
 PARAMETERS = {
     "ClusterSpec": [
         "n_pairs=2", "n_clusters=2", "background_words=2", "background_repeats=1",
-        "text_repeats=2", "within_cluster_edges=True", "max_neighbors=250",
+        "text_repeats=2", "max_neighbors=250",
     ],
     "Corpus": ["item_ids", "vocab", "word_lists", "graph", "stats=<factory>"],
     "CorrelationGraph": ["neighbors", "counts", "max_neighbors"],
@@ -62,7 +62,7 @@ PARAMETERS = {
         "kind", "d", "W", "V", "U", "seed", "sweep_count=0", "score_mode='cosine'",
         "objective=None", "ids_sha256=None",
     ],
-    "RankedList": ["items", "scores", "k", "score_mode", "short=False"],
+    "RankedList": ["items", "scores", "k", "score_mode"],
     "Rows": ["indptr", "values"],
     "SLTrainer": ["state", "corpus", "config"],
     "SMCConfig": [
@@ -91,14 +91,14 @@ PARAMETERS = {
     "init_model_state": ["config", "corpus"],
     "load_corpus": ["directory"],
     "load_model": ["directory"],
-    "make_synthetic_transfer_corpus": ["seed", "n_items", "spec", "extra_text=None"],
+    "make_synthetic_transfer_corpus": ["seed", "n_items", "spec"],
     "pooled_recall": ["state", "labeled", "mode='cosine'"],
-    "recall_at_k": ["state", "pairs", "K", "mode='dot'", "by_length=False", "unigram_lens=None"],
-    "reconstruction_recall": ["state", "graph", "mode='cosine'", "exclude_seed=True"],
+    "recall_at_k": ["state", "pairs", "K", "mode='dot'", "lengths=None"],
+    "reconstruction_recall": ["state", "graph", "mode='cosine'"],
     "rescale_item_norms": ["target", "source"],
-    "retrieve_topk": ["q", "V", "k", "mode='dot'", "exclude=None"],
+    "retrieve_topk": ["q", "V", "k", "mode='dot'"],
     "save_corpus": ["corpus", "directory"],
-    "save_model": ["state", "directory", "corpus=None"],
+    "save_model": ["state", "directory", "corpus"],
     "search": ["queries", "W", "V", "k", "mode='dot'"],
     "sl_loss_bruteforce": ["state", "corpus", "config", "max_terms=50000"],
     "sl_loss_efficient": ["state", "corpus", "config", "parts=None"],

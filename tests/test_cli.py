@@ -231,6 +231,26 @@ class TestTrain:
         assert rc == 0
         assert capsys.readouterr().err == ""
 
+    # Bad pairs are bad data: exit 2, one line naming the file (and the line).
+    @pytest.mark.parametrize("text, lineno", [
+        ("zzz\ta\n", 1),
+        ("apple\ta\n\nzzz qqq\tb\n", 3),
+        ("", None),
+        ("\n\n", None),
+    ])
+    def test_smc_bad_pairs_are_data_errors(self, workspace, capsys, text, lineno):
+        corpus = ingest(workspace)
+        pairs = workspace / "pairs.tsv"
+        pairs.write_text(text)
+        capsys.readouterr()
+        rc = main(["train", "--corpus", str(corpus), "--out", str(workspace / "smc"),
+                   "--model", "smc", "--pairs", str(pairs), "--dim", "4", "--steps", "5"])
+        assert rc == 2
+        want = (f"{pairs}:{lineno}: query has no in-vocabulary words" if lineno
+                else f"{pairs}: no training pairs")
+        assert capsys.readouterr().err.strip().splitlines() == [f"data error: {want}"]
+        assert not (workspace / "smc").exists()
+
 
 class TestRetrieve:
     def test_results_format(self, workspace, capsys):
@@ -406,6 +426,46 @@ class TestEnsembleEval:
             alone = json.loads((workspace / name / "report.json").read_text())
             assert (report["recall"][name], report["skipped"][name]) == (
                 alone["mean_recall"], alone["skipped"])
+
+
+# A k below 1, or an ensemble head below 0, is refused before any input is
+# read: case -> (argv, key, value, text of in.txt or None). The corpus and
+# model are "corpus" and "model" in the working directory.
+RANKING_CASES = {
+    "retrieve-k0-no-queries": (["retrieve", "--queries", "in.txt"], "k", 0, ""),
+    "retrieve-k-3-no-queries": (["retrieve", "--queries", "in.txt"], "k", -3, ""),
+    "retrieve-k0-one-query": (["retrieve", "--queries", "in.txt"], "k", 0, "apple\n"),
+    "eval-recall-k0-no-pairs": (["eval", "--metric", "recall", "--pairs", "in.txt"], "k", 0, ""),
+    "eval-reconstruction-k-7": (["eval", "--metric", "reconstruction"], "k", -7, None),
+    "ensemble-eval-k0-no-pairs": (["ensemble-eval", "--pairs", "in.txt"], "k", 0, ""),
+    "ensemble-eval-head-1": (["ensemble-eval", "--pairs", "in.txt"], "head", -1, "apple\ta\n"),
+}
+
+
+@pytest.mark.parametrize("inputs", ["given", "absent"])
+@pytest.mark.parametrize("by_config", [False, True])
+@pytest.mark.parametrize("case", sorted(RANKING_CASES))
+def test_bad_k_or_head_exits_1_before_reading_input(workspace, capsys, monkeypatch,
+                                                     case, by_config, inputs):
+    argv, key, value, text = RANKING_CASES[case]
+    models = (["--primary", "model", "--secondary", "model"] if argv[0] == "ensemble-eval"
+              else ["--model", "model"])
+    argv = [*argv, *models, "--corpus", "corpus", "--out", "out"]
+    monkeypatch.chdir(workspace)
+    if inputs == "given":  # absent inputs would exit 2 if they were read
+        train(workspace, ingest(workspace))
+        if text is not None:
+            Path("in.txt").write_text(text)
+    if by_config:
+        Path("cfg.json").write_text(json.dumps({key: value}))
+        argv += ["--config", "cfg.json"]
+    else:
+        argv += [f"--{key}", str(value)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    message = "k must be >= 1" if key == "k" else "head must be >= 0"
+    assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
+    assert not Path("out").exists()
 
 
 class TestRefresh:

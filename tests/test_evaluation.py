@@ -97,14 +97,13 @@ class TestReconstructionRecall:
                 assert rep.per_query == expect
                 assert rep.mean == (float(np.mean(expect)) if expect else 0.0)
 
-    def test_seed_inclusion_flag(self):
-        # self-loop neighbor: recall only reachable when the seed is scored
+    def test_seed_is_excluded(self):
+        # self-loop neighbor: recall only reachable if the seed were scored
         V = np.array([[1, 0], [0, 1]], dtype=np.float32)
         graph = CorrelationGraph(Rows.from_lists([[0], []]),
                                  Rows.from_lists([[1], []]), 5)
         state = ModelState(ZSL_TE, 2, np.zeros((1, 2), dtype=np.float32), V, None, 0)
-        assert reconstruction_recall(state, graph, exclude_seed=True).mean == 0.0
-        assert reconstruction_recall(state, graph, exclude_seed=False).mean == 1.0
+        assert reconstruction_recall(state, graph).mean == 0.0
 
 
 class TestPooledRecall:
@@ -183,11 +182,19 @@ class TestRecallAtK:
     def test_by_length_buckets(self, rng):
         state = make_state(rng, 6, 6)
         pairs = [([0], 0), ([1, 2], 1), ([0, 1, 2, 3, 4], 2)]
-        rep = recall_at_k(state, pairs, 6, "dot", by_length=True)
+        assert "by_length" not in recall_at_k(state, pairs, 6, "dot").extra
+        rep = recall_at_k(state, pairs, 6, "dot", [1, 2, 7])
         assert set(rep.extra["by_length"]) == {"1", "2", "5+"}
-        rep2 = recall_at_k(state, pairs, 6, "dot", by_length=True,
-                           unigram_lens=[1, 2, 3])
+        rep2 = recall_at_k(state, pairs, 6, "dot", lengths=[1, 2, 3])
         assert set(rep2.extra["by_length"]) == {"1", "2", "3"}
+        assert rep2.per_query == rep.per_query
+
+    def test_lengths_must_match_pairs(self, rng):
+        state = make_state(rng, 6, 6)
+        pairs = [([0], 0), ([1, 2], 1)]
+        for lengths in ([1], [1, 2, 3], []):
+            with pytest.raises(ConfigError, match="lengths for 2 pairs"):
+                recall_at_k(state, pairs, 6, "dot", lengths)
 
     def test_matches_naive_oracle(self, rng):
         for trial in range(26):
@@ -239,11 +246,20 @@ class TestSyntheticCorpus:
             cluster = qword.split("_")[1]
             assert f"_{cluster}_" not in corpus.item_ids[target]
 
-    def test_colocated_pair_rejected(self):
-        with pytest.raises(IngestError, match="co-located"):
-            make_synthetic_transfer_corpus(
-                5, 24, ClusterSpec(n_pairs=2),
-                extra_text={"item_c0_p0_0": ["syn0_c1"]})
+    def test_no_item_holds_both_members_of_a_synonym_pair(self, rng):
+        for _ in range(40):
+            spec = ClusterSpec(n_pairs=int(rng.integers(1, 5)),
+                               n_clusters=int(rng.integers(2, 5)),
+                               background_words=int(rng.integers(0, 4)),
+                               background_repeats=int(rng.integers(0, 3)),
+                               text_repeats=int(rng.integers(1, 4)))
+            n_items = spec.n_pairs * spec.n_clusters * int(rng.integers(1, 6))
+            corpus, _ = make_synthetic_transfer_corpus(int(rng.integers(1000)), n_items, spec)
+            for words in corpus.word_lists:
+                held = {corpus.vocab[w] for w in words.tolist()
+                        if corpus.vocab[w].startswith("syn")}
+                # syn<p>_c<c>: one member of pair p per cluster c
+                assert len({w.split("_")[0] for w in held}) == len(held), held
 
     def test_bad_spec_rejected(self):
         with pytest.raises(IngestError):

@@ -30,11 +30,9 @@ def small_ints(rng, shape):
     return rng.integers(-2, 3, size=shape).astype(np.float32)
 
 
-def sort_all_oracle(q, V, mode, exclude=()):
+def sort_all_oracle(q, V, mode):
     scored = []
     for i in range(len(V)):
-        if i in exclude:
-            continue
         v = V[i].astype(np.float64)
         if mode == "cosine":
             nv = np.linalg.norm(v)
@@ -55,16 +53,12 @@ class TestRetrieveTopK:
         assert out.items.tolist() == [0, 2]
         assert out.scores.tolist() == pytest.approx([0.9, 0.9])
 
-    def test_exclusion_removes_best(self):
-        V = np.array([[0.9], [0.1], [0.5]], dtype=np.float32)
-        out = retrieve_topk(np.array([1.0]), V, 2, "dot", exclude={0})
-        assert out.items.tolist() == [2, 1]
-
     def test_short_flag_when_k_exceeds_candidates(self):
         V = np.array([[1.0], [2.0]], dtype=np.float32)
-        out = retrieve_topk(np.array([1.0]), V, 5, "dot", exclude={1})
-        assert out.items.tolist() == [0]
-        assert out.short
+        out = retrieve_topk(np.array([1.0]), V, 5, "dot")
+        assert out.items.tolist() == [1, 0]
+        assert out.short and out.k == 5
+        assert not retrieve_topk(np.array([1.0]), V, 2, "dot").short
 
     def test_zero_norm_rows_skipped_under_cosine(self):
         V = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.float32)
@@ -94,10 +88,9 @@ class TestRetrieveTopK:
                 V = small_ints(rng, (n, d))
                 q = small_ints(rng, d).astype(np.float64)
                 q[0] = q[0] or 1.0  # keep the query scorable under cosine
-            exclude = set(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist())
             k = int(rng.integers(1, n + 3))  # may exceed the candidates
-            out = retrieve_topk(q, V, k, mode, exclude)
-            expect = sort_all_oracle(q, V, mode, exclude)
+            out = retrieve_topk(q, V, k, mode)
+            expect = sort_all_oracle(q, V, mode)
             assert out.items.tolist() == expect[:k]
             assert out.short == (len(expect) < k)
 
@@ -182,8 +175,8 @@ class TestPreparedBlock:
         for _ in range(2):  # the second pass reads the prepared form built by the first
             for q in rng.standard_normal((20, d)):
                 for k in (1, 10, n):
-                    got = retrieve_topk(q, frozen, k, mode, exclude={3})
-                    assert same_ranking(got, retrieve_topk(q, V.copy(), k, mode, exclude={3}))
+                    got = retrieve_topk(q, frozen, k, mode)
+                    assert same_ranking(got, retrieve_topk(q, V.copy(), k, mode))
             queries = [rng.integers(0, m, size=int(rng.integers(1, 4))).tolist()
                        for _ in range(BLOCK_ROWS + retrieval._SCALE_ROWS + 5)]
             for got, want in zip(search(queries, W, frozen, 50, mode),
@@ -219,7 +212,8 @@ class TestPreparedBlock:
 
     def test_entry_freed_with_the_loaded_state(self, tmp_path, rng):
         corpus = build_corpus({f"i{k}": [f"w{k % 3}"] for k in range(8)})
-        save_model(init_model_state(TrainConfig(kind="zsl_te", d=4), corpus), tmp_path / "m")
+        save_model(init_model_state(TrainConfig(kind="zsl_te", d=4), corpus), tmp_path / "m",
+                   corpus)
         state = load_model(tmp_path / "m")
         retrieve_topk(rng.standard_normal(4), state.V, 3, "cosine")
         search([[0], [1, 2]], state.W, state.V, 3, "dot")

@@ -13,7 +13,6 @@ from zsretrieval.smc import (
     _log_uniform_probs,
     batch_gradients,
     ce_loss_exact,
-    ce_loss_exact_context,
     sample_candidates,
     train_smc,
 )
@@ -234,39 +233,16 @@ class TestCELossExact:
         with pytest.raises(SizeGuardError):
             ce_loss_exact(state, [([0], 1)], max_items=5)
 
-    def test_context_variant_uses_bow_without_u(self, rng):
-        corpus = make_random_corpus(rng, 4, 3, max_text=3)
-        corpus.word_lists = Rows.from_lists([[0]] * 4)
-        W = np.zeros((3, 2), dtype=np.float32)
-        V = np.zeros((4, 2), dtype=np.float32)
-        state = ModelState(SMC, 2, W, V, None, 0)
-        loss = ce_loss_exact_context(state, [(0, 1)], corpus)
-        assert loss == pytest.approx(math.log(4), abs=1e-12)
-
-    def test_context_variant_uses_free_u(self):
-        U = np.array([[1.0], [0.0], [2.0]], dtype=np.float32)
-        V = np.array([[0.5], [1.0], [-0.25]], dtype=np.float32)
-        state = ModelState(SMC, 1, np.zeros((1, 1), dtype=np.float32), V, U, 0)
-        z = 2.0 * np.array([0.5, 1.0, -0.25])
-        expect = -math.log(math.exp(z[1]) / np.exp(z).sum())
-        assert ce_loss_exact_context(state, [(2, 1)]) == pytest.approx(expect, abs=1e-12)
-
     def test_one_item_model_scores_zero(self):
         one = np.ones((1, 2), dtype=np.float32)
         state = ModelState(SMC, 2, one, one.copy(), None, 0)
-        corpus = Corpus(["i0"], ["w0"], Rows.from_lists([[0]]), empty_graph(1), {})
         assert ce_loss_exact(state, [([0], 0)]) == 0.0
-        assert ce_loss_exact_context(state, [(0, 0)], corpus) == 0.0
-        state.U = one.copy()
-        assert ce_loss_exact_context(state, [(0, 0)]) == 0.0
 
     def test_no_pairs_rejected(self):
         state = ModelState(SMC, 1, np.ones((1, 1), dtype=np.float32),
                            np.ones((3, 1), dtype=np.float32), np.ones((3, 1), dtype=np.float32), 0)
         with pytest.raises(ConfigError, match="no pairs"):
             ce_loss_exact(state, [])
-        with pytest.raises(ConfigError, match="no pairs"):
-            ce_loss_exact_context(state, [])
 
 
 class TestTrainSMC:

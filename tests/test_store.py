@@ -139,8 +139,9 @@ class TestPersistence:
         assert np.array_equal(load_model(tmp_path / "m").V, state.V)
 
     def test_corrupted_matrix_checksum_error(self, tmp_path):
-        state = init_model_state(TrainConfig(kind=ZSL_TE, d=4), small_corpus())
-        save_model(state, tmp_path / "m")
+        corpus = small_corpus()
+        state = init_model_state(TrainConfig(kind=ZSL_TE, d=4), corpus)
+        save_model(state, tmp_path / "m", corpus)
         path = tmp_path / "m" / "V.bin"
         raw = bytearray(path.read_bytes())
         raw[20] ^= 0xFF  # one byte inside the payload
@@ -149,16 +150,18 @@ class TestPersistence:
             load_model(tmp_path / "m")
 
     def test_truncated_file_format_error(self, tmp_path):
-        state = init_model_state(TrainConfig(kind=ZSL_TE, d=4), small_corpus())
-        save_model(state, tmp_path / "m")
+        corpus = small_corpus()
+        state = init_model_state(TrainConfig(kind=ZSL_TE, d=4), corpus)
+        save_model(state, tmp_path / "m", corpus)
         path = tmp_path / "m" / "W.bin"
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(FormatError):
             load_model(tmp_path / "m")
 
     def test_version_mismatch(self, tmp_path):
-        state = init_model_state(TrainConfig(kind=ZSL_TE, d=4), small_corpus())
-        save_model(state, tmp_path / "m")
+        corpus = small_corpus()
+        state = init_model_state(TrainConfig(kind=ZSL_TE, d=4), corpus)
+        save_model(state, tmp_path / "m", corpus)
         meta = tmp_path / "m" / "meta.json"
         meta.write_text(meta.read_text().replace('"version": 1', '"version": 99'))
         with pytest.raises(VersionError):
