@@ -26,9 +26,7 @@ import numpy as np
 
 from . import __version__, binio
 from .corpus import (
-    INGEST_MINIMUMS,
     Corpus,
-    check_ingest_options,
     ingest_corpus,
     load_corpus,
     open_text,
@@ -50,6 +48,7 @@ from .errors import (
     RefreshError,
     ScoreError,
     SizeGuardError,
+    check,
 )
 from .evaluation import (
     LabeledSet,
@@ -111,7 +110,7 @@ def _digest(path: str | Path) -> str:
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """flags > config file > defaults; only keys in ``defaults`` participate. A
     config value must have its option's type (an int serves a float; null a null
-    default) and be one of its choices, if it has any."""
+    default) and be one of its choices, if any; every value must be in its range."""
     resolved = dict(defaults)
     if getattr(args, "config", None):
         try:
@@ -136,6 +135,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
+    check(**resolved)
     return resolved
 
 
@@ -230,7 +230,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     defaults = {"min_word_count": 0, "min_item_count": 0, "max_neighbors": 250,
                 "window": 1, "symmetrize": False}
     cfg = _resolve(args, defaults)
-    check_ingest_options(**{key: cfg[key] for key in INGEST_MINIMUMS})
     if args.sequences and args.graph:
         raise ConfigError("--sequences and --graph each give the graph; pass one of them")
     unused = [key for key in ("min_item_count", "window", "symmetrize")
@@ -316,7 +315,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         if not args.pairs:
             raise ConfigError("--pairs is required for the smc model")
         config = _build(SMCConfig, cfg)
-        config.validate()
         pairs, _, linenos = _read_pairs_tsv(args.pairs, corpus)
         if not pairs:
             raise IngestError(f"{args.pairs}: no training pairs")
@@ -344,18 +342,9 @@ def _split_lines(fh: Iterable[str]) -> Iterator[str]:
         yield from line.splitlines()
 
 
-def _check_ranking_options(cfg: dict) -> None:
-    """Refuse a k below 1, or a head below 0, before any input is read."""
-    if cfg["k"] < 1:
-        raise ConfigError("k must be >= 1")
-    if cfg.get("head") is not None and cfg["head"] < 0:
-        raise ConfigError("head must be >= 0")
-
-
 def cmd_retrieve(args: argparse.Namespace) -> int:
     defaults = {"k": 100, "score": None, "bigrams": True}
     cfg = _resolve(args, defaults)
-    _check_ranking_options(cfg)
     corpus = load_corpus(args.corpus)
     state = _load_model(args.model, corpus, args.corpus)
     mode = cfg["score"] or state.score_mode
@@ -408,7 +397,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     defaults = {"metric": "reconstruction", "k": 10, "score": None,
                 "by_length": False}
     cfg = _resolve(args, defaults)
-    _check_ranking_options(cfg)
+    unused = [key for key, given in (("k", cfg["k"] != defaults["k"]),
+                                     ("by_length", cfg["by_length"]), ("--pairs", args.pairs))
+              if given]
+    if unused and cfg["metric"] != "recall":
+        raise ConfigError(f"{', '.join(unused)} act only on the recall metric")
+    if args.labeled and cfg["metric"] != "pooled":
+        raise ConfigError("--labeled acts only on the pooled metric")
     corpus = load_corpus(args.corpus)
     state = _load_model(args.model, corpus, args.corpus)
     mode = cfg["score"] or state.score_mode
@@ -429,7 +424,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             per_set[name] = {"mean_recall": rep.mean, "queries": len(rep.per_query),
                              "skipped": rep.skipped, "pool_size": len(labeled.pool)}
         report["sets"] = per_set
-    elif cfg["metric"] == "recall":
+    else:  # recall
         if not args.pairs:
             raise ConfigError("--pairs is required for the recall metric")
         inputs["pairs"] = args.pairs
@@ -438,8 +433,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
                           token_counts if cfg["by_length"] else None)
         report.update(k=cfg["k"], mean_recall=rep.mean,
                       scored=len(rep.per_query), skipped=rep.skipped, **rep.extra)
-    else:
-        raise ConfigError(f"unknown metric {cfg['metric']!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_report(out, report)
@@ -451,7 +444,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_ensemble_eval(args: argparse.Namespace) -> int:
     defaults = {"k": 100, "head": None}
     cfg = _resolve(args, defaults)
-    _check_ranking_options(cfg)
     corpus = load_corpus(args.corpus)
     primary = _load_model(args.primary, corpus, args.corpus)
     secondary = _load_model(args.secondary, corpus, args.corpus)
@@ -627,6 +619,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             parser.error("a subcommand is required")
+        check(threads=args.threads)
         limiter = _limit_threads(args.threads)
         args.threads_applied = limiter is not None
         try:

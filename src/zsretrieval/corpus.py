@@ -22,20 +22,10 @@ from typing import Iterator, Mapping, Sequence, TextIO
 import numpy as np
 
 from . import binio
-from .errors import ConfigError, IngestError
+from .errors import IngestError, check
 
 ADJ_MAGIC = b"ZSRADJ\x00\x01"
 WORDS_MAGIC = b"ZSRWRD\x00\x01"
-
-# The least value of each ingest option.
-INGEST_MINIMUMS = {"min_item_count": 0, "min_word_count": 0, "max_neighbors": 1, "window": 1}
-
-
-def check_ingest_options(**options: int) -> None:
-    """Refuse an ingest option below its least value, naming the field."""
-    for key, value in options.items():
-        if value < INGEST_MINIMUMS[key]:
-            raise ConfigError(f"{key} must be >= {INGEST_MINIMUMS[key]}")
 
 
 @dataclass(eq=False)
@@ -196,7 +186,7 @@ def build_correlation_graph(
     Rows are ranked by co-occurrence count (ties broken by ascending item
     index) and truncated to ``max_neighbors``. Self-transitions are skipped.
     """
-    check_ingest_options(max_neighbors=max_neighbors, window=window)
+    check(max_neighbors=max_neighbors, window=window)
     flat = np.asarray(sequences.values, dtype=np.int64)
     _check_indices(flat, n_items)
     seq_id = sequences.row_ids()
@@ -225,7 +215,7 @@ def build_corpus(item_text: Mapping[str, Sequence[str]], min_word_count: int = 0
     occurs in. Every item is kept; ``ingest_corpus`` drops rarely consumed
     ones before it builds.
     """
-    check_ingest_options(min_word_count=min_word_count)
+    check(min_word_count=min_word_count)
     per_item_words = [tokens_with_bigrams(words) for words in item_text.values()]
     doc_freq = Counter(w for words in per_item_words for w in set(words))
     # vocabulary in order of first occurrence
@@ -341,7 +331,7 @@ def read_sequences_tsv(path: str | Path, item_index: Mapping[str, int]) -> Rows:
 
 def read_graph_tsv(path: str | Path, corpus: Corpus, max_neighbors: int = 250) -> CorrelationGraph:
     """graph.tsv direct ingest: seed_id TAB neighbor_id TAB count."""
-    check_ingest_options(max_neighbors=max_neighbors)
+    check(max_neighbors=max_neighbors)
     edges: list[tuple[int, int, int]] = []
     for lineno, (seed_id, nbr_id, count_s) in read_tsv_rows(path, 3):
         for item_id in (seed_id, nbr_id):
@@ -372,8 +362,8 @@ def ingest_corpus(
     ``sequences`` holds rows of indices into ``item_text``'s order, as
     ``read_sequences_tsv`` reads them.
     """
-    check_ingest_options(min_item_count=min_item_count, min_word_count=min_word_count,
-                         max_neighbors=max_neighbors, window=window)
+    check(min_item_count=min_item_count, min_word_count=min_word_count,
+          max_neighbors=max_neighbors, window=window)
     _check_indices(sequences.values, len(item_text))
     keep = np.bincount(sequences.values, minlength=len(item_text)) >= min_item_count
     corpus = build_corpus({item_id: item_text[item_id]

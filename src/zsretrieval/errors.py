@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range of every option."""
+import math
 
 
 class ZsrError(Exception):
@@ -47,3 +48,26 @@ class VersionError(ModelIOError):
 
 class ChecksumError(ModelIOError):
     """CRC mismatch on a binary block."""
+
+
+# The range each numeric option may take, by config key or field name.
+RANGES = {
+    "d": ">= 1", "dim": ">= 1", "omega0": "in (0, 1]", "lam": "finite and >= 0",
+    "init_std": "finite and >= 0", "learning_rate": "finite and > 0", "sweeps": ">= 0",
+    "steps": ">= 0", "negatives": ">= 0", "batch_size": ">= 1", "seed": ">= 0",
+    "sub_seed": ">= 0", "min_word_count": ">= 0", "min_item_count": ">= 0",
+    "max_neighbors": ">= 1", "window": ">= 1", "k": ">= 1", "head": ">= 0",
+    "head_len": ">= 0", "threads": ">= 1",
+}
+LABELS = {"d": "embedding dimension d", "dim": "embedding dimension d", "lam": "lambda"}
+_HOLDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, "in (0, 1]": lambda v: 0 < v <= 1,
+          "finite and >= 0": lambda v: math.isfinite(v) and v >= 0,
+          "finite and > 0": lambda v: math.isfinite(v) and v > 0}
+
+
+def check(**options) -> None:
+    """Refuse the first option outside its ``RANGES`` entry, naming it by its
+    ``LABELS`` entry or its name; a None value or an unlisted name passes."""
+    for name, value in options.items():
+        if value is not None and name in RANGES and not _HOLDS[RANGES[name]](value):
+            raise ConfigError(f"{LABELS.get(name, name)} must be {RANGES[name]}")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import CorrelationGraph
-from .errors import ConfigError
+from .errors import ConfigError, check
 from .retrieval import RankedList, ensemble_interleave, search
 from .store import ModelState
 
@@ -125,8 +125,7 @@ def ensemble_recall_at_k(
     """
     if head_len is None:
         head_len = K // 2
-    if head_len < 0:  # before ranking: a query only one model scores never reads it
-        raise ConfigError("head_len must be >= 0")
+    check(head_len=head_len)  # before ranking: a query only one model scores never reads it
     words = [w for w, _ in pairs]
     runs = [search(words, st.W, st.V, K, st.score_mode) for st in (primary, secondary)]
     merged = [(ensemble_interleave(a, b, head_len) if isinstance(b, RankedList) else a)

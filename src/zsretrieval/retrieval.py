@@ -9,7 +9,7 @@ import numpy as np
 
 from .corpus import Rows
 from .encoder import _unencodable, encode_rows
-from .errors import ConfigError, ScoreError
+from .errors import ConfigError, ScoreError, check
 
 BLOCK_ROWS = 256  # query rows scored by one matrix product
 _SCALE_ROWS = 16  # score rows divided by one outer product of norms
@@ -126,8 +126,7 @@ def retrieve_topk(q: np.ndarray, V: np.ndarray, k: int, mode: str = "dot") -> Ra
     rows are skipped under cosine; with fewer than k candidates, all are
     returned and the result is short. Raises ScoreError when the query cannot
     be scored."""
-    if k < 1:
-        raise ConfigError("k must be >= 1")
+    check(k=k)
     ranked = _rank(np.asarray(q, dtype=np.float64)[None, :], [k], V, mode)[0]
     if isinstance(ranked, str):
         raise ScoreError(ranked)
@@ -172,8 +171,7 @@ def ensemble_interleave(primary: RankedList, secondary: RankedList,
     contributes at most ``head_len`` entries; ``head_len == 0`` means no head
     and no cap (pure alternation).
     """
-    if head_len < 0:
-        raise ConfigError("head_len must be >= 0")
+    check(head_len=head_len)
     out: dict[int, float] = {}  # item -> score, in emission order
     p_entries, s_entries = iter(primary), iter(secondary)
     for item, score in itertools.islice(p_entries, head_len):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import Corpus, Rows
 from .encoder import encode_bow, encode_rows
-from .errors import ConfigError, NumericError, SizeGuardError
+from .errors import ConfigError, NumericError, SizeGuardError, check
 from .store import SMC, ModelState, init_rows
 
 CE_MAX_ITEMS = 50_000
@@ -41,20 +41,9 @@ class SMCConfig:
     init_std: float = 0.1
 
     def validate(self) -> None:
-        if self.d < 1:
-            raise ConfigError("embedding dimension d must be >= 1")
-        if self.negatives < 0:
-            raise ConfigError("negatives must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.steps < 0:
-            raise ConfigError("steps must be >= 0")
         if self.sampling not in SAMPLINGS:
             raise ConfigError(f"unknown sampling scheme {self.sampling!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError("learning_rate must be finite and > 0")
-        if not (math.isfinite(self.init_std) and self.init_std >= 0):
-            raise ConfigError("init_std must be finite and >= 0")
+        check(**vars(self))
 
 
 def _log_uniform_probs(n: int) -> np.ndarray:

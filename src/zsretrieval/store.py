@@ -7,7 +7,6 @@ and row) so it is reproducible across runs and platforms.
 from __future__ import annotations
 
 import json
-import math
 import typing
 import warnings
 from dataclasses import dataclass, field, replace
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import binio
 from .corpus import Corpus
-from .errors import ConfigError, FormatError, RefreshError, VersionError
+from .errors import ConfigError, FormatError, RefreshError, VersionError, check
 
 FORMAT_VERSION = 1
 
@@ -61,18 +60,7 @@ class TrainConfig:
     def validate(self) -> None:
         if self.kind not in (STL, ZSL_ME, ZSL_TE):
             raise ConfigError(f"unknown model kind {self.kind!r}")
-        if self.d < 1:
-            raise ConfigError("embedding dimension d must be >= 1")
-        if not (0 < self.omega0 <= 1.0):
-            raise ConfigError("omega0 must be in (0, 1]")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError("lambda must be finite and >= 0")
-        if not (math.isfinite(self.init_std) and self.init_std >= 0):
-            raise ConfigError("init_std must be finite and >= 0")
-        if self.sweeps < 0:
-            raise ConfigError("sweeps must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        check(**vars(self))
 
 
 # Objective field -> the type it has in meta.json; refresh and loss-audit default to them.
@@ -151,10 +139,9 @@ def warm_start_extend(
     Refuses when the new corpus dropped ids/tokens, unless ``prune`` is set.
     The caller is expected to follow up with a few training sweeps.
     """
+    check(sub_seed=sub_seed)
     if sub_seed is None:
         sub_seed = state.seed + 1
-    elif sub_seed < 0:
-        raise ConfigError("sub_seed must be >= 0")
     removed_items = [i for i in old_corpus.item_ids if i not in new_corpus.item_index]
     removed_words = [w for w in old_corpus.vocab if w not in new_corpus.vocab_index]
     if (removed_items or removed_words) and not prune:

@@ -14,6 +14,7 @@ import zsretrieval
 from zsretrieval import binio, evaluation
 from zsretrieval.cli import build_parser, main
 from zsretrieval.corpus import ADJ_MAGIC, WORDS_MAGIC
+from zsretrieval.errors import RANGES
 
 ITEMS = """\
 {"id": "a", "words": ["red", "apple", "fruit"]}
@@ -468,6 +469,43 @@ def test_bad_k_or_head_exits_1_before_reading_input(workspace, capsys, monkeypat
     assert not Path("out").exists()
 
 
+EVAL = ["eval", "--model", "model", "--corpus", "corpus"]
+# An eval option its metric never reads, and a --threads below 1 in any
+# command, are refused before any input is read: case -> (argv, --config
+# object or None, message). No input exists, so reading one would exit 2.
+REFUSED = {
+    "eval-reconstruction-k-by-length-pairs": (
+        [*EVAL, "--k", "3", "--by-length", "--pairs", "pairs.tsv"], None,
+        "k, by_length, --pairs act only on the recall metric"),
+    "eval-reconstruction-pairs": ([*EVAL, "--pairs", "pairs.tsv"], None,
+                                  "--pairs act only on the recall metric"),
+    "eval-pooled-k-config": ([*EVAL, "--metric", "pooled", "--labeled", "labeled.jsonl"],
+                             {"k": 3}, "k act only on the recall metric"),
+    "eval-pooled-by-length-config": ([*EVAL, "--metric", "pooled", "--labeled", "labeled.jsonl"],
+                                     {"by_length": True}, "by_length act only on the recall metric"),
+    "eval-recall-labeled": ([*EVAL, "--metric", "recall", "--pairs", "pairs.tsv",
+                             "--labeled", "labeled.jsonl"], None,
+                            "--labeled acts only on the pooled metric"),
+    "eval-reconstruction-labeled": ([*EVAL, "--labeled", "labeled.jsonl"], None,
+                                    "--labeled acts only on the pooled metric"),
+    "eval-range-before-unread": ([*EVAL, "--k", "-7", "--by-length"], None, "k must be >= 1"),
+    "ingest-threads-4": (["ingest", "--items", "items.jsonl", "--threads", "-4"], None,
+                         "threads must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_option_exits_1_before_reading_input(tmp_path, capsys, monkeypatch, case):
+    argv, config, message = REFUSED[case]
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        Path("cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", "cfg.json"]
+    assert main([*argv, "--out", "out"]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
+    assert not Path("out").exists()
+
+
 class TestRefresh:
     def test_extends_model_onto_grown_corpus(self, workspace, capsys):
         corpus = ingest(workspace)
@@ -621,6 +659,7 @@ class TestLossAudit:
         ("smc", "--negatives", "negatives", -1, "negatives must be >= 0"),
         ("smc", "--batch-size", "batch_size", 0, "batch_size must be >= 1"),
         ("smc", "--dim", "dim", 0, "embedding dimension d must be >= 1"),
+        ("smc", "--seed", "seed", -1, "seed must be >= 0"),
     ])
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_out_of_range_omega0_is_config_error(self, workspace, capsys, how, command, flag,
@@ -993,6 +1032,13 @@ class TestSurface:
         assert list(surface) == list(SURFACE)
         for name, actions in SURFACE.items():
             assert surface[name] == actions, name
+
+    def test_every_numeric_option_has_a_range(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        unranged = [(name, a.dest) for name, sp in sub.choices.items() for a in sp._actions
+                    if a.type in (int, float) and a.dest not in RANGES]
+        assert not unranged
 
     def test_manifest_config_keys(self, workspace):
         corpus = ingest(workspace)

@@ -2,8 +2,7 @@
 import numpy as np
 import pytest
 
-from tests.conftest import make_random_corpus
-from zsretrieval.corpus import build_corpus, empty_graph
+from zsretrieval.corpus import build_corpus
 from zsretrieval.errors import (
     ChecksumError,
     ConfigError,
