@@ -39,17 +39,7 @@ from .corpus import (
     words_to_indices,
 )
 from .corpus import build_corpus as _build_corpus
-from .errors import (
-    ConfigError,
-    EncodeError,
-    IngestError,
-    ModelIOError,
-    NumericError,
-    RefreshError,
-    ScoreError,
-    SizeGuardError,
-    check,
-)
+from .errors import ConfigError, IngestError, ModelIOError, NumericError, ZsrError, check
 from .evaluation import (
     LabeledSet,
     ensemble_recall_at_k,
@@ -155,8 +145,9 @@ def _build(cls, cfg: dict):
     return cls(**{f.name: cfg[key] for key, _, f in _options(cls)})
 
 
-def _write_manifest(out_dir: Path, args: argparse.Namespace, resolved: dict,
-                    inputs: dict[str, str | Path]) -> None:
+def _write_manifest(args: argparse.Namespace, resolved: dict) -> None:
+    """manifest.json in --out, the last file a command writes: the resolved
+    config and the digest of each declared input path the command was given."""
     manifest = {
         "command": args.command,
         "version": __version__,
@@ -164,10 +155,9 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, resolved: dict,
         "threads": {"requested": args.threads,
                     "applied": args.threads_applied},
         "inputs": {name: {"path": str(p), "sha256": _digest(p)}
-                   for name, p in inputs.items()},
+                   for name in args.inputs if (p := getattr(args, name))},
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    binio.atomic_write_bytes(out_dir / "manifest.json",
+    binio.atomic_write_bytes(Path(args.out) / "manifest.json",
                              json.dumps(manifest, indent=2, sort_keys=True).encode())
 
 
@@ -223,10 +213,11 @@ def _read_labeled_sets(path: str | Path, corpus: Corpus) -> dict[str, LabeledSet
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its resolved config and its stdout line, and
+# main writes the manifest of the declared inputs, then prints the line.
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
+def cmd_ingest(args: argparse.Namespace) -> tuple[dict, str]:
     defaults = {"min_word_count": 0, "min_item_count": 0, "max_neighbors": 250,
                 "window": 1, "symmetrize": False}
     cfg = _resolve(args, defaults)
@@ -239,7 +230,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if cfg["max_neighbors"] != defaults["max_neighbors"] and not (args.sequences or args.graph):
         raise ConfigError("max_neighbors acts only on a graph from --sequences or --graph")
     items = read_items_jsonl(args.items)
-    inputs: dict[str, str | Path] = {"items": args.items}
     if args.sequences:
         comma = next((item_id for item_id in items if "," in item_id), None)
         if comma is not None:
@@ -249,18 +239,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         corpus = ingest_corpus(items, sequences, cfg["min_item_count"],
                                cfg["min_word_count"], cfg["max_neighbors"],
                                cfg["window"], cfg["symmetrize"])
-        inputs["sequences"] = args.sequences
     else:
         corpus = _build_corpus(items, cfg["min_word_count"])
         if args.graph:
             corpus.graph = read_graph_tsv(args.graph, corpus, cfg["max_neighbors"])
-            inputs["graph"] = args.graph
     out = Path(args.out)
     save_corpus(corpus, out)
-    _write_manifest(out, args, cfg, inputs)
-    print(f"ingested {corpus.n} items, {corpus.m} words, "
-          f"{corpus.graph.nnz} graph edges -> {out}")
-    return 0
+    return cfg, (f"ingested {corpus.n} items, {corpus.m} words, "
+                 f"{corpus.graph.nnz} graph edges -> {out}")
 
 
 def _resolve_for_model(args: argparse.Namespace, state: ModelState,
@@ -307,13 +293,15 @@ def _write_trace(path: Path, trace: list[dict]) -> None:
     binio.atomic_write_bytes(path, buf.getvalue().encode())
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> tuple[dict, str]:
     cfg = _resolve(args, {**_defaults(SMCConfig), **_defaults(TrainConfig)})
+    if cfg["model"] == SMC and not args.pairs:
+        raise ConfigError("--pairs is required for the smc model")
+    if cfg["model"] != SMC and args.pairs:
+        raise ConfigError("--pairs acts only on the smc model")
     corpus = load_corpus(args.corpus)
     out = Path(args.out)
     if cfg["model"] == SMC:
-        if not args.pairs:
-            raise ConfigError("--pairs is required for the smc model")
         config = _build(SMCConfig, cfg)
         pairs, _, linenos = _read_pairs_tsv(args.pairs, corpus)
         if not pairs:
@@ -323,16 +311,12 @@ def cmd_train(args: argparse.Namespace) -> int:
                 raise IngestError(f"{args.pairs}:{lineno}: query has no in-vocabulary words")
         state = train_smc(pairs, corpus, config)
         trace: list[dict] = []
-        inputs = {"corpus": args.corpus, "pairs": args.pairs}
     else:
         state, trace = train_sl_model(corpus, _build(TrainConfig, cfg))
-        inputs = {"corpus": args.corpus}
     save_model(state, out, corpus)
     _write_trace(out / "loss_trace.csv", trace)
-    _write_manifest(out, args, cfg, inputs)
     tail = f" final_loss={trace[-1]['loss_total']:.6g}" if trace else ""
-    print(f"trained {state.kind} d={state.d} sweeps={state.sweep_count}{tail} -> {out}")
-    return 0
+    return cfg, f"trained {state.kind} d={state.d} sweeps={state.sweep_count}{tail} -> {out}"
 
 
 def _split_lines(fh: Iterable[str]) -> Iterator[str]:
@@ -342,7 +326,7 @@ def _split_lines(fh: Iterable[str]) -> Iterator[str]:
         yield from line.splitlines()
 
 
-def cmd_retrieve(args: argparse.Namespace) -> int:
+def cmd_retrieve(args: argparse.Namespace) -> tuple[dict, str]:
     defaults = {"k": 100, "score": None, "bigrams": True}
     cfg = _resolve(args, defaults)
     corpus = load_corpus(args.corpus)
@@ -371,11 +355,8 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                 results_fh.write(("\n".join(out_rows) + "\n").encode())
             if not count:
                 results_fh.write(b"\n")
-    _write_manifest(out, args, cfg,
-                    {"model": args.model, "corpus": args.corpus, "queries": args.queries})
-    print(f"retrieved top-{cfg['k']} ({mode}) for {count} queries "
-          f"({skipped} skipped) -> {out / 'results.tsv'}")
-    return 0
+    return cfg, (f"retrieved top-{cfg['k']} ({mode}) for {count} queries "
+                 f"({skipped} skipped) -> {out / 'results.tsv'}")
 
 
 def _write_report(out: Path, report: dict) -> None:
@@ -393,7 +374,7 @@ def _write_report(out: Path, report: dict) -> None:
     binio.atomic_write_bytes(out / "report.csv", buf.getvalue().encode())
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> tuple[dict, str]:
     defaults = {"metric": "reconstruction", "k": 10, "score": None,
                 "by_length": False}
     cfg = _resolve(args, defaults)
@@ -407,7 +388,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     state = _load_model(args.model, corpus, args.corpus)
     mode = cfg["score"] or state.score_mode
-    inputs: dict[str, str | Path] = {"model": args.model, "corpus": args.corpus}
     report: dict = {"metric": cfg["metric"], "score_mode": mode}
     if cfg["metric"] == "reconstruction":
         rep = reconstruction_recall(state, corpus.graph, mode)
@@ -416,7 +396,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     elif cfg["metric"] == "pooled":
         if not args.labeled:
             raise ConfigError("--labeled is required for the pooled metric")
-        inputs["labeled"] = args.labeled
         sets = _read_labeled_sets(args.labeled, corpus)
         per_set = {}
         for name, labeled in sorted(sets.items()):
@@ -427,7 +406,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:  # recall
         if not args.pairs:
             raise ConfigError("--pairs is required for the recall metric")
-        inputs["pairs"] = args.pairs
         pairs, token_counts, _ = _read_pairs_tsv(args.pairs, corpus)
         rep = recall_at_k(state, pairs, cfg["k"], mode,
                           token_counts if cfg["by_length"] else None)
@@ -436,12 +414,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_report(out, report)
-    _write_manifest(out, args, cfg, inputs)
-    print(json.dumps(report, sort_keys=True))
-    return 0
+    return cfg, json.dumps(report, sort_keys=True)
 
 
-def cmd_ensemble_eval(args: argparse.Namespace) -> int:
+def cmd_ensemble_eval(args: argparse.Namespace) -> tuple[dict, str]:
     defaults = {"k": 100, "head": None}
     cfg = _resolve(args, defaults)
     corpus = load_corpus(args.corpus)
@@ -460,14 +436,10 @@ def cmd_ensemble_eval(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_report(out, report)
-    _write_manifest(out, args, cfg,
-                    {"primary": args.primary, "secondary": args.secondary,
-                     "corpus": args.corpus, "pairs": args.pairs})
-    print(json.dumps(report, sort_keys=True))
-    return 0
+    return cfg, json.dumps(report, sort_keys=True)
 
 
-def cmd_refresh(args: argparse.Namespace) -> int:
+def cmd_refresh(args: argparse.Namespace) -> tuple[dict, str]:
     old_corpus = load_corpus(args.old_corpus)
     state = _load_model(args.model, old_corpus, args.old_corpus)
     # refresh runs a few sweeps, not a full training
@@ -479,25 +451,22 @@ def cmd_refresh(args: argparse.Namespace) -> int:
     out = Path(args.out)
     save_model(extended, out, new_corpus)
     _write_trace(out / "loss_trace.csv", trace)
-    _write_manifest(out, args, cfg,
-                    {"model": args.model, "old_corpus": args.old_corpus,
-                     "new_corpus": args.new_corpus})
-    print(f"refreshed {extended.kind} to n={extended.n} m={extended.m} "
-          f"with {train_cfg.sweeps} sweeps -> {out}")
-    return 0
+    return cfg, (f"refreshed {extended.kind} to n={extended.n} m={extended.m} "
+                 f"with {train_cfg.sweeps} sweeps -> {out}")
 
 
-def cmd_loss_audit(args: argparse.Namespace) -> int:
+def cmd_loss_audit(args: argparse.Namespace) -> tuple[dict, None]:
+    """Prints its line itself, before it can fail; it writes no manifest."""
     corpus = load_corpus(args.corpus)
     state = _load_model(args.model, corpus, args.corpus)
-    _, train_cfg = _resolve_for_model(args, state)
+    cfg, train_cfg = _resolve_for_model(args, state)
     brute = sl_loss_bruteforce(state, corpus, train_cfg)
     efficient = sl_loss_efficient(state, corpus, train_cfg)
     rel = abs(efficient - brute) / max(1.0, abs(brute))
     print(f"bruteforce={brute:.12g} efficient={efficient:.12g} rel_diff={rel:.3e}")
     if not np.isfinite(rel) or rel > 1e-8:
         raise NumericError(f"loss paths disagree: relative difference {rel:.3e}")
-    return 0
+    return cfg, None
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--window", type=int)
     sp.add_argument("--symmetrize", action="store_const", const=True)
     _add_common(sp)
-    sp.set_defaults(func=cmd_ingest)
+    sp.set_defaults(func=cmd_ingest, inputs=("items", "sequences", "graph"))
 
     sp = sub.add_parser("train", help="train a model on a persisted corpus")
     sp.add_argument("--corpus", required=True)
@@ -552,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(sp, TrainConfig)
     _add_flags(sp, SMCConfig, skip=_defaults(TrainConfig))
     _add_common(sp)
-    sp.set_defaults(func=cmd_train)
+    sp.set_defaults(func=cmd_train, inputs=("corpus", "pairs"))
 
     sp = sub.add_parser("retrieve", help="batch top-k retrieval, one query per line")
     sp.add_argument("--model", required=True)
@@ -563,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--score", choices=["dot", "cosine"])
     sp.add_argument("--no-bigrams", dest="bigrams", action="store_const", const=False)
     _add_common(sp)
-    sp.set_defaults(func=cmd_retrieve)
+    sp.set_defaults(func=cmd_retrieve, inputs=("model", "corpus", "queries"))
 
     sp = sub.add_parser("eval", help="run a recall metric against a model")
     sp.add_argument("--model", required=True)
@@ -576,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--score", choices=["dot", "cosine"])
     sp.add_argument("--by-length", dest="by_length", action="store_const", const=True)
     _add_common(sp)
-    sp.set_defaults(func=cmd_eval)
+    sp.set_defaults(func=cmd_eval, inputs=("model", "corpus", "labeled", "pairs"))
 
     sp = sub.add_parser("ensemble-eval",
                         help="recall@k of the interleave of two models")
@@ -588,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int)
     sp.add_argument("--head", type=int)
     _add_common(sp)
-    sp.set_defaults(func=cmd_ensemble_eval)
+    sp.set_defaults(func=cmd_ensemble_eval, inputs=("primary", "secondary", "corpus", "pairs"))
 
     sp = sub.add_parser("refresh",
                         help="warm-start onto a new corpus and run a few sweeps")
@@ -600,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sub-seed", dest="sub_seed", type=int)
     _add_flags(sp, TrainConfig, skip=["model"])
     _add_common(sp)
-    sp.set_defaults(func=cmd_refresh)
+    sp.set_defaults(func=cmd_refresh, inputs=("model", "old_corpus", "new_corpus"))
 
     sp = sub.add_parser("loss-audit",
                         help="compare brute-force and efficient loss paths")
@@ -623,23 +592,24 @@ def main(argv: list[str] | None = None) -> int:
         limiter = _limit_threads(args.threads)
         args.threads_applied = limiter is not None
         try:
-            return args.func(args)
+            cfg, summary = args.func(args)
         finally:
             if limiter is not None:
                 limiter.__exit__(None, None, None)
+        if "out" in args:
+            _write_manifest(args, cfg)
+        if summary is not None:
+            print(summary)
+        return 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (IngestError, ModelIOError, RefreshError, SizeGuardError,
-            EncodeError, ScoreError, OSError) as exc:
+    except ZsrError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -3,7 +3,10 @@ import math
 
 
 class ZsrError(Exception):
-    """Base class for package errors."""
+    """Base class for package errors. ``zsr`` prints ``label: message`` and
+    exits with ``exit_code``; a subclass that names neither is a data error."""
+
+    label, exit_code = "data error", 2
 
 
 class IngestError(ZsrError):
@@ -12,6 +15,8 @@ class IngestError(ZsrError):
 
 class ConfigError(ZsrError):
     """Invalid training or job configuration."""
+
+    label, exit_code = "config error", 1
 
 
 class EncodeError(ZsrError):
@@ -28,6 +33,8 @@ class SizeGuardError(ZsrError):
 
 class NumericError(ZsrError):
     """Non-finite values or numerical failure during training."""
+
+    label, exit_code = "numeric failure", 3
 
 
 class RefreshError(ZsrError):
@@ -57,10 +64,12 @@ RANGES = {
     "steps": ">= 0", "negatives": ">= 0", "batch_size": ">= 1", "seed": ">= 0",
     "sub_seed": ">= 0", "min_word_count": ">= 0", "min_item_count": ">= 0",
     "max_neighbors": ">= 1", "window": ">= 1", "k": ">= 1", "head": ">= 0",
-    "head_len": ">= 0", "threads": ">= 1",
+    "head_len": ">= 0", "threads": ">= 1", "n_pairs": ">= 1", "n_clusters": ">= 2",
+    "text_repeats": ">= 1", "background_words": ">= 0", "background_repeats": ">= 0",
 }
 LABELS = {"d": "embedding dimension d", "dim": "embedding dimension d", "lam": "lambda"}
-_HOLDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, "in (0, 1]": lambda v: 0 < v <= 1,
+_HOLDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
+          "in (0, 1]": lambda v: 0 < v <= 1,
           "finite and >= 0": lambda v: math.isfinite(v) and v >= 0,
           "finite and > 0": lambda v: math.isfinite(v) and v > 0}
 

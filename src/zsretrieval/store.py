@@ -220,7 +220,8 @@ def load_model(directory: str | Path) -> ModelState:
     U = None
     if kind == ZSL_ME:
         U = binio.read_matrix(directory / "U.bin", _BLOCK_MAGIC["U"])
-    if W.shape != (meta["m"], meta["d"]) or V.shape != (meta["n"], meta["d"]):
+    n, d = meta["n"], meta["d"]
+    if W.shape != (meta["m"], d) or V.shape != (n, d) or U is not None and U.shape != (n, d):
         raise FormatError("matrix shapes disagree with meta.json")
     score_mode = meta.get("score_mode")
     if score_mode not in ("dot", "cosine"):

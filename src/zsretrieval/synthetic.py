@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, CorrelationGraph, Rows
-from .errors import IngestError
+from .errors import IngestError, check
 
 
 @dataclass
@@ -26,10 +26,7 @@ class ClusterSpec:
     max_neighbors: int = 250
 
     def validate(self) -> None:
-        if self.n_pairs < 1 or self.n_clusters < 2:
-            raise IngestError("need >= 1 synonym pair and >= 2 clusters")
-        if self.text_repeats < 1:
-            raise IngestError("text_repeats must be >= 1")
+        check(**vars(self))
 
 
 def make_synthetic_transfer_corpus(

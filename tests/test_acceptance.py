@@ -6,7 +6,6 @@ numbers (trend margins, ensemble recalls) were calibrated once and pinned.
 """
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest

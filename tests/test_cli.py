@@ -14,7 +14,7 @@ import zsretrieval
 from zsretrieval import binio, evaluation
 from zsretrieval.cli import build_parser, main
 from zsretrieval.corpus import ADJ_MAGIC, WORDS_MAGIC
-from zsretrieval.errors import RANGES
+from zsretrieval.errors import RANGES, ConfigError, NumericError, ZsrError
 
 ITEMS = """\
 {"id": "a", "words": ["red", "apple", "fruit"]}
@@ -470,9 +470,10 @@ def test_bad_k_or_head_exits_1_before_reading_input(workspace, capsys, monkeypat
 
 
 EVAL = ["eval", "--model", "model", "--corpus", "corpus"]
-# An eval option its metric never reads, and a --threads below 1 in any
-# command, are refused before any input is read: case -> (argv, --config
-# object or None, message). No input exists, so reading one would exit 2.
+# An eval option its metric never reads, a train --pairs its model never
+# reads or needs, and a --threads below 1 in any command, are refused before
+# any input is read: case -> (argv, --config object or None, message). No
+# input exists, so reading one would exit 2.
 REFUSED = {
     "eval-reconstruction-k-by-length-pairs": (
         [*EVAL, "--k", "3", "--by-length", "--pairs", "pairs.tsv"], None,
@@ -491,6 +492,10 @@ REFUSED = {
     "eval-range-before-unread": ([*EVAL, "--k", "-7", "--by-length"], None, "k must be >= 1"),
     "ingest-threads-4": (["ingest", "--items", "items.jsonl", "--threads", "-4"], None,
                          "threads must be >= 1"),
+    "train-default-model-pairs": (["train", "--corpus", "corpus", "--pairs", "pairs.tsv"], None,
+                                  "--pairs acts only on the smc model"),
+    "train-smc-config-without-pairs": (["train", "--corpus", "corpus"], {"model": "smc"},
+                                       "--pairs is required for the smc model"),
 }
 
 
@@ -637,6 +642,15 @@ class TestLossAudit:
         assert rc == 0
         out = capsys.readouterr().out
         assert "bruteforce=" in out and "efficient=" in out and "rel_diff=" in out
+
+    def test_u_block_of_another_shape_exits_2_with_one_line(self, workspace, capsys):
+        corpus = ingest(workspace)
+        model = train(workspace, corpus, extra=["--model", "zsl_me"])
+        binio.write_matrix(model / "U.bin", b"ZSRMAT_U", np.zeros((2, 4), np.float32))
+        capsys.readouterr()
+        assert main(["loss-audit", "--model", str(model), "--corpus", str(corpus)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: matrix shapes disagree with meta.json"]
 
     @pytest.mark.parametrize("command, flag, key, value, message", [
         ("loss-audit", "--omega0", "omega0", 2.0, "omega0 must be in (0, 1]"),
@@ -1050,9 +1064,74 @@ class TestSurface:
             assert set(config) == CONFIG_KEYS[command], command
 
 
+def _error_classes(cls=ZsrError):
+    """``cls`` and every class below it."""
+    return [cls, *(sub for child in cls.__subclasses__() for sub in _error_classes(child))]
+
+
+# Per case, the arguments before --out, and the manifest's inputs: name -> path.
+MANIFEST_INPUTS = {
+    "ingest-graph": (["ingest", "--items", "items.jsonl", "--graph", "graph.tsv"],
+                     {"items": "items.jsonl", "graph": "graph.tsv"}),
+    "train-zsl_te": (["train", "--corpus", "corpus", "--dim", "2", "--sweeps", "1"],
+                     {"corpus": "corpus"}),
+    "train-smc": (["train", "--corpus", "corpus", "--model", "smc", "--pairs", "pairs.tsv",
+                   "--dim", "2", "--steps", "2"], {"corpus": "corpus", "pairs": "pairs.tsv"}),
+    "retrieve": (["retrieve", "--model", "model", "--corpus", "corpus", "--queries", "q.txt"],
+                 {"model": "model", "corpus": "corpus", "queries": "q.txt"}),
+    "eval-reconstruction": (["eval", "--model", "model", "--corpus", "corpus"],
+                            {"model": "model", "corpus": "corpus"}),
+    "eval-pooled": (["eval", "--model", "model", "--corpus", "corpus", "--metric", "pooled",
+                     "--labeled", "labeled.jsonl"],
+                    {"model": "model", "corpus": "corpus", "labeled": "labeled.jsonl"}),
+    "eval-recall": (["eval", "--model", "model", "--corpus", "corpus", "--metric", "recall",
+                     "--pairs", "pairs.tsv"],
+                    {"model": "model", "corpus": "corpus", "pairs": "pairs.tsv"}),
+    "ensemble-eval": (["ensemble-eval", "--primary", "model", "--secondary", "model2",
+                       "--corpus", "corpus", "--pairs", "pairs.tsv"],
+                      {"primary": "model", "secondary": "model2", "corpus": "corpus",
+                       "pairs": "pairs.tsv"}),
+    "refresh": (["refresh", "--model", "model", "--old-corpus", "corpus",
+                 "--new-corpus", "corpus2"],
+                {"model": "model", "old_corpus": "corpus", "new_corpus": "corpus2"}),
+}
+
+
 class TestExitCodes:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+    def test_each_error_class_exits_with_its_code_and_one_line(self, tmp_path, capsys,
+                                                               monkeypatch, cls):
+        def fail(args):
+            raise cls("msg")
+
+        monkeypatch.setattr("zsretrieval.cli.cmd_ingest", fail)
+        monkeypatch.chdir(tmp_path)
+        code, label = ((1, "config error") if issubclass(cls, ConfigError)
+                       else (3, "numeric failure") if issubclass(cls, NumericError)
+                       else (2, "data error"))
+        assert main(["ingest", "--items", "items.jsonl", "--out", "out"]) == code
+        assert capsys.readouterr().err.splitlines() == [f"{label}: msg"]
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("case", sorted(MANIFEST_INPUTS))
+    def test_manifest_lists_each_input_given(self, workspace, monkeypatch, case):
+        argv, want = MANIFEST_INPUTS[case]
+        corpus = ingest(workspace)
+        train(workspace, corpus)
+        train(workspace, corpus, "model2", extra=["--seed", "2"])
+        grow(workspace)
+        (workspace / "graph.tsv").write_text("a\tb\t2\n")
+        (workspace / "pairs.tsv").write_text("apple\ta\nfire\tc\n")
+        (workspace / "labeled.jsonl").write_text('{"query": ["apple"], "relevant": ["a"]}\n')
+        (workspace / "q.txt").write_text("apple\n")
+        monkeypatch.chdir(workspace)
+        assert main([*argv, "--out", "out"]) == 0
+        inputs = json.loads(Path("out/manifest.json").read_text())["inputs"]
+        assert {name: rec["path"] for name, rec in inputs.items()} == want
+        assert all(len(bytes.fromhex(rec["sha256"])) == 32 for rec in inputs.values())
 
     def test_unknown_flag_is_usage_error(self, workspace, capsys):
         assert main(["ingest", "--items", "x", "--out", "y", "--bogus"]) == 1

@@ -262,7 +262,7 @@ class TestSyntheticCorpus:
                 assert len({w.split("_")[0] for w in held}) == len(held), held
 
     def test_bad_spec_rejected(self):
-        with pytest.raises(IngestError):
+        with pytest.raises(ConfigError):
             make_synthetic_transfer_corpus(5, 24, ClusterSpec(n_pairs=0))
         with pytest.raises(IngestError):
             make_synthetic_transfer_corpus(5, 1, ClusterSpec(n_pairs=2))

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from zsretrieval import binio
 from zsretrieval.corpus import build_corpus
 from zsretrieval.errors import (
     ChecksumError,
@@ -155,6 +156,15 @@ class TestPersistence:
         path = tmp_path / "m" / "W.bin"
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(FormatError):
+            load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize("shape", [(2, 3), (5, 4)], ids=["rows", "columns"])
+    def test_u_block_of_another_shape_format_error(self, tmp_path, shape):
+        corpus = small_corpus()  # U is n=5 by d=3
+        state = init_model_state(TrainConfig(kind=ZSL_ME, d=3), corpus)
+        save_model(state, tmp_path / "m", corpus)
+        binio.write_matrix(tmp_path / "m" / "U.bin", b"ZSRMAT_U", np.zeros(shape, np.float32))
+        with pytest.raises(FormatError, match="matrix shapes disagree with meta.json"):
             load_model(tmp_path / "m")
 
     def test_version_mismatch(self, tmp_path):
