@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import hashlib
 import io
 import itertools
 import json
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, get_type_hints
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -49,8 +48,9 @@ from .evaluation import (
 )
 from .retrieval import BLOCK_ROWS, search
 from .sl_trainer import SWEEP_STATS, sl_loss_bruteforce, sl_loss_efficient, train_sl_model
-from .smc import SMCConfig, train_smc
+from .smc import SAMPLINGS, SMCConfig, train_smc
 from .store import (
+    KINDS,
     SMC,
     ModelState,
     TrainConfig,
@@ -87,10 +87,13 @@ def _digest_file(path: Path) -> str:
 
 
 def _digest(path: str | Path) -> str:
+    """sha256 of a file, or of a directory's files but the run records written
+    beside an artifact, whose loss-trace timings differ between equal runs."""
     path = Path(path)
     if path.is_dir():
         h = hashlib.sha256()
-        for f in sorted(p for p in path.rglob("*") if p.is_file()):
+        for f in sorted(p for p in path.rglob("*")
+                        if p.is_file() and p.name not in ("manifest.json", "loss_trace.csv")):
             h.update(str(f.relative_to(path)).encode())
             h.update(bytes.fromhex(_digest_file(f)))
         return h.hexdigest()
@@ -129,20 +132,17 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
-@functools.cache  # get_type_hints evaluates every annotation
-def _options(cls) -> tuple[tuple[str, type, dataclasses.Field], ...]:
-    """(config key, type, field) per field of a config dataclass; see ``TrainConfig``."""
-    hints = get_type_hints(cls)
-    return tuple((f.metadata.get("key", f.name), hints[f.name], f) for f in dataclasses.fields(cls))
+_KEYS = {"kind": "model", "d": "dim"}  # config key of a field not named as its option
 
 
 def _defaults(cls) -> dict:
-    return {key: f.default for key, _, f in _options(cls)}
+    """Config key -> default per field of ``TrainConfig`` or ``SMCConfig``."""
+    return {_KEYS.get(f.name, f.name): f.default for f in dataclasses.fields(cls)}
 
 
 def _build(cls, cfg: dict):
     """A ``cls`` from resolved config keys, which ``_resolve`` has type-checked."""
-    return cls(**{f.name: cfg[key] for key, _, f in _options(cls)})
+    return cls(**{f.name: cfg[_KEYS.get(f.name, f.name)] for f in dataclasses.fields(cls)})
 
 
 def _write_manifest(args: argparse.Namespace, resolved: dict) -> None:
@@ -218,8 +218,7 @@ def _read_labeled_sets(path: str | Path, corpus: Corpus) -> dict[str, LabeledSet
 
 
 def cmd_ingest(args: argparse.Namespace) -> tuple[dict, str]:
-    defaults = {"min_word_count": 0, "min_item_count": 0, "max_neighbors": 250,
-                "window": 1, "symmetrize": False}
+    defaults = args.defaults
     cfg = _resolve(args, defaults)
     if args.sequences and args.graph:
         raise ConfigError("--sequences and --graph each give the graph; pass one of them")
@@ -249,17 +248,13 @@ def cmd_ingest(args: argparse.Namespace) -> tuple[dict, str]:
                  f"{corpus.graph.nnz} graph edges -> {out}")
 
 
-def _resolve_for_model(args: argparse.Namespace, state: ModelState,
-                       **extra) -> tuple[dict, TrainConfig]:
-    """``_resolve`` of the TrainConfig keys and ``extra``, with the model's
-    stored objective between the defaults and --config/flags: an explicit
-    value that differs from a stored one wins, with one notice line on
-    stderr. The resolved keys and the TrainConfig take the model's kind and d:
-    ``model`` is not a key, and a dim other than the model's is refused."""
+def _resolve_for_model(args: argparse.Namespace, state: ModelState) -> tuple[dict, TrainConfig]:
+    """``_resolve`` with the model's stored objective between the defaults and
+    --config/flags: an explicit value that differs from a stored one wins, with
+    one notice line on stderr. The resolved keys and the TrainConfig take the
+    model's kind and d, and a dim other than the model's is refused."""
     stored = state.objective or {}
-    defaults = {**_defaults(TrainConfig), **extra, **stored, "dim": state.d}
-    del defaults["model"]  # --model names the model directory
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args, {**args.defaults, **stored, "dim": state.d})
     if cfg["dim"] != state.d:
         raise ConfigError(f"dim: model {args.model} has d={state.d}, not {cfg['dim']}")
     changed = [f"{key}={cfg[key]!r} (model: {value!r})"
@@ -294,14 +289,20 @@ def _write_trace(path: Path, trace: list[dict]) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> tuple[dict, str]:
-    cfg = _resolve(args, {**_defaults(SMCConfig), **_defaults(TrainConfig)})
-    if cfg["model"] == SMC and not args.pairs:
+    cfg = _resolve(args, args.defaults)
+    smc = cfg["model"] == SMC
+    if smc and not args.pairs:
         raise ConfigError("--pairs is required for the smc model")
-    if cfg["model"] != SMC and args.pairs:
+    if not smc and args.pairs:
         raise ConfigError("--pairs acts only on the smc model")
+    own = {"model", *_defaults(SMCConfig if smc else TrainConfig)}
+    unused = [key for key, value in args.defaults.items() if key not in own and cfg[key] != value]
+    if unused:
+        raise ConfigError(f"{', '.join(unused)} act only on the "
+                          + ("square-loss models" if smc else "smc model"))
     corpus = load_corpus(args.corpus)
     out = Path(args.out)
-    if cfg["model"] == SMC:
+    if smc:
         config = _build(SMCConfig, cfg)
         pairs, _, linenos = _read_pairs_tsv(args.pairs, corpus)
         if not pairs:
@@ -327,8 +328,7 @@ def _split_lines(fh: Iterable[str]) -> Iterator[str]:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> tuple[dict, str]:
-    defaults = {"k": 100, "score": None, "bigrams": True}
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args, args.defaults)
     corpus = load_corpus(args.corpus)
     state = _load_model(args.model, corpus, args.corpus)
     mode = cfg["score"] or state.score_mode
@@ -375,16 +375,18 @@ def _write_report(out: Path, report: dict) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> tuple[dict, str]:
-    defaults = {"metric": "reconstruction", "k": 10, "score": None,
-                "by_length": False}
-    cfg = _resolve(args, defaults)
-    unused = [key for key, given in (("k", cfg["k"] != defaults["k"]),
+    cfg = _resolve(args, args.defaults)
+    unused = [key for key, given in (("k", cfg["k"] != args.defaults["k"]),
                                      ("by_length", cfg["by_length"]), ("--pairs", args.pairs))
               if given]
     if unused and cfg["metric"] != "recall":
         raise ConfigError(f"{', '.join(unused)} act only on the recall metric")
     if args.labeled and cfg["metric"] != "pooled":
         raise ConfigError("--labeled acts only on the pooled metric")
+    if cfg["metric"] == "pooled" and not args.labeled:
+        raise ConfigError("--labeled is required for the pooled metric")
+    if cfg["metric"] == "recall" and not args.pairs:
+        raise ConfigError("--pairs is required for the recall metric")
     corpus = load_corpus(args.corpus)
     state = _load_model(args.model, corpus, args.corpus)
     mode = cfg["score"] or state.score_mode
@@ -394,8 +396,6 @@ def cmd_eval(args: argparse.Namespace) -> tuple[dict, str]:
         report.update(mean_recall=rep.mean, scored=len(rep.per_query),
                       skipped=rep.skipped)
     elif cfg["metric"] == "pooled":
-        if not args.labeled:
-            raise ConfigError("--labeled is required for the pooled metric")
         sets = _read_labeled_sets(args.labeled, corpus)
         per_set = {}
         for name, labeled in sorted(sets.items()):
@@ -404,8 +404,6 @@ def cmd_eval(args: argparse.Namespace) -> tuple[dict, str]:
                              "skipped": rep.skipped, "pool_size": len(labeled.pool)}
         report["sets"] = per_set
     else:  # recall
-        if not args.pairs:
-            raise ConfigError("--pairs is required for the recall metric")
         pairs, token_counts, _ = _read_pairs_tsv(args.pairs, corpus)
         rep = recall_at_k(state, pairs, cfg["k"], mode,
                           token_counts if cfg["by_length"] else None)
@@ -418,8 +416,7 @@ def cmd_eval(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def cmd_ensemble_eval(args: argparse.Namespace) -> tuple[dict, str]:
-    defaults = {"k": 100, "head": None}
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args, args.defaults)
     corpus = load_corpus(args.corpus)
     primary = _load_model(args.primary, corpus, args.corpus)
     secondary = _load_model(args.secondary, corpus, args.corpus)
@@ -442,8 +439,7 @@ def cmd_ensemble_eval(args: argparse.Namespace) -> tuple[dict, str]:
 def cmd_refresh(args: argparse.Namespace) -> tuple[dict, str]:
     old_corpus = load_corpus(args.old_corpus)
     state = _load_model(args.model, old_corpus, args.old_corpus)
-    # refresh runs a few sweeps, not a full training
-    cfg, train_cfg = _resolve_for_model(args, state, sweeps=2, prune=False, sub_seed=None)
+    cfg, train_cfg = _resolve_for_model(args, state)
     new_corpus = load_corpus(args.new_corpus)
     extended = warm_start_extend(state, old_corpus, new_corpus, cfg["sub_seed"],
                                  prune=cfg["prune"], init_std=train_cfg.init_std)
@@ -483,34 +479,47 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                                            a.choices) for a in sp._actions})
 
 
-def _add_flags(sp: argparse.ArgumentParser, cls, skip: Iterable[str] = ()) -> None:
-    """One flag per field of the config dataclass ``cls``, but for keys in ``skip``."""
-    for key, want, f in _options(cls):
-        if key in skip:
-            continue
-        flag = f.metadata.get("flag", "--" + key.replace("_", "-"))
-        if want is bool:
-            sp.add_argument(flag, dest=key, action="store_const", const=not f.default)
+# What a default cannot say: another flag, the choices, the type of a None default.
+_FLAGS = {
+    "lam": {"flag": "--lambda"}, "use_weights": {"flag": "--no-weights"},
+    "weight_negatives": {"flag": "--unweighted-negatives"}, "bigrams": {"flag": "--no-bigrams"},
+    "model": {"choices": KINDS}, "sampling": {"choices": SAMPLINGS},
+    "score": {"choices": ("dot", "cosine")},
+    "metric": {"choices": ("reconstruction", "pooled", "recall")},
+    "head": {"type": int}, "sub_seed": {"type": int},
+}
+
+
+def _add_options(sp: argparse.ArgumentParser, defaults: dict) -> None:
+    """A flag ``--key-with-dashes`` per config key of ``defaults``: a bool sets the
+    opposite of its default, and another option takes its default's type (a str
+    for a None default), unless ``_FLAGS`` says otherwise. No flag has an argparse
+    default; the subparser keeps ``defaults``, merged across calls, for ``_resolve``."""
+    for key, default in defaults.items():
+        spec = dict(_FLAGS.get(key, {}))
+        flag = spec.pop("flag", "--" + key.replace("_", "-"))
+        if isinstance(default, bool):
+            sp.add_argument(flag, dest=key, action="store_const", const=not default)
         else:
-            sp.add_argument(flag, dest=key, type=None if want is str else want,
-                            choices=f.metadata.get("choices"))
+            spec.setdefault("type", type(default) if isinstance(default, (int, float)) else None)
+            sp.add_argument(flag, dest=key, **spec)
+    sp.set_defaults(defaults={**(sp.get_default("defaults") or {}), **defaults})
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="zsr", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
+    # refresh's and loss-audit's --model names a model directory, not a kind
+    square_loss = {key: v for key, v in _defaults(TrainConfig).items() if key != "model"}
 
     sp = sub.add_parser("ingest", help="build and persist a corpus")
     sp.add_argument("--items", required=True)
     sp.add_argument("--sequences")
     sp.add_argument("--graph")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--min-word-count", dest="min_word_count", type=int)
-    sp.add_argument("--min-item-count", dest="min_item_count", type=int)
-    sp.add_argument("--max-neighbors", dest="max_neighbors", type=int)
-    sp.add_argument("--window", type=int)
-    sp.add_argument("--symmetrize", action="store_const", const=True)
+    _add_options(sp, {"min_word_count": 0, "min_item_count": 0, "max_neighbors": 250,
+                      "window": 1, "symmetrize": False})
     _add_common(sp)
     sp.set_defaults(func=cmd_ingest, inputs=("items", "sequences", "graph"))
 
@@ -518,8 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--pairs", help="pairs.tsv, required for --model smc")
-    _add_flags(sp, TrainConfig)
-    _add_flags(sp, SMCConfig, skip=_defaults(TrainConfig))
+    _add_options(sp, {**_defaults(TrainConfig), **_defaults(SMCConfig)})
     _add_common(sp)
     sp.set_defaults(func=cmd_train, inputs=("corpus", "pairs"))
 
@@ -528,9 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--queries", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--score", choices=["dot", "cosine"])
-    sp.add_argument("--no-bigrams", dest="bigrams", action="store_const", const=False)
+    _add_options(sp, {"k": 100, "score": None, "bigrams": True})
     _add_common(sp)
     sp.set_defaults(func=cmd_retrieve, inputs=("model", "corpus", "queries"))
 
@@ -538,12 +544,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--metric", choices=["reconstruction", "pooled", "recall"])
+    _add_options(sp, {"metric": "reconstruction"})
     sp.add_argument("--labeled", help="labeled_sets.jsonl for the pooled metric")
     sp.add_argument("--pairs", help="pairs.tsv for the recall metric")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--score", choices=["dot", "cosine"])
-    sp.add_argument("--by-length", dest="by_length", action="store_const", const=True)
+    _add_options(sp, {"k": 10, "score": None, "by_length": False})
     _add_common(sp)
     sp.set_defaults(func=cmd_eval, inputs=("model", "corpus", "labeled", "pairs"))
 
@@ -554,8 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--pairs", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--head", type=int)
+    _add_options(sp, {"k": 100, "head": None})
     _add_common(sp)
     sp.set_defaults(func=cmd_ensemble_eval, inputs=("primary", "secondary", "corpus", "pairs"))
 
@@ -565,9 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--old-corpus", dest="old_corpus", required=True)
     sp.add_argument("--new-corpus", dest="new_corpus", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--prune", action="store_const", const=True)
-    sp.add_argument("--sub-seed", dest="sub_seed", type=int)
-    _add_flags(sp, TrainConfig, skip=["model"])
+    # refresh runs a few sweeps, not a full training
+    _add_options(sp, {"prune": False, "sub_seed": None, **square_loss, "sweeps": 2})
     _add_common(sp)
     sp.set_defaults(func=cmd_refresh, inputs=("model", "old_corpus", "new_corpus"))
 
@@ -575,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="compare brute-force and efficient loss paths")
     sp.add_argument("--model", required=True)
     sp.add_argument("--corpus", required=True)
-    _add_flags(sp, TrainConfig, skip=["model"])
+    _add_options(sp, square_loss)
     _add_common(sp)
     sp.set_defaults(func=cmd_loss_audit)
 

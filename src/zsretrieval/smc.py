@@ -12,7 +12,7 @@ training oracle and for diagnostics on any model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +29,15 @@ QueryItemPairs = list[tuple[list[int], int]]  # (query word indices, target item
 
 @dataclass
 class SMCConfig:
-    """Sampled-softmax training configuration; fields are options as in ``TrainConfig``."""
+    """Sampled-softmax training configuration."""
 
-    d: int = field(default=200, metadata={"key": "dim"})
+    d: int = 200
     negatives: int = 100
     batch_size: int = 128
     learning_rate: float = 0.06
     steps: int = 1000
     seed: int = 0
-    sampling: str = field(default="uniform", metadata={"choices": SAMPLINGS})
+    sampling: str = "uniform"
     init_std: float = 0.1
 
     def validate(self) -> None:

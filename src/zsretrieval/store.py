@@ -35,21 +35,18 @@ OBJECTIVE = {"objective": True}  # metadata of a TrainConfig field saved with a 
 class TrainConfig:
     """Square-loss training configuration; defaults follow the reference setup.
 
-    Each field is a ``zsr`` option keyed by its name (or metadata ``key``), with
-    flag ``--key-with-dashes`` (or metadata ``flag``; a bool flag sets the
-    opposite of the default). ``objective`` fields are saved with a model.
+    ``objective`` fields are saved with a model.
     """
 
-    kind: str = field(default=ZSL_TE, metadata={"key": "model", "choices": KINDS})
-    d: int = field(default=200, metadata={"key": "dim"})
+    kind: str = ZSL_TE
+    d: int = 200
     omega0: float = field(default=0.001, metadata=OBJECTIVE)
-    lam: float = field(default=4.0, metadata={"flag": "--lambda", **OBJECTIVE})
+    lam: float = field(default=4.0, metadata=OBJECTIVE)
     sweeps: int = 10
     seed: int = 0
     init_std: float = field(default=0.1, metadata=OBJECTIVE)
-    use_weights: bool = field(default=True, metadata={"flag": "--no-weights", **OBJECTIVE})
-    weight_negatives: bool = field(default=True,
-                                   metadata={"flag": "--unweighted-negatives", **OBJECTIVE})
+    use_weights: bool = field(default=True, metadata=OBJECTIVE)
+    weight_negatives: bool = field(default=True, metadata=OBJECTIVE)
     exclude_self_negative: bool = field(default=False, metadata=OBJECTIVE)
     task1_encoded: bool = field(default=False, metadata=OBJECTIVE)  # STL/ZSL_ME: encoded task 1
 

@@ -314,6 +314,26 @@ class TestRetrieve:
         assert (workspace / "r" / "results.tsv").read_text() == "\n"
         assert "for 0 queries (0 skipped)" in capsys.readouterr().out
 
+    def test_model_digest_leaves_out_run_records(self, workspace):
+        # Two equal trainings differ only in their loss traces' timings; a
+        # changed W.bin changes the digest.
+        corpus = ingest(workspace)
+        (workspace / "q.txt").write_text("apple\n")
+
+        def digest(model):
+            assert main(["retrieve", "--model", str(model), "--corpus", str(corpus),
+                         "--queries", str(workspace / "q.txt"),
+                         "--out", str(workspace / "ret")]) == 0
+            manifest = json.loads((workspace / "ret" / "manifest.json").read_text())
+            return manifest["inputs"]["model"]["sha256"]
+
+        first, second = train(workspace, corpus), train(workspace, corpus, "model2")
+        assert digest(first) == digest(second)
+        W = binio.read_matrix(second / "W.bin", b"ZSRMAT_W").copy()
+        W[0, 0] += 1
+        binio.write_matrix(second / "W.bin", b"ZSRMAT_W", W)
+        assert digest(first) != digest(second)
+
     def test_missing_model_dir_is_data_error(self, workspace):
         corpus = ingest(workspace)
         (workspace / "q.txt").write_text("apple\n")
@@ -470,10 +490,11 @@ def test_bad_k_or_head_exits_1_before_reading_input(workspace, capsys, monkeypat
 
 
 EVAL = ["eval", "--model", "model", "--corpus", "corpus"]
-# An eval option its metric never reads, a train --pairs its model never
-# reads or needs, and a --threads below 1 in any command, are refused before
-# any input is read: case -> (argv, --config object or None, message). No
-# input exists, so reading one would exit 2.
+# An eval option its metric never reads or an input it needs and was not
+# given, a train --pairs or option its model never reads or needs, and a
+# --threads below 1 in any command, are refused before any input is read:
+# case -> (argv, --config object or None, message). No input exists, so
+# reading one would exit 2.
 REFUSED = {
     "eval-reconstruction-k-by-length-pairs": (
         [*EVAL, "--k", "3", "--by-length", "--pairs", "pairs.tsv"], None,
@@ -489,6 +510,10 @@ REFUSED = {
                             "--labeled acts only on the pooled metric"),
     "eval-reconstruction-labeled": ([*EVAL, "--labeled", "labeled.jsonl"], None,
                                     "--labeled acts only on the pooled metric"),
+    "eval-pooled-without-labeled": ([*EVAL, "--metric", "pooled"], None,
+                                    "--labeled is required for the pooled metric"),
+    "eval-recall-without-pairs": ([*EVAL, "--metric", "recall"], None,
+                                  "--pairs is required for the recall metric"),
     "eval-range-before-unread": ([*EVAL, "--k", "-7", "--by-length"], None, "k must be >= 1"),
     "ingest-threads-4": (["ingest", "--items", "items.jsonl", "--threads", "-4"], None,
                          "threads must be >= 1"),
@@ -496,6 +521,18 @@ REFUSED = {
                                   "--pairs acts only on the smc model"),
     "train-smc-config-without-pairs": (["train", "--corpus", "corpus"], {"model": "smc"},
                                        "--pairs is required for the smc model"),
+    "train-zsl_te-steps": (["train", "--corpus", "corpus", "--model", "zsl_te", "--steps", "5"],
+                           None, "steps act only on the smc model"),
+    "train-default-model-smc-options-config": (
+        ["train", "--corpus", "corpus"], {"sampling": "log_uniform", "steps": 5},
+        "steps, sampling act only on the smc model"),
+    "train-smc-omega0-lambda": (["train", "--corpus", "corpus", "--model", "smc", "--pairs",
+                                 "pairs.tsv", "--omega0", "0.5", "--lambda", "2"], None,
+                                "omega0, lam act only on the square-loss models"),
+    "train-smc-square-loss-options-config": (
+        ["train", "--corpus", "corpus", "--pairs", "pairs.tsv"],
+        {"model": "smc", "use_weights": False, "sweeps": 3},
+        "sweeps, use_weights act only on the square-loss models"),
 }
 
 
@@ -1031,28 +1068,63 @@ CONFIG_KEYS = {
     "train": SL_KEYS | {"negatives", "batch_size", "learning_rate", "steps", "sampling"},
     "refresh": SL_KEYS | {"prune", "sub_seed"},
 }
+# Per subcommand, the config key -> default of each option it declares.
+SL_DEFAULTS = {"dim": 200, "omega0": 0.001, "lam": 4.0, "sweeps": 10, "seed": 0, "init_std": 0.1,
+               "use_weights": True, "weight_negatives": True, "exclude_self_negative": False,
+               "task1_encoded": False}
+DEFAULTS = {
+    "ingest": {"min_word_count": 0, "min_item_count": 0, "max_neighbors": 250, "window": 1,
+               "symmetrize": False},
+    "train": {"model": "zsl_te", **SL_DEFAULTS, "negatives": 100, "batch_size": 128,
+              "learning_rate": 0.06, "steps": 1000, "sampling": "uniform"},
+    "retrieve": {"k": 100, "score": None, "bigrams": True},
+    "eval": {"metric": "reconstruction", "k": 10, "score": None, "by_length": False},
+    "ensemble-eval": {"k": 100, "head": None},
+    "refresh": {"prune": False, "sub_seed": None, **SL_DEFAULTS, "sweeps": 2},
+    "loss-audit": SL_DEFAULTS,
+}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
 
 
 class TestSurface:
     def test_parser_actions_are_pinned(self):
-        parser = build_parser()
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         surface = {
             name: [(" ".join(a.option_strings), a.dest, a.type,
                     None if a.choices is None else tuple(a.choices), a.const, a.default,
                     a.required, type(a).__name__.strip("_").removesuffix("Action"))
                    for a in sp._actions]
-            for name, sp in sub.choices.items()}
+            for name, sp in _subparsers().items()}
         assert list(surface) == list(SURFACE)
         for name, actions in SURFACE.items():
             assert surface[name] == actions, name
 
     def test_every_numeric_option_has_a_range(self):
-        parser = build_parser()
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        unranged = [(name, a.dest) for name, sp in sub.choices.items() for a in sp._actions
+        unranged = [(name, a.dest) for name, sp in _subparsers().items() for a in sp._actions
                     if a.type in (int, float) and a.dest not in RANGES]
         assert not unranged
+
+    def test_defaults_are_pinned(self):
+        assert {name: sp.get_default("defaults") for name, sp in _subparsers().items()} == DEFAULTS
+
+    def test_every_option_has_a_default(self):
+        # _resolve reads only the keys of the defaults; an option without one would be ignored.
+        undeclared = [(name, a.dest) for name, sp in _subparsers().items() for a in sp._actions
+                      if not (a.required or a.dest in ("help", "config", "threads", "out")
+                              or a.dest in (sp.get_default("inputs") or ())
+                              or a.dest in sp.get_default("defaults"))]
+        assert not undeclared
+
+    @pytest.mark.parametrize("command", list(SURFACE))
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: zsr {command} ")
 
     def test_manifest_config_keys(self, workspace):
         corpus = ingest(workspace)
