@@ -51,6 +51,7 @@ from .sl_trainer import SWEEP_STATS, sl_loss_bruteforce, sl_loss_efficient, trai
 from .smc import SAMPLINGS, SMCConfig, train_smc
 from .store import (
     KINDS,
+    OBJECTIVE_FIELDS,
     SMC,
     ModelState,
     TrainConfig,
@@ -141,8 +142,10 @@ def _defaults(cls) -> dict:
 
 
 def _build(cls, cfg: dict):
-    """A ``cls`` from resolved config keys, which ``_resolve`` has type-checked."""
-    return cls(**{f.name: cfg[_KEYS.get(f.name, f.name)] for f in dataclasses.fields(cls)})
+    """A ``cls`` from resolved config keys, which ``_resolve`` has type-checked; a
+    field without a key keeps its default."""
+    return cls(**{f.name: cfg[key] for f in dataclasses.fields(cls)
+                  if (key := _KEYS.get(f.name, f.name)) in cfg})
 
 
 def _write_manifest(args: argparse.Namespace, resolved: dict) -> None:
@@ -249,20 +252,18 @@ def cmd_ingest(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _resolve_for_model(args: argparse.Namespace, state: ModelState) -> tuple[dict, TrainConfig]:
-    """``_resolve`` with the model's stored objective between the defaults and
-    --config/flags: an explicit value that differs from a stored one wins, with
-    one notice line on stderr. The resolved keys and the TrainConfig take the
-    model's kind and d, and a dim other than the model's is refused."""
-    stored = state.objective or {}
-    cfg = _resolve(args, {**args.defaults, **stored, "dim": state.d})
-    if cfg["dim"] != state.d:
-        raise ConfigError(f"dim: model {args.model} has d={state.d}, not {cfg['dim']}")
+    """``_resolve`` with the model's stored objective, on the keys the command
+    declares, between the defaults and --config/flags: an explicit value that
+    differs from a stored one wins, with one notice line on stderr. The resolved
+    keys and the TrainConfig take the model's kind and d."""
+    stored = {key: v for key, v in (state.objective or {}).items() if key in args.defaults}
+    cfg = _resolve(args, {**args.defaults, **stored})
     changed = [f"{key}={cfg[key]!r} (model: {value!r})"
                for key, value in stored.items() if cfg[key] != value]
     if changed:
         print("notice: overriding the model's training config: " + ", ".join(changed),
               file=sys.stderr)
-    cfg["model"] = state.kind
+    cfg.update(model=state.kind, dim=state.d)
     return cfg, _build(TrainConfig, cfg)
 
 
@@ -510,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="zsr", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    # refresh's and loss-audit's --model names a model directory, not a kind
-    square_loss = {key: v for key, v in _defaults(TrainConfig).items() if key != "model"}
+    # refresh and loss-audit take the model's kind and d, and its objective by default
+    objective = {key: v for key, v in _defaults(TrainConfig).items() if key in OBJECTIVE_FIELDS}
 
     sp = sub.add_parser("ingest", help="build and persist a corpus")
     sp.add_argument("--items", required=True)
@@ -569,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--new-corpus", dest="new_corpus", required=True)
     sp.add_argument("--out", required=True)
     # refresh runs a few sweeps, not a full training
-    _add_options(sp, {"prune": False, "sub_seed": None, **square_loss, "sweeps": 2})
+    _add_options(sp, {"prune": False, "sub_seed": None, "sweeps": 2, **objective})
     _add_common(sp)
     sp.set_defaults(func=cmd_refresh, inputs=("model", "old_corpus", "new_corpus"))
 
@@ -577,7 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="compare brute-force and efficient loss paths")
     sp.add_argument("--model", required=True)
     sp.add_argument("--corpus", required=True)
-    _add_options(sp, square_loss)
+    # the objective keys the loss reads
+    _add_options(sp, {key: v for key, v in objective.items() if key != "init_std"})
     _add_common(sp)
     sp.set_defaults(func=cmd_loss_audit)
 

@@ -297,9 +297,10 @@ def read_items_jsonl(path: str | Path) -> dict[str, list[str]]:
     once; ids and words are text the .tsv tables can store."""
     items: dict[str, list[str]] = {}
     for lineno, _, (item_id, words) in read_jsonl_rows(path, "item", "id", "words"):
-        if not isinstance(item_id, str) or not isinstance(words, list):
-            raise IngestError(f"{path}:{lineno}: 'id' must be a string and 'words' a list")
-        words = [str(w) for w in words]
+        if not (isinstance(item_id, str) and isinstance(words, list)
+                and all(isinstance(w, str) for w in words)):
+            raise IngestError(f"{path}:{lineno}: 'id' must be a string "
+                              "and 'words' a list of strings")
         text = "".join([item_id, *words])  # stored one per line in .tsv tables
         if any(c in text for c in "\t\n\r"):
             raise IngestError(f"{path}:{lineno}: tab or line break in an id or word")

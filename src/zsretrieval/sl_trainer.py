@@ -151,7 +151,7 @@ def sl_loss_efficient(
 ) -> float:
     """Same value as the brute-force oracle, via Gramian accumulation: the
     one-call form of ``SLTrainer.loss``."""
-    return SLTrainer(state, corpus, config)._loss(parts)  # a new trainer is refreshed
+    return SLTrainer(state, corpus, config).loss(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +507,6 @@ class SLTrainer:
         term by term. ``parts`` receives the task1, task2 and reg terms.
         """
         self.refresh()
-        return self._loss(parts)
-
-    def _loss(self, parts: dict | None) -> float:
-        """``loss`` from the caches as they stand."""
         om, V = self.config.omega0, self.V64
         tasks = {"task1": 0.0, "task2": 0.0}
         for task in self.tasks:

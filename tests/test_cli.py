@@ -693,7 +693,7 @@ class TestLossAudit:
         ("loss-audit", "--omega0", "omega0", 2.0, "omega0 must be in (0, 1]"),
         ("loss-audit", "--lambda", "lam", float("inf"), "lambda must be finite and >= 0"),
         ("loss-audit", "--lambda", "lam", float("nan"), "lambda must be finite and >= 0"),
-        ("loss-audit", "--init-std", "init_std", -1.0, "init_std must be finite and >= 0"),
+        ("refresh", "--init-std", "init_std", -1.0, "init_std must be finite and >= 0"),
         ("train", "--lambda", "lam", float("inf"), "lambda must be finite and >= 0"),
         ("train", "--lambda", "lam", float("nan"), "lambda must be finite and >= 0"),
         ("train", "--init-std", "init_std", float("nan"), "init_std must be finite and >= 0"),
@@ -719,6 +719,8 @@ class TestLossAudit:
         model = train(workspace, corpus)
         (workspace / "pairs.tsv").write_text("apple\ta\n")
         argv = {"loss-audit": ["loss-audit", "--model", model, "--corpus", corpus],
+                "refresh": ["refresh", "--model", model, "--old-corpus", corpus,
+                            "--new-corpus", corpus, "--out", workspace / "m"],
                 "train": ["train", "--corpus", corpus, "--out", workspace / "m"],
                 "smc": ["train", "--corpus", corpus, "--out", workspace / "m", "--model", "smc",
                         "--pairs", workspace / "pairs.tsv",
@@ -732,7 +734,7 @@ class TestLossAudit:
             argv += ["--config", workspace / "cfg.json"]
         capsys.readouterr()
         assert main([str(arg) for arg in argv]) == 1
-        *notices, last = capsys.readouterr().err.strip().splitlines()  # loss-audit notes overrides
+        *notices, last = capsys.readouterr().err.strip().splitlines()  # the model's override notes
         assert last == f"config error: {message}"
         assert all(line.startswith("notice: ") for line in notices), notices
         assert not (workspace / "m").exists()
@@ -912,7 +914,40 @@ class TestModelDim:
             rc = main(["loss-audit", "--model", str(model), "--corpus", str(corpus), *extra])
         assert rc == 1
         assert capsys.readouterr().err.strip().splitlines() == [
-            f"config error: dim: model {model} has d=4, not 8"]
+            "zsr: unrecognized arguments: --dim 8" if how == "flag"
+            else "config error: unknown config key 'dim'"]
+        assert not (workspace / "model2").exists()
+
+
+# The options refresh and loss-audit dropped, which their runs never read,
+# but --dim (TestModelDim): (command, flag, config key, value). argparse
+# names the unknown option of a subcommand from the top parser, as "zsr:".
+REMOVED = [("refresh", "--seed", "seed", 9), ("loss-audit", "--sweeps", "sweeps", 7),
+           ("loss-audit", "--seed", "seed", 3), ("loss-audit", "--init-std", "init_std", 0.5)]
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("command, flag, key, value", REMOVED)
+def test_removed_option_exits_1_with_one_line(workspace, capsys, command, flag, key, value,
+                                              how):
+    corpus = ingest(workspace)
+    model = train(workspace, corpus)
+    (workspace / "cfg.json").write_text(json.dumps({key: value}))
+    extra = [flag, str(value)] if how == "flag" else ["--config", str(workspace / "cfg.json")]
+    before = sorted(workspace.rglob("*"))
+    capsys.readouterr()
+    if command == "refresh":
+        rc = main(["refresh", "--model", str(model), "--old-corpus", str(corpus),
+                   "--new-corpus", str(corpus), "--out", str(workspace / "model2"), *extra])
+    else:
+        rc = main(["loss-audit", "--model", str(model), "--corpus", str(corpus), *extra])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        f"zsr: unrecognized arguments: {flag} {value}" if how == "flag"
+        else f"config error: unknown config key {key!r}"]
+    assert sorted(workspace.rglob("*")) == before
 
 
 @pytest.mark.parametrize("command", ["refresh", "loss-audit"])
@@ -964,19 +999,19 @@ def test_model_of_a_corpus_with_other_ids_exits_2_with_one_line(workspace, capsy
 HELP = ("-h --help", "help", None, None, None, argparse.SUPPRESS, False, "Help")
 COMMON = [("--config", "config", None, None, None, None, False, "Store"),
           ("--threads", "threads", int, None, None, None, False, "Store")]
-SL_FLAGS = [
-    ("--dim", "dim", int, None, None, None, False, "Store"),
-    ("--omega0", "omega0", float, None, None, None, False, "Store"),
-    ("--lambda", "lam", float, None, None, None, False, "Store"),
-    ("--sweeps", "sweeps", int, None, None, None, False, "Store"),
-    ("--seed", "seed", int, None, None, None, False, "Store"),
-    ("--init-std", "init_std", float, None, None, None, False, "Store"),
+OMEGA0_LAMBDA = [("--omega0", "omega0", float, None, None, None, False, "Store"),
+                 ("--lambda", "lam", float, None, None, None, False, "Store")]
+SWEEPS = ("--sweeps", "sweeps", int, None, None, None, False, "Store")
+INIT_STD = ("--init-std", "init_std", float, None, None, None, False, "Store")
+SWITCHES = [
     ("--no-weights", "use_weights", None, None, False, None, False, "StoreConst"),
     ("--unweighted-negatives", "weight_negatives", None, None, False, None, False, "StoreConst"),
     ("--exclude-self-negative", "exclude_self_negative", None, None, True, None, False,
      "StoreConst"),
     ("--task1-encoded", "task1_encoded", None, None, True, None, False, "StoreConst"),
 ]
+SL_FLAGS = [("--dim", "dim", int, None, None, None, False, "Store"), *OMEGA0_LAMBDA, SWEEPS,
+            ("--seed", "seed", int, None, None, None, False, "Store"), INIT_STD, *SWITCHES]
 SURFACE = {
     "ingest": [
         HELP,
@@ -1050,14 +1085,18 @@ SURFACE = {
         ("--out", "out", None, None, None, None, True, "Store"),
         ("--prune", "prune", None, None, True, None, False, "StoreConst"),
         ("--sub-seed", "sub_seed", int, None, None, None, False, "Store"),
-        *SL_FLAGS,
+        SWEEPS,
+        *OMEGA0_LAMBDA,
+        INIT_STD,
+        *SWITCHES,
         *COMMON,
     ],
     "loss-audit": [
         HELP,
         ("--model", "model", None, None, None, None, True, "Store"),
         ("--corpus", "corpus", None, None, None, None, True, "Store"),
-        *SL_FLAGS,
+        *OMEGA0_LAMBDA,
+        *SWITCHES,
         *COMMON,
     ],
 }
@@ -1066,12 +1105,12 @@ SL_KEYS = {"model", "dim", "omega0", "lam", "sweeps", "seed", "init_std", "use_w
 CONFIG_KEYS = {
     "ingest": {"min_word_count", "min_item_count", "max_neighbors", "window", "symmetrize"},
     "train": SL_KEYS | {"negatives", "batch_size", "learning_rate", "steps", "sampling"},
-    "refresh": SL_KEYS | {"prune", "sub_seed"},
+    "refresh": (SL_KEYS - {"seed"}) | {"prune", "sub_seed"},
 }
 # Per subcommand, the config key -> default of each option it declares.
-SL_DEFAULTS = {"dim": 200, "omega0": 0.001, "lam": 4.0, "sweeps": 10, "seed": 0, "init_std": 0.1,
-               "use_weights": True, "weight_negatives": True, "exclude_self_negative": False,
-               "task1_encoded": False}
+LOSS_DEFAULTS = {"omega0": 0.001, "lam": 4.0, "use_weights": True, "weight_negatives": True,
+                 "exclude_self_negative": False, "task1_encoded": False}
+SL_DEFAULTS = {"dim": 200, "sweeps": 10, "seed": 0, "init_std": 0.1, **LOSS_DEFAULTS}
 DEFAULTS = {
     "ingest": {"min_word_count": 0, "min_item_count": 0, "max_neighbors": 250, "window": 1,
                "symmetrize": False},
@@ -1080,8 +1119,8 @@ DEFAULTS = {
     "retrieve": {"k": 100, "score": None, "bigrams": True},
     "eval": {"metric": "reconstruction", "k": 10, "score": None, "by_length": False},
     "ensemble-eval": {"k": 100, "head": None},
-    "refresh": {"prune": False, "sub_seed": None, **SL_DEFAULTS, "sweeps": 2},
-    "loss-audit": SL_DEFAULTS,
+    "refresh": {"prune": False, "sub_seed": None, "sweeps": 2, "init_std": 0.1, **LOSS_DEFAULTS},
+    "loss-audit": LOSS_DEFAULTS,
 }
 
 
@@ -1250,6 +1289,8 @@ MALFORMED = {
     "item-id-a-lone-surrogate": (
         lambda ws, c: _rewrite(ws / "items.jsonl", "\n", '\n{"id": "\\ud800", "words": []}\n'),
         "ingest"),
+    "word-not-a-string": (
+        lambda ws, c: _rewrite(ws / "items.jsonl", '"red"', "null"), "ingest"),
     "word-with-a-line-break": (
         lambda ws, c: _rewrite(ws / "items.jsonl", '"red"', '"r\\ned"'), "ingest"),
     "vocab-line-without-index": (

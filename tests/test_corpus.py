@@ -225,6 +225,14 @@ class TestIngestion:
         with pytest.raises(IngestError, match=":2"):
             read_items_jsonl(p)
 
+    @pytest.mark.parametrize("words", ['[null, {"k": 1}, true, 2.50]', '["x", 2]', '"x y"'])
+    def test_words_not_a_list_of_strings_names_file_and_line(self, tmp_path, words):
+        p = tmp_path / "items.jsonl"
+        p.write_text(f'{{"id": "a", "words": ["x"]}}\n{{"id": "b", "words": {words}}}\n')
+        with pytest.raises(IngestError) as info:
+            read_items_jsonl(p)
+        assert str(info.value) == f"{p}:2: 'id' must be a string and 'words' a list of strings"
+
     def test_graph_tsv_direct_ingest(self, tmp_path):
         corpus = build_corpus({"a": ["x"], "b": ["y"]})
         p = tmp_path / "graph.tsv"

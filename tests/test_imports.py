@@ -1,12 +1,13 @@
-"""Every module uses each name it imports."""
+"""Every module uses each name it imports, and the package reads each private
+name it defines."""
 import ast
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in [*(ROOT / "src" / "zsretrieval").glob("*.py"),
-                             *(ROOT / "tests").glob("*.py")] if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "zsretrieval").glob("*.py"))
+MODULES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")] if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,3 +31,42 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """The private names (``_name``, not ``__dunder__``) that a module of
+    ``sources`` defines as a function, class, method or module constant, and
+    that no expression of any of them reads, as a name or an attribute."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(f.name for f in node.body if isinstance(f, ast.FunctionDef))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    private = {name for name in defined
+               if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
+    return sorted(private - read)
+
+
+def test_the_scan_finds_an_unread_private_name():
+    module = ("_K, _UNREAD = 1, 2\n_T: int = 3\ndef _f():\n    return _K\n"
+              "class _C:\n    def __init__(self):\n        self._m()\n"
+              "    def _m(self):\n        self._x = 1\n    def _n(self):\n        pass\n")
+    assert unread_private_names([module]) == ["_C", "_T", "_UNREAD", "_f", "_n"]
+    reader = "from .m import _C, _T, _UNREAD, _f\n_C._n(_f, _T, _UNREAD)\n"
+    assert unread_private_names([module, reader]) == []
+
+
+def test_the_package_reads_each_private_name_it_defines():
+    assert unread_private_names([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
