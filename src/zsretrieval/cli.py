@@ -255,7 +255,8 @@ def _resolve_for_model(args: argparse.Namespace, state: ModelState) -> tuple[dic
     """``_resolve`` with the model's stored objective, on the keys the command
     declares, between the defaults and --config/flags: an explicit value that
     differs from a stored one wins, with one notice line on stderr. The resolved
-    keys and the TrainConfig take the model's kind and d."""
+    keys and the TrainConfig take the model's d and its kind, refused unless square-loss."""
+    TrainConfig(kind=state.kind).validate()
     stored = {key: v for key, v in (state.objective or {}).items() if key in args.defaults}
     cfg = _resolve(args, {**args.defaults, **stored})
     changed = [f"{key}={cfg[key]!r} (model: {value!r})"

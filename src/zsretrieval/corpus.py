@@ -333,19 +333,19 @@ def read_sequences_tsv(path: str | Path, item_index: Mapping[str, int]) -> Rows:
 def read_graph_tsv(path: str | Path, corpus: Corpus, max_neighbors: int = 250) -> CorrelationGraph:
     """graph.tsv direct ingest: seed_id TAB neighbor_id TAB count."""
     check(max_neighbors=max_neighbors)
-    edges: list[tuple[int, int, int]] = []
+    edges: dict[tuple[int, int], int] = {}
     for lineno, (seed_id, nbr_id, count_s) in read_tsv_rows(path, 3):
         for item_id in (seed_id, nbr_id):
             if item_id not in corpus.item_index:
                 raise IngestError(f"{path}:{lineno}: unknown item id {item_id!r}")
         if not count_s.isdecimal() or int(count_s) < 1:
             raise IngestError(f"{path}:{lineno}: count must be an integer >= 1")
-        edges.append((corpus.item_index[seed_id], corpus.item_index[nbr_id], int(count_s)))
-    src, dst, counts = np.array(edges, dtype=np.int64).reshape(-1, 3).T
-    keys = np.sort(src * corpus.n + dst)
-    dup = keys[1:][keys[1:] == keys[:-1]]
-    if len(dup):
-        raise IngestError(f"duplicate graph edge for neighbor index {dup[0] % corpus.n}")
+        edge = (corpus.item_index[seed_id], corpus.item_index[nbr_id])
+        if edge in edges:
+            raise IngestError(f"{path}:{lineno}: repeated edge {seed_id!r} -> {nbr_id!r}")
+        edges[edge] = int(count_s)
+    src, dst, counts = np.array([(*edge, count) for edge, count in edges.items()],
+                                dtype=np.int64).reshape(-1, 3).T
     return _select_neighbors(src, dst, counts, corpus.n, max_neighbors)
 
 
@@ -404,15 +404,10 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
 
 def _read_tsv_index(path: Path) -> list[str]:
     tokens = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            token, _, idx = line.partition("\t")
-            if idx != str(len(tokens)):
-                raise IngestError(f"{path}:{lineno}: expected token TAB {len(tokens)}")
-            tokens.append(token)
+    for lineno, (token, idx) in read_tsv_rows(path, 2):
+        if idx != str(len(tokens)):
+            raise IngestError(f"{path}:{lineno}: expected token TAB {len(tokens)}")
+        tokens.append(token)
     return tokens
 
 

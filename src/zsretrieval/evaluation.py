@@ -45,19 +45,20 @@ def reconstruction_recall(state: ModelState, graph: CorrelationGraph,
     """For each item with neighbors, retrieve top-k_i items by score with its
     own vector and measure the fraction of true neighbors recovered.
 
-    Each item is a one-word query over V, ranked by ``search``. The seed is
-    excluded by ranking one extra item and dropping it. Items without
-    neighbors, and zero-norm items under cosine, are skipped.
+    Each item is a one-word query over V, ranked by ``search``. The seed is no
+    neighbor: one extra item is ranked and the seed dropped. Items without
+    other neighbors, and zero-norm items under cosine, are skipped.
     """
-    lens = graph.neighbors.lengths()
+    nbrs, rows = graph.neighbors, graph.neighbors.row_ids()
+    lens = np.bincount(rows[nbrs.values != rows], minlength=graph.n)
     seeds = np.flatnonzero(lens > 0)
     results = search([[i] for i in seeds], state.V, state.V, lens[seeds] + 1, mode)
     recalls = []
     for i, ranked in zip(seeds.tolist(), results):
         if isinstance(ranked, RankedList):
-            true = graph.neighbors[i]
+            true = set(nbrs[i].tolist()) - {i}
             pred = [j for j in ranked.items.tolist() if j != i]
-            recalls.append(len(set(pred[:len(true)]) & set(true.tolist())) / len(true))
+            recalls.append(len(set(pred[:len(true)]) & true) / len(true))
     return RecallReport.of(recalls, graph.n - len(recalls))
 
 

@@ -1,6 +1,7 @@
 """Weighted square-loss training with full negatives via coordinate descent.
 
-The objective is a sum of tasks; the model kind picks them:
+The objective is a sum of tasks; the model kind picks them from
+``store.TASKS``:
 
 * ``stl``     -- task 1: items against their words (free W rows, or encoded).
 * ``zsl_me``  -- task 1, plus task 2: items against their neighbors' free U rows.
@@ -28,21 +29,16 @@ import numpy as np
 from .corpus import Corpus, Rows, compute_training_weights
 from .encoder import encode_rows
 from .errors import ConfigError, NumericError, SizeGuardError
-from .store import STL, ZSL_ME, ZSL_TE, ModelState, TrainConfig, init_model_state
+from .store import ModelState, TrainConfig, init_model_state
 
 BRUTEFORCE_MAX_TERMS = 50_000
 
 
 def task_modes(config: TrainConfig) -> tuple[str | None, bool, bool]:
     """Return (task1 mode or None, task2 active, context rows free)."""
-    t1 = "encoded" if config.task1_encoded else "perword"
-    if config.kind == STL:
-        return t1, False, False
-    if config.kind == ZSL_ME:
-        return t1, True, True
-    if config.kind == ZSL_TE:
-        return None, True, False
-    raise ConfigError(f"kind {config.kind!r} is not square-loss trainable")
+    enc = {part: encoded for part, _, encoded in config.tasks()}
+    t1 = None if "task1" not in enc else "encoded" if enc["task1"] else "perword"
+    return t1, "task2" in enc, enc.get("task2") is False
 
 
 def resolve_weights(corpus: Corpus, config: TrainConfig) -> tuple[np.ndarray, ...]:
@@ -293,26 +289,24 @@ class SLTrainer:
         self.refresh()
 
     def _tasks(self) -> list[_Task]:
-        """Task 1: items against their words' free W rows, or each item against
-        its own BOW encoding. Task 2: items against their graph neighbors and,
-        under ``exclude_self_negative``, against themselves with weight 0 where
-        they are not their own neighbor, so that pair is no negative."""
+        """The tasks of ``config.tasks()``. Task 1: items against their words'
+        free W rows, or each item against its own BOW encoding. Task 2: items
+        against their graph neighbors and, under ``exclude_self_negative``,
+        against themselves with weight 0 where they are not their own neighbor,
+        so that pair is no negative."""
         config, n, words, edges = self.config, self.corpus.n, self.incidence, self.corpus.graph
         items, src, dst = np.arange(n), edges.neighbors.row_ids(), edges.neighbors.values
-        if config.task1_encoded:
-            task1 = self._task("task1", "W", True, items, items, self.pos_r, np.ones(n))
-        else:
-            task1 = self._task("task1", "W", False, words.row_ids(), words.values,
-                               self.pos_r[words.row_ids()] * self.inc_mult.values,
-                               np.ones(self.corpus.m))
+        task1 = ((items, items, self.pos_r, np.ones(n)) if config.task1_encoded else
+                 (words.row_ids(), words.values, self.pos_r[words.row_ids()] * self.inc_mult.values,
+                  np.ones(self.corpus.m)))
         w = self.pos_r[src] * self.pos_c[dst]
         if config.exclude_self_negative:
             alone = np.setdiff1d(items, src[src == dst])
             at = np.searchsorted(src * n + dst, alone * n + alone)  # rows stay ascending
             src, dst, w = np.insert(src, at, alone), np.insert(dst, at, alone), np.insert(w, at, 0.0)
-        task2 = self._task("task2", "U" if config.kind == ZSL_ME else "W", config.kind == ZSL_TE,
-                           src, dst, w, self.neg_c)
-        return {STL: [task1], ZSL_ME: [task1, task2], ZSL_TE: [task2]}[config.kind]
+        pairs = {"task1": task1, "task2": (src, dst, w, self.neg_c)}
+        return [self._task(part, block, encoded, *pairs[part])
+                for part, block, encoded in config.tasks()]
 
     def _task(self, name: str, block: str, encoded: bool, src: np.ndarray, dst: np.ndarray,
               w: np.ndarray, neg_c: np.ndarray) -> _Task:
@@ -360,9 +354,8 @@ class SLTrainer:
     # -- caches ------------------------------------------------------------
 
     def refresh(self) -> None:
-        self.W64 = self.state.W.astype(np.float64)
-        self.V64 = self.state.V.astype(np.float64)
-        self.U64 = None if self.state.U is None else self.state.U.astype(np.float64)
+        for name, block in self.state.blocks.items():  # self.W64, self.V64, ...
+            setattr(self, f"{name}64", block.astype(np.float64))
         self.Gv_neg = (self.V64 * self.neg_r[:, None]).T @ self.V64
         for task in self.tasks:
             task.ctx = rows = getattr(self, f"{task.block}64")
@@ -418,9 +411,13 @@ class SLTrainer:
         if not out.flags.writeable:
             raise ConfigError(f"block {block} of the state is read-only (a loaded model); "
                               "train state.copy() instead")
+        # Item rows read every task from the item side, context rows their task
+        # from the context side.
         task = self.owner.get(block)
-        system = self._system_v if task is None else partial(
-            self._system_encoded if task.encoded else self._system_free, task)
+        sides = ([(self.neg_r, t.G, (t.pos, t.pos_w, t.pos_neg), t.ctx) for t in self.tasks]
+                 if task is None else [(task.neg_c, self.Gv_neg, task.by_context, self.V64)])
+        system = (partial(self._system_encoded, task) if task is not None and task.encoded
+                  else partial(self._system_free, sides))
         for level in levels:
             for rows in _chunks(level, self.cost[block], self.config.d):
                 A, b, written = system(rows)
@@ -433,21 +430,14 @@ class SLTrainer:
         """``count`` systems ``lam I`` and zero right-hand sides."""
         return np.repeat(self.ridge[None], count, axis=0), np.zeros((count, self.config.d))
 
-    def _system_v(self, rows: np.ndarray):
-        """Item rows: per task, implicit over every context, corrected at its pairs."""
+    def _system_free(self, sides: list, rows: np.ndarray):
+        """Free rows, item or context: per side ``(neg, G, pairs, P)``, implicit
+        over every row of the other block ``P`` through its Gramian ``G``, scaled
+        by the row's ``neg`` weight, and corrected at the row's ``pairs``."""
         A, b = self._start(len(rows))
-        scale = self.config.omega0 * self.neg_r[rows]
-        for task in self.tasks:
-            contexts, w, neg, ptr = _gather(rows, task.pos, task.pos_w, task.pos_neg)
-            _add_side(A, b, scale, task.G, ptr, task.ctx[contexts], w, neg, 1.0, 0.0)
-        return A, b, None
-
-    def _system_free(self, task: _Task, rows: np.ndarray):
-        """Free context rows: implicit over every item, corrected at the context's seeds."""
-        A, b = self._start(len(rows))
-        seeds, w, neg, ptr = _gather(rows, *task.by_context)
-        _add_side(A, b, self.config.omega0 * task.neg_c[rows], self.Gv_neg, ptr, self.V64[seeds],
-                  w, neg, 1.0, 0.0)
+        for neg, G, pairs, P in sides:
+            others, w, neg_w, ptr = _gather(rows, *pairs)
+            _add_side(A, b, self.config.omega0 * neg[rows], G, ptr, P[others], w, neg_w, 1.0, 0.0)
         return A, b, None
 
     def _system_encoded(self, task: _Task, rows: np.ndarray):
@@ -515,10 +505,10 @@ class SLTrainer:
             part += float(np.sum(task.pos_w * (s - 1.0) ** 2))
             part -= float(np.sum(task.pos_neg * s * s))
             tasks[task.name] = part
-        W = self.W64
+        W, _, *free = (getattr(self, f"{name}64") for name in self.state.blocks)
         loss_reg = self.config.lam * (float(np.sum(W * W)) + float(np.sum(V * V)))
-        if self.U64 is not None:
-            loss_reg += self.config.lam * float(np.sum(self.U64 * self.U64))
+        for U in free:  # each free context block
+            loss_reg += self.config.lam * float(np.sum(U * U))
         if parts is not None:
             parts.update(tasks, reg=loss_reg)
         return tasks["task1"] + tasks["task2"] + loss_reg

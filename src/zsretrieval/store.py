@@ -24,7 +24,18 @@ STL = "stl"
 ZSL_ME = "zsl_me"
 ZSL_TE = "zsl_te"
 SMC = "smc"
-KINDS = (STL, ZSL_ME, ZSL_TE, SMC)
+# The tasks of each square-loss kind, as (loss part, context block, encoded):
+# task 1 fits item rows to their words' W rows (encoded under task1_encoded),
+# task 2 to their graph neighbors' rows, free U rows or BOW means of W rows.
+TASKS = {
+    STL: (("task1", "W", False),),
+    ZSL_ME: (("task1", "W", False), ("task2", "U", False)),
+    ZSL_TE: (("task2", "W", True),),
+}
+KINDS = (*TASKS, SMC)
+# The blocks of each kind, in file order: W, V and each task's context block.
+BLOCKS = {kind: list(dict.fromkeys(["W", "V", *(ctx for _, ctx, _ in TASKS.get(kind, ()))]))
+          for kind in KINDS}
 
 _BLOCK_MAGIC = {"W": b"ZSRMAT_W", "V": b"ZSRMAT_V", "U": b"ZSRMAT_U"}
 _BLOCK_ID = {"W": 1, "V": 2, "U": 3}
@@ -55,9 +66,16 @@ class TrainConfig:
         return {key: want(getattr(self, key)) for key, want in OBJECTIVE_FIELDS.items()}
 
     def validate(self) -> None:
-        if self.kind not in (STL, ZSL_ME, ZSL_TE):
-            raise ConfigError(f"unknown model kind {self.kind!r}")
+        self.tasks()  # refuses a kind without square-loss tasks
         check(**vars(self))
+
+    def tasks(self) -> list[tuple[str, str, bool]]:
+        """The kind's ``TASKS``, task 1 encoded under ``task1_encoded``."""
+        if self.kind not in TASKS:
+            raise ConfigError(f"kind {self.kind!r} is not square-loss trainable; "
+                              f"square-loss kinds: {', '.join(TASKS)}")
+        return [(part, block, encoded or part == "task1" and self.task1_encoded)
+                for part, block, encoded in TASKS[self.kind]]
 
 
 # Objective field -> the type it has in meta.json; refresh and loss-audit default to them.
@@ -67,7 +85,7 @@ OBJECTIVE_FIELDS = {name: want for name, want in typing.get_type_hints(TrainConf
 
 @dataclass
 class ModelState:
-    """Embedding blocks plus metadata. U is present only for ZSL_ME."""
+    """Embedding blocks plus metadata; ``blocks`` holds those the kind has (U: ZSL_ME)."""
 
     kind: str
     d: int
@@ -88,9 +106,13 @@ class ModelState:
     def n(self) -> int:
         return self.V.shape[0]
 
+    @property
+    def blocks(self) -> dict[str, np.ndarray]:
+        """The blocks the kind has, by name: W, V and each task's context block."""
+        return {name: getattr(self, name) for name in BLOCKS[self.kind]}
+
     def copy(self) -> "ModelState":
-        return replace(self, W=self.W.copy(), V=self.V.copy(),
-                       U=None if self.U is None else self.U.copy())
+        return replace(self, **{name: block.copy() for name, block in self.blocks.items()})
 
 
 def init_rows(seed: int, block: str, rows: range | list[int], d: int, init_std: float) -> np.ndarray:
@@ -115,12 +137,10 @@ def init_model_state(config: TrainConfig, corpus: Corpus) -> ModelState:
     config.validate()
     if config.init_std == 0.0:
         warnings.warn("init_std=0 gives all-zero blocks; training may be degenerate")
-    W = init_rows(config.seed, "W", range(corpus.m), config.d, config.init_std)
-    V = init_rows(config.seed, "V", range(corpus.n), config.d, config.init_std)
-    U = None
-    if config.kind == ZSL_ME:
-        U = init_rows(config.seed, "U", range(corpus.n), config.d, config.init_std)
-    return ModelState(config.kind, config.d, W, V, U, config.seed, 0)
+    blocks = {name: init_rows(config.seed, name, range(corpus.m if name == "W" else corpus.n),
+                              config.d, config.init_std) for name in BLOCKS[config.kind]}
+    return ModelState(config.kind, config.d, blocks["W"], blocks["V"], blocks.get("U"),
+                      config.seed, 0)
 
 
 def warm_start_extend(
@@ -159,12 +179,10 @@ def warm_start_extend(
         out[fresh] = init_rows(sub_seed, block, np.flatnonzero(fresh).tolist(), state.d, init_std)
         return out
 
-    W = extend("W", state.W, old_corpus.vocab, new_corpus.vocab_index, new_corpus.m)
-    V = extend("V", state.V, old_corpus.item_ids, new_corpus.item_index, new_corpus.n)
-    U = None
-    if state.U is not None:
-        U = extend("U", state.U, old_corpus.item_ids, new_corpus.item_index, new_corpus.n)
-    return replace(state, W=W, V=V, U=U)
+    words = (old_corpus.vocab, new_corpus.vocab_index, new_corpus.m)
+    items = (old_corpus.item_ids, new_corpus.item_index, new_corpus.n)
+    return replace(state, **{name: extend(name, block, *(words if name == "W" else items))
+                             for name, block in state.blocks.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +208,8 @@ def save_model(state: ModelState, directory: str | Path, corpus: Corpus) -> None
         meta["objective"] = state.objective
     binio.atomic_write_bytes(directory / "meta.json",
                              json.dumps(meta, indent=2, sort_keys=True).encode())
-    binio.write_matrix(directory / "W.bin", _BLOCK_MAGIC["W"], state.W)
-    binio.write_matrix(directory / "V.bin", _BLOCK_MAGIC["V"], state.V)
-    if state.U is not None:
-        binio.write_matrix(directory / "U.bin", _BLOCK_MAGIC["U"], state.U)
+    for name, block in state.blocks.items():
+        binio.write_matrix(directory / f"{name}.bin", _BLOCK_MAGIC[name], block)
 
 
 def load_model(directory: str | Path) -> ModelState:
@@ -212,13 +228,10 @@ def load_model(directory: str | Path) -> ModelState:
     kind = meta.get("kind")
     if kind not in KINDS:
         raise FormatError(f"{directory}/meta.json: unknown model kind {kind!r} under 'kind'")
-    W = binio.read_matrix(directory / "W.bin", _BLOCK_MAGIC["W"])
-    V = binio.read_matrix(directory / "V.bin", _BLOCK_MAGIC["V"])
-    U = None
-    if kind == ZSL_ME:
-        U = binio.read_matrix(directory / "U.bin", _BLOCK_MAGIC["U"])
-    n, d = meta["n"], meta["d"]
-    if W.shape != (meta["m"], d) or V.shape != (n, d) or U is not None and U.shape != (n, d):
+    blocks = {name: binio.read_matrix(directory / f"{name}.bin", _BLOCK_MAGIC[name])
+              for name in BLOCKS[kind]}
+    if any(block.shape != (meta["m"] if name == "W" else meta["n"], meta["d"])
+           for name, block in blocks.items()):
         raise FormatError("matrix shapes disagree with meta.json")
     score_mode = meta.get("score_mode")
     if score_mode not in ("dot", "cosine"):
@@ -238,5 +251,5 @@ def load_model(directory: str | Path) -> ModelState:
             TrainConfig(**objective).validate()
         except ConfigError as exc:
             raise FormatError(f"{directory}/meta.json: objective: {exc}") from None
-    return ModelState(kind, meta["d"], W, V, U, meta["seed"], meta["sweep_count"],
-                      score_mode, objective, meta.get("ids_sha256"))
+    return ModelState(kind, meta["d"], blocks["W"], blocks["V"], blocks.get("U"), meta["seed"],
+                      meta["sweep_count"], score_mode, objective, meta.get("ids_sha256"))

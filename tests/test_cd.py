@@ -521,6 +521,18 @@ TASKS = {
 
 
 class TestTasks:
+    @pytest.mark.parametrize("kind", [STL, ZSL_TE])
+    def test_update_row_refuses_a_block_the_kind_lacks(self, kind):
+        corpus = edge_case_corpus()
+        config = TrainConfig(kind=kind, d=2)
+        state = init_model_state(config, corpus)
+        before = state.copy()
+        with pytest.raises(ConfigError) as info:
+            SLTrainer(state, corpus, config).update_row("U", 0)
+        assert str(info.value) == f"no block 'U' for kind {kind!r}"
+        assert state.U is None
+        assert all(np.array_equal(b, getattr(before, name)) for name, b in state.blocks.items())
+
     @pytest.mark.parametrize("kind,task1_encoded", sorted(TASKS))
     def test_task_table_and_sweep_order(self, kind, task1_encoded, monkeypatch):
         corpus = edge_case_corpus()

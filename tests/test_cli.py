@@ -191,6 +191,22 @@ class TestTrain:
                    "--out", str(workspace / "m"), "--config", str(cfgfile)])
         assert rc == 1
 
+    @pytest.mark.parametrize("text, code, start", [
+        ("{", 2, "data error: --config {}: Expecting property name"),
+        ("[4]", 1, "config error: --config must contain a JSON object"),
+    ], ids=["not-json", "not-an-object"])
+    def test_config_file_not_a_json_object(self, workspace, capsys, text, code, start):
+        corpus = ingest(workspace)
+        cfgfile = workspace / "bad.json"
+        cfgfile.write_text(text)
+        capsys.readouterr()
+        rc = main(["train", "--corpus", str(corpus), "--out", str(workspace / "m"),
+                   "--config", str(cfgfile)])
+        assert rc == code
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(start.format(cfgfile))
+        assert not (workspace / "m").exists()
+
     def test_uncastable_config_value_is_config_error(self, workspace, capsys):
         corpus = ingest(workspace)
         (workspace / "train.json").write_text(json.dumps({"dim": "four"}))
@@ -585,6 +601,29 @@ class TestRefresh:
         assert capsys.readouterr().err.strip().splitlines() == [
             "config error: sub_seed must be >= 0"]
         assert not (workspace / "model2").exists()
+
+
+@pytest.mark.parametrize("command", ["refresh", "loss-audit"])
+def test_smc_model_is_refused_once_loaded(workspace, capsys, command):
+    corpus = ingest(workspace)
+    (workspace / "pairs.tsv").write_text("apple\ta\nfire\tc\n")
+    assert main(["train", "--corpus", str(corpus), "--out", str(workspace / "smc"),
+                 "--model", "smc", "--pairs", str(workspace / "pairs.tsv"), "--dim", "4",
+                 "--steps", "5"]) == 0
+    before = sorted(workspace.rglob("*"))
+    capsys.readouterr()
+    # The new corpus does not exist: the refusal comes before it is read.
+    argv = {"refresh": ["refresh", "--model", str(workspace / "smc"), "--old-corpus", str(corpus),
+                        "--new-corpus", str(workspace / "missing"), "--out",
+                        str(workspace / "m2")],
+            "loss-audit": ["loss-audit", "--model", str(workspace / "smc"),
+                           "--corpus", str(corpus)]}[command]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()) == ("", [
+        "config error: kind 'smc' is not square-loss trainable; "
+        "square-loss kinds: stl, zsl_me, zsl_te"])
+    assert sorted(workspace.rglob("*")) == before
 
 
 def grow(ws):
@@ -1277,6 +1316,9 @@ def _edit_model_meta(model, key, value=None):
 MALFORMED = {
     "graph-count-not-an-integer": (
         lambda ws, c: (ws / "graph.tsv").write_text("a\tb\tthree\n"), "ingest-graph"),
+    "graph-edge-repeated": (
+        lambda ws, c: (ws / "graph.tsv").write_text("a\tb\t1\nb\ta\t1\na\tb\t2\n"),
+        "ingest-graph"),
     "item-id-with-a-tab": (
         lambda ws, c: _rewrite(ws / "items.jsonl", "\n", '\n{"id": "e\\tx", "words": []}\n'),
         "ingest"),
@@ -1299,6 +1341,19 @@ MALFORMED = {
         lambda ws, c: _rewrite(c / "items.tsv", "\t0\n", "\t0\tx\n"), "train"),
     "items-index-not-an-integer": (
         lambda ws, c: _rewrite(c / "items.tsv", "\t0\n", "\tzero\n"), "train"),
+    "adjacency-without-counts": (
+        lambda ws, c: binio.write_int_lists(c / "adjacency.bin", ADJ_MAGIC, np.zeros(5), np.zeros(0)),
+        "train"),
+    "word-lists-payload-shorter-than-offsets": (
+        lambda ws, c: binio.write_block(c / "words.bin", WORDS_MAGIC, 4, 1, bytes(32)), "train"),
+    "word-lists-payload-shorter-than-values": (
+        lambda ws, c: binio.write_block(c / "words.bin", WORDS_MAGIC, 4, 1,
+                                        np.array([0, 1, 1, 1, 1], "<i8").tobytes()), "train"),
+    "model-block-payload-of-another-size": (
+        lambda ws, c: binio.write_block(ws / "model" / "W.bin", b"ZSRMAT_W", 99, 4, bytes(16)),
+        "retrieve"),
+    "model-meta-not-an-object": (
+        lambda ws, c: (ws / "model" / "meta.json").write_text("[1]"), "retrieve"),
     "corpus-meta-without-max-neighbors": (
         lambda ws, c: _drop_max_neighbors(c), "train"),
     "word-offsets-fall": (
@@ -1350,6 +1405,9 @@ MALFORMED = {
     "labeled-set-name-not-a-string": (
         lambda ws, c: (ws / "labeled.jsonl").write_text(
             '{"query": ["apple"], "relevant": ["a"], "set": ["x"]}\n'), "eval-pooled"),
+    "labeled-relevant-id-unknown": (
+        lambda ws, c: (ws / "labeled.jsonl").write_text(
+            '{"query": ["apple"], "relevant": ["a", "zz"]}\n'), "eval-pooled"),
     "labeled-relevant-id-a-number": (
         lambda ws, c: (ws / "labeled.jsonl").write_text(
             '{"query": ["apple"], "relevant": ["a", 3]}\n'), "eval-pooled"),
@@ -1357,6 +1415,20 @@ MALFORMED = {
         lambda ws, c: (ws / "items.jsonl").write_bytes(
             ITEMS.encode() + b'{"id": "e", "words": ["caf\xe9"]}\n'), "ingest"),
     "queries-not-utf8": (lambda ws, c: (ws / "q.txt").write_bytes(b"apple\n\xff\n"), "retrieve"),
+}
+
+
+# The line some cases print, after the file's directory in the workspace.
+MALFORMED_LINES = {
+    "graph-edge-repeated": "graph.tsv:3: repeated edge 'a' -> 'b'",
+    "vocab-line-without-index": "corpus/vocab.tsv:1: expected 2 tab-separated fields",
+    "adjacency-without-counts": "corpus/adjacency.bin: missing counts",
+    "word-lists-payload-shorter-than-offsets": "corpus/words.bin: payload size mismatch",
+    "word-lists-payload-shorter-than-values": "corpus/words.bin: payload size mismatch",
+    "model-block-payload-of-another-size":
+        "model/W.bin: payload size does not match 99x4 float32",
+    "model-meta-not-an-object": "model/meta.json: not a JSON object",
+    "labeled-relevant-id-unknown": "labeled.jsonl:1: unknown item id 'zz'",
 }
 
 
@@ -1390,3 +1462,5 @@ def test_malformed_input_exits_2_with_one_line(workspace, capsys, case):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
+    if case in MALFORMED_LINES:
+        assert err == f"data error: {workspace}/{MALFORMED_LINES[case]}\n"

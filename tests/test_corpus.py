@@ -248,6 +248,19 @@ class TestIngestion:
         with pytest.raises(IngestError, match="unknown item id"):
             read_graph_tsv(p, corpus)
 
+    def test_graph_tsv_repeated_edge_names_file_line_and_ids(self, tmp_path):
+        corpus = build_corpus({"a": ["x"], "b": ["y"], "c": ["z"]})
+        p = tmp_path / "graph.tsv"
+        p.write_text("a\tb\t1\nb\ta\t2\n\nc\tc\t1\nb\ta\t5\na\tb\t1\n")
+        with pytest.raises(IngestError) as info:
+            read_graph_tsv(p, corpus)
+        assert str(info.value) == f"{p}:5: repeated edge 'b' -> 'a'"
+
+    def test_items_jsonl_skips_blank_lines(self, tmp_path):
+        p = tmp_path / "items.jsonl"
+        p.write_text('\n{"id": "a", "words": ["x"]}\n  \n\n{"id": "b", "words": []}\n\n')
+        assert read_items_jsonl(p) == {"a": ["x"], "b": []}
+
     def test_min_item_count_uses_consumption(self):
         corpus = ingest_corpus({"a": ["x"], "b": ["y"]}, Rows.from_lists([[0, 1], [0]]),
                                min_item_count=2)

@@ -84,7 +84,7 @@ class TestReconstructionRecall:
                 V = state.V.astype(np.float64)
                 norms = np.linalg.norm(V, axis=1)
                 for i in range(n):
-                    true = set(corpus.graph.neighbors[i].tolist())
+                    true = set(corpus.graph.neighbors[i].tolist()) - {i}  # no self-edge
                     if not true or (mode == "cosine" and norms[i] == 0):
                         continue
                     if mode == "cosine":
@@ -97,13 +97,22 @@ class TestReconstructionRecall:
                 assert rep.per_query == expect
                 assert rep.mean == (float(np.mean(expect)) if expect else 0.0)
 
-    def test_seed_is_excluded(self):
-        # self-loop neighbor: recall only reachable if the seed were scored
+    def test_a_seed_with_only_a_self_edge_is_skipped(self):
         V = np.array([[1, 0], [0, 1]], dtype=np.float32)
         graph = CorrelationGraph(Rows.from_lists([[0], []]),
                                  Rows.from_lists([[1], []]), 5)
         state = ModelState(ZSL_TE, 2, np.zeros((1, 2), dtype=np.float32), V, None, 0)
-        assert reconstruction_recall(state, graph).mean == 0.0
+        rep = reconstruction_recall(state, graph)
+        assert (rep.per_query, rep.skipped, rep.mean) == ([], 2, 0.0)
+
+    def test_a_self_edge_is_neither_truth_nor_prediction(self):
+        # Item 0 lists itself and item 1; the model ranks 0, then 1, then 2.
+        V = np.array([[1, 0], [0.9, 0.1], [0, 1]], dtype=np.float32)
+        graph = CorrelationGraph(Rows.from_lists([[0, 1], [], []]),
+                                 Rows.from_lists([[1, 1], [], []]), 5)
+        state = ModelState(ZSL_TE, 2, np.zeros((1, 2), dtype=np.float32), V, None, 0)
+        rep = reconstruction_recall(state, graph, "dot")
+        assert (rep.per_query, rep.skipped) == ([1.0], 2)
 
 
 class TestPooledRecall:

@@ -70,3 +70,32 @@ def test_the_scan_finds_an_unread_private_name():
 
 def test_the_package_reads_each_private_name_it_defines():
     assert unread_private_names([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+SQUARE_LOSS_KINDS = {"STL", "ZSL_ME", "ZSL_TE"}
+
+
+def kinds_named_in_functions(source: str) -> list[str]:
+    """``function:NAME`` for each square-loss kind constant that the body of a
+    function or method of ``source`` names, bare or as an attribute."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in (n for stmt in fn.body for n in ast.walk(stmt)):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name in SQUARE_LOSS_KINDS:
+                    found.add(f"{fn.name}:{name}")
+    return sorted(found)
+
+
+def test_the_scan_finds_a_kind_named_in_a_function():
+    module = ("from .store import STL, ZSL_TE\nTABLE = {STL: 1}\n"
+              "def f(kind=ZSL_TE):\n    return kind == store.ZSL_ME\n"
+              "class C:\n    kind = STL\n    def m(self):\n        return [STL]\n")
+    assert kinds_named_in_functions(module) == ["f:ZSL_ME", "m:STL"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_function_names_a_square_loss_kind(path):
+    """A kind's tasks and blocks are read from store.TASKS, never by comparing with the kind."""
+    assert kinds_named_in_functions(path.read_text(encoding="utf-8")) == []

@@ -12,9 +12,11 @@ from zsretrieval.errors import (
     VersionError,
 )
 from zsretrieval.store import (
+    SMC,
     STL,
     ZSL_ME,
     ZSL_TE,
+    ModelState,
     TrainConfig,
     init_model_state,
     init_rows,
@@ -96,6 +98,34 @@ class TestInitRows:
 
     def test_no_rows(self):
         assert init_rows(1, "V", [], 4, 0.1).shape == (0, 4)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("kind, names", [(STL, ["W", "V"]), (ZSL_ME, ["W", "V", "U"]),
+                                             (ZSL_TE, ["W", "V"])])
+    def test_each_kind_saves_and_loads_its_blocks(self, tmp_path, kind, names):
+        corpus = small_corpus()
+        state = init_model_state(TrainConfig(kind=kind, d=3), corpus)
+        assert list(state.blocks) == names
+        assert (state.U is None) == ("U" not in names)
+        save_model(state, tmp_path, corpus)
+        assert sorted(p.name for p in tmp_path.glob("*.bin")) == sorted(f"{b}.bin" for b in names)
+        back = load_model(tmp_path)
+        for got in (back, back.copy(), warm_start_extend(back, corpus, corpus)):
+            assert list(got.blocks) == names
+            for name, block in got.blocks.items():
+                assert block.tobytes() == getattr(state, name).tobytes()
+
+    def test_smc_has_w_and_v(self):
+        one = np.ones((1, 2), dtype=np.float32)
+        assert list(ModelState(SMC, 2, one, one, None, 0).blocks) == ["W", "V"]
+
+    @pytest.mark.parametrize("kind", [SMC, "bogus"])
+    def test_a_kind_without_square_loss_tasks_is_refused(self, kind):
+        with pytest.raises(ConfigError) as info:
+            TrainConfig(kind=kind).validate()
+        assert str(info.value) == (f"kind {kind!r} is not square-loss trainable; "
+                                   "square-loss kinds: stl, zsl_me, zsl_te")
 
 
 class TestPersistence:
