@@ -27,6 +27,32 @@ from .errors import IngestError, check
 ADJ_MAGIC = b"ZSRADJ\x00\x01"
 WORDS_MAGIC = b"ZSRWRD\x00\x01"
 
+# The working-memory budget: an array that grows with a count of entries
+# (pairs, tokens, gathered terms) or stacks d x d systems is built in slices
+# of at most this many float64 numbers.
+CHUNK_FLOATS = 1 << 17
+
+
+def budget_rows(width: int) -> int:
+    """How many rows of ``width`` numbers fit in CHUNK_FLOATS; at least one."""
+    return max(1, CHUNK_FLOATS // max(width, 1))
+
+
+def budget_runs(cost: np.ndarray, width: int, max_rows: int | None = None):
+    """(start, stop) of consecutive runs of rows, row i bringing ``cost[i]``
+    rows of ``width`` numbers, that fit in CHUNK_FLOATS and hold at most
+    ``max_rows`` rows; a run holds at least one row."""
+    max_cost = budget_rows(width)
+    ends = np.cumsum(cost)
+    start = 0
+    while start < len(ends):
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + max_cost, side="right")), start + 1)
+        if max_rows is not None:
+            stop = min(stop, start + max_rows)
+        yield start, stop
+        start = stop
+
 
 @dataclass(eq=False)
 class Rows:
@@ -190,8 +216,10 @@ def build_correlation_graph(
     flat = np.asarray(sequences.values, dtype=np.int64)
     _check_indices(flat, n_items)
     seq_id = sequences.row_ids()
+    # items of one sequence lie at most longest - 1 apart; keep one key array at least
+    longest = int(sequences.lengths().max(initial=0))
     keys = []
-    for w in range(1, window + 1):
+    for w in range(1, max(1, min(window, longest - 1)) + 1):
         q, p = flat[:-w], flat[w:]
         pair = (seq_id[:-w] == seq_id[w:]) & (q != p)
         keys.append(q[pair] * n_items + p[pair])

@@ -5,7 +5,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Rows
+from .corpus import Rows, budget_runs
 from .errors import EncodeError, ScoreError
 
 
@@ -21,13 +21,17 @@ def _unencodable(idx: np.ndarray, m: int) -> str | None:
 def encode_rows(words: Rows, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(indices of the rows of ``words`` that hold a word, their BOW encodings):
     the arithmetic mean of each row's word rows of W, duplicates counted, as
-    float64. Word indices must lie in ``[0, len(W))``."""
+    float64. Word indices must lie in ``[0, len(W))``. Runs of whole rows
+    are reduced in turn, their gathered word rows within CHUNK_FLOATS."""
     lens = words.lengths()
     ids = np.flatnonzero(lens)
-    if not len(ids):
-        return ids, np.zeros((0, W.shape[1]), dtype=np.float64)
-    Q = np.add.reduceat(W[words.values], words.indptr[ids], axis=0, dtype=np.float64)
-    Q /= lens[ids][:, None]
+    lens, starts = lens[ids], words.indptr[ids]
+    Q = np.empty((len(ids), W.shape[1]), dtype=np.float64)
+    for lo, hi in budget_runs(lens, W.shape[1]):
+        first, end = starts[lo], starts[hi - 1] + lens[hi - 1]
+        np.add.reduceat(W[words.values[first:end]], starts[lo:hi] - first, axis=0,
+                        dtype=np.float64, out=Q[lo:hi])
+    Q /= lens[:, None]
     return ids, Q
 
 

@@ -138,10 +138,14 @@ def search(queries: list[list[int]], W: np.ndarray, V: np.ndarray,
     """Top-k items for each word-index query, the block encoded at once by
     ``encode_rows`` over W; ``k`` is an int or one per query. Per query,
     returns its RankedList or why it was skipped: no in-vocabulary words, a
-    word index out of range, no items, or zero norm under cosine."""
-    ks = np.broadcast_to(np.asarray(k, dtype=np.int64), (len(queries),))
-    if np.any(ks < 1):
+    word index out of range, no items, or zero norm under cosine. A k above
+    the int64 range is read as its maximum: any k above the item count asks
+    for every item, short."""
+    k = np.asarray(k, dtype=object)
+    if np.any(k < 1):
         raise ConfigError("k must be >= 1")
+    k = np.asarray(np.minimum(k, np.iinfo(np.int64).max), dtype=np.int64)
+    ks = np.broadcast_to(k, (len(queries),))
     out: list = [_unencodable(np.asarray(words, dtype=np.int64), W.shape[0])
                  for words in queries]
     rows = [i for i, reason in enumerate(out) if reason is None]
@@ -174,7 +178,7 @@ def ensemble_interleave(primary: RankedList, secondary: RankedList,
     check(head_len=head_len)
     out: dict[int, float] = {}  # item -> score, in emission order
     p_entries, s_entries = iter(primary), iter(secondary)
-    for item, score in itertools.islice(p_entries, head_len):
+    for item, score in itertools.islice(p_entries, min(head_len, len(primary))):
         out.setdefault(item, score)
     s_left = head_len or len(secondary)
     while True:

@@ -26,7 +26,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .corpus import Corpus, Rows, compute_training_weights
+from .corpus import Corpus, Rows, budget_rows, budget_runs, compute_training_weights
 from .encoder import encode_rows
 from .errors import ConfigError, NumericError, SizeGuardError
 from .store import ModelState, TrainConfig, init_model_state
@@ -153,9 +153,6 @@ def sl_loss_efficient(
 # ---------------------------------------------------------------------------
 # Coordinate descent
 
-# A chunk of rows holds at most this many float64 numbers in its stacked
-# systems (rows x d x d) and in its gathered term rows (terms x d).
-CHUNK_FLOATS = 1 << 17
 SWEEP_STATS = ("seconds_V", "seconds_U", "seconds_W", "fallbacks_jitter", "fallbacks_lstsq")
 
 
@@ -217,21 +214,6 @@ def _level_schedule(word_items: Rows, n_items: int) -> list[np.ndarray]:
             last[i] = lv
     order = np.argsort(level, kind="stable")
     return np.split(order, np.cumsum(np.bincount(level))[:-1])
-
-
-def _chunks(rows: np.ndarray, cost: np.ndarray, d: int):
-    """Consecutive runs of ``rows`` whose systems and gathered terms
-    (``cost`` term rows per row) fit in CHUNK_FLOATS; at least one row each."""
-    max_rows = max(1, CHUNK_FLOATS // (d * d))
-    max_terms = max(1, CHUNK_FLOATS // d)
-    ends = np.cumsum(cost[rows])
-    start = 0
-    while start < len(rows):
-        base = ends[start - 1] if start else 0
-        stop = int(np.searchsorted(ends, base + max_terms, side="right"))
-        stop = min(max(stop, start + 1), start + max_rows)
-        yield rows[start:stop]
-        start = stop
 
 
 @dataclass(eq=False)
@@ -418,8 +400,10 @@ class SLTrainer:
                  if task is None else [(task.neg_c, self.Gv_neg, task.by_context, self.V64)])
         system = (partial(self._system_encoded, task) if task is not None and task.encoded
                   else partial(self._system_free, sides))
-        for level in levels:
-            for rows in _chunks(level, self.cost[block], self.config.d):
+        d = self.config.d
+        for level in levels:  # chunks whose systems and gathered terms each fit the budget
+            for start, stop in budget_runs(self.cost[block][level], d, budget_rows(d * d)):
+                rows = level[start:stop]
                 A, b, written = system(rows)
                 out[rows] = self._solve_rows(A, b, block, rows).astype(np.float32)
                 out64[rows] = out[rows]
@@ -472,16 +456,19 @@ class SLTrainer:
 
     # -- sweeps ------------------------------------------------------------
 
-    def sweep(self) -> dict:
+    def sweep(self, *, fresh: bool = False) -> dict:
         """One full pass: V rows, then the rows of each block a task owns (U, then W).
 
-        Returns the seconds each block took and the solver fallbacks."""
+        Each block's pass starts from refreshed caches; ``fresh`` says the
+        caches already match the state for the first one. Returns the seconds
+        each block took and the solver fallbacks."""
         stats = dict.fromkeys(SWEEP_STATS, 0.0)
         before = dict(self.fallbacks)
         levels = self.levels  # built on the first sweep, outside the block timings
-        for block in self.blocks:
+        for i, block in enumerate(self.blocks):
             t0 = time.perf_counter()
-            self.refresh()
+            if i or not fresh:
+                self.refresh()
             self._pass(block, levels[block])
             stats[f"seconds_{block}"] = time.perf_counter() - t0
         for kind in self.fallbacks:
@@ -489,18 +476,26 @@ class SLTrainer:
         self.state.sweep_count += 1
         return stats
 
-    def loss(self, parts: dict | None = None) -> float:
-        """The regularized objective at the current state, from refreshed caches.
+    def loss(self, parts: dict | None = None, *, fresh: bool = False) -> float:
+        """The regularized objective at the current state, from caches
+        refreshed first unless ``fresh`` says they match the state.
 
         Cost is O((n + m) d^2 + nnz d): the all-pairs implicit sums collapse to
         traces of d x d Gramian products; positive pairs are then reclaimed
-        term by term. ``parts`` receives the task1, task2 and reg terms.
+        term by term, scored in slices of at most CHUNK_FLOATS numbers.
+        ``parts`` receives the task1, task2 and reg terms.
         """
-        self.refresh()
+        if not fresh:
+            self.refresh()
         om, V = self.config.omega0, self.V64
+        step = budget_rows(self.config.d)
         tasks = {"task1": 0.0, "task2": 0.0}
         for task in self.tasks:
-            s = np.einsum("pd,pd->p", V[task.pos.row_ids()], task.ctx[task.pos.values])
+            items, contexts = task.pos.row_ids(), task.pos.values
+            s = np.empty(len(contexts))
+            for lo in range(0, len(s), step):
+                hi = lo + step
+                np.einsum("pd,pd->p", V[items[lo:hi]], task.ctx[contexts[lo:hi]], out=s[lo:hi])
             part = om * float(np.sum(self.Gv_neg * task.G))
             part += float(np.sum(task.pos_w * (s - 1.0) ** 2))
             part -= float(np.sum(task.pos_neg * s * s))
@@ -527,13 +522,15 @@ def train_sl_model(corpus: Corpus, config: TrainConfig,
     trainer = SLTrainer(state, corpus, config)
     trace = []
     parts: dict = {}
-    loss = trainer.loss(parts)
+    # Nothing changes the state between the trainer's set-up or a loss and
+    # the next loss or sweep, so these read the caches as they stand.
+    loss = trainer.loss(parts, fresh=True)
     trace.append({"sweep": state.sweep_count, "loss_total": loss, **{
         f"loss_{k}": v for k, v in parts.items()}, "seconds": 0.0,
         **dict.fromkeys(SWEEP_STATS, 0)})
     for _ in range(config.sweeps):
         t0 = time.perf_counter()
-        stats = trainer.sweep()
+        stats = trainer.sweep(fresh=True)
         parts = {}
         loss = trainer.loss(parts)
         trace.append({"sweep": state.sweep_count, "loss_total": loss, **{

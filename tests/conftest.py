@@ -1,4 +1,6 @@
 """Shared fixtures: random desk-scale corpora and model states."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,18 @@ def make_random_corpus(rng: np.random.Generator, n: int, m: int,
     nbrs = Rows.from_lists(neighbors)
     graph = CorrelationGraph(nbrs, Rows(nbrs.indptr, np.concatenate(counts)), max_neighbors)
     return Corpus(item_ids, vocab, word_lists, graph, {})
+
+
+def peak_above_start(fn) -> int:
+    """The most bytes ``fn`` held at once under tracemalloc, above those held
+    when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -4,9 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from tests.conftest import make_random_corpus
-from zsretrieval import sl_trainer
-from zsretrieval.corpus import Corpus, CorrelationGraph, Rows
+from tests.conftest import make_random_corpus, peak_above_start
+from zsretrieval import corpus as corpus_module
+from zsretrieval.corpus import Corpus, CorrelationGraph, Rows, empty_graph
 from zsretrieval.encoder import encode_rows
 from zsretrieval.errors import ConfigError
 from zsretrieval.sl_trainer import (
@@ -185,6 +185,26 @@ class TestTrainSLModel:
                 assert key in t
             assert t["loss_total"] == pytest.approx(
                 t["loss_task1"] + t["loss_task2"] + t["loss_reg"], rel=1e-9)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_refreshes_only_after_a_change_and_keeps_the_bits(self, kind, monkeypatch):
+        corpus = edge_case_corpus(seed=6)
+        config = TrainConfig(kind=kind, d=3, omega0=0.05, lam=0.3, sweeps=3, seed=18)
+        ref = init_model_state(config, corpus)
+        trainer = SLTrainer(ref, corpus, config)
+        losses = [trainer.loss()]
+        for _ in range(config.sweeps):  # the public calls, each refreshing first
+            trainer.sweep()
+            losses.append(trainer.loss())
+        calls = []
+        refresh = SLTrainer.refresh
+        monkeypatch.setattr(SLTrainer, "refresh", lambda self: calls.append(refresh(self)))
+        state, trace = train_sl_model(corpus, config)
+        # set-up, then per sweep: each block after V and the loss after it
+        assert len(calls) == 1 + config.sweeps * len(trainer.blocks)
+        assert [t["loss_total"] for t in trace] == losses
+        for name, block in ref.blocks.items():
+            assert getattr(state, name).tobytes() == block.tobytes(), name
 
     def test_resume_continues_from_state(self, rng):
         corpus = make_random_corpus(rng, 5, 4)
@@ -423,8 +443,9 @@ class TestPassesMatchRowByRow:
                              ids=lambda f: "-".join(k for k, v in f.items() if v) or "plain")
     @pytest.mark.parametrize("kind", KINDS)
     def test_sweep_equals_sequential_gauss_seidel(self, kind, flags, chunk_floats, monkeypatch):
-        if chunk_floats is not None:  # two rows or six term rows per chunk
-            monkeypatch.setattr(sl_trainer, "CHUNK_FLOATS", chunk_floats)
+        default = corpus_module.CHUNK_FLOATS
+        if chunk_floats is not None:  # two rows or six term rows (or pairs) per chunk
+            monkeypatch.setattr(corpus_module, "CHUNK_FLOATS", chunk_floats)
         corpus = edge_case_corpus()
         config = TrainConfig(kind=kind, d=3, omega0=0.05, lam=0.3, seed=12, **flags)
         state = init_model_state(config, corpus)
@@ -436,11 +457,39 @@ class TestPassesMatchRowByRow:
             stats = trainer.sweep()
             ref_sweep(oracle)
             assert_states_match(state, ref)
-            assert trainer.loss() == pytest.approx(oracle.loss(), rel=1e-12)
+            parts, other = {}, {}
+            loss = trainer.loss(parts)
+            assert loss == pytest.approx(oracle.loss(), rel=1e-12)
+            with monkeypatch.context() as budget:  # the other budget gives the same bits
+                budget.setattr(corpus_module, "CHUNK_FLOATS", default if chunk_floats else 20)
+                assert trainer.loss(other) == loss and other == parts
             brute = sl_loss_bruteforce(state, corpus, config)
-            assert abs(trainer.loss() - brute) / max(1.0, abs(brute)) <= 1e-8
+            assert abs(loss - brute) / max(1.0, abs(brute)) <= 1e-8
             assert stats["fallbacks_jitter"] == stats["fallbacks_lstsq"] == 0
             assert (stats["seconds_U"] > 0) == (kind == ZSL_ME)
+
+    @pytest.mark.parametrize("no_edges", [False, True], ids=["graph", "no-edges"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_loss_keeps_its_bits_at_every_slice_edge(self, kind, no_edges, monkeypatch):
+        corpus = edge_case_corpus()
+        if no_edges:  # task 2 has no pairs
+            corpus = Corpus(corpus.item_ids, corpus.vocab, corpus.word_lists,
+                            empty_graph(corpus.n), {})
+        config = TrainConfig(kind=kind, d=3, omega0=0.05, lam=0.3, seed=17)
+        trainer = SLTrainer(init_model_state(config, corpus), corpus, config)
+        trainer.sweep()
+        counts = [len(task.pos.values) for task in trainer.tasks]
+        assert (0 in counts) == (no_edges and kind != STL)
+        parts = {}
+        loss = trainer.loss(parts)
+        brute = sl_loss_bruteforce(trainer.state, corpus, config)
+        assert abs(loss - brute) / max(1.0, abs(brute)) <= 1e-8
+        for pairs in counts:
+            # one pair a slice, a last slice of one pair, one slice of them all
+            for step in {1, max(pairs // 2, 1), max(pairs - 1, 1), max(pairs, 1)}:
+                monkeypatch.setattr(corpus_module, "CHUNK_FLOATS", step * config.d)
+                got = {}
+                assert trainer.loss(got) == loss and got == parts
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_update_row_is_the_one_row_case(self, kind):
@@ -544,3 +593,22 @@ class TestTasks:
         monkeypatch.setattr(trainer, "_pass", lambda block, levels: solved.append(block))
         trainer.sweep()
         assert solved == blocks
+
+
+class TestWorkingMemory:
+    # From the small corpus to the large one the graph's nnz grows 8x, n + m 2x.
+    @pytest.mark.parametrize("n, m, degree", [(150, 60, 60), (300, 120, 240)],
+                             ids=["small", "large"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_array_grows_with_nnz_times_d(self, kind, n, m, degree):
+        corpus = make_random_corpus(np.random.default_rng(7), n, m, max_text=6,
+                                    max_degree=degree, max_neighbors=degree)
+        config = TrainConfig(kind=kind, d=32, sweeps=1, seed=3)
+        nnz = corpus.graph.nnz
+        # A few budgets of slices, plus rows of the blocks and scalars per pair.
+        bound = 8 * (4 * corpus_module.CHUNK_FLOATS + 8 * (n + m) * config.d + 4 * nnz)
+        if degree == 240:  # one (pairs x d) float64 array would break the bound
+            assert 8 * nnz * config.d > bound
+        trainer = SLTrainer(init_model_state(config, corpus), corpus, config)
+        assert peak_above_start(trainer.loss) <= bound
+        assert peak_above_start(lambda: train_sl_model(corpus, config)) <= bound

@@ -29,6 +29,8 @@ u2\tc,d,c,d
 u3\ta,b
 """
 
+SRC = str(Path(zsretrieval.__file__).parents[1])  # for zsr run as a child process
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -112,6 +114,23 @@ class TestIngest:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: "), err
         assert not Path("corpus").exists()
+
+    def test_window_past_the_longest_sequence_writes_the_same_corpus(self, workspace):
+        # The longest sequence holds 4 items; a window of 10**9 stops at their
+        # spacing, where it would otherwise run 10**9 steps.
+        for window in ("4", str(10 ** 9)):
+            argv = ["ingest", "--items", str(workspace / "items.jsonl"), "--sequences",
+                    str(workspace / "sequences.tsv"), "--window", window,
+                    "--out", str(workspace / window)]
+            done = subprocess.run([sys.executable, "-m", "zsretrieval.cli", *argv],
+                                  capture_output=True, text=True, timeout=60,
+                                  env={**os.environ, "PYTHONPATH": SRC})
+            assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+        corpus = sorted(p.name for p in (workspace / "4").iterdir() if p.name != "manifest.json")
+        assert "adjacency.bin" in corpus
+        for name in corpus:
+            assert ((workspace / "4" / name).read_bytes()
+                    == (workspace / str(10 ** 9) / name).read_bytes()), name
 
     def test_item_id_with_a_comma(self, workspace, capsys):
         _rewrite(workspace / "items.jsonl", "\n", '\n{"id": "e,f", "words": ["pie"]}\n')
@@ -505,6 +524,42 @@ def test_bad_k_or_head_exits_1_before_reading_input(workspace, capsys, monkeypat
     assert not Path("out").exists()
 
 
+# A k (or head) above the int64 range asks for every item, as any k above the
+# item count does: case -> argv without --k. Each runs with --k 10**12 and
+# --k 10**20 and must write the same items and recalls, without a traceback.
+HUGE_K = {
+    "retrieve": ["retrieve", "--model", "model", "--queries", "q.txt"],
+    "eval-recall": ["eval", "--model", "model", "--metric", "recall", "--pairs", "pairs.tsv"],
+    "ensemble-eval": ["ensemble-eval", "--primary", "model", "--secondary", "model",
+                      "--pairs", "pairs.tsv"],
+    "ensemble-eval-head": ["ensemble-eval", "--primary", "model", "--secondary", "model",
+                           "--pairs", "pairs.tsv", "--head", str(10 ** 20)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_K))
+def test_k_above_the_int64_range_ranks_every_item(workspace, capsys, monkeypatch, case):
+    monkeypatch.chdir(workspace)
+    train(workspace, ingest(workspace))
+    Path("q.txt").write_text("apple\nfire truck\n")
+    Path("pairs.tsv").write_text("apple\ta\nfire\tc\n")
+    written = []
+    for k in (10 ** 12, 10 ** 20):
+        capsys.readouterr()
+        assert main([*HUGE_K[case], "--corpus", "corpus", "--out", f"out{k}", "--k", str(k)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        if case == "retrieve":
+            written.append(Path(f"out{k}/results.tsv").read_text())
+        else:
+            report = json.loads(Path(f"out{k}/report.json").read_text())
+            assert report.pop("k") == k
+            report.pop("head_len", None)
+            written.append(report)
+    assert written[0] == written[1]
+    if case == "retrieve":
+        assert written[0].count("\n4\t") == 2  # all 4 items for each query
+
+
 EVAL = ["eval", "--model", "model", "--corpus", "corpus"]
 # An eval option its metric never reads or an input it needs and was not
 # given, a train --pairs or option its model never reads or needs, and a
@@ -794,7 +849,7 @@ class TestNonAsciiUnderCLocale:
         the locale's encoding is ASCII, so a read that relies on it fails."""
         env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHON"))}
         env.update(LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0",
-                   PYTHONPATH=str(Path(zsretrieval.__file__).parents[1]))
+                   PYTHONPATH=SRC)
         return subprocess.run([sys.executable, "-X", "utf8=0", "-m", "zsretrieval.cli", *argv],
                               cwd=ws, env=env, capture_output=True, timeout=300)
 

@@ -56,6 +56,17 @@ class TestCorrelationGraph:
         g = build_correlation_graph(Rows.from_lists([[0, 1, 2]]), 3, 250, window=2)
         assert g.neighbors[0].tolist() == [1, 2]
 
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    @pytest.mark.parametrize("sequences", [[[0, 1, 2], [2, 0]], [[0], [1], [2]], []],
+                             ids=["longest-3", "all-of-one-item", "none"])
+    def test_window_past_the_longest_sequence_counts_nothing_more(self, sequences, symmetrize):
+        seqs = Rows.from_lists(sequences)
+        longest = max(map(len, sequences), default=1)
+        want = build_correlation_graph(seqs, 3, 250, longest, symmetrize)
+        got = build_correlation_graph(seqs, 3, 250, 10 ** 12, symmetrize)
+        for a, b in ((got.neighbors, want.neighbors), (got.counts, want.counts)):
+            assert a.indptr.tolist() == b.indptr.tolist() and a.values.tolist() == b.values.tolist()
+
     def test_empty_sequences_empty_graph(self):
         g = build_correlation_graph(Rows.from_lists([]), 3, 250)
         assert g.nnz == 0

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from tests.conftest import peak_above_start
+from zsretrieval import corpus as corpus_module
 from zsretrieval.corpus import Rows
 from zsretrieval.encoder import encode_bow, encode_rows, rescale_item_norms
 from zsretrieval.errors import EncodeError
@@ -61,6 +63,29 @@ class TestEncodeRows:
                 assert q.tobytes() == mean.tobytes()
             else:
                 np.testing.assert_allclose(q, mean, rtol=1e-13, atol=1e-15)
+
+    # runs of one row (the longest rows exceed the budget), of a few rows, of all rows
+    @pytest.mark.parametrize("budget_tokens", [1, 50, None])
+    def test_every_budget_gives_the_bits_of_one_reduction(self, rng, monkeypatch, budget_tokens):
+        m, d = 40, 8
+        W = rng.standard_normal((m, d)).astype(np.float32)
+        words = Rows.from_lists([rng.integers(0, m, size=int(rng.integers(0, 30))).tolist()
+                                 for _ in range(200)])
+        if budget_tokens is not None:
+            monkeypatch.setattr(corpus_module, "CHUNK_FLOATS", budget_tokens * d)
+        ids, Q = encode_rows(words, W)
+        lens = words.lengths()[ids]
+        whole = np.add.reduceat(W[words.values], words.indptr[ids], axis=0, dtype=np.float64)
+        assert Q.tobytes() == (whole / lens[:, None]).tobytes()
+
+    def test_word_rows_are_gathered_within_the_budget(self, rng):
+        m, d, rows = 50, 64, 200
+        W = rng.standard_normal((m, d)).astype(np.float32)
+        words = Rows.from_lists([rng.integers(0, m, size=100).tolist() for _ in range(rows)])
+        peak = peak_above_start(lambda: encode_rows(words, W))
+        # the float32 gather and its float64 cast of one run, the result, the row lengths
+        assert peak <= 12 * corpus_module.CHUNK_FLOATS + 8 * rows * (d + 4)
+        assert 12 * len(words.values) * d > 2 * peak  # what one gather of every token takes
 
     def test_no_row_with_words(self):
         ids, Q = encode_rows(Rows.from_lists([[], []]), np.ones((3, 5), dtype=np.float32))
