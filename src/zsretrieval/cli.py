@@ -6,7 +6,8 @@ resolved configuration, sha256 digests of the inputs, and the tool version.
 Option precedence is flags > --config JSON file > built-in defaults; refresh
 and loss-audit default to the objective stored with the model.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure,
+4 out of memory.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from .evaluation import (
     recall_at_k,
     reconstruction_recall,
 )
-from .retrieval import BLOCK_ROWS, search
+from .retrieval import search
 from .sl_trainer import SWEEP_STATS, sl_loss_bruteforce, sl_loss_efficient, train_sl_model
 from .smc import SAMPLINGS, SMCConfig, train_smc
 from .store import (
@@ -60,6 +61,7 @@ from .store import (
     warm_start_extend,
 )
 
+QUERY_LINES = 256  # --queries lines that zsr retrieve ranks with one search call
 TRACE_FIELDS = ["sweep", "loss_total", "loss_task1", "loss_task2", "loss_reg", "seconds",
                 *SWEEP_STATS]
 
@@ -340,7 +342,7 @@ def cmd_retrieve(args: argparse.Namespace) -> tuple[dict, str]:
         out.mkdir(parents=True, exist_ok=True)
         with binio.atomic_writer(out / "results.tsv") as results_fh:
             lines = _split_lines(fh)
-            while block := list(itertools.islice(lines, BLOCK_ROWS)):
+            while block := list(itertools.islice(lines, QUERY_LINES)):
                 queries = [words_to_indices(corpus, raw.split(), bigrams=cfg["bigrams"])
                            for raw in block]
                 out_rows = []
@@ -615,6 +617,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy names the array it could not allocate
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -7,12 +7,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Rows
+from .corpus import Rows, budget_rows
 from .encoder import _unencodable, encode_rows
 from .errors import ConfigError, ScoreError, check
 
-BLOCK_ROWS = 256  # query rows scored by one matrix product
-_SCALE_ROWS = 16  # score rows divided by one outer product of norms
+# The float32 filter's error bound. Write s for a pair's float64 score as the
+# re-rank computes it, f for its float32 score and u = 2^-24. Under cosine f
+# is the float32 dot product of a = q/‖q‖ and b = v/‖v‖, each rounded to
+# float32 from float64; under dot, of a = q and b = v. Let A = ‖a‖ and
+# B = max ‖b‖ over the items: 1 and 1 under cosine, ‖q‖ and max ‖v‖ under dot.
+#  1. A rounding to float32 gives x(1 + δ) + η, |δ| ≤ u, |η| ≤ 2^-150 (η only
+#     on underflow). So |â·b̂ - a·b| ≤ (2u + u²) Σ|a_j b_j|
+#     + 2^-150 (1 + u)(‖a‖₁ + ‖b‖₁) + d 2^-300.
+#  2. A float32 sum of the d products, in any order, with or without FMA,
+#     puts each term through at most d roundings, and an addition that
+#     underflows is exact: |f - â·b̂| ≤ γ Σ|â_j b̂_j| + d 2^-150, where
+#     γ = du / (1 - du) ≤ 1.07du for d ≤ 2^20.
+#  3. Σ|a_j b_j| ≤ AB (Cauchy-Schwarz) and ‖a‖₁ ≤ √d A ≤ (d + 1) A / 2.
+#  4. s is a·b to (d + 5) 2^-53 AB: the float64 sum, quotients and norms. A
+#     float64 norm is exact to (d + 2) 2^-53 once it is at least 2^-480, since
+#     underflowed squares add at most d 2^-1075 to a sum of at least 2^-960;
+#     under dot a smaller one only moves E's absolute term.
+# So |f - s| ≤ E = (1.2d + 3) u AB + 2^-150 (d + 4)(A + B + 1) when d ≤ 2^20,
+# every norm is finite, the cosine norms are at least 2^-480 (_TINY), and
+# under dot A, B and AB are below 2^126 (_HUGE): then no cast to float32 and
+# no float32 partial sum overflows.
+#
+# Let t be a row's k-th largest f (a block takes its largest k, whose t is
+# no larger). The k items of f ≥ t have s ≥ t - E, so the k-th largest s is
+# at least t - E, and every item in the top k by s, ties included, has
+# f ≥ t - 2E. The filter keeps each item of f ≥ t - 2ε, where
+# ε = (d + 4)(4u AB + 2^-148 (A + B + 1)): 2ε - 2E exceeds the rounding of
+# t - 2ε to float32, at most u |t - 2ε| + 2^-150. Where the conditions fail
+# ε is inf, and where fewer than k items have an f (a zero-norm item's is
+# NaN) t is NaN: then every live item is a candidate.
+_U = 2.0 ** -24
+_MAX_D = 1 << 20
+_TINY, _HUGE = 2.0 ** -480, 2.0 ** 126
 
 
 @dataclass
@@ -35,28 +66,31 @@ class RankedList:
         return iter(zip(self.items.tolist(), self.scores.tolist()))
 
 
-def _topk(S: np.ndarray, k: int | np.ndarray) -> list[np.ndarray]:
-    """The one ranking kernel: each row's first k candidates (k an int >= 1
-    or one per row) by (score desc, index asc); -inf and NaN are not
-    candidates. Partitions at the k-th score and sorts only what is above."""
-    out = []
-    for row, kk in zip(S, np.broadcast_to(k, len(S))):
-        kk = min(int(kk), row.size)
-        kth = -np.partition(-row, kk - 1)[kk - 1]
-        cand = np.flatnonzero(row >= kth if kth > -np.inf else row > -np.inf)
-        out.append(cand[np.lexsort((cand, -row[cand]))[:kk]])  # last key is primary
-    return out
+def _topk(owners: np.ndarray, scores: np.ndarray, ks: list[int]) -> list[np.ndarray]:
+    """The one ranking kernel. ``owners`` (rising) and ``scores`` list the
+    candidates of a block of rows, each row's items in rising index order;
+    per row, returns the positions of its first k candidates by (score desc,
+    index asc). -inf and NaN are not candidates: sorted by negated score,
+    they come last in their row."""
+    order = np.lexsort((-scores, owners))  # by row, then score desc, then index asc
+    counts = np.bincount(owners, minlength=len(ks))
+    scored = np.bincount(owners[scores > -np.inf], minlength=len(ks))
+    starts = (np.cumsum(counts) - counts).tolist()
+    return [order[lo:lo + min(k, c)] for lo, k, c in zip(starts, ks, scored.tolist())]
 
 
 @dataclass(frozen=True)
 class _Prepared:
-    """What every scan of an item block reads: V as float64 and, under
-    cosine, the divisor norms (1.0 for a zero-norm item) and the zero-norm
-    item indices."""
+    """What every scan of an item block reads: ``T``, the d x n float32
+    filter block (each item's unit row under cosine, NaN for a zero-norm
+    item; V itself under dot), the float64 item norms, the live items (all
+    but the zero-norm ones under cosine) and B of the filter's error bound
+    (1 under cosine, max ‖v‖ under dot), inf where the bound cannot hold."""
 
-    V64: np.ndarray
-    divisor: np.ndarray | None = None
-    dead: np.ndarray | None = None
+    T: np.ndarray
+    norms: np.ndarray
+    live: np.ndarray
+    B: float
 
 
 _PREPARED: dict[tuple[int, str], _Prepared] = {}  # (id(V), mode) of a block that cannot change
@@ -74,18 +108,29 @@ def _immutable(V: np.ndarray) -> bool:
 
 
 def _prepare(V: np.ndarray, mode: str) -> _Prepared:
-    """The prepared form of V under ``mode``. It is built once and kept for
-    as long as V lives when V cannot change, and built per call otherwise."""
+    """The prepared form of V under ``mode``, built CHUNK_FLOATS at a time.
+    It is built once and kept for as long as V lives when V cannot change,
+    and built per call otherwise."""
     key, memo = (id(V), mode), _immutable(V)
     if memo and key in _PREPARED:
         return _PREPARED[key]
-    V64 = V.astype(np.float64)
+    n, d = V.shape
+    T, norms = np.empty((d, n), dtype=np.float32), np.empty(n)
+    step = budget_rows(d)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, n, step):
+            rows = V[lo:lo + step].astype(np.float64)
+            norms[lo:lo + step] = np.linalg.norm(rows, axis=1)
+            if mode == "cosine":
+                rows /= norms[lo:lo + step, None]
+                rows[~(norms[lo:lo + step] > 0.0)] = np.nan  # a zero-norm item is no candidate
+            T[:, lo:lo + step] = rows.T
     if mode == "cosine":
-        norms = np.linalg.norm(V64, axis=1)
         live = norms > 0.0
-        prepared = _Prepared(V64, np.where(live, norms, 1.0), np.flatnonzero(~live))
+        B = 1.0 if np.all((norms[live] >= _TINY) & (norms[live] < np.inf)) else np.inf
     else:
-        prepared = _Prepared(V64)
+        live, B = np.ones(n, dtype=bool), float(norms.max()) if n else 0.0
+    prepared = _Prepared(T, norms, live, B if d <= _MAX_D and B < _HUGE else np.inf)
     if memo:
         _PREPARED[key] = prepared
         weakref.finalize(V, _PREPARED.pop, key, None)  # V's id may be reused once it is freed
@@ -94,30 +139,53 @@ def _prepare(V: np.ndarray, mode: str) -> _Prepared:
 
 def _rank(Q: np.ndarray, ks: np.ndarray, V: np.ndarray, mode: str) -> list[RankedList | str]:
     """Rank the items of V for each query row of Q, or say why the row cannot
-    be scored: no items, or a zero norm under cosine. The scored rows are
-    taken BLOCK_ROWS at a time against V's prepared form. Under cosine scores
-    are divided by both norms; zero-norm items score -inf (not candidates)."""
+    be scored: no items, or a zero norm under cosine. A block of rows within
+    CHUNK_FLOATS is scored in float32 against V's prepared form; each row's
+    candidates (see the bound above) are rescored in float64, each pair by
+    the same operations, and ranked. Under cosine a score is divided by both
+    norms, and zero-norm items are never candidates."""
     if mode not in ("dot", "cosine"):
         raise ScoreError(f"unknown score mode {mode!r}")
-    if V.shape[0] == 0:
+    n, d = V.shape
+    if n == 0:
         return ["empty item matrix"] * len(Q)
+    cosine = mode == "cosine"
     # Row by row as np.linalg.norm(q) computes it, bit for bit; norm(Q, axis=1) is not.
     q_norms = np.sqrt((Q[:, None, :] @ Q[:, :, None])[:, 0, 0])
-    skip = (q_norms == 0.0) & (mode == "cosine")
+    skip = (q_norms == 0.0) & cosine
     out: list = ["cosine undefined for zero-norm query" if s else None for s in skip]
     rows, ks = np.flatnonzero(~skip), np.asarray(ks)
     prep = _prepare(V, mode)
-    for start in range(0, len(rows), BLOCK_ROWS):
-        block = rows[start:start + BLOCK_ROWS]
-        S = Q[block] @ prep.V64.T
-        if prep.divisor is not None:
-            for lo in range(0, len(block), _SCALE_ROWS):
-                S[lo:lo + _SCALE_ROWS] /= np.outer(q_norms[block[lo:lo + _SCALE_ROWS]],
-                                                  prep.divisor)
-            S[:, prep.dead] = -np.inf
-        for i, row, items, k in zip(block, S, _topk(S, ks[block]), ks[block].tolist()):
-            out[i] = RankedList(items, row[items], k, mode)
-        del S, row  # free this block (row is a view of it) before the next one is scored
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if cosine:
+            A = np.where((q_norms >= _TINY) & (q_norms < np.inf), 1.0, np.inf)
+        else:
+            A = np.where((q_norms < _HUGE) & (q_norms * prep.B < _HUGE), q_norms, np.inf)
+        # 2ε = 2(d + 4)(4u AB + 2^-148 (A + B + 1)), linear in A
+        margin = 2 * (d + 4) * (A * (4 * _U * prep.B + 2.0 ** -148) + 2.0 ** -148 * (prep.B + 1))
+        step = budget_rows((n + 1) // 2)  # float32 score rows, n/2 float64 numbers wide
+        pairs = budget_rows(d)
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            kb = ks[block].tolist()
+            # One k for the block, its largest: a row's K-th largest f is at most its k-th.
+            K = min(max(kb), n)
+            Qb = Q[block]
+            negS = (-(Qb / q_norms[block, None] if cosine else Qb)).astype(np.float32) @ prep.T
+            lim = np.partition(negS, K - 1, axis=1)[:, K - 1] + margin[block]
+            lim = lim.astype(np.float32)[:, None]  # -f <= lim: f >= t - 2ε
+            keep = negS <= lim
+            keep[~(lim[:, 0] < np.inf)] = prep.live  # ε inf, or fewer than K items scored
+            del negS  # free the score block before the rescoring
+            owners, items = np.divmod(np.flatnonzero(keep), n)
+            scores = np.empty(len(items))
+            for lo in range(0, len(items), pairs):
+                np.einsum("pd,pd->p", V[items[lo:lo + pairs]].astype(np.float64, copy=False),
+                          Qb[owners[lo:lo + pairs]], out=scores[lo:lo + pairs])
+            if cosine:
+                scores /= q_norms[block][owners] * prep.norms[items]
+            for i, k, top in zip(block.tolist(), kb, _topk(owners, scores, kb)):
+                out[i] = RankedList(items[top], scores[top], k, mode)
     return out
 
 

@@ -3,6 +3,7 @@ import argparse
 import importlib.util
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -326,12 +327,12 @@ class TestRetrieve:
         (workspace / "q.txt").write_text("\n".join(lines[:-1]) + "\r\n" + lines[-1])
         expected = (workspace / "q.txt").read_text().splitlines()
         capsys.readouterr()
-        monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(cli, "QUERY_LINES", 4)
         argv = ["retrieve", "--model", str(model), "--corpus", str(corpus),
                 "--queries", str(workspace / "q.txt"), "--k", "2"]
         assert main(argv + ["--out", str(workspace / "small")]) == 0
         small = capsys.readouterr().out
-        monkeypatch.setattr(cli, "BLOCK_ROWS", 1000)
+        monkeypatch.setattr(cli, "QUERY_LINES", 1000)
         assert main(argv + ["--out", str(workspace / "one")]) == 0
         assert f"for {len(expected)} queries (6 skipped)" in small
         assert capsys.readouterr().out.split(" -> ")[0] == small.split(" -> ")[0]
@@ -1320,6 +1321,36 @@ class TestExitCodes:
         assert main(["ingest", "--items", "items.jsonl", "--out", "out"]) == code
         assert capsys.readouterr().err.splitlines() == [f"{label}: msg"]
         assert not Path("out").exists()
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 8 GiB", "out of memory: Unable to allocate 8 GiB"),
+        ("", "out of memory: an allocation failed")], ids=["numpy", "empty"])
+    def test_memory_error_exits_4_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                message, line):
+        def fail(args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("zsretrieval.cli.cmd_ingest", fail)
+        monkeypatch.chdir(tmp_path)
+        assert main(["ingest", "--items", "items.jsonl", "--out", "out"]) == 4
+        assert capsys.readouterr().err.splitlines() == [line]
+
+    def test_a_dimension_past_memory_exits_4_with_one_line(self, workspace):
+        # --dim 10**9 asks for GiBs per block; the child's address space is
+        # capped at 2 GiB, so the allocation fails at once, whatever the host has.
+        corpus = ingest(workspace)
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "zsretrieval.cli", "train", "--corpus", str(corpus),
+             "--out", str(workspace / "model"), "--dim", str(10 ** 9)],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+            env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"})
+        assert done.returncode == 4, done.stderr
+        [line] = done.stderr.splitlines()
+        assert line.startswith("out of memory: Unable to allocate ") and "1000000000" in line
 
     @pytest.mark.parametrize("case", sorted(MANIFEST_INPUTS))
     def test_manifest_lists_each_input_given(self, workspace, monkeypatch, case):

@@ -2,19 +2,21 @@
 import numpy as np
 import pytest
 
+from tests.conftest import peak_above_start
+from zsretrieval import corpus as corpus_module
 from zsretrieval import retrieval
 from zsretrieval.binio import read_matrix, write_matrix
-from zsretrieval.corpus import build_corpus
+from zsretrieval.corpus import CorrelationGraph, Rows, budget_rows, build_corpus
 from zsretrieval.encoder import encode_bow
 from zsretrieval.errors import ConfigError, EncodeError, ScoreError
+from zsretrieval.evaluation import reconstruction_recall
 from zsretrieval.retrieval import (
-    BLOCK_ROWS,
     RankedList,
     ensemble_interleave,
     retrieve_topk,
     search,
 )
-from zsretrieval.store import TrainConfig, init_model_state, load_model, save_model
+from zsretrieval.store import ModelState, TrainConfig, init_model_state, load_model, save_model
 
 
 def ranked(items, scores=None):
@@ -31,19 +33,52 @@ def small_ints(rng, shape):
 
 
 def sort_all_oracle(q, V, mode):
+    """Every candidate of a float64 scan of one item at a time, by (score
+    desc, index asc): a zero-norm item under cosine, and a score of -inf or
+    NaN, is no candidate."""
     scored = []
-    for i in range(len(V)):
-        v = V[i].astype(np.float64)
-        if mode == "cosine":
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                continue
-            s = float(v @ q) / (nv * np.linalg.norm(q))
-        else:
-            s = float(v @ q)
-        scored.append((-s, i))
+    with np.errstate(all="ignore"):
+        for i in range(len(V)):
+            v = V[i].astype(np.float64)
+            if mode == "cosine":
+                nv = np.linalg.norm(v)
+                if nv == 0.0:
+                    continue
+                s = float(v @ q) / (nv * np.linalg.norm(q))
+            else:
+                s = float(v @ q)
+            if s > -np.inf:
+                scored.append((-s, i))
     scored.sort()
     return [i for _, i in scored]
+
+
+def fuzz_block(rng):
+    """A random item block and queries with what the float32 filter must get
+    past: near-ties inside float32 resolution, planted duplicates and zero
+    rows, one huge-norm row, values beyond float32's range or subnormal, and
+    NaN or inf entries. A float64 block may leave float32's range."""
+    n, d, wide = int(rng.integers(1, 40)), int(rng.integers(1, 9)), bool(rng.integers(2))
+    V, Q = rng.standard_normal((n, d)), rng.standard_normal((4, d))
+    near, dup, zero, huge, scale_v, scale_q, bad = rng.random(7) < 0.3
+    if near:  # far above float64's last place, where two summation orders may disagree
+        V = V[:1] + rng.choice([1e-6, 1e-8]) * rng.standard_normal((n, d))
+    if dup:
+        V[rng.integers(0, n, size=n // 3 + 1)] = V[int(rng.integers(n))]
+    if zero:
+        V[rng.integers(0, n, size=n // 4 + 1)] = 0.0
+    # Powers of two scale exactly, so a scaled duplicate stays a tie under cosine.
+    if huge:
+        V[int(rng.integers(n))] *= 2.0 ** 20
+    scales = 2.0 ** np.array([-1000, -530, -150, 130, 330] if wide else [-133, -149, 100])
+    if scale_v:
+        V *= rng.choice(scales)
+    if scale_q:
+        Q *= rng.choice(scales)
+    if bad:
+        V[int(rng.integers(n)), int(rng.integers(d))] = rng.choice([np.nan, np.inf, -np.inf])
+    with np.errstate(over="ignore"):
+        return V.astype(np.float64 if wide else np.float32), Q
 
 
 class TestRetrieveTopK:
@@ -95,9 +130,44 @@ class TestRetrieveTopK:
             assert out.short == (len(expect) < k)
 
 
+class TestFilterFuzz:
+    @pytest.mark.parametrize("mode", ["dot", "cosine"])
+    def test_matches_the_float64_scan(self, mode, rng):
+        for _ in range(600):
+            V, Q = fuzz_block(rng)
+            ks = rng.integers(1, len(V) + 3, size=len(Q)).tolist()
+            # Each query is a one-word query over the rows of Q: its encoding is the row.
+            blocked = search([[i] for i in range(len(Q))], Q, V, ks, mode)
+            for q, k, in_block in zip(Q, ks, blocked):
+                try:
+                    got = retrieve_topk(q, V, k, mode)
+                except ScoreError as exc:
+                    assert in_block == str(exc)
+                    continue
+                expect = sort_all_oracle(q, V, mode)
+                assert got.items.tolist() == expect[:k]
+                assert got.short == (len(expect) < k)
+                assert np.all(got.scores > -np.inf)  # a -inf or NaN score is no candidate
+                assert same_ranking(in_block, got)
+
+
+def score_block_rows(n, monkeypatch, chunk_floats):
+    """Patch the budget to ``chunk_floats`` numbers and return how many query
+    rows one float32 score block then holds: rows of n float32 numbers,
+    n/2 float64 numbers wide."""
+    monkeypatch.setattr(corpus_module, "CHUNK_FLOATS", chunk_floats)
+    return budget_rows((n + 1) // 2)
+
+
 class TestSearch:
     @pytest.mark.parametrize("mode", ["dot", "cosine"])
-    def test_matches_per_query_retrieval(self, mode, rng):
+    def test_matches_per_query_retrieval(self, mode, rng, monkeypatch):
+        for chunk_floats, rows in ((1, 1), (200, 10)):  # blocks of one query row, and of ten
+            assert score_block_rows(40, monkeypatch, chunk_floats) == rows
+            self.check_blocks(mode, rows, rng)
+
+    @staticmethod
+    def check_blocks(mode, rows, rng):
         n, m, d = 40, 30, 3
         V = small_ints(rng, (n, d))
         V[5:10] = V[0]  # duplicate items
@@ -106,12 +176,12 @@ class TestSearch:
         W[0] = 0.0  # a zero-norm query under cosine
         # 1, 2 or 4 words: the mean stays exact, so exact ties stay ties.
         queries = [rng.integers(1, m, size=int(rng.choice([1, 2, 4]))).tolist()
-                   for _ in range(2 * BLOCK_ROWS + 50)]
-        queries[BLOCK_ROWS + 3] = queries[3]  # one query in two blocks
-        queries[7] = []  # skipped in the middle of the first block
-        queries[BLOCK_ROWS + 9] = [0, 0]
+                   for _ in range(2 * rows + 50)]
+        queries[rows + 3] = queries[3]  # one query in two blocks
+        queries[7] = []  # skipped, inside a block but for one-row blocks
+        queries[rows + 9] = [0, 0]
         ks = rng.integers(1, n + 5, size=len(queries)).tolist()
-        ks[BLOCK_ROWS + 3] = ks[3]
+        ks[rows + 3] = ks[3]
         results = search(queries, W, V, ks, mode)
         assert len(results) == len(queries)
         for words, k, got in zip(queries, ks, results):
@@ -123,12 +193,11 @@ class TestSearch:
                 continue
             assert got.items.tolist() == want.items.tolist()
             assert got.items.tolist() == sort_all_oracle(q, V, mode)[:k]
-            np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-12)
-            assert (got.k, got.short, got.score_mode) == (k, want.short, mode)
+            assert same_ranking(got, want) and got.k == k
         assert results[7] == "no in-vocabulary words to encode"
-        assert results[3].items.tolist() == results[BLOCK_ROWS + 3].items.tolist()
+        assert same_ranking(results[3], results[rows + 3])
         if mode == "cosine":
-            assert results[BLOCK_ROWS + 9] == "cosine undefined for zero-norm query"
+            assert results[rows + 9] == "cosine undefined for zero-norm query"
 
     def test_rejects_bad_k_and_mode(self):
         W, V = np.ones((2, 2), dtype=np.float32), np.ones((3, 2), dtype=np.float32)
@@ -164,8 +233,9 @@ def same_ranking(a, b):
 
 class TestPreparedBlock:
     @pytest.mark.parametrize("mode", ["dot", "cosine"])
-    def test_loaded_block_ranks_as_a_writable_copy(self, mode, rng, tmp_path):
+    def test_loaded_block_ranks_as_a_writable_copy(self, mode, rng, tmp_path, monkeypatch):
         n, m, d = 300, 40, 6
+        rows = score_block_rows(n, monkeypatch, 16 * 150)
         V = rng.standard_normal((n, d)).astype(np.float32)
         V[5:12] = V[0]  # planted duplicates
         V[20:24] = 0.0  # planted zero rows
@@ -178,7 +248,7 @@ class TestPreparedBlock:
                     got = retrieve_topk(q, frozen, k, mode)
                     assert same_ranking(got, retrieve_topk(q, V.copy(), k, mode))
             queries = [rng.integers(0, m, size=int(rng.integers(1, 4))).tolist()
-                       for _ in range(BLOCK_ROWS + retrieval._SCALE_ROWS + 5)]
+                       for _ in range(2 * rows + 5)]
             for got, want in zip(search(queries, W, frozen, 50, mode),
                                  search(queries, W, V.copy(), 50, mode)):
                 assert same_ranking(got, want)
@@ -221,6 +291,30 @@ class TestPreparedBlock:
         assert all(key in retrieval._PREPARED for key in keys)
         del state
         assert not any(key in retrieval._PREPARED for key in keys)
+
+
+class TestWorkingMemory:
+    @pytest.mark.parametrize("mode", ["dot", "cosine"])
+    def test_score_block_stays_within_the_budget(self, mode, rng):
+        # 300 queries over 20,000 items: one block of 256 float64 score rows
+        # would take 41 MB, the float32 block about CHUNK_FLOATS float64s.
+        n, m, d, seeds = 20_000, 50, 8, 300
+        V = rng.standard_normal((n, d)).astype(np.float32)
+        W = rng.standard_normal((m, d)).astype(np.float32)
+        queries = [rng.integers(0, m, size=int(rng.integers(1, 4))).tolist() for _ in range(seeds)]
+        picked = np.sort(rng.choice(n, size=seeds, replace=False))
+        neighbors = [rng.choice(n, size=int(rng.integers(1, 6)), replace=False).tolist()
+                     if i in set(picked.tolist()) else [] for i in range(n)]
+        nbrs = Rows.from_lists([sorted(row) for row in neighbors])
+        graph = CorrelationGraph(nbrs, Rows(nbrs.indptr, np.ones_like(nbrs.values)), 5)
+        state = ModelState("zsl_te", d, W, V, None, 0, score_mode=mode)
+        # V is writable, so each call builds its prepared form: d x n float32,
+        # n float64 norms and n live flags. Then a few budgets of scores, and
+        # the queries, their candidates and results, a few hundred bytes each.
+        bound = 8 * 4 * corpus_module.CHUNK_FLOATS + (4 * d + 9) * n + 1000 * seeds
+        assert bound < 8 * 256 * n  # one float64 block of 256 score rows would break it
+        assert peak_above_start(lambda: search(queries, W, V, 10, mode)) <= bound
+        assert peak_above_start(lambda: reconstruction_recall(state, graph, mode)) <= bound
 
 
 def interleave_oracle(primary, secondary, head_len):
