@@ -256,16 +256,17 @@ def cmd_ingest(args: argparse.Namespace) -> tuple[dict, str]:
 def _resolve_for_model(args: argparse.Namespace, state: ModelState) -> tuple[dict, TrainConfig]:
     """``_resolve`` with the model's stored objective, on the keys the command
     declares, between the defaults and --config/flags: an explicit value that
-    differs from a stored one wins, with one notice line on stderr. The resolved
-    keys and the TrainConfig take the model's d and its kind, refused unless square-loss."""
+    differs from a stored one wins, with one notice line on stderr (``main``
+    prints it once the command has run, so a failed run prints its error
+    alone). The resolved keys and the TrainConfig take the model's d and its
+    kind, refused unless square-loss."""
     TrainConfig(kind=state.kind).validate()
     stored = {key: v for key, v in (state.objective or {}).items() if key in args.defaults}
     cfg = _resolve(args, {**args.defaults, **stored})
     changed = [f"{key}={cfg[key]!r} (model: {value!r})"
                for key, value in stored.items() if cfg[key] != value]
     if changed:
-        print("notice: overriding the model's training config: " + ", ".join(changed),
-              file=sys.stderr)
+        args.notice = "notice: overriding the model's training config: " + ", ".join(changed)
     cfg.update(model=state.kind, dim=state.d)
     return cfg, _build(TrainConfig, cfg)
 
@@ -598,13 +599,16 @@ def main(argv: list[str] | None = None) -> int:
         check(threads=args.threads)
         limiter = _limit_threads(args.threads)
         args.threads_applied = limiter is not None
-        try:
-            cfg, summary = args.func(args)
+        try:  # each command reports a non-finite result itself, in one line
+            with np.errstate(all="ignore"):
+                cfg, summary = args.func(args)
         finally:
             if limiter is not None:
                 limiter.__exit__(None, None, None)
         if "out" in args:
             _write_manifest(args, cfg)
+        if "notice" in args:
+            print(args.notice, file=sys.stderr)
         if summary is not None:
             print(summary)
         return 0

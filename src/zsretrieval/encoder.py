@@ -9,13 +9,14 @@ from .corpus import Rows, budget_runs
 from .errors import EncodeError, ScoreError
 
 
-def _unencodable(idx: np.ndarray, m: int) -> str | None:
-    """Why the word indices ``idx`` cannot be encoded over m word rows, or None."""
-    if idx.size == 0:
-        return "no in-vocabulary words to encode"
-    if idx.min() < 0 or idx.max() >= m:
-        return "word index out of vocabulary range"
-    return None
+def _unencodable(words: Rows, m: int) -> list[str | None]:
+    """Per row of ``words``, why its word indices cannot be encoded over m
+    word rows, or None: an empty row before one with an index out of range."""
+    idx = words.values
+    outside = np.bincount(words.row_ids()[(idx < 0) | (idx >= m)], minlength=len(words))
+    return ["no in-vocabulary words to encode" if not size else
+            "word index out of vocabulary range" if bad else None
+            for size, bad in zip(words.lengths().tolist(), outside.tolist())]
 
 
 def encode_rows(words: Rows, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -39,10 +40,11 @@ def encode_bow(word_indices: Sequence[int], W: np.ndarray) -> np.ndarray:
     """Arithmetic mean of the selected word rows, duplicates counted, as float64:
     the one-row case of ``encode_rows``."""
     idx = np.asarray(word_indices, dtype=np.int64)
-    reason = _unencodable(idx, W.shape[0])
+    words = Rows(np.array([0, idx.size]), idx)
+    [reason] = _unencodable(words, W.shape[0])
     if reason:
         raise EncodeError(reason)
-    return encode_rows(Rows(np.array([0, idx.size]), idx), W)[1][0]
+    return encode_rows(words, W)[1][0]
 
 
 def rescale_item_norms(target: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -57,11 +57,12 @@ class ChecksumError(ModelIOError):
     """CRC mismatch on a binary block."""
 
 
-# The range each numeric option may take, by config key or field name.
+# The range each numeric option may take, by config key or field name. A
+# block file stores its column count as uint32, so d stays below 2^32.
 RANGES = {
-    "d": ">= 1", "dim": ">= 1", "omega0": "in (0, 1]", "lam": "finite and >= 0",
-    "init_std": "finite and >= 0", "learning_rate": "finite and > 0", "sweeps": ">= 0",
-    "steps": ">= 0", "negatives": ">= 0", "batch_size": ">= 1", "seed": ">= 0",
+    "d": ">= 1 and < 2^32", "dim": ">= 1 and < 2^32", "omega0": "in (0, 1]",
+    "lam": "finite and >= 0", "init_std": "finite and >= 0", "learning_rate": "finite and > 0",
+    "sweeps": ">= 0", "steps": ">= 0", "negatives": ">= 0", "batch_size": ">= 1", "seed": ">= 0",
     "sub_seed": ">= 0", "min_word_count": ">= 0", "min_item_count": ">= 0",
     "max_neighbors": ">= 1", "window": ">= 1", "k": ">= 1", "head": ">= 0",
     "head_len": ">= 0", "threads": ">= 1", "n_pairs": ">= 1", "n_clusters": ">= 2",
@@ -69,6 +70,7 @@ RANGES = {
 }
 LABELS = {"d": "embedding dimension d", "dim": "embedding dimension d", "lam": "lambda"}
 _HOLDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
+          ">= 1 and < 2^32": lambda v: 1 <= v < 2 ** 32,
           "in (0, 1]": lambda v: 0 < v <= 1,
           "finite and >= 0": lambda v: math.isfinite(v) and v >= 0,
           "finite and > 0": lambda v: math.isfinite(v) and v > 0}

@@ -49,17 +49,26 @@ def reconstruction_recall(state: ModelState, graph: CorrelationGraph,
     neighbor: one extra item is ranked and the seed dropped. Items without
     other neighbors, and zero-norm items under cosine, are skipped.
     """
-    nbrs, rows = graph.neighbors, graph.neighbors.row_ids()
-    lens = np.bincount(rows[nbrs.values != rows], minlength=graph.n)
+    n, nbrs, rows = graph.n, graph.neighbors, graph.neighbors.row_ids()
+    lens = np.bincount(rows[nbrs.values != rows], minlength=n)
     seeds = np.flatnonzero(lens > 0)
     results = search([[i] for i in seeds], state.V, state.V, lens[seeds] + 1, mode)
-    recalls = []
-    for i, ranked in zip(seeds.tolist(), results):
-        if isinstance(ranked, RankedList):
-            true = set(nbrs[i].tolist()) - {i}
-            pred = [j for j in ranked.items.tolist() if j != i]
-            recalls.append(len(set(pred[:len(true)]) & true) / len(true))
-    return RecallReport.of(recalls, graph.n - len(recalls))
+    # Hits over flat (seed, item) keys. Rows are sorted, so the keys ascend
+    # and a repeated neighbor is the key before it.
+    keys = rows * n + nbrs.values
+    true = keys[(nbrs.values != rows) & np.r_[True, keys[1:] != keys[:-1]]]
+    size = np.bincount(true // n, minlength=n)  # len(true) per seed
+    ranked = [(i, r.items) for i, r in zip(seeds.tolist(), results) if isinstance(r, RankedList)]
+    scored = np.array([i for i, _ in ranked], dtype=np.int64)
+    owner = np.repeat(scored, np.array([len(items) for _, items in ranked], dtype=np.int64))
+    pred = np.concatenate([items for _, items in ranked] or [np.zeros(0, np.int64)])
+    keep = pred != owner  # the seed is no neighbor
+    owner, pred = owner[keep], pred[keep]
+    top = np.arange(len(owner)) - np.searchsorted(owner, owner) < size[owner]  # its first size
+    got = owner[top] * n + pred[top]
+    at = np.minimum(np.searchsorted(true, got), len(true) - 1)  # a seed in got has true keys
+    hits = np.bincount(owner[top][true[at] == got], minlength=n)
+    return RecallReport.of((hits[scored] / size[scored]).tolist(), n - len(scored))
 
 
 def pooled_recall(state: ModelState, labeled: LabeledSet, mode: str = "cosine") -> RecallReport:

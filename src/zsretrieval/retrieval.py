@@ -214,11 +214,11 @@ def search(queries: list[list[int]], W: np.ndarray, V: np.ndarray,
         raise ConfigError("k must be >= 1")
     k = np.asarray(np.minimum(k, np.iinfo(np.int64).max), dtype=np.int64)
     ks = np.broadcast_to(k, (len(queries),))
-    out: list = [_unencodable(np.asarray(words, dtype=np.int64), W.shape[0])
-                 for words in queries]
-    rows = [i for i, reason in enumerate(out) if reason is None]
-    _, Q = encode_rows(Rows.from_lists([queries[i] for i in rows]), W)
-    for i, ranked in zip(rows, _rank(Q, ks[rows], V, mode)):
+    words = Rows.from_lists(queries)
+    out: list = _unencodable(words, W.shape[0])
+    rows = np.flatnonzero([reason is None for reason in out])
+    _, Q = encode_rows(words.take(rows)[0], W)
+    for i, ranked in zip(rows.tolist(), _rank(Q, ks[rows], V, mode)):
         out[i] = ranked
     return out
 

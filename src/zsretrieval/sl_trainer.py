@@ -222,8 +222,9 @@ class _Task:
     rows: each (item i, context c) pair is a negative of weight ``omega0 *
     neg_r[i] * neg_c[c]``, and the pairs of ``pos`` are corrected term by term
     from that weight (``pos_neg``) to their own (``pos_w``); a pair of weight 0
-    is thereby no term at all. ``refresh`` caches the context rows ``ctx``,
-    context c's as ``ctx[c]``, and their ``neg_c``-weighted Gramian ``G``.
+    is thereby no term at all. The trainer caches the context rows ``ctx``,
+    context c's as ``ctx[c]``, and their ``neg_c``-weighted Gramian ``G``,
+    and rebuilds both after each pass over ``block``.
     """
 
     name: str            # the loss part it fills
@@ -244,13 +245,17 @@ class _Task:
 class SLTrainer:
     """Exact coordinate descent over model blocks, Gauss-Seidel across blocks.
 
-    The objective is the sum of ``tasks``. Caches (Gramians, context rows)
-    are refreshed at each block pass and by ``loss``, which reads the same
-    caches. Rows of one level (``levels``) do not read one another, so a pass
-    assembles and solves a level's rows in chunks; within a pass only an
-    encoded task's context rows change, after each chunk of the W pass. The
-    trainer mutates ``state`` in place, storing solved rows as float32 while
-    accumulating in float64.
+    The objective is the sum of ``tasks``. The caches (each block's float64
+    rows, the Gramians, the context rows) match the state after set-up, after
+    every ``sweep`` and after ``refresh``: a sweep rebuilds, after each
+    block's pass, the caches that read that block, and ``loss`` reads them
+    as they stand. ``update_row`` solves one row against the caches as they
+    stand and rebuilds none; an edit to the state made outside the trainer
+    needs a ``refresh``. Rows of one level (``levels``) do not read one
+    another, so a pass assembles and solves a level's rows in chunks; within
+    a pass only an encoded task's context rows change, after each chunk of
+    the W pass. The trainer mutates ``state`` in place, storing solved rows
+    as float32 while accumulating in float64.
     """
 
     def __init__(self, state: ModelState, corpus: Corpus, config: TrainConfig):
@@ -336,17 +341,26 @@ class SLTrainer:
     # -- caches ------------------------------------------------------------
 
     def refresh(self) -> None:
+        """Rebuild every cache from the state, after an edit made outside the trainer."""
         for name, block in self.state.blocks.items():  # self.W64, self.V64, ...
             setattr(self, f"{name}64", block.astype(np.float64))
-        self.Gv_neg = (self.V64 * self.neg_r[:, None]).T @ self.V64
-        for task in self.tasks:
-            task.ctx = rows = getattr(self, f"{task.block}64")
-            ids = slice(None)
-            if task.encoded:  # an item without text has a zero row, which G leaves out
-                ids, rows = encode_rows(self.corpus.word_lists, rows)
-                task.ctx = np.zeros((self.corpus.n, self.config.d))
-                task.ctx[ids] = rows
-            task.G = (rows * task.neg_c[ids][:, None]).T @ rows
+        for block in self.blocks:
+            self._recache(block)
+
+    def _recache(self, block: str) -> None:
+        """Rebuild the caches that read ``block``'s float64 rows: ``Gv_neg``
+        for V, else the owning task's context rows and Gramian."""
+        if block == "V":
+            self.Gv_neg = (self.V64 * self.neg_r[:, None]).T @ self.V64
+            return
+        task = self.owner[block]
+        task.ctx = rows = getattr(self, f"{block}64")
+        ids = slice(None)
+        if task.encoded:  # an item without text has a zero row, which G leaves out
+            ids, rows = encode_rows(self.corpus.word_lists, rows)
+            task.ctx = np.zeros((self.corpus.n, self.config.d))
+            task.ctx[ids] = rows
+        task.G = (rows * task.neg_c[ids][:, None]).T @ rows
 
     def _solve(self, A: np.ndarray, b: np.ndarray, block: str, row: int) -> np.ndarray:
         try:
@@ -456,37 +470,34 @@ class SLTrainer:
 
     # -- sweeps ------------------------------------------------------------
 
-    def sweep(self, *, fresh: bool = False) -> dict:
+    def sweep(self) -> dict:
         """One full pass: V rows, then the rows of each block a task owns (U, then W).
 
-        Each block's pass starts from refreshed caches; ``fresh`` says the
-        caches already match the state for the first one. Returns the seconds
+        After each block's pass its caches are rebuilt, so every pass and the
+        next ``loss`` read caches that match the state. Returns the seconds
         each block took and the solver fallbacks."""
         stats = dict.fromkeys(SWEEP_STATS, 0.0)
         before = dict(self.fallbacks)
         levels = self.levels  # built on the first sweep, outside the block timings
-        for i, block in enumerate(self.blocks):
+        for block in self.blocks:
             t0 = time.perf_counter()
-            if i or not fresh:
-                self.refresh()
             self._pass(block, levels[block])
+            self._recache(block)
             stats[f"seconds_{block}"] = time.perf_counter() - t0
         for kind in self.fallbacks:
             stats[f"fallbacks_{kind}"] = self.fallbacks[kind] - before[kind]
         self.state.sweep_count += 1
         return stats
 
-    def loss(self, parts: dict | None = None, *, fresh: bool = False) -> float:
-        """The regularized objective at the current state, from caches
-        refreshed first unless ``fresh`` says they match the state.
+    def loss(self, parts: dict | None = None) -> float:
+        """The regularized objective, read from the caches: the state as of
+        the trainer's set-up, its last ``sweep`` or its last ``refresh``.
 
         Cost is O((n + m) d^2 + nnz d): the all-pairs implicit sums collapse to
         traces of d x d Gramian products; positive pairs are then reclaimed
         term by term, scored in slices of at most CHUNK_FLOATS numbers.
         ``parts`` receives the task1, task2 and reg terms.
         """
-        if not fresh:
-            self.refresh()
         om, V = self.config.omega0, self.V64
         step = budget_rows(self.config.d)
         tasks = {"task1": 0.0, "task2": 0.0}
@@ -522,15 +533,13 @@ def train_sl_model(corpus: Corpus, config: TrainConfig,
     trainer = SLTrainer(state, corpus, config)
     trace = []
     parts: dict = {}
-    # Nothing changes the state between the trainer's set-up or a loss and
-    # the next loss or sweep, so these read the caches as they stand.
-    loss = trainer.loss(parts, fresh=True)
+    loss = trainer.loss(parts)
     trace.append({"sweep": state.sweep_count, "loss_total": loss, **{
         f"loss_{k}": v for k, v in parts.items()}, "seconds": 0.0,
         **dict.fromkeys(SWEEP_STATS, 0)})
     for _ in range(config.sweeps):
         t0 = time.perf_counter()
-        stats = trainer.sweep(fresh=True)
+        stats = trainer.sweep()
         parts = {}
         loss = trainer.loss(parts)
         trace.append({"sweep": state.sweep_count, "loss_total": loss, **{

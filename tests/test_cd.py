@@ -109,9 +109,33 @@ class TestSweeps:
             mat = getattr(state, block)
             if mat is not None:
                 mat[3] += 0.5
+                trainer.refresh()
                 brute = sl_loss_bruteforce(state, corpus, config)
                 assert abs(trainer.loss() - brute) / max(1.0, abs(brute)) <= 1e-8
         assert trainer.loss() != before
+
+    @pytest.mark.parametrize("task1_encoded", [False, True])
+    @pytest.mark.parametrize("exclude_self_negative", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_caches_match_the_state_after_every_sweep(self, kind, exclude_self_negative,
+                                                      task1_encoded):
+        corpus = edge_case_corpus(seed=4)
+        config = TrainConfig(kind=kind, d=3, omega0=0.05, lam=0.3, seed=19,
+                             exclude_self_negative=exclude_self_negative,
+                             task1_encoded=task1_encoded)
+        trainer = SLTrainer(init_model_state(config, corpus), corpus, config)
+
+        def caches(t):
+            out = {f"{name}64": getattr(t, f"{name}64") for name in t.state.blocks}
+            out["Gv_neg"] = t.Gv_neg
+            for task in t.tasks:
+                out[f"{task.name}.ctx"], out[f"{task.name}.G"] = task.ctx, task.G
+            return {name: cache.tobytes() for name, cache in out.items()}
+
+        for _ in range(3):  # set-up, then each sweep
+            assert caches(trainer) == caches(SLTrainer(trainer.state.copy(), corpus, config))
+            trainer.sweep()
+        assert caches(trainer) == caches(SLTrainer(trainer.state.copy(), corpus, config))
 
     def test_fixed_point_stays_put(self, rng):
         corpus = make_random_corpus(rng, 6, 4)
@@ -193,15 +217,15 @@ class TestTrainSLModel:
         ref = init_model_state(config, corpus)
         trainer = SLTrainer(ref, corpus, config)
         losses = [trainer.loss()]
-        for _ in range(config.sweeps):  # the public calls, each refreshing first
+        for _ in range(config.sweeps):  # the public calls
             trainer.sweep()
             losses.append(trainer.loss())
         calls = []
         refresh = SLTrainer.refresh
         monkeypatch.setattr(SLTrainer, "refresh", lambda self: calls.append(refresh(self)))
         state, trace = train_sl_model(corpus, config)
-        # set-up, then per sweep: each block after V and the loss after it
-        assert len(calls) == 1 + config.sweeps * len(trainer.blocks)
+        # set-up only: each sweep rebuilds the caches of the blocks it solved
+        assert len(calls) == 1
         assert [t["loss_total"] for t in trace] == losses
         for name, block in ref.blocks.items():
             assert getattr(state, name).tobytes() == block.tobytes(), name
@@ -456,6 +480,7 @@ class TestPassesMatchRowByRow:
         for _ in range(2):
             stats = trainer.sweep()
             ref_sweep(oracle)
+            oracle.refresh()  # ref_sweep wrote the oracle's state by hand
             assert_states_match(state, ref)
             parts, other = {}, {}
             loss = trainer.loss(parts)

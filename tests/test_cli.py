@@ -563,8 +563,9 @@ def test_k_above_the_int64_range_ranks_every_item(workspace, capsys, monkeypatch
 
 EVAL = ["eval", "--model", "model", "--corpus", "corpus"]
 # An eval option its metric never reads or an input it needs and was not
-# given, a train --pairs or option its model never reads or needs, and a
-# --threads below 1 in any command, are refused before any input is read:
+# given, a train --pairs or option its model never reads or needs, a
+# --threads below 1 in any command, and a dimension no block file can store
+# (its column count is a uint32), are refused before any input is read:
 # case -> (argv, --config object or None, message). No input exists, so
 # reading one would exit 2.
 REFUSED = {
@@ -601,6 +602,16 @@ REFUSED = {
     "train-smc-omega0-lambda": (["train", "--corpus", "corpus", "--model", "smc", "--pairs",
                                  "pairs.tsv", "--omega0", "0.5", "--lambda", "2"], None,
                                 "omega0, lam act only on the square-loss models"),
+    "train-dim-2-32": (["train", "--corpus", "corpus", "--dim", str(2 ** 32)], None,
+                       "embedding dimension d must be >= 1 and < 2^32"),
+    "train-dim-1e20-config": (["train", "--corpus", "corpus"], {"dim": 10 ** 20},
+                              "embedding dimension d must be >= 1 and < 2^32"),
+    "train-smc-dim-1e20": (["train", "--corpus", "corpus", "--model", "smc", "--pairs",
+                            "pairs.tsv", "--dim", str(10 ** 20)], None,
+                           "embedding dimension d must be >= 1 and < 2^32"),
+    "train-smc-dim-2-32-config": (["train", "--corpus", "corpus", "--pairs", "pairs.tsv"],
+                                  {"model": "smc", "dim": 2 ** 32},
+                                  "embedding dimension d must be >= 1 and < 2^32"),
     "train-smc-square-loss-options-config": (
         ["train", "--corpus", "corpus", "--pairs", "pairs.tsv"],
         {"model": "smc", "use_weights": False, "sweeps": 3},
@@ -804,7 +815,7 @@ class TestLossAudit:
         ("smc", "--steps", "steps", -1, "steps must be >= 0"),
         ("smc", "--negatives", "negatives", -1, "negatives must be >= 0"),
         ("smc", "--batch-size", "batch_size", 0, "batch_size must be >= 1"),
-        ("smc", "--dim", "dim", 0, "embedding dimension d must be >= 1"),
+        ("smc", "--dim", "dim", 0, "embedding dimension d must be >= 1 and < 2^32"),
         ("smc", "--seed", "seed", -1, "seed must be >= 0"),
     ])
     @pytest.mark.parametrize("how", ["flag", "config"])
@@ -1275,6 +1286,18 @@ def _error_classes(cls=ZsrError):
     return [cls, *(sub for child in cls.__subclasses__() for sub in _error_classes(child))]
 
 
+def every_input(ws):
+    """The inputs MANIFEST_INPUTS names, in ``ws``."""
+    corpus = ingest(ws)
+    train(ws, corpus)
+    train(ws, corpus, "model2", extra=["--seed", "2"])
+    grow(ws)
+    (ws / "graph.tsv").write_text("a\tb\t2\n")
+    (ws / "pairs.tsv").write_text("apple\ta\nfire\tc\n")
+    (ws / "labeled.jsonl").write_text('{"query": ["apple"], "relevant": ["a"]}\n')
+    (ws / "q.txt").write_text("apple\n")
+
+
 # Per case, the arguments before --out, and the manifest's inputs: name -> path.
 MANIFEST_INPUTS = {
     "ingest-graph": (["ingest", "--items", "items.jsonl", "--graph", "graph.tsv"],
@@ -1355,14 +1378,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(MANIFEST_INPUTS))
     def test_manifest_lists_each_input_given(self, workspace, monkeypatch, case):
         argv, want = MANIFEST_INPUTS[case]
-        corpus = ingest(workspace)
-        train(workspace, corpus)
-        train(workspace, corpus, "model2", extra=["--seed", "2"])
-        grow(workspace)
-        (workspace / "graph.tsv").write_text("a\tb\t2\n")
-        (workspace / "pairs.tsv").write_text("apple\ta\nfire\tc\n")
-        (workspace / "labeled.jsonl").write_text('{"query": ["apple"], "relevant": ["a"]}\n')
-        (workspace / "q.txt").write_text("apple\n")
+        every_input(workspace)
         monkeypatch.chdir(workspace)
         assert main([*argv, "--out", "out"]) == 0
         inputs = json.loads(Path("out/manifest.json").read_text())["inputs"]
@@ -1376,6 +1392,68 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+# Per run, the arguments before the option under test, over every_input.
+# Train runs once per trainer, since each refuses the other's options.
+EXTREME_BASES = {
+    "ingest": ["ingest", "--items", "items.jsonl", "--sequences", "sequences.tsv"],
+    "train": MANIFEST_INPUTS["train-zsl_te"][0],
+    "train-smc": MANIFEST_INPUTS["train-smc"][0],
+    "retrieve": MANIFEST_INPUTS["retrieve"][0],
+    "eval": MANIFEST_INPUTS["eval-recall"][0],
+    "ensemble-eval": MANIFEST_INPUTS["ensemble-eval"][0],
+    "refresh": MANIFEST_INPUTS["refresh"][0],
+    "loss-audit": ["loss-audit", "--model", "model", "--corpus", "corpus"],
+}
+# Left out: a large --sweeps or --steps is a long run, not an error, and a
+# large --threads could ask the BLAS library for that many threads.
+EXTREME_SKIP = {"sweeps", "steps", "threads"}
+EXTREME_VALUES = {int: ["100000000000000000000"], float: ["inf", "nan", "1e308", "-1e308"]}
+# Run in one child process: each case through main(), its streams and any
+# exception that escapes main() captured, and its warnings shown as a fresh
+# process would show them.
+EXTREME_RUNNER = """
+import contextlib, io, json, sys, traceback, warnings
+from zsretrieval.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        try:
+            code = main(argv)
+        except Exception:
+            traceback.print_exc()
+            code = None
+    results.append([code, err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def test_every_numeric_option_at_an_extreme_value_exits_with_at_most_one_line(workspace):
+    every_input(workspace)
+    parsers = _subparsers()
+    cases = [[*base, f"{action.option_strings[0]}={value}"]  # "=": "-1e308" is no flag
+             for base in EXTREME_BASES.values()
+             for action in parsers[base[0]]._actions
+             if action.type in EXTREME_VALUES and action.dest not in EXTREME_SKIP
+             for value in EXTREME_VALUES[action.type]]
+    cases = [argv if argv[0] == "loss-audit" else [*argv, "--out", f"out{i}"]
+             for i, argv in enumerate(cases)]
+    assert len(cases) > 50
+
+    def cap_memory():  # acts on the child only; an allocation past it fails at once
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    done = subprocess.run([sys.executable, "-c", EXTREME_RUNNER], input=json.dumps(cases),
+                          capture_output=True, text=True, timeout=600, preexec_fn=cap_memory,
+                          cwd=workspace,
+                          env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 0, done.stderr
+    failed = [(argv, code, err) for argv, (code, err) in zip(cases, json.loads(done.stdout))
+              if code not in (0, 1, 2, 3, 4) or len(err.splitlines()) > 1 or "Traceback" in err]
+    assert not failed
 
 
 def _rewrite(path, old, new):

@@ -114,6 +114,15 @@ class TestReconstructionRecall:
         rep = reconstruction_recall(state, graph, "dot")
         assert (rep.per_query, rep.skipped) == ([1.0], 2)
 
+    def test_a_repeated_neighbor_counts_once(self):
+        # Item 0 lists item 1 twice: its truth is {1, 2}, and the model ranks 1, 3, 2.
+        V = np.array([[1, 0], [0.9, 0], [0.5, 0], [0.7, 0]], dtype=np.float32)
+        graph = CorrelationGraph(Rows.from_lists([[1, 1, 2], [], [], []]),
+                                 Rows.from_lists([[1, 1, 1], [], [], []]), 5)
+        state = ModelState(ZSL_TE, 2, np.zeros((1, 2), dtype=np.float32), V, None, 0)
+        rep = reconstruction_recall(state, graph, "dot")
+        assert (rep.per_query, rep.skipped) == ([0.5], 3)
+
 
 class TestPooledRecall:
     def test_hand_example(self):

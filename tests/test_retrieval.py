@@ -213,6 +213,22 @@ class TestSearch:
         assert out[1:3] == ["word index out of vocabulary range"] * 2
         assert [out[0].items.tolist(), out[3].items.tolist()] == [[0], [2]]
 
+    def test_skip_reasons_follow_the_one_query_rule(self):
+        # Per query: no word before a word out of range, as encode_bow refuses it.
+        rng = np.random.default_rng(5)
+        W, V = rng.standard_normal((4, 2)).astype(np.float32), np.eye(2, dtype=np.float32)
+        queries = [rng.integers(-2, 6, size=int(rng.integers(0, 4))).tolist() for _ in range(200)]
+        for words, got in zip(queries, search(queries, W, V, 1, "dot")):
+            if not words or min(words) < 0 or max(words) >= len(W):
+                want = ("word index out of vocabulary range" if words
+                        else "no in-vocabulary words to encode")
+                assert got == want
+                with pytest.raises(EncodeError, match=f"^{want}$"):
+                    encode_bow(words, W)
+            else:
+                want = retrieve_topk(encode_bow(words, W), V, 1, "dot")
+                assert got.items.tolist() == want.items.tolist()
+
     def test_empty_item_matrix_skips_every_query(self):
         W = np.ones((2, 2), dtype=np.float32)
         out = search([[0], []], W, np.zeros((0, 2), dtype=np.float32), 3, "dot")
