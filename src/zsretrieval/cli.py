@@ -19,6 +19,8 @@ import io
 import itertools
 import json
 import sys
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -590,6 +592,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _one_line_warnings() -> Iterator[None]:
+    """Format each warning shown meanwhile as one line, ``warning: <message>``;
+    whether a warning is shown, recorded or raised is left to the filters."""
+    shown = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_, **__: f"warning: {message}\n"
+    try:
+        yield
+    finally:
+        warnings.formatwarning = shown
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -600,7 +614,7 @@ def main(argv: list[str] | None = None) -> int:
         limiter = _limit_threads(args.threads)
         args.threads_applied = limiter is not None
         try:  # each command reports a non-finite result itself, in one line
-            with np.errstate(all="ignore"):
+            with np.errstate(all="ignore"), _one_line_warnings():
                 cfg, summary = args.func(args)
         finally:
             if limiter is not None:

@@ -172,17 +172,32 @@ def empty_graph(n: int, max_neighbors: int = 250) -> CorrelationGraph:
     return CorrelationGraph(empty, Rows(empty.indptr, empty.values), max_neighbors)
 
 
-def _select_neighbors(src: np.ndarray, dst: np.ndarray, counts: np.ndarray,
-                      n_items: int, max_neighbors: int) -> CorrelationGraph:
-    """The neighbor policy for distinct (src, dst) edges: rank each row by
-    (count desc, index asc), cut to ``max_neighbors``, store by index asc."""
-    order = np.lexsort((dst, -counts, src))
-    src, dst, counts = src[order], dst[order], counts[order]
-    rank = np.arange(len(src)) - np.searchsorted(src, src)  # place within its row
-    keep = np.flatnonzero(rank < max_neighbors)
-    keep = keep[np.lexsort((dst[keep], src[keep]))]
-    neighbors = Rows.from_coo(src[keep], dst[keep], n_items)
-    return CorrelationGraph(neighbors, Rows(neighbors.indptr, counts[keep]), max_neighbors)
+def _select_neighbors(keys: np.ndarray, counts: np.ndarray, n_items: int,
+                      max_neighbors: int) -> CorrelationGraph:
+    """The neighbor policy for distinct edges, given as ascending keys
+    ``src * n_items + dst`` with their counts: rank each row by (count desc,
+    index asc), cut to ``max_neighbors``, store by index asc. Rows are ranked
+    in runs of whole rows of at most CHUNK_FLOATS edges (a longer row alone)."""
+    indptr = np.searchsorted(keys, np.arange(n_items + 1) * n_items)
+    lengths = np.diff(indptr)
+    cap = min(max_neighbors, len(keys))  # no row is longer; int64 holds it
+    out_ptr = np.zeros(n_items + 1, dtype=np.int64)
+    np.cumsum(np.minimum(lengths, cap), out=out_ptr[1:])
+    neighbors = Rows(out_ptr, np.empty(out_ptr[-1], dtype=np.int64))
+    kept_counts = Rows(out_ptr, np.empty(out_ptr[-1], dtype=np.int64))
+    for start, stop in budget_runs(lengths, 1):
+        a, b = indptr[start], indptr[stop]
+        src, dst = np.divmod(keys[a:b], n_items)
+        c = counts[a:b]
+        if lengths[start:stop].max(initial=0) > cap:
+            order = np.lexsort((-c, src))  # stable: dst stays ascending within a count
+            rank = np.arange(b - a) - (indptr[src] - a)  # place within its row
+            keep = np.zeros(b - a, dtype=bool)
+            keep[order[rank < cap]] = True
+            dst, c = dst[keep], c[keep]
+        neighbors.values[out_ptr[start]:out_ptr[stop]] = dst
+        kept_counts.values[out_ptr[start]:out_ptr[stop]] = c
+    return CorrelationGraph(neighbors, kept_counts, max_neighbors)
 
 
 def tokens_with_bigrams(tokens: Sequence[str]) -> list[str]:
@@ -211,28 +226,85 @@ def build_correlation_graph(
     ``sequences`` holds one row of item indices per consumption sequence.
     Rows are ranked by co-occurrence count (ties broken by ascending item
     index) and truncated to ``max_neighbors``. Self-transitions are skipped.
+    Pairs are keyed in slices of at most CHUNK_FLOATS keys and counted into
+    one table of distinct pairs, so that, beyond ``sequences``, the build
+    holds a few budgets and a few numbers per distinct pair.
     """
     check(max_neighbors=max_neighbors, window=window)
     flat = np.asarray(sequences.values, dtype=np.int64)
     _check_indices(flat, n_items)
-    seq_id = sequences.row_ids()
-    # items of one sequence lie at most longest - 1 apart; keep one key array at least
-    longest = int(sequences.lengths().max(initial=0))
-    keys = []
-    for w in range(1, max(1, min(window, longest - 1)) + 1):
-        q, p = flat[:-w], flat[w:]
-        pair = (seq_id[:-w] == seq_id[w:]) & (q != p)
-        keys.append(q[pair] * n_items + p[pair])
-    if symmetrize:
-        # count(q, p) + count(p, q): every transition also counts reversed
-        keys += [(k % n_items) * n_items + k // n_items for k in keys]
-    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
-    return _select_neighbors(keys // n_items, keys % n_items, counts, n_items, max_neighbors)
+    table = (np.zeros(0, dtype=np.int64),) * 2  # ascending distinct keys, their counts
+    pending, held = [], 0
+    for new in _pair_keys(flat, sequences.indptr, n_items, window, symmetrize):
+        pending.append(new)
+        held += len(new)
+        # a merge copies the table, so it waits for as many keys as the table holds
+        if held >= max(CHUNK_FLOATS, len(table[0])):
+            table, held = _count_in(*table, pending), 0
+    if pending:
+        table = _count_in(*table, pending)
+    return _select_neighbors(*table, n_items, max_neighbors)
+
+
+def _pair_keys(flat: np.ndarray, indptr: np.ndarray, n_items: int, window: int,
+               symmetrize: bool) -> Iterator[np.ndarray]:
+    """Keys ``q * n_items + p`` of the pairs of distinct items q, p at most
+    ``window`` apart in one row, q first (and ``p * n_items + q`` too when
+    ``symmetrize``), in pieces of at most CHUNK_FLOATS keys."""
+    step = budget_rows(2 if symmetrize else 1)
+    for a in range(0, len(flat), step):
+        room = _room(indptr, a, min(a + step, len(flat)))
+        # items of one row lie at most room - 1 apart
+        for w in range(1, min(window, int(room.max()) - 1) + 1):
+            p = flat[a + w:a + w + len(room)]
+            q = flat[a:a + len(p)]
+            pair = (room[:len(p)] > w) & (q != p)
+            keys = q[pair] * n_items
+            keys += p[pair]
+            if symmetrize:  # count(q, p) + count(p, q): every transition also counts reversed
+                back = p[pair] * n_items
+                back += q[pair]
+                keys = np.concatenate((keys, back))
+            yield keys
+
+
+def _room(indptr: np.ndarray, a: int, b: int) -> np.ndarray:
+    """For each position in ``[a, b)`` of CSR values, the positions from it to
+    the end of its row."""
+    first = int(np.searchsorted(indptr, a, side="right")) - 1  # the row holding a
+    last = int(np.searchsorted(indptr, b - 1, side="right"))  # past the row holding b - 1
+    held = np.diff(np.clip(indptr[first:last + 1], a, b))  # each row's positions in [a, b)
+    room = np.repeat(indptr[first + 1:last + 1], held)
+    room -= np.arange(a, b)
+    return room
+
+
+def _count_in(keys: np.ndarray, counts: np.ndarray,
+              pending: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The table of ascending distinct ``keys`` and their ``counts`` with the
+    keys in ``pending`` counted in; ``counts`` is updated in place and
+    ``pending`` emptied."""
+    new = np.concatenate(pending)
+    pending.clear()
+    new.sort()
+    first = np.ones(len(new), dtype=bool)
+    first[1:] = new[1:] != new[:-1]
+    starts = np.flatnonzero(first)
+    new_counts = np.diff(starts, append=len(new))
+    new = new[starts]
+    if not len(keys):
+        return new, new_counts
+    at = np.searchsorted(keys, new)
+    known = keys.take(at, mode="clip") == new
+    counts[at[known]] += new_counts[known]
+    fresh = ~known
+    return (np.insert(keys, at[fresh], new[fresh]),
+            np.insert(counts, at[fresh], new_counts[fresh]))
 
 
 def _check_indices(values: np.ndarray, n_items: int) -> None:
-    bad = values[(values < 0) | (values >= n_items)]
-    if len(bad):
+    if len(values) and (values.min() < 0 or values.max() >= n_items):
+        bad = values[(values < 0) | (values >= n_items)]
         raise IngestError(f"item index out of range in sequence: {bad[0]}")
 
 
@@ -348,7 +420,9 @@ def read_sequences_tsv(path: str | Path, item_index: Mapping[str, int]) -> Rows:
     of ``item_index`` values per non-empty line; the user id is not kept."""
     values, lengths = array("q"), array("q")
     for lineno, (_, seq) in read_tsv_rows(path, 2):
-        ids = [s for s in seq.split(",") if s]
+        ids = seq.split(",")
+        if "" in ids:
+            ids = [s for s in ids if s]
         try:
             values.extend(map(item_index.__getitem__, ids))
         except KeyError as exc:
@@ -361,20 +435,21 @@ def read_sequences_tsv(path: str | Path, item_index: Mapping[str, int]) -> Rows:
 def read_graph_tsv(path: str | Path, corpus: Corpus, max_neighbors: int = 250) -> CorrelationGraph:
     """graph.tsv direct ingest: seed_id TAB neighbor_id TAB count."""
     check(max_neighbors=max_neighbors)
-    edges: dict[tuple[int, int], int] = {}
+    edges: dict[int, int] = {}  # src * n + dst -> count
     for lineno, (seed_id, nbr_id, count_s) in read_tsv_rows(path, 3):
         for item_id in (seed_id, nbr_id):
             if item_id not in corpus.item_index:
                 raise IngestError(f"{path}:{lineno}: unknown item id {item_id!r}")
         if not count_s.isdecimal() or int(count_s) < 1:
             raise IngestError(f"{path}:{lineno}: count must be an integer >= 1")
-        edge = (corpus.item_index[seed_id], corpus.item_index[nbr_id])
-        if edge in edges:
+        key = corpus.item_index[seed_id] * corpus.n + corpus.item_index[nbr_id]
+        if key in edges:
             raise IngestError(f"{path}:{lineno}: repeated edge {seed_id!r} -> {nbr_id!r}")
-        edges[edge] = int(count_s)
-    src, dst, counts = np.array([(*edge, count) for edge, count in edges.items()],
-                                dtype=np.int64).reshape(-1, 3).T
-    return _select_neighbors(src, dst, counts, corpus.n, max_neighbors)
+        edges[key] = int(count_s)
+    keys = np.fromiter(edges, dtype=np.int64, count=len(edges))
+    order = np.argsort(keys)
+    counts = np.fromiter(edges.values(), dtype=np.int64, count=len(edges))[order]
+    return _select_neighbors(keys[order], counts, corpus.n, max_neighbors)
 
 
 def ingest_corpus(
@@ -389,25 +464,44 @@ def ingest_corpus(
     """Full pipeline: thresholds, vocabulary, and sequence-derived graph.
 
     ``sequences`` holds rows of indices into ``item_text``'s order, as
-    ``read_sequences_tsv`` reads them.
+    ``read_sequences_tsv`` reads them. Beyond them, ingest holds a few
+    CHUNK_FLOATS budgets and a few numbers per distinct pair, and, when
+    items are dropped, the renumbered sequences.
     """
     check(min_item_count=min_item_count, min_word_count=min_word_count,
           max_neighbors=max_neighbors, window=window)
     _check_indices(sequences.values, len(item_text))
-    keep = np.bincount(sequences.values, minlength=len(item_text)) >= min_item_count
+    uses = np.bincount(sequences.values, minlength=len(item_text))
+    keep = uses >= min_item_count
     corpus = build_corpus({item_id: item_text[item_id]
                            for item_id, kept in zip(item_text, keep.tolist()) if kept},
                           min_word_count)
     corpus.stats["dropped_items"] = len(item_text) - corpus.n
-    # A dropped item is removed from its sequence, which joins its neighbors:
-    # in a,x,b with x dropped, a and b become adjacent.
-    remap = np.where(keep, np.cumsum(keep) - 1, -1)
-    mapped = remap[sequences.values]
-    kept = mapped >= 0
-    indptr = np.concatenate(([0], np.cumsum(kept)))[sequences.indptr]
-    mapped = Rows(indptr, mapped[kept])
-    corpus.graph = build_correlation_graph(mapped, corpus.n, max_neighbors, window, symmetrize)
+    if corpus.stats["dropped_items"]:
+        sequences = _drop_items(sequences, keep, int(uses[keep].sum()))
+    corpus.graph = build_correlation_graph(sequences, corpus.n, max_neighbors, window, symmetrize)
     return corpus
+
+
+def _drop_items(sequences: Rows, keep: np.ndarray, n_kept: int) -> Rows:
+    """``sequences`` with the items ``keep`` leaves out removed and the rest
+    renumbered, in slices of CHUNK_FLOATS positions. A dropped item's
+    neighbors join: in a,x,b with x dropped, a and b become adjacent."""
+    remap = np.where(keep, np.cumsum(keep) - 1, -1)
+    old_ptr, old = sequences.indptr, sequences.values
+    out = Rows(np.empty(len(old_ptr), dtype=np.int64), np.empty(n_kept, dtype=np.int64))
+    done = 0  # kept entries before position a
+    for a in range(0, len(old), CHUNK_FLOATS):
+        mapped = remap[old[a:a + CHUNK_FLOATS]]
+        kept = mapped >= 0
+        before = np.zeros(len(kept) + 1, dtype=np.int64)
+        np.cumsum(kept, out=before[1:])
+        rows = slice(*np.searchsorted(old_ptr, [a, a + len(kept)]))  # rows starting here
+        out.indptr[rows] = done + before[old_ptr[rows] - a]
+        out.values[done:done + before[-1]] = mapped[kept]
+        done += int(before[-1])
+    out.indptr[np.searchsorted(old_ptr, len(old)):] = done
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1375,6 +1375,19 @@ class TestExitCodes:
         [line] = done.stderr.splitlines()
         assert line.startswith("out of memory: Unable to allocate ") and "1000000000" in line
 
+    def test_a_library_warning_is_one_line(self, workspace):
+        # A warning does not stop the run; zsr shows it as one line, not as
+        # the message and the source line that raised it.
+        corpus = ingest(workspace)
+        done = subprocess.run(
+            [sys.executable, "-m", "zsretrieval.cli", "train", "--corpus", str(corpus),
+             "--out", str(workspace / "model"), "--dim", "2", "--sweeps", "1", "--init-std=0"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"})
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines() == [
+            "warning: init_std=0 gives all-zero blocks; training may be degenerate"]
+
     @pytest.mark.parametrize("case", sorted(MANIFEST_INPUTS))
     def test_manifest_lists_each_input_given(self, workspace, monkeypatch, case):
         argv, want = MANIFEST_INPUTS[case]
@@ -1409,7 +1422,9 @@ EXTREME_BASES = {
 # Left out: a large --sweeps or --steps is a long run, not an error, and a
 # large --threads could ask the BLAS library for that many threads.
 EXTREME_SKIP = {"sweeps", "steps", "threads"}
-EXTREME_VALUES = {int: ["100000000000000000000"], float: ["inf", "nan", "1e308", "-1e308"]}
+# A float run that warns several times (refresh --lambda=0) prints several lines.
+EXTREME_VALUES = {int: [str(10 ** k) for k in (3, 6, 9, 12, 20)],
+                  float: ["inf", "nan", "1e308", "-1e308"]}
 # Run in one child process: each case through main(), its streams and any
 # exception that escapes main() captured, and its warnings shown as a fresh
 # process would show them.

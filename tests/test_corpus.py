@@ -5,6 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from tests.conftest import peak_above_start
+from zsretrieval import corpus as corpus_module
 from zsretrieval.corpus import (
     Corpus,
     CorrelationGraph,
@@ -329,6 +331,17 @@ CORPUS_FILES = ("vocab.tsv", "items.tsv", "words.bin", "adjacency.bin", "corpus_
 class TestArrayIngestMatchesReference:
     @pytest.mark.parametrize("seed", range(40))
     def test_same_arrays_and_bytes(self, tmp_path, seed):
+        self.check(tmp_path, seed)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_arrays_and_bytes_in_slices_of_five(self, tmp_path, monkeypatch, seed):
+        # These inputs never fill a 2^17 budget; five entries cut every
+        # sequence scan, pair-table merge and run of ranked rows into pieces.
+        monkeypatch.setattr(corpus_module, "CHUNK_FLOATS", 5)
+        self.check(tmp_path, seed)
+
+    @staticmethod
+    def check(tmp_path, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 15))
         item_text = {f"i{k}": [f"w{w}" for w in rng.integers(6, size=int(rng.integers(0, 5)))]
@@ -361,6 +374,34 @@ class TestArrayIngestMatchesReference:
         save_corpus(want, tmp_path / "want")
         for name in CORPUS_FILES:
             assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
+
+class TestWorkingMemory:
+    @pytest.mark.parametrize("window, symmetrize, min_item_count",
+                             [(1, False, 0), (3, True, 0), (1, False, 4)])
+    def test_ingest_holds_no_array_of_transitions(self, window, symmetrize, min_item_count):
+        # 2,000,000 transitions among 60 items: far more than a budget of
+        # keys, and than the at most 60 x 59 distinct pairs.
+        rng = np.random.default_rng(5)
+        n, length, rows = 60, 100, 20_000
+        values = rng.integers(0, n - 1, size=length * rows)
+        values[:3] = n - 1  # consumed 3 times: below a min_item_count of 4
+        sequences = Rows(np.arange(rows + 1, dtype=np.int64) * length, values)
+        item_text = {f"i{k}": [f"w{k % 7}"] for k in range(n)}
+
+        def ingest():
+            return ingest_corpus(item_text, sequences, min_item_count=min_item_count,
+                                 window=window, symmetrize=symmetrize)
+
+        pairs = n * (n - 1)
+        # A few budgets of slices and a few numbers per distinct pair; when
+        # an item is dropped, also the renumbered sequences.
+        bound = 8 * (6 * corpus_module.CHUNK_FLOATS + 8 * pairs)
+        assert 8 * len(values) > bound  # one int64 per transition would break it
+        if min_item_count:
+            bound += 8 * (len(values) - 3)
+        assert peak_above_start(ingest) <= bound
+        assert ingest().stats["dropped_items"] == (1 if min_item_count else 0)
 
 
 class TestCorpusPersistence:
