@@ -41,7 +41,7 @@ from .corpus import (
     words_to_indices,
 )
 from .corpus import build_corpus as _build_corpus
-from .errors import ConfigError, IngestError, ModelIOError, NumericError, ZsrError, check
+from .errors import ConfigError, IngestError, ModelIOError, NumericError, ZsrError, check, is_json
 from .evaluation import (
     LabeledSet,
     ensemble_recall_at_k,
@@ -121,8 +121,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r}")
             (want, choices), null = args.config_types[key], defaults[key] is None
-            if not (value is None and null or isinstance(value, bool) == (want is bool)
-                    and isinstance(value, (int, float) if want is float else want)):
+            if not (value is None and null or is_json(value, want)):
                 raise ConfigError(f"{key}: expected {want.__name__}{' or null' if null else ''}, "
                                   f"got {json.dumps(value)}")
             if value is not None and choices is not None and value not in choices:

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence, TextIO
 import numpy as np
 
 from . import binio
-from .errors import IngestError, check
+from .errors import IngestError, check, is_json
 
 ADJ_MAGIC = b"ZSRADJ\x00\x01"
 WORDS_MAGIC = b"ZSRWRD\x00\x01"
@@ -544,8 +544,10 @@ def load_corpus(directory: str | Path) -> Corpus:
         raise IngestError(f"{directory}/adjacency.bin: missing counts")
     try:
         meta = json.loads((directory / "corpus_meta.json").read_text(encoding="utf-8"))
-        max_neighbors, stats = int(meta["max_neighbors"]), dict(meta.get("stats", {}))
+        max_neighbors, stats = meta["max_neighbors"], dict(meta.get("stats", {}))
     except (ValueError, KeyError, TypeError) as exc:
         raise IngestError(f"{directory}/corpus_meta.json: malformed: {exc!r}") from None
+    if not is_json(max_neighbors, int) or max_neighbors < 1:
+        raise IngestError(f"{directory}/corpus_meta.json: 'max_neighbors' must be an integer >= 1")
     graph = CorrelationGraph(Rows(indptr, neighbors), Rows(indptr, counts), max_neighbors)
     return Corpus(item_ids, vocab, Rows(offsets, words), graph, stats)

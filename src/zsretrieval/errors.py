@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the range of every option."""
-import math
+"""Exception types shared across the package, the range of every option, the JSON type rule."""
+import sys
 
 
 class ZsrError(Exception):
@@ -72,8 +72,8 @@ LABELS = {"d": "embedding dimension d", "dim": "embedding dimension d", "lam": "
 _HOLDS = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
           ">= 1 and < 2^32": lambda v: 1 <= v < 2 ** 32,
           "in (0, 1]": lambda v: 0 < v <= 1,
-          "finite and >= 0": lambda v: math.isfinite(v) and v >= 0,
-          "finite and > 0": lambda v: math.isfinite(v) and v > 0}
+          "finite and >= 0": lambda v: abs(v) <= sys.float_info.max and v >= 0,
+          "finite and > 0": lambda v: abs(v) <= sys.float_info.max and v > 0}
 
 
 def check(**options) -> None:
@@ -82,3 +82,11 @@ def check(**options) -> None:
     for name, value in options.items():
         if value is not None and name in RANGES and not _HOLDS[RANGES[name]](value):
             raise ConfigError(f"{LABELS.get(name, name)} must be {RANGES[name]}")
+
+
+def is_json(value, want: type) -> bool:
+    """Whether ``value``, read from JSON, serves a field of type ``want``: a
+    bool serves only a bool field, and an int a float field within its range."""
+    if want is float and isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, want) and isinstance(value, bool) == (want is bool)

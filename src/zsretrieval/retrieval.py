@@ -189,13 +189,22 @@ def _rank(Q: np.ndarray, ks: np.ndarray, V: np.ndarray, mode: str) -> list[Ranke
     return out
 
 
+def _ks(k, count: int) -> np.ndarray:
+    """The k of each of ``count`` queries, from one k or one per query, by ``search``'s rule."""
+    ks, out = np.asarray(k, dtype=object), np.empty(count, dtype=np.int64)
+    if ks.shape not in ((), (count,)) or not all(isinstance(v, (int, np.integer)) and v >= 1
+                                                  and not isinstance(v, bool) for v in ks.flat):
+        raise ConfigError("k must be an integer >= 1, or a list of one per query")
+    out[:] = np.minimum(ks, 2 ** 63 - 1)
+    return out
+
+
 def retrieve_topk(q: np.ndarray, V: np.ndarray, k: int, mode: str = "dot") -> RankedList:
     """Full-scan top-k by score, ties broken by ascending item index. Zero-norm
     rows are skipped under cosine; with fewer than k candidates, all are
-    returned and the result is short. Raises ScoreError when the query cannot
-    be scored."""
-    check(k=k)
-    ranked = _rank(np.asarray(q, dtype=np.float64)[None, :], [k], V, mode)[0]
+    returned and the result is short. k is read as ``search`` reads it.
+    Raises ScoreError when the query cannot be scored."""
+    ranked = _rank(np.asarray(q, dtype=np.float64)[None, :], _ks(k, 1), V, mode)[0]
     if isinstance(ranked, str):
         raise ScoreError(ranked)
     return ranked
@@ -206,14 +215,10 @@ def search(queries: list[list[int]], W: np.ndarray, V: np.ndarray,
     """Top-k items for each word-index query, the block encoded at once by
     ``encode_rows`` over W; ``k`` is an int or one per query. Per query,
     returns its RankedList or why it was skipped: no in-vocabulary words, a
-    word index out of range, no items, or zero norm under cosine. A k above
-    the int64 range is read as its maximum: any k above the item count asks
-    for every item, short."""
-    k = np.asarray(k, dtype=object)
-    if np.any(k < 1):
-        raise ConfigError("k must be >= 1")
-    k = np.asarray(np.minimum(k, np.iinfo(np.int64).max), dtype=np.int64)
-    ks = np.broadcast_to(k, (len(queries),))
+    word index out of range, no items, or zero norm under cosine. A k is an
+    integer >= 1, Python or numpy but not bool; one above the int64 range
+    reads as its maximum: any k above the item count asks for every item."""
+    ks = _ks(k, len(queries))
     words = Rows.from_lists(queries)
     out: list = _unencodable(words, W.shape[0])
     rows = np.flatnonzero([reason is None for reason in out])

@@ -222,9 +222,9 @@ class _Task:
     rows: each (item i, context c) pair is a negative of weight ``omega0 *
     neg_r[i] * neg_c[c]``, and the pairs of ``pos`` are corrected term by term
     from that weight (``pos_neg``) to their own (``pos_w``); a pair of weight 0
-    is thereby no term at all. The trainer caches the context rows ``ctx``,
-    context c's as ``ctx[c]``, and their ``neg_c``-weighted Gramian ``G``,
-    and rebuilds both after each pass over ``block``.
+    is thereby no term at all. Context c's row is ``ctx[c]``, the state's
+    block or, when ``encoded``, its float64 encodings; the trainer rebuilds
+    those and the ``neg_c``-weighted Gramian ``G`` after each pass over ``block``.
     """
 
     name: str            # the loss part it fills
@@ -245,9 +245,10 @@ class _Task:
 class SLTrainer:
     """Exact coordinate descent over model blocks, Gauss-Seidel across blocks.
 
-    The objective is the sum of ``tasks``. The caches (each block's float64
-    rows, the Gramians, the context rows) match the state after set-up, after
-    every ``sweep`` and after ``refresh``: a sweep rebuilds, after each
+    The objective is the sum of ``tasks``. The state holds the one copy of
+    each block, cast to float64 where its rows are gathered. The caches (the
+    Gramians and the encoded context rows) match the state after set-up,
+    after every ``sweep`` and after ``refresh``: a sweep rebuilds, after each
     block's pass, the caches that read that block, and ``loss`` reads them
     as they stand. ``update_row`` solves one row against the caches as they
     stand and rebuilds none; an edit to the state made outside the trainer
@@ -342,25 +343,23 @@ class SLTrainer:
 
     def refresh(self) -> None:
         """Rebuild every cache from the state, after an edit made outside the trainer."""
-        for name, block in self.state.blocks.items():  # self.W64, self.V64, ...
-            setattr(self, f"{name}64", block.astype(np.float64))
         for block in self.blocks:
             self._recache(block)
 
     def _recache(self, block: str) -> None:
-        """Rebuild the caches that read ``block``'s float64 rows: ``Gv_neg``
-        for V, else the owning task's context rows and Gramian."""
+        """Rebuild the caches that read ``block``: ``Gv_neg`` for V, else the
+        owning task's context rows and Gramian."""
+        rows = getattr(self.state, block)
         if block == "V":
-            self.Gv_neg = (self.V64 * self.neg_r[:, None]).T @ self.V64
+            self.Gv_neg = (rows * self.neg_r[:, None]).T @ rows.astype(np.float64)
             return
         task = self.owner[block]
-        task.ctx = rows = getattr(self, f"{block}64")
-        ids = slice(None)
+        task.ctx, ids = rows, slice(None)
         if task.encoded:  # an item without text has a zero row, which G leaves out
             ids, rows = encode_rows(self.corpus.word_lists, rows)
             task.ctx = np.zeros((self.corpus.n, self.config.d))
             task.ctx[ids] = rows
-        task.G = (rows * task.neg_c[ids][:, None]).T @ rows
+        task.G = (rows * task.neg_c[ids][:, None]).T @ rows.astype(np.float64, copy=False)
 
     def _solve(self, A: np.ndarray, b: np.ndarray, block: str, row: int) -> np.ndarray:
         try:
@@ -403,7 +402,7 @@ class SLTrainer:
         """Solve the rows of ``block`` level by level, in chunks: gather each
         row's terms, assemble the chunk's systems, solve them in one batch
         and write the rows back. Rows of one level must not read one another."""
-        out, out64 = getattr(self.state, block), getattr(self, f"{block}64")
+        out = getattr(self.state, block)
         if not out.flags.writeable:
             raise ConfigError(f"block {block} of the state is read-only (a loaded model); "
                               "train state.copy() instead")
@@ -411,7 +410,7 @@ class SLTrainer:
         # from the context side.
         task = self.owner.get(block)
         sides = ([(self.neg_r, t.G, (t.pos, t.pos_w, t.pos_neg), t.ctx) for t in self.tasks]
-                 if task is None else [(task.neg_c, self.Gv_neg, task.by_context, self.V64)])
+                 if task is None else [(task.neg_c, self.Gv_neg, task.by_context, self.state.V)])
         system = (partial(self._system_encoded, task) if task is not None and task.encoded
                   else partial(self._system_free, sides))
         d = self.config.d
@@ -420,9 +419,7 @@ class SLTrainer:
                 rows = level[start:stop]
                 A, b, written = system(rows)
                 out[rows] = self._solve_rows(A, b, block, rows).astype(np.float32)
-                out64[rows] = out[rows]
-                if written is not None:
-                    written()
+                written()
 
     def _start(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """``count`` systems ``lam I`` and zero right-hand sides."""
@@ -435,8 +432,9 @@ class SLTrainer:
         A, b = self._start(len(rows))
         for neg, G, pairs, P in sides:
             others, w, neg_w, ptr = _gather(rows, *pairs)
-            _add_side(A, b, self.config.omega0 * neg[rows], G, ptr, P[others], w, neg_w, 1.0, 0.0)
-        return A, b, None
+            _add_side(A, b, self.config.omega0 * neg[rows], G, ptr,
+                      P[others].astype(np.float64, copy=False), w, neg_w, 1.0, 0.0)
+        return A, b, lambda: None  # no cache reads these rows within the pass
 
     def _system_encoded(self, task: _Task, rows: np.ndarray):
         """Word rows of an encoded task: the word enters through the BOW
@@ -444,15 +442,15 @@ class SLTrainer:
         item has text) takes alpha_l = mult/k_l of it, so its encoding splits
         as rest_l + alpha_l * w_e; the terms are those of l's seeds i, each
         with a = alpha_l and beta = v_i . rest_l."""
-        om = self.config.omega0
+        om, W = self.config.omega0, self.state.W
         items, mult, ptr = _gather(rows, self.word_items, self.word_mult.values)
         alphas = mult / self.text_len[items]
         w_of = _owners(rows, ptr)
-        restM = task.ctx[items] - alphas[:, None] * self.W64[w_of]
+        restM = task.ctx[items] - alphas[:, None] * W[w_of].astype(np.float64)
         w_rest = task.neg_c[items] * alphas
         seeds, w, neg, sptr = _gather(items, *task.by_context)
         pslot = _owners(np.arange(len(items)), sptr)
-        Vs = self.V64[seeds]
+        Vs = self.state.V[seeds].astype(np.float64)
         beta = np.einsum("pd,pd->p", Vs, restM[pslot])
         w_gram = w_rest * alphas
         gram = np.zeros(len(rows))
@@ -463,8 +461,8 @@ class SLTrainer:
             b[r] -= omG @ (w_rest[lo:hi] @ restM[lo:hi])
         _add_side(A, b, om * gram, self.Gv_neg, sptr[ptr], Vs, w, neg, alphas[pslot], beta)
 
-        def written() -> None:
-            task.ctx[items] = restM + alphas[:, None] * self.W64[w_of]
+        def written() -> None:  # the W rows of ``rows`` now hold their solutions
+            task.ctx[items] = restM + alphas[:, None] * W[w_of].astype(np.float64)
 
         return A, b, written
 
@@ -498,7 +496,7 @@ class SLTrainer:
         term by term, scored in slices of at most CHUNK_FLOATS numbers.
         ``parts`` receives the task1, task2 and reg terms.
         """
-        om, V = self.config.omega0, self.V64
+        om, V = self.config.omega0, self.state.V
         step = budget_rows(self.config.d)
         tasks = {"task1": 0.0, "task2": 0.0}
         for task in self.tasks:
@@ -506,15 +504,17 @@ class SLTrainer:
             s = np.empty(len(contexts))
             for lo in range(0, len(s), step):
                 hi = lo + step
-                np.einsum("pd,pd->p", V[items[lo:hi]], task.ctx[contexts[lo:hi]], out=s[lo:hi])
+                np.einsum("pd,pd->p", V[items[lo:hi]].astype(np.float64),
+                          task.ctx[contexts[lo:hi]].astype(np.float64, copy=False), out=s[lo:hi])
             part = om * float(np.sum(self.Gv_neg * task.G))
             part += float(np.sum(task.pos_w * (s - 1.0) ** 2))
             part -= float(np.sum(task.pos_neg * s * s))
             tasks[task.name] = part
-        W, _, *free = (getattr(self, f"{name}64") for name in self.state.blocks)
-        loss_reg = self.config.lam * (float(np.sum(W * W)) + float(np.sum(V * V)))
-        for U in free:  # each free context block
-            loss_reg += self.config.lam * float(np.sum(U * U))
+        w, v, *free = (float(np.sum(np.square(block, dtype=np.float64)))
+                       for block in self.state.blocks.values())  # W, V, then U
+        loss_reg = self.config.lam * (w + v)
+        for u in free:  # each free context block
+            loss_reg += self.config.lam * u
         if parts is not None:
             parts.update(tasks, reg=loss_reg)
         return tasks["task1"] + tasks["task2"] + loss_reg

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import binio
 from .corpus import Corpus
-from .errors import ConfigError, FormatError, RefreshError, VersionError, check
+from .errors import ConfigError, FormatError, RefreshError, VersionError, check, is_json
 
 FORMAT_VERSION = 1
 
@@ -223,7 +223,7 @@ def load_model(directory: str | Path) -> ModelState:
     if meta.get("version") != FORMAT_VERSION:
         raise VersionError(f"unsupported model format version {meta.get('version')!r}")
     for key in ("m", "n", "d", "seed", "sweep_count"):
-        if not isinstance(meta.get(key), int) or isinstance(meta[key], bool):
+        if not is_json(meta.get(key), int):
             raise FormatError(f"{directory}/meta.json: {key!r} must be an integer")
     kind = meta.get("kind")
     if kind not in KINDS:
@@ -242,9 +242,7 @@ def load_model(directory: str | Path) -> ModelState:
         if not isinstance(objective, dict):
             raise FormatError(f"{directory}/meta.json: 'objective' must be an object")
         for key, value in objective.items():
-            want = OBJECTIVE_FIELDS.get(key)
-            if (want is None or not isinstance(value, (int, float))
-                    or isinstance(value, bool) != (want is bool)):
+            if key not in OBJECTIVE_FIELDS or not is_json(value, OBJECTIVE_FIELDS[key]):
                 raise FormatError(f"{directory}/meta.json: bad objective field {key!r}")
         objective = {key: OBJECTIVE_FIELDS[key](value) for key, value in objective.items()}
         try:

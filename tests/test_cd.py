@@ -1,5 +1,6 @@
 """Coordinate descent: exact row minimization, monotone sweeps, training."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,8 +127,7 @@ class TestSweeps:
         trainer = SLTrainer(init_model_state(config, corpus), corpus, config)
 
         def caches(t):
-            out = {f"{name}64": getattr(t, f"{name}64") for name in t.state.blocks}
-            out["Gv_neg"] = t.Gv_neg
+            out = {"Gv_neg": t.Gv_neg}
             for task in t.tasks:
                 out[f"{task.name}.ctx"], out[f"{task.name}.G"] = task.ctx, task.G
             return {name: cache.tobytes() for name, cache in out.items()}
@@ -637,3 +637,23 @@ class TestWorkingMemory:
         trainer = SLTrainer(init_model_state(config, corpus), corpus, config)
         assert peak_above_start(trainer.loss) <= bound
         assert peak_above_start(lambda: train_sl_model(corpus, config)) <= bound
+
+    @pytest.mark.parametrize("task1_encoded", [False, True])
+    def test_the_trainer_holds_no_copy_of_a_block(self, task1_encoded):
+        # W dominates: 20,000 words against 300 items, so a float64 copy of W
+        # (5.1 MB) outweighs all else the trainer keeps.
+        m, d = 20_000, 32
+        corpus = make_random_corpus(np.random.default_rng(5), 300, m, max_text=8)
+        config = TrainConfig(kind=STL, d=d, sweeps=1, seed=3, task1_encoded=task1_encoded)
+        state = init_model_state(config, corpus)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            trainer = SLTrainer(state, corpus, config)
+            trainer.sweep()
+            trainer.loss()
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert trainer.state is state
+        assert retained < 8 * m * d

@@ -237,6 +237,32 @@ class TestTrain:
         assert capsys.readouterr().err.strip().splitlines() == [
             'config error: dim: expected int, got "four"']
 
+    @pytest.mark.parametrize("key, extra", [
+        ("lam", []), ("init_std", []),
+        ("learning_rate", ["--model", "smc", "--pairs", "pairs.tsv"]),
+    ], ids=["lam", "init_std", "smc-learning_rate"])
+    def test_config_int_beyond_float_range_is_config_error(self, workspace, capsys, key, extra):
+        corpus = ingest(workspace)
+        (workspace / "pairs.tsv").write_text("apple\ta\n")
+        (workspace / "train.json").write_text(f'{{"{key}": 1{"0" * 400}}}')
+        capsys.readouterr()
+        rc = main(["train", "--corpus", str(corpus), "--out", str(workspace / "m"), *extra,
+                   "--dim", "2", "--config", str(workspace / "train.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {key}: expected float, got 1{'0' * 400}"]
+        assert not (workspace / "m").exists()
+
+    def test_config_int_for_a_float_is_kept_as_written(self, workspace):
+        corpus = ingest(workspace)
+        (workspace / "train.json").write_text('{"lam": 3, "init_std": 0.5}')
+        rc = main(["train", "--corpus", str(corpus), "--out", str(workspace / "m"),
+                   "--dim", "2", "--sweeps", "1", "--config", str(workspace / "train.json")])
+        assert rc == 0
+        config = json.loads((workspace / "m" / "manifest.json").read_text())["config"]
+        assert (config["lam"], config["init_std"]) == (3, 0.5)
+        assert type(config["lam"]) is int
+
     def test_smc_requires_pairs(self, workspace):
         corpus = ingest(workspace)
         rc = main(["train", "--corpus", str(corpus),
@@ -1425,6 +1451,10 @@ EXTREME_SKIP = {"sweeps", "steps", "threads"}
 # A float run that warns several times (refresh --lambda=0) prints several lines.
 EXTREME_VALUES = {int: [str(10 ** k) for k in (3, 6, 9, 12, 20)],
                   float: ["inf", "nan", "1e308", "-1e308"]}
+# The same through --config, as JSON values; an int beyond float range serves
+# no float option.
+EXTREME_CONFIG = {int: [10 ** k for k in (3, 6, 9, 12, 20)],
+                  float: [float("inf"), float("nan"), 1e308, -1e308, 10 ** 400]}
 # Run in one child process: each case through main(), its streams and any
 # exception that escapes main() captured, and its warnings shown as a fresh
 # process would show them.
@@ -1449,14 +1479,21 @@ json.dump(results, sys.stdout)
 def test_every_numeric_option_at_an_extreme_value_exits_with_at_most_one_line(workspace):
     every_input(workspace)
     parsers = _subparsers()
+    options = [(base, action) for base in EXTREME_BASES.values()
+               for action in parsers[base[0]]._actions
+               if action.type in EXTREME_VALUES and action.dest not in EXTREME_SKIP]
     cases = [[*base, f"{action.option_strings[0]}={value}"]  # "=": "-1e308" is no flag
-             for base in EXTREME_BASES.values()
-             for action in parsers[base[0]]._actions
-             if action.type in EXTREME_VALUES and action.dest not in EXTREME_SKIP
-             for value in EXTREME_VALUES[action.type]]
+             for base, action in options for value in EXTREME_VALUES[action.type]]
+    for base, action in options:  # by --config, the base's own flag for it left out
+        flag = action.option_strings[0]
+        at = base.index(flag) if flag in base else len(base)
+        for value in EXTREME_CONFIG[action.type]:
+            path = workspace / f"config{len(cases)}.json"
+            path.write_text(json.dumps({action.dest: value}))
+            cases.append([*base[:at], *base[at + 2:], "--config", path.name])
     cases = [argv if argv[0] == "loss-audit" else [*argv, "--out", f"out{i}"]
              for i, argv in enumerate(cases)]
-    assert len(cases) > 50
+    assert len(cases) > 100
 
     def cap_memory():  # acts on the child only; an allocation past it fails at once
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -1475,10 +1512,12 @@ def _rewrite(path, old, new):
     path.write_text(path.read_text().replace(old, new, 1))
 
 
-def _drop_max_neighbors(corpus):
+def _set_max_neighbors(corpus, text=None):
+    """Set corpus_meta.json's max_neighbors to the JSON ``text``; None deletes it."""
     meta = json.loads((corpus / "corpus_meta.json").read_text())
     del meta["max_neighbors"]
-    (corpus / "corpus_meta.json").write_text(json.dumps(meta))
+    entry = "" if text is None else f'"max_neighbors": {text}, '
+    (corpus / "corpus_meta.json").write_text("{" + entry + json.dumps(meta)[1:])
 
 
 def _edit_model_meta(model, key, value=None):
@@ -1534,7 +1573,17 @@ MALFORMED = {
     "model-meta-not-an-object": (
         lambda ws, c: (ws / "model" / "meta.json").write_text("[1]"), "retrieve"),
     "corpus-meta-without-max-neighbors": (
-        lambda ws, c: _drop_max_neighbors(c), "train"),
+        lambda ws, c: _set_max_neighbors(c), "train"),
+    # A number read from JSON is the type its field takes, and within float range.
+    "corpus-meta-max-neighbors-beyond-float-range": (
+        lambda ws, c: _set_max_neighbors(c, "1e999"), "train"),
+    "corpus-meta-max-neighbors-a-fraction": (lambda ws, c: _set_max_neighbors(c, "2.7"), "train"),
+    "corpus-meta-max-neighbors-a-boolean": (lambda ws, c: _set_max_neighbors(c, "true"), "train"),
+    "corpus-meta-max-neighbors-a-string": (lambda ws, c: _set_max_neighbors(c, '"50"'), "train"),
+    "corpus-meta-max-neighbors-zero": (lambda ws, c: _set_max_neighbors(c, "0"), "train"),
+    "model-meta-objective-lam-beyond-float-range": (
+        lambda ws, c: _edit_model_meta(ws / "model", "objective", {"lam": 10 ** 400}),
+        "retrieve"),
     "word-offsets-fall": (
         lambda ws, c: binio.write_int_lists(c / "words.bin", WORDS_MAGIC,
                                             np.array([0, 3, 2, 4, 4]), np.zeros(4)), "train"),
@@ -1607,6 +1656,11 @@ MALFORMED_LINES = {
     "model-block-payload-of-another-size":
         "model/W.bin: payload size does not match 99x4 float32",
     "model-meta-not-an-object": "model/meta.json: not a JSON object",
+    "corpus-meta-max-neighbors-beyond-float-range":
+        "corpus/corpus_meta.json: 'max_neighbors' must be an integer >= 1",
+    "corpus-meta-max-neighbors-a-string":
+        "corpus/corpus_meta.json: 'max_neighbors' must be an integer >= 1",
+    "model-meta-objective-lam-beyond-float-range": "model/meta.json: bad objective field 'lam'",
     "labeled-relevant-id-unknown": "labeled.jsonl:1: unknown item id 'zz'",
 }
 

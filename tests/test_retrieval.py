@@ -130,6 +130,43 @@ class TestRetrieveTopK:
             assert out.short == (len(expect) < k)
 
 
+INT64_MAX = np.iinfo(np.int64).max
+K_REFUSED = r"^k must be an integer >= 1, or a list of one per query$"
+
+
+class TestKRule:
+    """retrieve_topk and search read k by one rule: an integer >= 1, Python
+    or numpy but not bool; above the int64 range it reads as the maximum."""
+
+    W, V = np.eye(2, dtype=np.float32), np.array([[1, 0], [0, 1], [1, 1]], dtype=np.float32)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(2.0), True, np.bool_(True), "2", None,
+                                   0, -1, np.int64(0), -10 ** 20],
+                             ids=repr)
+    def test_refused_by_both(self, k):
+        with pytest.raises(ConfigError, match=K_REFUSED):
+            retrieve_topk(np.ones(2), self.V, k)
+        with pytest.raises(ConfigError, match=K_REFUSED):
+            search([[0], [1]], self.W, self.V, k)
+
+    @pytest.mark.parametrize("k, read", [(2, 2), (np.int32(2), 2), (10 ** 20, INT64_MAX),
+                                         (np.uint64(2 ** 64 - 1), INT64_MAX)], ids=repr)
+    def test_read_alike_by_both(self, k, read):
+        one = retrieve_topk(np.array([1.0, 0.0]), self.V, k)
+        [other] = search([[0]], self.W, self.V, k)
+        assert one.k == other.k == read and type(one.k) is int
+        assert one.items.tolist() == other.items.tolist()
+
+    def test_one_per_query(self):
+        got = search([[0], [1]], self.W, self.V, [1, np.int64(10 ** 18)])
+        assert [r.k for r in got] == [1, 10 ** 18]
+        with pytest.raises(ConfigError, match=K_REFUSED):
+            search([[0], [1]], self.W, self.V, [1, 2.0])
+        for k in ([1, 2, 3], [[1], [2]], [[1, 2], [3]]):
+            with pytest.raises(ConfigError, match=K_REFUSED):
+                search([[0], [1]], self.W, self.V, k)
+
+
 class TestFilterFuzz:
     @pytest.mark.parametrize("mode", ["dot", "cosine"])
     def test_matches_the_float64_scan(self, mode, rng):

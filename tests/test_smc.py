@@ -290,6 +290,11 @@ class TestTrainSMC:
         with pytest.raises(ConfigError):
             train_smc([([], 0)], corpus, SMCConfig(d=2))
 
+    @pytest.mark.parametrize("field", ["learning_rate", "init_std"])
+    def test_int_beyond_float_range_is_refused(self, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite and"):
+            SMCConfig(**{field: 10 ** 400}).validate()
+
 
 class TestMatchesPerExampleReference:
     """The array step trains the reference's W and V bit for bit."""

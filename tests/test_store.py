@@ -67,6 +67,9 @@ class TestInit:
             TrainConfig(omega0=1.5).validate()
         with pytest.raises(ConfigError):
             TrainConfig(lam=-1.0).validate()
+        for field in ("lam", "init_std"):  # an int beyond float range is not finite
+            with pytest.raises(ConfigError, match="must be finite and >= 0"):
+                TrainConfig(**{field: 10 ** 400}).validate()
 
     def test_init_statistics(self):
         corpus = build_corpus({f"i{k}": ["w"] for k in range(2000)})
