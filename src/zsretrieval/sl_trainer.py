@@ -153,7 +153,12 @@ def sl_loss_efficient(
 # ---------------------------------------------------------------------------
 # Coordinate descent
 
-SWEEP_STATS = ("seconds_V", "seconds_U", "seconds_W", "fallbacks_jitter", "fallbacks_lstsq")
+SWEEP_STATS = ("seconds_V", "seconds_U", "seconds_W", "fallbacks_jitter", "fallbacks_lstsq",
+               "rows_lowrank", "fallbacks_lowrank")
+
+# A low-rank row's solution stands when its residual in the eigenbasis is at
+# most this share of a bound on the terms it sums; else it is solved dense.
+RESIDUAL_TOL = 1e-12
 
 
 def _gather(take: np.ndarray, csr: Rows, *per_entry: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -169,28 +174,119 @@ def _owners(rows: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     return np.repeat(rows, ptr[1:] - ptr[:-1])
 
 
-def _runs(ptr: np.ndarray):
-    """(chunk row, start, stop) of every non-empty run."""
-    return [(r, lo, hi) for r, (lo, hi) in enumerate(zip(ptr[:-1].tolist(), ptr[1:].tolist()))
-            if lo < hi]
+def _runs(ptr: np.ndarray, sub: np.ndarray | None = None):
+    """(place in ``sub``, start, stop) of the non-empty run of each chunk
+    row of ``sub`` (default: every chunk row)."""
+    lo, hi = (ptr[:-1], ptr[1:]) if sub is None else (ptr[sub], ptr[sub + 1])
+    return [(r, a, b) for r, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())) if a < b]
 
 
-def _add_side(A: np.ndarray, b: np.ndarray, scale: np.ndarray, G: np.ndarray, ptr: np.ndarray,
-              P: np.ndarray, w: np.ndarray, neg: np.ndarray, a: float | np.ndarray,
-              beta: float | np.ndarray) -> None:
-    """Add one task to a chunk's systems: ``scale[r] G``, then each pair of
-    row r's run ``ptr[r]:ptr[r + 1]``, whose score is ``a p.x + beta`` in the
-    row's unknown x (p its row of ``P``), corrected from its negative weight
-    to its own: ``A[r] += sum (w - neg) a a p p^T`` and ``b[r] += sum
-    (w (1 - beta) + neg beta) a p``, one gemm and one gemv per row, the
-    products a row solved on its own forms. A free row's pairs have a = 1
-    and beta = 0."""
-    A += scale[:, None, None] * G
-    PW = P * ((w - neg) * a * a)[:, None]
-    wb = (w * (1.0 - beta) + neg * beta) * a
-    for r, lo, hi in _runs(ptr):
-        A[r] += PW[lo:hi].T @ P[lo:hi]
-        b[r] += wb[lo:hi] @ P[lo:hi]
+def _lowrank_pays(k: np.ndarray, d: int) -> np.ndarray:
+    """The rows whose k x k Woodbury system (k their padded term count)
+    costs fewer flops than factoring the d x d one: 2k^2 d + 2k^3/3 < 2d^3/3."""
+    k = np.asarray(k, dtype=np.float64)
+    return 3.0 * k * k * d + k ** 3 < float(d) ** 3
+
+
+def _width(k: np.ndarray) -> np.ndarray:
+    """The term count a low-rank row is padded to: k rounded up to two
+    significant bits (1, 2, 3, 4, 6, 8, 12, ...), so a pass solves few
+    widths. A row's arrays have shapes set by its own k alone, so it gets
+    the same bits in any chunk."""
+    k = np.asarray(k, dtype=np.int64)
+    step = 1 << np.maximum(np.frexp(k.astype(np.float64))[1] - 2, 0)
+    return -(-k // step) * step
+
+
+@dataclass(eq=False)
+class _Gramian:
+    """A pass's d x d Gramian ``G`` and, on first use, its eigenbasis."""
+
+    G: np.ndarray
+
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(eigenvalues, Q) with G = Q diag(eigenvalues) Q^T, or None where
+        ``eigh`` fails or gives non-finite numbers."""
+        with np.errstate(all="ignore"):
+            try:
+                vals, Q = np.linalg.eigh(self.G)
+            except np.linalg.LinAlgError:
+                return None
+        return (vals, Q) if np.isfinite(vals).all() and np.isfinite(Q).all() else None
+
+
+def _padded(parts: list, lo: int, hi: int, width: int, d: int) -> tuple[np.ndarray, ...]:
+    """The terms ``(ptr, P, c, wb)`` of every side of chunk rows ``lo:hi``,
+    each row's after one another and padded with zero terms to ``width``:
+    arrays (rows, width, d), (rows, width) and (rows, width)."""
+    count = hi - lo
+    P, c, wb = np.zeros((count, width, d)), np.zeros((count, width)), np.zeros((count, width))
+    filled = np.zeros(count, dtype=np.int64)
+    for ptr, rows, cs, wbs in parts:
+        n = ptr[lo + 1:hi + 1] - ptr[lo:hi]
+        r = np.repeat(np.arange(count), n)
+        slot = np.arange(len(r)) - np.repeat(ptr[lo:hi] - ptr[lo] - filled, n)
+        span = slice(ptr[lo], ptr[hi])
+        P[r, slot], c[r, slot], wb[r, slot] = rows[span], cs[span], wbs[span]
+        filled += n
+    return P, c, wb
+
+
+def _solve_k(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the stacked k x k systems; a singular one gives NaN."""
+    try:
+        return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(M) == 1:
+            return np.full_like(rhs, np.nan)
+        return np.concatenate([_solve_k(M[r:r + 1], rhs[r:r + 1]) for r in range(len(M))])
+
+
+def solve_lowrank(basis: tuple[np.ndarray, np.ndarray], lam: float, scale: np.ndarray,
+                  extra: np.ndarray | None, P: np.ndarray, c: np.ndarray,
+                  wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``(lam I + scale[r] G + P_r^T diag(c_r) P_r) x = extra[r] + P_r^T wb_r``
+    for each row r, with G = Q diag(vals) Q^T (``basis``), by Woodbury.
+
+    In Q's basis the base is diagonal, D = lam + scale[r] vals, and with
+    P~ = P Q and b' = Q^T b the row's system leaves a k x k one:
+    ``(I + C P~ D^-1 P~^T) y = C P~ D^-1 b'``, then ``x = Q D^-1 (b' - P~^T y)``.
+    Returns the rows x and whether each stands: its D is positive (at least
+    d eps of its largest entry) and its residual in Q's basis,
+    ``D x' + P~^T C P~ x' - b'``, is at most ``RESIDUAL_TOL`` of a bound on
+    its terms. Every product is stacked by row, so a row gets the same bits
+    in any batch of rows of its width.
+    """
+    vals, Q = basis
+    with np.errstate(all="ignore"):
+        D = lam + scale[:, None] * vals
+        fit = D.min(axis=1) > D.max(axis=1) * (len(vals) * np.finfo(np.float64).eps)
+        D[~fit] = 1.0
+        Pt = P @ Q
+        bq = (wb[:, None, :] @ Pt)[:, 0]
+        if extra is not None:
+            bq += (extra[:, None, :] @ Q)[:, 0]
+        F = Pt / D[:, None, :]
+        M = F @ Pt.transpose(0, 2, 1)
+        M *= c[:, :, None]
+        M += np.eye(P.shape[1])
+        y = _solve_k(M, c * (F @ bq[:, :, None])[:, :, 0])
+        del F
+        xq = (y[:, None, :] @ Pt)[:, 0]
+        np.subtract(bq, xq, out=xq)
+        xq /= D
+        z = c * (Pt @ xq[:, :, None])[:, :, 0]
+        residual = (z[:, None, :] @ Pt)[:, 0]
+        residual -= bq
+        D *= xq
+        residual += D
+        # a bound on each term the residual sums: |D x'|, |b'| and sum |z_j| |p~_j|
+        size = np.abs(D, out=D).max(axis=1) + np.abs(bq, out=bq).max(axis=1) + np.einsum(
+            "rk,rk->r", np.abs(z), np.sqrt(np.einsum("rkd,rkd->rk", Pt, Pt)))
+        ok = fit & (np.abs(residual, out=residual).max(axis=1) <= RESIDUAL_TOL * size)
+        del D, bq, residual  # before the last (rows, d) array
+        return (xq[:, None, :] @ Q.T)[:, 0], ok
 
 
 def _level_schedule(word_items: Rows, n_items: int) -> list[np.ndarray]:
@@ -250,9 +346,11 @@ class SLTrainer:
     Gramians and the encoded context rows) match the state after set-up,
     after every ``sweep`` and after ``refresh``: a sweep rebuilds, after each
     block's pass, the caches that read that block, and ``loss`` reads them
-    as they stand. ``update_row`` solves one row against the caches as they
-    stand and rebuilds none; an edit to the state made outside the trainer
-    needs a ``refresh``. Rows of one level (``levels``) do not read one
+    as they stand. Each pass's Gramian and its eigenbasis (``grams``) are
+    built on the pass's first use after the Gramians they come from.
+    ``update_row`` solves one row against the caches as they stand and
+    rebuilds none; an edit to the state made outside the trainer needs a
+    ``refresh``. Rows of one level (``levels``) do not read one
     another, so a pass assembles and solves a level's rows in chunks; within
     a pass only an encoded task's context rows change, after each chunk of
     the W pass. The trainer mutates ``state`` in place, storing solved rows
@@ -272,8 +370,10 @@ class SLTrainer:
         self.tasks = self._tasks()
         self.owner = {task.block: task for task in self.tasks}
         self.blocks = ["V"] + [block for block in ("U", "W") if block in self.owner]
-        self.fallbacks = {"jitter": 0, "lstsq": 0}
+        self.fallbacks = {"jitter": 0, "lstsq": 0, "lowrank": 0}
+        self.rows_lowrank = 0
         self.ridge = config.lam * np.eye(config.d)
+        self.grams: dict[str, _Gramian] = {}
         self.refresh()
 
     def _tasks(self) -> list[_Task]:
@@ -327,16 +427,19 @@ class SLTrainer:
         return levels
 
     @cached_property
-    def cost(self) -> dict[str, np.ndarray]:
-        """Per block, the term rows each row's system gathers: a chunk's budget."""
-        cost = {"V": sum(task.pos.lengths() for task in self.tasks)}
+    def cost(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per block, each row's term count k and the rows of d numbers its
+        system gathers (its terms and, for an encoded word, its items): a
+        chunk's budget."""
+        cost = {"V": (sum(task.pos.lengths() for task in self.tasks),) * 2}
         for task in self.tasks:
             seeds = task.by_context[0].lengths()
-            if task.encoded:  # a word row gathers the seeds of its items
+            cost[task.block] = seeds, seeds
+            if task.encoded:  # a word row gathers its items and their seeds
                 words = self.word_items
-                seeds = words.lengths() + np.bincount(words.row_ids(), weights=seeds[words.values],
-                                                      minlength=self.corpus.m)
-            cost[task.block] = seeds
+                seeds = np.bincount(words.row_ids(), weights=seeds[words.values],
+                                    minlength=self.corpus.m).astype(np.int64)
+                cost[task.block] = seeds, seeds + words.lengths()
         return cost
 
     # -- caches ------------------------------------------------------------
@@ -348,11 +451,14 @@ class SLTrainer:
 
     def _recache(self, block: str) -> None:
         """Rebuild the caches that read ``block``: ``Gv_neg`` for V, else the
-        owning task's context rows and Gramian."""
+        owning task's context rows and Gramian; and drop the pass Gramians
+        built from them."""
         rows = getattr(self.state, block)
         if block == "V":
             self.Gv_neg = (rows * self.neg_r[:, None]).T @ rows.astype(np.float64)
+            self.grams.pop("context", None)
             return
+        self.grams.pop("V", None)
         task = self.owner[block]
         task.ctx, ids = rows, slice(None)
         if task.encoded:  # an item without text has a zero row, which G leaves out
@@ -360,6 +466,15 @@ class SLTrainer:
             task.ctx = np.zeros((self.corpus.n, self.config.d))
             task.ctx[ids] = rows
         task.G = (rows * task.neg_c[ids][:, None]).T @ rows.astype(np.float64, copy=False)
+
+    def _gram(self, block: str) -> _Gramian:
+        """The Gramian every row of ``block``'s pass scales: the sum of the
+        tasks' for V, ``Gv_neg`` for a context block."""
+        key = "V" if block == "V" else "context"
+        if key not in self.grams:
+            self.grams[key] = _Gramian(self.Gv_neg if key == "context" else
+                                       sum(task.G for task in self.tasks))
+        return self.grams[key]
 
     def _solve(self, A: np.ndarray, b: np.ndarray, block: str, row: int) -> np.ndarray:
         try:
@@ -400,8 +515,15 @@ class SLTrainer:
 
     def _pass(self, block: str, levels: list[np.ndarray]) -> None:
         """Solve the rows of ``block`` level by level, in chunks: gather each
-        row's terms, assemble the chunk's systems, solve them in one batch
-        and write the rows back. Rows of one level must not read one another."""
+        chunk's terms, solve its rows in batches and write them back. Rows of
+        one level must not read one another.
+
+        A row whose k terms, padded to its ``_width``, make the Woodbury
+        system the cheaper one (``_lowrank_pays``) is solved in the
+        eigenbasis of the pass's Gramian; the others are d x d systems. A
+        level's rows are taken in order of that width, the d x d ones last,
+        in chunks whose gathered terms and low-rank arrays fit CHUNK_FLOATS;
+        the d x d systems go in batches of at most CHUNK_FLOATS numbers."""
         out = getattr(self.state, block)
         if not out.flags.writeable:
             raise ConfigError(f"block {block} of the state is read-only (a loaded model); "
@@ -409,39 +531,96 @@ class SLTrainer:
         # Item rows read every task from the item side, context rows their task
         # from the context side.
         task = self.owner.get(block)
-        sides = ([(self.neg_r, t.G, (t.pos, t.pos_w, t.pos_neg), t.ctx) for t in self.tasks]
-                 if task is None else [(task.neg_c, self.Gv_neg, task.by_context, self.state.V)])
-        system = (partial(self._system_encoded, task) if task is not None and task.encoded
-                  else partial(self._system_free, sides))
-        d = self.config.d
-        for level in levels:  # chunks whose systems and gathered terms each fit the budget
-            for start, stop in budget_runs(self.cost[block][level], d, budget_rows(d * d)):
-                rows = level[start:stop]
-                A, b, written = system(rows)
-                out[rows] = self._solve_rows(A, b, block, rows).astype(np.float32)
-                written()
+        neg, sides = ((self.neg_r, [((t.pos, t.pos_w, t.pos_neg), t.ctx) for t in self.tasks])
+                      if task is None else (task.neg_c, [(task.by_context, self.state.V)]))
+        terms = (partial(self._terms_encoded, task) if task is not None and task.encoded
+                 else partial(self._terms_free, neg, sides))
+        d, gram = self.config.d, self._gram(block)
+        k, gathered = self.cost[block]
+        for level in levels:
+            width = _width(k[level])
+            low = _lowrank_pays(width, d)
+            if gram.basis is None:
+                self.fallbacks["lowrank"] += int(low.sum())
+                low[:] = False
+            # rows of d numbers a row brings: its gathered terms and, on the
+            # low-rank path, its padded terms and its own d numbers
+            cost = gathered[level] + np.where(low, width + 1, 0)
+            width[~low] = d  # the d x d system; no low-rank width reaches d
+            order = np.argsort(width, kind="stable")
+            rows, width = level[order], width[order]
+            for start, stop in budget_runs(cost[order], d):
+                self._solve_chunk(block, gram, terms(rows[start:stop]), rows[start:stop],
+                                  width[start:stop])
 
-    def _start(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """``count`` systems ``lam I`` and zero right-hand sides."""
-        return np.repeat(self.ridge[None], count, axis=0), np.zeros((count, self.config.d))
+    def _solve_chunk(self, block: str, gram: _Gramian, terms: tuple, rows: np.ndarray,
+                     width: np.ndarray) -> None:
+        """Solve a chunk's rows, ascending by the ``width`` of their systems,
+        from their terms and write them to the block: each width below d at
+        once by Woodbury, then as d x d systems the rest and every low-rank
+        row that does not stand, in batches of at most CHUNK_FLOATS numbers."""
+        scale, extra, parts, written = terms
+        out, d = getattr(self.state, block), self.config.d
+        edges = [0, *(np.flatnonzero(np.diff(width)) + 1).tolist(), len(rows)]
+        dense = [np.zeros(0, dtype=np.int64)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            w = int(width[lo])
+            if w == d:
+                dense.append(np.arange(lo, hi))
+                continue
+            x, ok = solve_lowrank(gram.basis, self.config.lam, scale[lo:hi],
+                                  None if extra is None else extra[lo:hi],
+                                  *_padded(parts, lo, hi, w, d))
+            out[rows[lo:hi][ok]] = x[ok]
+            self.rows_lowrank += int(ok.sum())
+            self.fallbacks["lowrank"] += int(len(ok) - ok.sum())
+            dense.append(lo + np.flatnonzero(~ok))
+        dense, step = np.concatenate(dense), budget_rows(d * d)
+        for sub in (dense[lo:lo + step] for lo in range(0, len(dense), step)):
+            A, b = self._assemble(gram.G, scale, extra, parts, sub)
+            out[rows[sub]] = self._solve_rows(A, b, block, rows[sub]).astype(np.float32)
+        written()
 
-    def _system_free(self, sides: list, rows: np.ndarray):
-        """Free rows, item or context: per side ``(neg, G, pairs, P)``, implicit
-        over every row of the other block ``P`` through its Gramian ``G``, scaled
-        by the row's ``neg`` weight, and corrected at the row's ``pairs``."""
-        A, b = self._start(len(rows))
-        for neg, G, pairs, P in sides:
+    def _assemble(self, G: np.ndarray, scale: np.ndarray, extra: np.ndarray | None,
+                  parts: list, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The d x d systems of chunk rows ``sub``: ``A[r] = lam I + scale[r] G
+        + sum c p p^T`` and ``b[r] = extra[r] + sum wb p`` over the terms
+        ``(ptr, P, c, wb)`` of each side, one gemm and one gemv per row and
+        side, the products a row solved on its own forms."""
+        A = np.repeat(self.ridge[None], len(sub), axis=0)
+        A += scale[sub, None, None] * G
+        b = np.zeros((len(sub), self.config.d)) if extra is None else extra[sub]
+        for ptr, P, c, wb in parts:
+            PC = P * c[:, None]
+            for r, lo, hi in _runs(ptr, sub):
+                A[r] += PC[lo:hi].T @ P[lo:hi]
+                b[r] += wb[lo:hi] @ P[lo:hi]
+        return A, b
+
+    def _terms_free(self, neg: np.ndarray, sides: list, rows: np.ndarray):
+        """Free rows, item or context: per side ``(pairs, P)``, implicit over
+        every row of the other block ``P`` through the pass's Gramian, scaled
+        by the row's ``neg`` weight, and corrected at the row's ``pairs``
+        from their negative weight to their own.
+
+        Returns the chunk's terms: the Gramian's scale per row, the extra
+        right-hand side (None), per side ``(ptr, P, c, wb)`` (the offsets of
+        each row's run, its term rows, and the weights they add to ``A`` and
+        ``b``), and the callback to run once the rows are written."""
+        parts = []
+        for pairs, P in sides:
             others, w, neg_w, ptr = _gather(rows, *pairs)
-            _add_side(A, b, self.config.omega0 * neg[rows], G, ptr,
-                      P[others].astype(np.float64, copy=False), w, neg_w, 1.0, 0.0)
-        return A, b, lambda: None  # no cache reads these rows within the pass
+            parts.append((ptr, P[others].astype(np.float64, copy=False), w - neg_w, w))
+        return self.config.omega0 * neg[rows], None, parts, lambda: None
 
-    def _system_encoded(self, task: _Task, rows: np.ndarray):
+    def _terms_encoded(self, task: _Task, rows: np.ndarray):
         """Word rows of an encoded task: the word enters through the BOW
         contexts of its items. Each context l holding the word (every such
         item has text) takes alpha_l = mult/k_l of it, so its encoding splits
         as rest_l + alpha_l * w_e; the terms are those of l's seeds i, each
-        with a = alpha_l and beta = v_i . rest_l."""
+        with a = alpha_l and beta = v_i . rest_l: weights ``c = (w - neg) a^2``
+        and ``wb = (w (1 - beta) + neg beta) a``. Returns what ``_terms_free``
+        does; the callback re-encodes the items of the rows written."""
         om, W = self.config.omega0, self.state.W
         items, mult, ptr = _gather(rows, self.word_items, self.word_mult.values)
         alphas = mult / self.text_len[items]
@@ -451,20 +630,21 @@ class SLTrainer:
         seeds, w, neg, sptr = _gather(items, *task.by_context)
         pslot = _owners(np.arange(len(items)), sptr)
         Vs = self.state.V[seeds].astype(np.float64)
+        a = alphas[pslot]
         beta = np.einsum("pd,pd->p", Vs, restM[pslot])
         w_gram = w_rest * alphas
         gram = np.zeros(len(rows))
-        A, b = self._start(len(rows))
+        extra = np.zeros((len(rows), self.config.d))
         omG = om * self.Gv_neg
         for r, lo, hi in _runs(ptr):
             gram[r] = np.add.reduce(w_gram[lo:hi])
-            b[r] -= omG @ (w_rest[lo:hi] @ restM[lo:hi])
-        _add_side(A, b, om * gram, self.Gv_neg, sptr[ptr], Vs, w, neg, alphas[pslot], beta)
+            extra[r] -= omG @ (w_rest[lo:hi] @ restM[lo:hi])
+        parts = [(sptr[ptr], Vs, (w - neg) * a * a, (w * (1.0 - beta) + neg * beta) * a)]
 
         def written() -> None:  # the W rows of ``rows`` now hold their solutions
             task.ctx[items] = restM + alphas[:, None] * W[w_of].astype(np.float64)
 
-        return A, b, written
+        return om * gram, extra, parts, written
 
     # -- sweeps ------------------------------------------------------------
 
@@ -473,9 +653,9 @@ class SLTrainer:
 
         After each block's pass its caches are rebuilt, so every pass and the
         next ``loss`` read caches that match the state. Returns the seconds
-        each block took and the solver fallbacks."""
+        each block took, the solver fallbacks and the rows solved low-rank."""
         stats = dict.fromkeys(SWEEP_STATS, 0.0)
-        before = dict(self.fallbacks)
+        before, lowrank = dict(self.fallbacks), self.rows_lowrank
         levels = self.levels  # built on the first sweep, outside the block timings
         for block in self.blocks:
             t0 = time.perf_counter()
@@ -484,6 +664,7 @@ class SLTrainer:
             stats[f"seconds_{block}"] = time.perf_counter() - t0
         for kind in self.fallbacks:
             stats[f"fallbacks_{kind}"] = self.fallbacks[kind] - before[kind]
+        stats["rows_lowrank"] = self.rows_lowrank - lowrank
         self.state.sweep_count += 1
         return stats
 

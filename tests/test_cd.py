@@ -1,17 +1,20 @@
 """Coordinate descent: exact row minimization, monotone sweeps, training."""
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from tests.conftest import make_random_corpus, peak_above_start
 from zsretrieval import corpus as corpus_module
+from zsretrieval import sl_trainer as sl_trainer_module
 from zsretrieval.corpus import Corpus, CorrelationGraph, Rows, empty_graph
 from zsretrieval.encoder import encode_rows
 from zsretrieval.errors import ConfigError
 from zsretrieval.sl_trainer import (
     SLTrainer,
+    solve_lowrank,
     sl_loss_bruteforce,
     sl_loss_efficient,
     task_modes,
@@ -130,6 +133,9 @@ class TestSweeps:
             out = {"Gv_neg": t.Gv_neg}
             for task in t.tasks:
                 out[f"{task.name}.ctx"], out[f"{task.name}.G"] = task.ctx, task.G
+            for block in t.blocks:  # each pass's Gramian and its eigenbasis
+                gram = t._gram(block)
+                out[f"{block}.G"], (out[f"{block}.vals"], out[f"{block}.Q"]) = gram.G, gram.basis
             return {name: cache.tobytes() for name, cache in out.items()}
 
         for _ in range(3):  # set-up, then each sweep
@@ -446,6 +452,12 @@ def edge_case_corpus(seed=5, n=16, m=14):
                   Rows.from_lists(words), graph, {})
 
 
+def lowrank_rows(trainer, block):
+    """Which rows of ``block`` the flop model gives the low-rank path."""
+    k = trainer.cost[block][0]
+    return sl_trainer_module._lowrank_pays(sl_trainer_module._width(k), trainer.config.d)
+
+
 def assert_states_match(a, b):
     for block in ("W", "V", "U"):
         x, y = getattr(a, block), getattr(b, block)
@@ -533,6 +545,81 @@ class TestPassesMatchRowByRow:
                 assert np.array_equal(got, getattr(ref, block)[row])
         assert_states_match(state, ref)
 
+    @pytest.mark.parametrize("chunk_floats", [None, 40])
+    @pytest.mark.parametrize("task1_encoded", [False, True])
+    @pytest.mark.parametrize("exclude_self_negative", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_passes_on_both_paths_match_row_by_row(self, kind, exclude_self_negative,
+                                                   task1_encoded, chunk_floats, monkeypatch):
+        if chunk_floats is not None:  # a few rows a chunk, one or two a batch
+            monkeypatch.setattr(corpus_module, "CHUNK_FLOATS", chunk_floats)
+        corpus = edge_case_corpus()
+        config = TrainConfig(kind=kind, d=6, omega0=0.05, lam=0.3, seed=12,
+                             exclude_self_negative=exclude_self_negative,
+                             task1_encoded=task1_encoded)
+        state = init_model_state(config, corpus)
+        ref, rowwise = state.copy(), state.copy()
+        trainer, oracle = SLTrainer(state, corpus, config), SLTrainer(ref, corpus, config)
+        one = SLTrainer(rowwise, corpus, config)
+        for block in trainer.blocks:  # each pass solves rows on both paths ...
+            low = lowrank_rows(trainer, block)
+            # ... but encoded stl's V pass: every V row has at most one term
+            assert low.any() and (not low.all() or (kind, task1_encoded, block) == (STL, True, "V"))
+        for _ in range(2):
+            stats = trainer.sweep()
+            ref_sweep(oracle)
+            oracle.refresh()  # ref_sweep wrote the oracle's state by hand
+            assert_states_match(state, ref)
+            loss = trainer.loss()
+            assert loss == pytest.approx(oracle.loss(), rel=1e-12)
+            brute = sl_loss_bruteforce(state, corpus, config)
+            assert abs(loss - brute) / max(1.0, abs(brute)) <= 1e-8
+            low = sum(lowrank_rows(trainer, block).sum() for block in trainer.blocks)
+            assert stats["rows_lowrank"] == low
+            assert stats["fallbacks_lowrank"] == stats["fallbacks_jitter"] == 0
+            # row after row in index order, update_row gives each row the bits
+            # it got inside its chunk
+            for block in one.blocks:
+                for row in range(len(getattr(rowwise, block))):
+                    one.update_row(block, row)
+                one.refresh()
+            for name, rows in state.blocks.items():
+                assert getattr(rowwise, name).tobytes() == rows.tobytes(), name
+        assert one.rows_lowrank == trainer.rows_lowrank
+
+    @pytest.mark.parametrize("cause", ["rank-deficient", "residual", "eigh"])
+    def test_rows_sent_dense_are_counted(self, cause, monkeypatch):
+        # lam = 0 and a Gramian without e_0 (D has a zero), a tolerance no
+        # residual meets, or an eigh that fails: every row the flop model
+        # gives the low-rank path is solved dense, as a dense-only pass does.
+        corpus = edge_case_corpus()
+        lam = 0.0 if cause == "rank-deficient" else 0.3
+        config = TrainConfig(kind=STL, d=6, omega0=0.05, lam=lam, seed=12)
+        state = init_model_state(config, corpus)
+        if cause == "rank-deficient":
+            state.W[:, 0] = 0.0
+        ref = state.copy()
+        trainer, oracle = SLTrainer(state, corpus, config), SLTrainer(ref, corpus, config)
+        eligible = int(lowrank_rows(trainer, "V").sum())
+        assert 0 < eligible < corpus.n
+        with warnings.catch_warnings(record=True) as caught:  # lam = 0: singular rows warn
+            warnings.simplefilter("always")
+            with monkeypatch.context() as dense_only:
+                dense_only.setattr(sl_trainer_module, "_lowrank_pays",
+                                   lambda k, d: np.zeros(len(k), dtype=bool))
+                oracle._pass("V", oracle.levels["V"])
+            if cause == "residual":
+                monkeypatch.setattr(sl_trainer_module, "RESIDUAL_TOL", float("nan"))
+            if cause == "eigh":
+                def eigh(G):
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                monkeypatch.setattr(np.linalg, "eigh", eigh)
+            trainer._pass("V", trainer.levels["V"])
+        assert bool(caught) == (cause == "rank-deficient")
+        assert trainer.fallbacks["lowrank"] == eligible
+        assert trainer.rows_lowrank == 0
+        assert state.V.tobytes() == ref.V.tobytes()
+
     def test_singular_rows_fall_back_one_by_one(self):
         # lam = 0: the two words on no item have A = 0; their chunk is solved
         # again row by row, each warning by name, the other rows unchanged.
@@ -560,7 +647,7 @@ class TestPassesMatchRowByRow:
         with pytest.warns(UserWarning, match=r"singular system at V\[3\]"):
             x = trainer._solve(A, np.ones(2), "V", 3)
         assert np.allclose(x, np.linalg.lstsq(A, np.ones(2), rcond=None)[0])
-        assert trainer.fallbacks == {"jitter": 0, "lstsq": 1}
+        assert trainer.fallbacks == {"jitter": 0, "lstsq": 1, "lowrank": 0}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_level_schedule_invariants(self, seed):
@@ -580,6 +667,88 @@ class TestPassesMatchRowByRow:
             holders = np.unique(corpus.word_lists[i])
             # every word comes after each lower-index word it shares an item with
             assert np.all(np.diff(level_of[holders]) > 0)
+
+
+def random_terms(rng, ks, width, d):
+    """Rows of ``ks`` terms padded to ``width``: term rows of norm about 1,
+    weights c negative, zero (the zero-weight pairs of exclude_self_negative)
+    or positive, and right-hand-side weights."""
+    P, c, wb = np.zeros((len(ks), width, d)), np.zeros((len(ks), width)), np.zeros((len(ks), width))
+    for r, k in enumerate(ks):
+        P[r, :k] = rng.standard_normal((k, d)) / np.sqrt(d)
+        c[r, :k] = rng.choice([-0.3, 0.0, 0.7, 3.0], size=k) * rng.uniform(0.5, 1.0, size=k)
+        wb[r, :k] = rng.standard_normal(k)
+    return P, c, wb
+
+
+def dense_systems(vals, Q, lam, scale, extra, P, c, wb):
+    G = (Q * vals) @ Q.T
+    A = lam * np.eye(len(vals)) + scale[:, None, None] * G + \
+        np.einsum("rkd,rk,rke->rde", P, c, P)
+    b = np.einsum("rk,rkd->rd", wb, P) + (0.0 if extra is None else extra)
+    return A, b
+
+
+class TestLowRankSolve:
+    D = 24
+
+    def basis(self, rng, rank=None):
+        Q = np.linalg.qr(rng.standard_normal((self.D, self.D)))[0]
+        vals = rng.uniform(0.1, 3.0, self.D)
+        if rank is not None:
+            vals[rank:] = 0.0
+        G = (Q * vals) @ Q.T
+        return np.linalg.eigh((G + G.T) / 2)
+
+    @pytest.mark.parametrize("with_extra", [False, True])
+    def test_agrees_with_the_dense_solve(self, with_extra):
+        rng = np.random.default_rng(21)
+        d = self.D
+        limit = max(k for k in range(d) if sl_trainer_module._lowrank_pays(
+            sl_trainer_module._width(k), d))
+        assert limit >= 8
+        ks = np.repeat(np.arange(limit + 1), 3)  # each k with s = 0 and two s > 0
+        scale = np.tile([0.0, 0.4, 2.5], limit + 1)
+        vals, Q = self.basis(rng)
+        for width in (limit, limit + 5):  # rows padded to their own width or beyond
+            P, c, wb = random_terms(rng, ks, width, d)
+            extra = rng.standard_normal((len(ks), d)) if with_extra else None
+            x, ok = solve_lowrank((vals, Q), 0.8, scale, extra, P, c, wb)
+            A, b = dense_systems(vals, Q, 0.8, scale, extra, P, c, wb)
+            expect = np.linalg.solve(A, b[:, :, None])[:, :, 0]
+            assert ok.all()
+            assert np.all(np.abs(x - expect).max(axis=1) <= 1e-12 * np.abs(expect).max(axis=1))
+
+    @pytest.mark.parametrize("d,width", [(24, 1), (24, 12), (64, 24)])
+    def test_a_row_gets_the_same_bits_in_any_batch(self, d, width):
+        # what lets update_row and a chunk give a row the same bits
+        rng = np.random.default_rng(23)
+        ks = rng.integers(0, width + 1, size=7)
+        P, c, wb = random_terms(rng, ks, width, d)
+        extra, scale = rng.standard_normal((len(ks), d)), rng.uniform(0.0, 2.0, len(ks))
+        vals, Q = np.linalg.eigh(np.cov(rng.standard_normal((d, 3 * d))))
+        whole = solve_lowrank((vals, Q), 0.5, scale, extra, P, c, wb)[0]
+        for lo, hi in [(0, 1), (3, 4), (6, 7), (0, 3), (2, 7)]:
+            part = solve_lowrank((vals, Q), 0.5, scale[lo:hi], extra[lo:hi], P[lo:hi], c[lo:hi],
+                                 wb[lo:hi])[0]
+            assert part.tobytes() == whole[lo:hi].tobytes()
+
+    def test_flags_rows_it_cannot_solve(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        ks = np.array([0, 1, 4, 7])
+        P, c, wb = random_terms(rng, ks, 7, self.D)
+        extra = rng.standard_normal((len(ks), self.D))
+        scale = np.full(len(ks), 0.5)
+        # lam = 0 and a rank-deficient Gramian: D has zeros
+        x, ok = solve_lowrank(self.basis(rng, rank=self.D - 3), 0.0, scale, extra, P, c, wb)
+        assert not ok.any()
+        # a full-rank Gramian with s = 0 leaves D = lam = 0 as well
+        x, ok = solve_lowrank(self.basis(rng), 0.0, np.zeros(len(ks)), extra, P, c, wb)
+        assert not ok.any()
+        # a residual check no row meets
+        monkeypatch.setattr(sl_trainer_module, "RESIDUAL_TOL", float("nan"))
+        x, ok = solve_lowrank(self.basis(rng), 1.0, scale, extra, P, c, wb)
+        assert not ok.any()
 
 
 # Per kind and task1_encoded: (name, block, encoded) of each task, and the
@@ -636,6 +805,28 @@ class TestWorkingMemory:
             assert 8 * nnz * config.d > bound
         trainer = SLTrainer(init_model_state(config, corpus), corpus, config)
         assert peak_above_start(trainer.loss) <= bound
+        assert peak_above_start(lambda: train_sl_model(corpus, config)) <= bound
+
+    def test_lowrank_batches_pad_rows_to_their_own_width(self):
+        # One level of 8000 rows without terms, 2000 one-term rows and one
+        # row near the flop-model limit. Padded to the chunk's widest row, the
+        # one-term rows would make (2000 x 16 x d) float64 arrays, 8 MiB each;
+        # budgeted by their terms alone, the rows without terms would all
+        # share one chunk and its (8000 x d) arrays.
+        n, m, d = 10_001, 200, 32
+        words = [[]] * 8000 + [[i % m] for i in range(2000)] + [list(range(16))]
+        corpus = Corpus([f"i{k}" for k in range(n)], [f"w{k}" for k in range(m)],
+                        Rows.from_lists(words), empty_graph(n), {})
+        config = TrainConfig(kind=STL, d=d, sweeps=1, seed=3)
+        trainer = SLTrainer(init_model_state(config, corpus), corpus, config)
+        k, levels = trainer.cost["V"][0], trainer.levels["V"]
+        assert len(levels) == 1 and np.array_equal(np.bincount(k), [8000, 2000] + [0] * 14 + [1])
+        assert lowrank_rows(trainer, "V").all()
+        assert not sl_trainer_module._lowrank_pays(sl_trainer_module._width(17), d)
+        peak = peak_above_start(lambda: trainer._pass("V", levels))
+        assert peak <= 8 * 6 * corpus_module.CHUNK_FLOATS
+        assert trainer.rows_lowrank == n
+        bound = 8 * (4 * corpus_module.CHUNK_FLOATS + 8 * (n + m) * d)  # as for any corpus above
         assert peak_above_start(lambda: train_sl_model(corpus, config)) <= bound
 
     @pytest.mark.parametrize("task1_encoded", [False, True])

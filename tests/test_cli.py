@@ -185,8 +185,12 @@ class TestTrain:
         assert (model / "manifest.json").exists()
         trace = (model / "loss_trace.csv").read_text().splitlines()
         assert trace[0] == ("sweep,loss_total,loss_task1,loss_task2,loss_reg,seconds,"
-                            "seconds_V,seconds_U,seconds_W,fallbacks_jitter,fallbacks_lstsq")
+                            "seconds_V,seconds_U,seconds_W,fallbacks_jitter,fallbacks_lstsq,"
+                            "rows_lowrank,fallbacks_lowrank")
         assert len(trace) == 6  # header + initial + 4 sweeps
+        counts = [row.split(",")[-2:] for row in trace[1:]]
+        assert counts[0] == ["0", "0"]  # the initial state solved nothing
+        assert all(int(low) > 0 and fallbacks == "0" for low, fallbacks in counts[1:])
         manifest = json.loads((model / "manifest.json").read_text())
         assert manifest["config"]["model"] == "zsl_te"
         assert manifest["config"]["sweeps"] == 4
