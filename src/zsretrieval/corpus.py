@@ -38,18 +38,16 @@ def budget_rows(width: int) -> int:
     return max(1, CHUNK_FLOATS // max(width, 1))
 
 
-def budget_runs(cost: np.ndarray, width: int, max_rows: int | None = None):
+def budget_runs(cost: np.ndarray, width: int):
     """(start, stop) of consecutive runs of rows, row i bringing ``cost[i]``
-    rows of ``width`` numbers, that fit in CHUNK_FLOATS and hold at most
-    ``max_rows`` rows; a run holds at least one row."""
+    rows of ``width`` numbers, that fit in CHUNK_FLOATS; a run holds at
+    least one row."""
     max_cost = budget_rows(width)
     ends = np.cumsum(cost)
     start = 0
     while start < len(ends):
         base = ends[start - 1] if start else 0
         stop = max(int(np.searchsorted(ends, base + max_cost, side="right")), start + 1)
-        if max_rows is not None:
-            stop = min(stop, start + max_rows)
         yield start, stop
         start = stop
 

@@ -153,8 +153,8 @@ def sl_loss_efficient(
 # ---------------------------------------------------------------------------
 # Coordinate descent
 
-SWEEP_STATS = ("seconds_V", "seconds_U", "seconds_W", "fallbacks_jitter", "fallbacks_lstsq",
-               "rows_lowrank", "fallbacks_lowrank")
+SWEEP_STATS = ("seconds_V", "seconds_U", "seconds_W", "fallbacks_lstsq", "rows_lowrank",
+               "fallbacks_lowrank")
 
 # A low-rank row's solution stands when its residual in the eigenbasis is at
 # most this share of a bound on the terms it sums; else it is solved dense.
@@ -233,14 +233,16 @@ def _padded(parts: list, lo: int, hi: int, width: int, d: int) -> tuple[np.ndarr
     return P, c, wb
 
 
-def _solve_k(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the stacked k x k systems; a singular one gives NaN."""
+def _solve_stacked(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the stacked systems ``A[r] x = b[r]`` at once, and each alone
+    only when that raises; a singular system gives NaN. A system gets the
+    same bits alone as in any stack."""
     try:
-        return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        if len(M) == 1:
-            return np.full_like(rhs, np.nan)
-        return np.concatenate([_solve_k(M[r:r + 1], rhs[r:r + 1]) for r in range(len(M))])
+        if len(A) == 1:
+            return np.full_like(b, np.nan)
+        return np.concatenate([_solve_stacked(A[r:r + 1], b[r:r + 1]) for r in range(len(A))])
 
 
 def solve_lowrank(basis: tuple[np.ndarray, np.ndarray], lam: float, scale: np.ndarray,
@@ -271,7 +273,7 @@ def solve_lowrank(basis: tuple[np.ndarray, np.ndarray], lam: float, scale: np.nd
         M = F @ Pt.transpose(0, 2, 1)
         M *= c[:, :, None]
         M += np.eye(P.shape[1])
-        y = _solve_k(M, c * (F @ bq[:, :, None])[:, :, 0])
+        y = _solve_stacked(M, c * (F @ bq[:, :, None])[:, :, 0])
         del F
         xq = (y[:, None, :] @ Pt)[:, 0]
         np.subtract(bq, xq, out=xq)
@@ -354,7 +356,8 @@ class SLTrainer:
     another, so a pass assembles and solves a level's rows in chunks; within
     a pass only an encoded task's context rows change, after each chunk of
     the W pass. The trainer mutates ``state`` in place, storing solved rows
-    as float32 while accumulating in float64.
+    as float32 while accumulating in float64. ``counts`` tallies, under the
+    count columns of ``SWEEP_STATS``, the rows solved low-rank and the fallbacks.
     """
 
     def __init__(self, state: ModelState, corpus: Corpus, config: TrainConfig):
@@ -370,8 +373,7 @@ class SLTrainer:
         self.tasks = self._tasks()
         self.owner = {task.block: task for task in self.tasks}
         self.blocks = ["V"] + [block for block in ("U", "W") if block in self.owner]
-        self.fallbacks = {"jitter": 0, "lstsq": 0, "lowrank": 0}
-        self.rows_lowrank = 0
+        self.counts = {key: 0 for key in SWEEP_STATS if not key.startswith("seconds")}
         self.ridge = config.lam * np.eye(config.d)
         self.grams: dict[str, _Gramian] = {}
         self.refresh()
@@ -476,34 +478,21 @@ class SLTrainer:
                                        sum(task.G for task in self.tasks))
         return self.grams[key]
 
-    def _solve(self, A: np.ndarray, b: np.ndarray, block: str, row: int) -> np.ndarray:
-        try:
-            x = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            warnings.warn(f"singular system at {block}[{row}]; adding 1e-10 jitter")
+    def _rescue(self, A: np.ndarray, b: np.ndarray, block: str, row: int) -> np.ndarray:
+        """The min-norm least-squares solution of a d x d system whose solve
+        came back non-finite: a singular ``A``'s exact minimizer. Warns once
+        it is finite; else raises NumericError, with no warning first."""
+        x = np.full_like(b, np.nan)
+        if np.isfinite(A).all() and np.isfinite(b).all():  # on inf, LAPACK prints to stdout
             try:
-                x = np.linalg.solve(A + 1e-10 * np.eye(len(b)), b)
-                self.fallbacks["jitter"] += 1
-            except np.linalg.LinAlgError:
-                # Jitter is below working precision when A is large and rank
-                # deficient; fall back to the min-norm least-squares solution.
                 x = np.linalg.lstsq(A, b, rcond=None)[0]
-                self.fallbacks["lstsq"] += 1
-        if not np.all(np.isfinite(x)):
+            except np.linalg.LinAlgError:  # its SVD did not converge
+                pass
+        if not np.isfinite(x).all():
             raise NumericError(f"non-finite update at block {block}, row {row}")
+        warnings.warn(f"singular system at {block}[{row}]; solved by least squares")
+        self.counts["fallbacks_lstsq"] += 1
         return x
-
-    def _solve_rows(self, A: np.ndarray, b: np.ndarray, block: str,
-                    rows: np.ndarray) -> np.ndarray:
-        """Solve a chunk's systems together; a chunk with a singular or
-        non-finite system is solved again row by row through ``_solve``."""
-        try:
-            x = np.linalg.solve(A, b[:, :, None])[:, :, 0]
-            if np.isfinite(x).all():
-                return x
-        except np.linalg.LinAlgError:
-            pass
-        return np.stack([self._solve(A[r], b[r], block, int(row)) for r, row in enumerate(rows)])
 
     # -- row updates -------------------------------------------------------
 
@@ -541,7 +530,7 @@ class SLTrainer:
             width = _width(k[level])
             low = _lowrank_pays(width, d)
             if gram.basis is None:
-                self.fallbacks["lowrank"] += int(low.sum())
+                self.counts["fallbacks_lowrank"] += int(low.sum())
                 low[:] = False
             # rows of d numbers a row brings: its gathered terms and, on the
             # low-rank path, its padded terms and its own d numbers
@@ -572,13 +561,16 @@ class SLTrainer:
                                   None if extra is None else extra[lo:hi],
                                   *_padded(parts, lo, hi, w, d))
             out[rows[lo:hi][ok]] = x[ok]
-            self.rows_lowrank += int(ok.sum())
-            self.fallbacks["lowrank"] += int(len(ok) - ok.sum())
+            self.counts["rows_lowrank"] += int(ok.sum())
+            self.counts["fallbacks_lowrank"] += int(len(ok) - ok.sum())
             dense.append(lo + np.flatnonzero(~ok))
         dense, step = np.concatenate(dense), budget_rows(d * d)
         for sub in (dense[lo:lo + step] for lo in range(0, len(dense), step)):
             A, b = self._assemble(gram.G, scale, extra, parts, sub)
-            out[rows[sub]] = self._solve_rows(A, b, block, rows[sub]).astype(np.float32)
+            x = _solve_stacked(A, b)
+            for r in np.flatnonzero(~np.isfinite(x).all(axis=1)):
+                x[r] = self._rescue(A[r], b[r], block, int(rows[sub[r]]))
+            out[rows[sub]] = x
         written()
 
     def _assemble(self, G: np.ndarray, scale: np.ndarray, extra: np.ndarray | None,
@@ -591,9 +583,8 @@ class SLTrainer:
         A += scale[sub, None, None] * G
         b = np.zeros((len(sub), self.config.d)) if extra is None else extra[sub]
         for ptr, P, c, wb in parts:
-            PC = P * c[:, None]
             for r, lo, hi in _runs(ptr, sub):
-                A[r] += PC[lo:hi].T @ P[lo:hi]
+                A[r] += (P[lo:hi] * c[lo:hi, None]).T @ P[lo:hi]
                 b[r] += wb[lo:hi] @ P[lo:hi]
         return A, b
 
@@ -653,18 +644,16 @@ class SLTrainer:
 
         After each block's pass its caches are rebuilt, so every pass and the
         next ``loss`` read caches that match the state. Returns the seconds
-        each block took, the solver fallbacks and the rows solved low-rank."""
+        each block took and the change of each of ``counts``."""
         stats = dict.fromkeys(SWEEP_STATS, 0.0)
-        before, lowrank = dict(self.fallbacks), self.rows_lowrank
+        before = dict(self.counts)
         levels = self.levels  # built on the first sweep, outside the block timings
         for block in self.blocks:
             t0 = time.perf_counter()
             self._pass(block, levels[block])
             self._recache(block)
             stats[f"seconds_{block}"] = time.perf_counter() - t0
-        for kind in self.fallbacks:
-            stats[f"fallbacks_{kind}"] = self.fallbacks[kind] - before[kind]
-        stats["rows_lowrank"] = self.rows_lowrank - lowrank
+        stats.update({key: self.counts[key] - before[key] for key in before})
         self.state.sweep_count += 1
         return stats
 

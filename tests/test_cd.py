@@ -11,7 +11,7 @@ from zsretrieval import corpus as corpus_module
 from zsretrieval import sl_trainer as sl_trainer_module
 from zsretrieval.corpus import Corpus, CorrelationGraph, Rows, empty_graph
 from zsretrieval.encoder import encode_rows
-from zsretrieval.errors import ConfigError
+from zsretrieval.errors import ConfigError, NumericError
 from zsretrieval.sl_trainer import (
     SLTrainer,
     solve_lowrank,
@@ -296,6 +296,16 @@ def ref_refresh(t):
     t.self_in_ne = np.array([i in t.corpus.graph.neighbors[i] for i in range(n)])
 
 
+def ref_solve(A, b, block, row):
+    """A row's d x d system solved alone; where it is singular, the min-norm
+    least-squares solution, warned as the trainer warns it."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        warnings.warn(f"singular system at {block}[{row}]; solved by least squares")
+        return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
 def ref_update_v(t, i):
     cfg, om, d = t.config, t.config.omega0, t.config.d
     A = cfg.lam * np.eye(d)
@@ -334,7 +344,7 @@ def ref_update_v(t, i):
             u = t.U64[i] if t.free_u else (t.enc[t.enc_slot[i]] if t.enc_slot[i] >= 0 else None)
             if u is not None:
                 A -= om * t.neg_r[i] * t.neg_c[i] * np.outer(u, u)
-    t.state.V[i] = t._solve(A, b, "V", i).astype(np.float32)
+    t.state.V[i] = ref_solve(A, b, "V", i).astype(np.float32)
     t.V64[i] = t.state.V[i]
 
 
@@ -350,7 +360,7 @@ def ref_update_u(t, j):
         b += (t.pos_r[seeds] * t.pos_c[j]) @ P
     if cfg.exclude_self_negative and not t.self_in_ne[j]:
         A -= om * t.neg_r[j] * t.neg_c[j] * np.outer(t.V64[j], t.V64[j])
-    t.state.U[j] = t._solve(A, b, "U", j).astype(np.float32)
+    t.state.U[j] = ref_solve(A, b, "U", j).astype(np.float32)
     t.U64[j] = t.state.U[j]
 
 
@@ -366,7 +376,7 @@ def ref_update_w(t, e):
             coef = t.pos_r[items] * mult - om * t.neg_r[items]
             A += (P * coef[:, None]).T @ P
             b += (t.pos_r[items] * mult) @ P
-        t.state.W[e] = t._solve(A, b, "W", e).astype(np.float32)
+        t.state.W[e] = ref_solve(A, b, "W", e).astype(np.float32)
         t.W64[e] = t.state.W[e]
         return
     slot = t.enc_slot[items]
@@ -412,7 +422,7 @@ def ref_update_w(t, e):
                     cneg = om * t.neg_r[ells] * t.neg_c[ells]
                     A -= (Vse * (cneg * a * a)[:, None]).T @ Vse
                     b += (cneg * beta * a) @ Vse
-    t.state.W[e] = t._solve(A, b, "W", e).astype(np.float32)
+    t.state.W[e] = ref_solve(A, b, "W", e).astype(np.float32)
     t.W64[e] = t.state.W[e]
     if len(ctx):
         t.enc[ks] = restM + alphas[:, None] * t.W64[e]
@@ -502,7 +512,7 @@ class TestPassesMatchRowByRow:
                 assert trainer.loss(other) == loss and other == parts
             brute = sl_loss_bruteforce(state, corpus, config)
             assert abs(loss - brute) / max(1.0, abs(brute)) <= 1e-8
-            assert stats["fallbacks_jitter"] == stats["fallbacks_lstsq"] == 0
+            assert stats["fallbacks_lstsq"] == 0
             assert (stats["seconds_U"] > 0) == (kind == ZSL_ME)
 
     @pytest.mark.parametrize("no_edges", [False, True], ids=["graph", "no-edges"])
@@ -576,7 +586,7 @@ class TestPassesMatchRowByRow:
             assert abs(loss - brute) / max(1.0, abs(brute)) <= 1e-8
             low = sum(lowrank_rows(trainer, block).sum() for block in trainer.blocks)
             assert stats["rows_lowrank"] == low
-            assert stats["fallbacks_lowrank"] == stats["fallbacks_jitter"] == 0
+            assert stats["fallbacks_lowrank"] == stats["fallbacks_lstsq"] == 0
             # row after row in index order, update_row gives each row the bits
             # it got inside its chunk
             for block in one.blocks:
@@ -585,7 +595,7 @@ class TestPassesMatchRowByRow:
                 one.refresh()
             for name, rows in state.blocks.items():
                 assert getattr(rowwise, name).tobytes() == rows.tobytes(), name
-        assert one.rows_lowrank == trainer.rows_lowrank
+        assert one.counts == trainer.counts
 
     @pytest.mark.parametrize("cause", ["rank-deficient", "residual", "eigh"])
     def test_rows_sent_dense_are_counted(self, cause, monkeypatch):
@@ -616,13 +626,14 @@ class TestPassesMatchRowByRow:
                 monkeypatch.setattr(np.linalg, "eigh", eigh)
             trainer._pass("V", trainer.levels["V"])
         assert bool(caught) == (cause == "rank-deficient")
-        assert trainer.fallbacks["lowrank"] == eligible
-        assert trainer.rows_lowrank == 0
+        assert trainer.counts["fallbacks_lowrank"] == eligible
+        assert trainer.counts["rows_lowrank"] == 0
         assert state.V.tobytes() == ref.V.tobytes()
 
     def test_singular_rows_fall_back_one_by_one(self):
-        # lam = 0: the two words on no item have A = 0; their chunk is solved
-        # again row by row, each warning by name, the other rows unchanged.
+        # lam = 0: the two words on no item have A = 0; their batch is solved
+        # again row by row, each singular row by least squares with a warning
+        # by name, the other rows unchanged.
         corpus = edge_case_corpus()
         config = TrainConfig(kind=ZSL_TE, d=3, omega0=0.05, lam=0.0, seed=14)
         state = init_model_state(config, corpus)
@@ -632,22 +643,61 @@ class TestPassesMatchRowByRow:
         with pytest.warns(UserWarning) as caught:
             stats = trainer.sweep()
         messages = sorted(str(w.message) for w in caught)
-        assert messages == [f"singular system at W[{e}]; adding 1e-10 jitter" for e in (12, 13)]
-        assert (stats["fallbacks_jitter"], stats["fallbacks_lstsq"]) == (2, 0)
+        assert messages == [f"singular system at W[{e}]; solved by least squares" for e in (12, 13)]
+        assert stats["fallbacks_lstsq"] == 2
         with pytest.warns(UserWarning):
             ref_sweep(oracle)
         assert_states_match(state, ref)
         assert not np.any(state.W[12:])
 
-    def test_lstsq_fallback_is_counted(self):
+    @staticmethod
+    def singular_v_rows():
+        # lam = 0 and a W without e_0: each V row's A has a zero row and
+        # column, and its exact minimizer is the min-norm least-squares solution.
         corpus = edge_case_corpus()
-        config = TrainConfig(kind=ZSL_TE, d=2, lam=0.0)
-        trainer = SLTrainer(init_model_state(config, corpus), corpus, config)
-        A = np.full((2, 2), 2.0 ** 100)  # exactly singular; jitter is below its ulp
-        with pytest.warns(UserWarning, match=r"singular system at V\[3\]"):
-            x = trainer._solve(A, np.ones(2), "V", 3)
-        assert np.allclose(x, np.linalg.lstsq(A, np.ones(2), rcond=None)[0])
-        assert trainer.fallbacks == {"jitter": 0, "lstsq": 1, "lowrank": 0}
+        config = TrainConfig(kind=STL, d=6, omega0=0.05, lam=0.0, seed=12)
+        state = init_model_state(config, corpus)
+        state.W[:, 0] = 0.0
+        return SLTrainer(state, corpus, config), SLTrainer(state.copy(), corpus, config)
+
+    def test_lstsq_fallback_is_counted(self):
+        trainer, oracle = self.singular_v_rows()
+        ref_refresh(oracle)
+        with pytest.warns(UserWarning, match=r"^singular system at V\[4\]; solved by least squares$"):
+            ref_update_v(oracle, 4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = trainer.update_row("V", 4)
+        assert [str(w.message) for w in caught] == ["singular system at V[4]; solved by least squares"]
+        assert got.tobytes() == oracle.state.V[4].tobytes() and got[0] == 0.0 and got.any()
+        assert trainer.counts["fallbacks_lstsq"] == 1
+
+    def test_a_row_still_non_finite_raises_without_a_warning(self, monkeypatch):
+        trainer, _ = self.singular_v_rows()
+        before = trainer.state.V[4].tobytes()
+        monkeypatch.setattr(np.linalg, "lstsq", lambda A, b, rcond: (np.full_like(b, np.inf),))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError, match=r"^non-finite update at block V, row 4$"):
+                trainer.update_row("V", 4)
+        assert caught == []
+        assert trainer.state.V[4].tobytes() == before
+        assert trainer.counts["fallbacks_lstsq"] == 0
+
+    @pytest.mark.parametrize("d", [3, 6, 64, 200])
+    def test_a_singular_system_leaves_the_others_bits(self, d):
+        # the stack raises; each system is solved again alone, the singular
+        # one giving NaN, the others the bits they get in the stack or alone
+        rng = np.random.default_rng(d)
+        A = rng.standard_normal((4, d, d))
+        A = A @ A.transpose(0, 2, 1) + np.eye(d)
+        b = rng.standard_normal((4, d))
+        whole = sl_trainer_module._solve_stacked(A, b)
+        A[2] = 0.0
+        x = sl_trainer_module._solve_stacked(A, b)
+        assert np.isnan(x[2]).all()
+        for r in (0, 1, 3):
+            assert x[r].tobytes() == whole[r].tobytes() == np.linalg.solve(A[r], b[r]).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_level_schedule_invariants(self, seed):
@@ -825,7 +875,7 @@ class TestWorkingMemory:
         assert not sl_trainer_module._lowrank_pays(sl_trainer_module._width(17), d)
         peak = peak_above_start(lambda: trainer._pass("V", levels))
         assert peak <= 8 * 6 * corpus_module.CHUNK_FLOATS
-        assert trainer.rows_lowrank == n
+        assert trainer.counts["rows_lowrank"] == n
         bound = 8 * (4 * corpus_module.CHUNK_FLOATS + 8 * (n + m) * d)  # as for any corpus above
         assert peak_above_start(lambda: train_sl_model(corpus, config)) <= bound
 

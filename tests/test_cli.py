@@ -185,8 +185,8 @@ class TestTrain:
         assert (model / "manifest.json").exists()
         trace = (model / "loss_trace.csv").read_text().splitlines()
         assert trace[0] == ("sweep,loss_total,loss_task1,loss_task2,loss_reg,seconds,"
-                            "seconds_V,seconds_U,seconds_W,fallbacks_jitter,fallbacks_lstsq,"
-                            "rows_lowrank,fallbacks_lowrank")
+                            "seconds_V,seconds_U,seconds_W,fallbacks_lstsq,rows_lowrank,"
+                            "fallbacks_lowrank")
         assert len(trace) == 6  # header + initial + 4 sweeps
         counts = [row.split(",")[-2:] for row in trace[1:]]
         assert counts[0] == ["0", "0"]  # the initial state solved nothing
@@ -1417,6 +1417,34 @@ class TestExitCodes:
         assert done.returncode == 0, done.stderr
         assert done.stderr.splitlines() == [
             "warning: init_std=0 gives all-zero blocks; training may be degenerate"]
+
+    @pytest.mark.parametrize("rescued", [True, False], ids=["rescued", "non-finite"])
+    def test_a_singular_system_is_one_line(self, workspace, rescued):
+        # With lambda 0 and more dimensions (8) than items (4), some W rows'
+        # systems are singular: least squares solves each, with one warning
+        # line; where its solution is not finite, the run fails in one line.
+        corpus = ingest(workspace)
+        patch = "" if rescued else "np.linalg.lstsq = lambda A, b, rcond: (b * np.nan,); "
+        code = (f"import sys, numpy as np; {patch}from zsretrieval.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        done = subprocess.run(
+            [sys.executable, "-c", code, "train", "--corpus", str(corpus),
+             "--out", str(workspace / "model"), "--dim", "8", "--sweeps", "1", "--seed", "1",
+             "--lambda", "0"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"})
+        lines = done.stderr.splitlines()
+        if not rescued:
+            assert done.returncode == 3, done.stderr
+            [line] = lines
+            assert line.startswith("numeric failure: non-finite update at block W, row ")
+            return
+        assert done.returncode == 0, done.stderr
+        assert lines and all(line.startswith("warning: singular system at W[") and
+                             line.endswith("]; solved by least squares") for line in lines)
+        trace = (workspace / "model" / "loss_trace.csv").read_text().splitlines()
+        column = trace[0].split(",").index("fallbacks_lstsq")
+        assert int(trace[-1].split(",")[column]) == len(lines)
 
     @pytest.mark.parametrize("case", sorted(MANIFEST_INPUTS))
     def test_manifest_lists_each_input_given(self, workspace, monkeypatch, case):

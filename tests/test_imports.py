@@ -99,3 +99,60 @@ def test_the_scan_finds_a_kind_named_in_a_function():
 def test_no_function_names_a_square_loss_kind(path):
     """A kind's tasks and blocks are read from store.TASKS, never by comparing with the kind."""
     assert kinds_named_in_functions(path.read_text(encoding="utf-8")) == []
+
+
+CALLERS = sorted(p for d in ("src/zsretrieval", "tests", "perfbench")
+                 for p in (ROOT / d).glob("*.py"))
+
+
+def unpassed_defaults(package: list[str], callers: list[str]) -> list[str]:
+    """``function(param=)`` for each parameter with a default of a function or
+    method that ``package`` defines, where no call in ``callers`` passes it,
+    by keyword or by position. A call is matched by the name it calls (a
+    class's for ``__init__``), and one that unpacks ``*`` or ``**`` passes
+    every parameter."""
+    defaults = {}  # (function, parameter) -> its position after self, or None
+    for source in package:
+        tree = ast.parse(source)
+        owner = {f: c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name, positional = fn.name, fn.args.posonlyargs + fn.args.args
+            decorators = {getattr(d, "id", None) for d in fn.decorator_list}
+            if fn in owner and "staticmethod" not in decorators:
+                positional = positional[1:]  # self or cls
+                name = owner[fn].name if name == "__init__" else name
+            first = len(positional) - len(fn.args.defaults)
+            defaults.update({(name, a.arg): first + i
+                             for i, a in enumerate(positional[first:])})
+            defaults.update({(name, a.arg): None for a, value in
+                             zip(fn.args.kwonlyargs, fn.args.kw_defaults) if value is not None})
+    passed, unpacks = set(), set()
+    for source in callers:
+        for call in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords):
+                unpacks.add(name)
+            passed.update((name, k.arg) for k in call.keywords)
+            passed.update((name, i) for i in range(len(call.args)))
+    return sorted(f"{name}({param}=)" for (name, param), at in defaults.items()
+                  if name not in unpacks and (name, param) not in passed
+                  and (name, at) not in passed)
+
+
+def test_the_scan_finds_a_default_no_call_passes():
+    module = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+              "class C:\n    def __init__(self, x=0):\n        pass\n"
+              "    def m(self, y=0, z=0):\n        pass\n"
+              "    @staticmethod\n    def s(y=0):\n        pass\n"
+              "def g(h=0):\n    pass\n")
+    calls = "f(0, 1, e=5)\nC()\nobj.m(1)\nC.s(2)\ng(*args)\n"
+    assert unpassed_defaults([module], [module, calls]) == ["C(x=)", "f(c=)", "f(d=)", "m(z=)"]
+
+
+def test_every_default_is_passed_by_some_call():
+    """A default no call overrides is a constant in disguise, or an option nothing uses."""
+    sources = [p.read_text(encoding="utf-8") for p in CALLERS]
+    assert unpassed_defaults([p.read_text(encoding="utf-8") for p in PACKAGE], sources) == []
