@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Rows, budget_rows
+from .corpus import Rows, budget_rows, budget_runs
 from .encoder import _unencodable, encode_rows
 from .errors import ConfigError, ScoreError, check
 
@@ -33,14 +33,19 @@ from .errors import ConfigError, ScoreError, check
 # under dot A, B and AB are below 2^126 (_HUGE): then no cast to float32 and
 # no float32 partial sum overflows.
 #
-# Let t be a row's k-th largest f (a block takes its largest k, whose t is
-# no larger). The k items of f ≥ t have s ≥ t - E, so the k-th largest s is
-# at least t - E, and every item in the top k by s, ties included, has
-# f ≥ t - 2E. The filter keeps each item of f ≥ t - 2ε, where
-# ε = (d + 4)(4u AB + 2^-148 (A + B + 1)): 2ε - 2E exceeds the rounding of
-# t - 2ε to float32, at most u |t - 2ε| + 2^-150. Where the conditions fail
-# ε is inf, and where fewer than k items have an f (a zero-norm item's is
-# NaN) t is NaN: then every live item is a candidate.
+# Split the items into G groups, item j into group j mod G. Let t be the
+# k-th largest, over a row's groups, of each group's largest f (NaN aside),
+# for the row's own k. k groups each hold an item of f ≥ t, so at least k
+# items have f ≥ t, and t is itself some item's f. Those k items have
+# s ≥ t - E, so the k-th largest s is at least t - E, and every item in the
+# top k by s, ties included, has f ≥ t - 2E. The filter keeps each item of
+# f ≥ t - 2ε, where ε = (d + 4)(4u AB + 2^-148 (A + B + 1)): 2ε - 2E exceeds
+# the rounding of t - 2ε to float32, at most u |t - 2ε| + 2^-150. Where the
+# conditions fail ε is inf, and where fewer than k groups hold an item with
+# an f (a zero-norm item's is NaN) t is NaN: then every live item is a
+# candidate. Any split keeps this exact; G = min(n, max(4K, 512)), K the
+# largest k of a block of rows, keeps the groups that hold two of a row's
+# best items few, so t stays close to the row's k-th largest f.
 _U = 2.0 ** -24
 _MAX_D = 1 << 20
 _TINY, _HUGE = 2.0 ** -480, 2.0 ** 126
@@ -142,8 +147,9 @@ def _rank(Q: np.ndarray, ks: np.ndarray, V: np.ndarray, mode: str) -> list[Ranke
     be scored: no items, or a zero norm under cosine. A block of rows within
     CHUNK_FLOATS is scored in float32 against V's prepared form; each row's
     candidates (see the bound above) are rescored in float64, each pair by
-    the same operations, and ranked. Under cosine a score is divided by both
-    norms, and zero-norm items are never candidates."""
+    the same operations, and ranked, in runs of rows whose candidates fit
+    CHUNK_FLOATS. Under cosine a score is divided by both norms, and
+    zero-norm items are never candidates."""
     if mode not in ("dot", "cosine"):
         raise ScoreError(f"unknown score mode {mode!r}")
     n, d = V.shape
@@ -165,27 +171,44 @@ def _rank(Q: np.ndarray, ks: np.ndarray, V: np.ndarray, mode: str) -> list[Ranke
         margin = 2 * (d + 4) * (A * (4 * _U * prep.B + 2.0 ** -148) + 2.0 ** -148 * (prep.B + 1))
         step = budget_rows((n + 1) // 2)  # float32 score rows, n/2 float64 numbers wide
         pairs = budget_rows(d)
+        kth = np.minimum(ks, n) - 1  # each row's k, at most n, as an index
         for start in range(0, len(rows), step):
             block = rows[start:start + step]
             kb = ks[block].tolist()
-            # One k for the block, its largest: a row's K-th largest f is at most its k-th.
             K = min(max(kb), n)
             Qb = Q[block]
             negS = (-(Qb / q_norms[block, None] if cosine else Qb)).astype(np.float32) @ prep.T
-            lim = np.partition(negS, K - 1, axis=1)[:, K - 1] + margin[block]
+            # Group j holds items j, j + G, j + 2G, ...; a row's -t is its k-th
+            # smallest group minimum of -f, NaN (no f in the group) last. The
+            # minima are partitioned and sorted in place.
+            G = min(n, max(4 * K, 512))
+            whole = n - n % G
+            mins = np.fmin.reduce(negS[:, :whole].reshape(len(block), -1, G), axis=1)
+            np.fmin(mins[:, :n - whole], negS[:, whole:], out=mins[:, :n - whole])
+            mins.partition(K - 1, axis=1)
+            mins[:, :K].sort(axis=1)
+            lim = mins[np.arange(len(block)), kth[block]] + margin[block]
+            del mins
             lim = lim.astype(np.float32)[:, None]  # -f <= lim: f >= t - 2ε
             keep = negS <= lim
-            keep[~(lim[:, 0] < np.inf)] = prep.live  # ε inf, or fewer than K items scored
+            keep[~(lim[:, 0] < np.inf)] = prep.live  # ε inf, or fewer than k groups scored
             del negS  # free the score block before the rescoring
-            owners, items = np.divmod(np.flatnonzero(keep), n)
-            scores = np.empty(len(items))
-            for lo in range(0, len(items), pairs):
-                np.einsum("pd,pd->p", V[items[lo:lo + pairs]].astype(np.float64, copy=False),
-                          Qb[owners[lo:lo + pairs]], out=scores[lo:lo + pairs])
-            if cosine:
-                scores /= q_norms[block][owners] * prep.norms[items]
-            for i, k, top in zip(block.tolist(), kb, _topk(owners, scores, kb)):
-                out[i] = RankedList(items[top], scores[top], k, mode)
+            # Runs of rows whose candidates fit the budget, a pair holding about
+            # 8 numbers at once: its index, row, item, score and sort keys.
+            runs = [(block, Qb, kb, keep)]
+            if np.count_nonzero(keep) > budget_rows(8):
+                runs = ((block[lo:hi], Qb[lo:hi], kb[lo:hi], keep[lo:hi])
+                        for lo, hi in budget_runs(np.count_nonzero(keep, axis=1), 8))
+            for run, Qr, kr, kept in runs:
+                owners, items = np.divmod(np.flatnonzero(kept), n)
+                scores = np.empty(len(items))
+                for p in range(0, len(items), pairs):
+                    np.einsum("pd,pd->p", V[items[p:p + pairs]].astype(np.float64, copy=False),
+                              Qr[owners[p:p + pairs]], out=scores[p:p + pairs])
+                if cosine:
+                    scores /= q_norms[run][owners] * prep.norms[items]
+                for i, k, top in zip(run.tolist(), kr, _topk(owners, scores, kr)):
+                    out[i] = RankedList(items[top], scores[top], k, mode)
     return out
 
 

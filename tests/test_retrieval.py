@@ -81,6 +81,38 @@ def fuzz_block(rng):
         return V.astype(np.float64 if wide else np.float32), Q
 
 
+def fuzz_wide_block(rng):
+    """A block of 600 to 3000 items, wider than the filter's item groups
+    (items j, j + G, j + 2G, ... with G = 512 for k up to 128, 1024 for k
+    256), and queries near one direction u. The best items for u share one
+    residue class mod 1024, the next best the rest of its class mod 512;
+    copies of a best item sit in other classes; whole classes mod 512 are
+    zero rows, at times all but a few dozen, so that fewer than k groups
+    hold a live item. Powers of two may scale V and Q, and one entry may be
+    NaN or inf."""
+    n, d, wide = int(rng.integers(600, 3001)), int(rng.integers(2, 9)), bool(rng.integers(2))
+    u = rng.standard_normal(d)
+    V, Q = rng.standard_normal((n, d)), u + 0.2 * rng.standard_normal((8, d))
+    c = int(rng.integers(512))
+    V[c::1024] = 4 * (u + 1e-3 * rng.standard_normal((len(V[c::1024]), d)))
+    V[c + 512::1024] = 3 * (u + 1e-2 * rng.standard_normal((len(V[c + 512::1024]), d)))
+    V[rng.integers(0, n, size=n // 50 + 1)] = V[c]
+    others = np.delete(np.arange(512), c)
+    live = (rng.choice(others, size=int(rng.integers(20, 120)), replace=False)
+            if rng.random() < 0.25 else others)
+    for z in np.setdiff1d(others, live).tolist() + rng.choice(others, size=3).tolist():
+        V[z::512] = 0.0
+    scale_v, scale_q, bad = rng.random(3) < 0.2
+    if scale_v:
+        V *= 2.0 ** rng.choice([-530, 330] if wide else [-140, 100])
+    if scale_q:
+        Q *= 2.0 ** rng.choice([-1000, -140, 130, 330])
+    if bad:
+        V[int(rng.integers(n)), int(rng.integers(d))] = rng.choice([np.nan, np.inf, -np.inf])
+    with np.errstate(over="ignore"):
+        return V.astype(np.float64 if wide else np.float32), Q
+
+
 class TestRetrieveTopK:
     def test_tie_broken_by_index(self):
         V = np.array([[0.9], [0.1], [0.9]], dtype=np.float32)
@@ -186,6 +218,46 @@ class TestFilterFuzz:
                 assert got.short == (len(expect) < k)
                 assert np.all(got.scores > -np.inf)  # a -inf or NaN score is no candidate
                 assert same_ranking(in_block, got)
+
+    @pytest.mark.parametrize("mode", ["dot", "cosine"])
+    def test_wide_block_matches_the_float64_scan(self, mode, rng):
+        for _ in range(20):
+            V, Q = fuzz_wide_block(rng)
+            n, top = len(V), int(rng.choice([128, 256]))
+            # One block whose largest k sets G to 512 or 1024, one of full rankings (G = n).
+            grouped = [top, 1] + rng.integers(1, top + 1, size=len(Q) - 2).tolist()
+            full = [n, n + 5, 10 ** 18, n - int(rng.integers(1, 80)), 1, 2, 30, top]
+            # Each query is a one-word query over the rows of Q: its encoding is the row.
+            blocks = [(ks, search([[i] for i in range(len(Q))], Q, V, ks, mode))
+                      for ks in (grouped, full)]
+            for i, q in enumerate(Q):
+                expect = sort_all_oracle(q, V, mode)
+                for ks, blocked in blocks:
+                    try:
+                        got = retrieve_topk(q, V, ks[i], mode)
+                    except ScoreError as exc:
+                        assert blocked[i] == str(exc)
+                        continue
+                    assert got.items.tolist() == expect[:ks[i]]
+                    assert got.short == (len(expect) < ks[i])
+                    assert same_ranking(blocked[i], got)
+
+    def test_each_row_rescores_only_what_its_own_k_admits(self, monkeypatch):
+        # Item i scores i under dot. With k <= 128, G = 512: group j holds items
+        # j, j + 512, ..., and the last 300 items fold into groups 0 to 299, so
+        # a row's k-th smallest group minimum of -f is -(n - k) for k <= 300.
+        n, ks = 2048 + 300, [3, 40, 1, 128]
+        V = np.arange(n, dtype=np.float32)[:, None]
+        rescored, topk = [], retrieval._topk
+
+        def spy(owners, scores, row_ks):
+            rescored.extend(np.bincount(owners, minlength=len(row_ks)).tolist())
+            return topk(owners, scores, row_ks)
+
+        monkeypatch.setattr(retrieval, "_topk", spy)
+        got = search([[0]] * len(ks), np.ones((1, 1)), V, ks, "dot")
+        assert rescored == ks
+        assert [r.items.tolist() for r in got] == [list(range(n - 1, n - 1 - k, -1)) for k in ks]
 
 
 def score_block_rows(n, monkeypatch, chunk_floats):
@@ -368,6 +440,15 @@ class TestWorkingMemory:
         assert bound < 8 * 256 * n  # one float64 block of 256 score rows would break it
         assert peak_above_start(lambda: search(queries, W, V, 10, mode)) <= bound
         assert peak_above_start(lambda: reconstruction_recall(state, graph, mode)) <= bound
+        # Every item is a candidate in a full ranking (k >= n: one item per group)
+        # and where the error bound cannot hold (an inf entry): rows are rescored
+        # in runs that fit the budget. A full ranking's results add an item and
+        # a score per item.
+        rows = budget_rows((n + 1) // 2)
+        full = peak_above_start(lambda: search(queries[:rows], W, V, n, mode))
+        assert full <= bound + 16 * n * rows
+        V[0, 0] = np.inf
+        assert peak_above_start(lambda: search(queries[:2 * rows], W, V, 10, mode)) <= bound
 
 
 def interleave_oracle(primary, secondary, head_len):
