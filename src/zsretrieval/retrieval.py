@@ -71,14 +71,14 @@ class RankedList:
         return iter(zip(self.items.tolist(), self.scores.tolist()))
 
 
-def _topk(owners: np.ndarray, scores: np.ndarray, ks: list[int]) -> list[np.ndarray]:
+def _topk(owners: np.ndarray, scores: np.ndarray, ks: list[int],
+          counts: np.ndarray) -> list[np.ndarray]:
     """The one ranking kernel. ``owners`` (rising) and ``scores`` list the
-    candidates of a block of rows, each row's items in rising index order;
-    per row, returns the positions of its first k candidates by (score desc,
-    index asc). -inf and NaN are not candidates: sorted by negated score,
-    they come last in their row."""
+    candidates of a block of rows, each row's items in rising index order,
+    ``counts[i]`` of them row i's; per row, returns the positions of its
+    first k candidates by (score desc, index asc). -inf and NaN are not
+    candidates: sorted by negated score, they come last in their row."""
     order = np.lexsort((-scores, owners))  # by row, then score desc, then index asc
-    counts = np.bincount(owners, minlength=len(ks))
     scored = np.bincount(owners[scores > -np.inf], minlength=len(ks))
     starts = (np.cumsum(counts) - counts).tolist()
     return [order[lo:lo + min(k, c)] for lo, k, c in zip(starts, ks, scored.tolist())]
@@ -194,20 +194,19 @@ def _rank(Q: np.ndarray, ks: np.ndarray, V: np.ndarray, mode: str) -> list[Ranke
             keep[~(lim[:, 0] < np.inf)] = prep.live  # ε inf, or fewer than k groups scored
             del negS  # free the score block before the rescoring
             # Runs of rows whose candidates fit the budget, a pair holding about
-            # 8 numbers at once: its index, row, item, score and sort keys.
-            runs = [(block, Qb, kb, keep)]
-            if np.count_nonzero(keep) > budget_rows(8):
-                runs = ((block[lo:hi], Qb[lo:hi], kb[lo:hi], keep[lo:hi])
-                        for lo, hi in budget_runs(np.count_nonzero(keep, axis=1), 8))
-            for run, Qr, kr, kept in runs:
-                owners, items = np.divmod(np.flatnonzero(kept), n)
+            # 8 numbers at once: its index, row, item, score and sort keys. A
+            # whole row's count_nonzero is about three times faster than axis=1's.
+            counts = np.fromiter(map(np.count_nonzero, keep), np.intp, len(keep))
+            for lo, hi in budget_runs(counts, 8):
+                run, Qr, kr = block[lo:hi], Qb[lo:hi], kb[lo:hi]
+                owners, items = np.divmod(np.flatnonzero(keep[lo:hi]), n)
                 scores = np.empty(len(items))
                 for p in range(0, len(items), pairs):
                     np.einsum("pd,pd->p", V[items[p:p + pairs]].astype(np.float64, copy=False),
                               Qr[owners[p:p + pairs]], out=scores[p:p + pairs])
                 if cosine:
                     scores /= q_norms[run][owners] * prep.norms[items]
-                for i, k, top in zip(run.tolist(), kr, _topk(owners, scores, kr)):
+                for i, k, top in zip(run.tolist(), kr, _topk(owners, scores, kr, counts[lo:hi])):
                     out[i] = RankedList(items[top], scores[top], k, mode)
     return out
 

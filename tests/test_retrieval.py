@@ -250,9 +250,10 @@ class TestFilterFuzz:
         V = np.arange(n, dtype=np.float32)[:, None]
         rescored, topk = [], retrieval._topk
 
-        def spy(owners, scores, row_ks):
-            rescored.extend(np.bincount(owners, minlength=len(row_ks)).tolist())
-            return topk(owners, scores, row_ks)
+        def spy(owners, scores, row_ks, counts):
+            assert counts.tolist() == np.bincount(owners, minlength=len(row_ks)).tolist()
+            rescored.extend(counts.tolist())
+            return topk(owners, scores, row_ks, counts)
 
         monkeypatch.setattr(retrieval, "_topk", spy)
         got = search([[0]] * len(ks), np.ones((1, 1)), V, ks, "dot")
