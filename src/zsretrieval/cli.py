@@ -20,7 +20,7 @@ import itertools
 import json
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -49,7 +49,7 @@ from .evaluation import (
     recall_at_k,
     reconstruction_recall,
 )
-from .retrieval import search
+from .retrieval import SCORE_MODES, search
 from .sl_trainer import SWEEP_STATS, sl_loss_bruteforce, sl_loss_efficient, train_sl_model
 from .smc import SAMPLINGS, SMCConfig, train_smc
 from .store import (
@@ -490,7 +490,7 @@ _FLAGS = {
     "lam": {"flag": "--lambda"}, "use_weights": {"flag": "--no-weights"},
     "weight_negatives": {"flag": "--unweighted-negatives"}, "bigrams": {"flag": "--no-bigrams"},
     "model": {"choices": KINDS}, "sampling": {"choices": SAMPLINGS},
-    "score": {"choices": ("dot", "cosine")},
+    "score": {"choices": SCORE_MODES},
     "metric": {"choices": ("reconstruction", "pooled", "recall")},
     "head": {"type": int}, "sub_seed": {"type": int},
 }
@@ -612,12 +612,10 @@ def main(argv: list[str] | None = None) -> int:
         check(threads=args.threads)
         limiter = _limit_threads(args.threads)
         args.threads_applied = limiter is not None
-        try:  # each command reports a non-finite result itself, in one line
-            with np.errstate(all="ignore"), _one_line_warnings():
-                cfg, summary = args.func(args)
-        finally:
-            if limiter is not None:
-                limiter.__exit__(None, None, None)
+        # each command reports a non-finite result itself, in one line
+        with (nullcontext() if limiter is None else limiter, np.errstate(all="ignore"),
+              _one_line_warnings()):
+            cfg, summary = args.func(args)
         if "out" in args:
             _write_manifest(args, cfg)
         if "notice" in args:

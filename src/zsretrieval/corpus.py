@@ -540,6 +540,12 @@ def load_corpus(directory: str | Path) -> Corpus:
     indptr, neighbors, counts = binio.read_int_lists(directory / "adjacency.bin", ADJ_MAGIC, n, n)
     if counts is None:
         raise IngestError(f"{directory}/adjacency.bin: missing counts")
+    adjacency = Rows(indptr, neighbors)
+    owner = adjacency.row_ids()  # CorrelationGraph's ascending rows, which the trainer reads
+    falls = np.flatnonzero((owner[1:] == owner[:-1]) & (neighbors[1:] <= neighbors[:-1]))
+    if len(falls):
+        raise IngestError(f"{directory}/adjacency.bin: row {owner[falls[0]]} is not "
+                          "strictly ascending")
     try:
         meta = json.loads((directory / "corpus_meta.json").read_text(encoding="utf-8"))
         max_neighbors, stats = meta["max_neighbors"], dict(meta.get("stats", {}))
@@ -547,5 +553,5 @@ def load_corpus(directory: str | Path) -> Corpus:
         raise IngestError(f"{directory}/corpus_meta.json: malformed: {exc!r}") from None
     if not is_json(max_neighbors, int) or max_neighbors < 1:
         raise IngestError(f"{directory}/corpus_meta.json: 'max_neighbors' must be an integer >= 1")
-    graph = CorrelationGraph(Rows(indptr, neighbors), Rows(indptr, counts), max_neighbors)
+    graph = CorrelationGraph(adjacency, Rows(indptr, counts), max_neighbors)
     return Corpus(item_ids, vocab, Rows(offsets, words), graph, stats)

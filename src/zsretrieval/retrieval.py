@@ -11,6 +11,8 @@ from .corpus import Rows, budget_rows, budget_runs
 from .encoder import _unencodable, encode_rows
 from .errors import ConfigError, ScoreError, check
 
+SCORE_MODES = ("dot", "cosine")  # how a ranking scores, and a stored model's score_mode
+
 # The float32 filter's error bound. Write s for a pair's float64 score as the
 # re-rank computes it, f for its float32 score and u = 2^-24. Under cosine f
 # is the float32 dot product of a = q/‖q‖ and b = v/‖v‖, each rounded to
@@ -150,7 +152,7 @@ def _rank(Q: np.ndarray, ks: np.ndarray, V: np.ndarray, mode: str) -> list[Ranke
     the same operations, and ranked, in runs of rows whose candidates fit
     CHUNK_FLOATS. Under cosine a score is divided by both norms, and
     zero-norm items are never candidates."""
-    if mode not in ("dot", "cosine"):
+    if mode not in SCORE_MODES:
         raise ScoreError(f"unknown score mode {mode!r}")
     n, d = V.shape
     if n == 0:

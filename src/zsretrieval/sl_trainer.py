@@ -181,21 +181,18 @@ def _runs(ptr: np.ndarray, sub: np.ndarray | None = None):
     return [(r, a, b) for r, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())) if a < b]
 
 
-def _lowrank_pays(k: np.ndarray, d: int) -> np.ndarray:
-    """The rows whose k x k Woodbury system (k their padded term count)
-    costs fewer flops than factoring the d x d one: 2k^2 d + 2k^3/3 < 2d^3/3."""
-    k = np.asarray(k, dtype=np.float64)
-    return 3.0 * k * k * d + k ** 3 < float(d) ** 3
-
-
-def _width(k: np.ndarray) -> np.ndarray:
-    """The term count a low-rank row is padded to: k rounded up to two
-    significant bits (1, 2, 3, 4, 6, 8, 12, ...), so a pass solves few
-    widths. A row's arrays have shapes set by its own k alone, so it gets
-    the same bits in any chunk."""
+def _system_width(k: np.ndarray, d: int) -> np.ndarray:
+    """The width of each row's system, from its term count k: k rounded up
+    to two significant bits (1, 2, 3, 4, 6, 8, 12, ...), so a pass solves few
+    widths, where that k x k Woodbury system costs fewer flops than
+    factoring the d x d one (2k^2 d + 2k^3/3 < 2d^3/3); else d. A row's
+    arrays have shapes set by its own k alone, so it gets the same bits in
+    any chunk."""
     k = np.asarray(k, dtype=np.int64)
     step = 1 << np.maximum(np.frexp(k.astype(np.float64))[1] - 2, 0)
-    return -(-k // step) * step
+    width = -(-k // step) * step
+    w = width.astype(np.float64)
+    return np.where(3.0 * w * w * d + w ** 3 < float(d) ** 3, width, d)
 
 
 @dataclass(eq=False)
@@ -246,7 +243,7 @@ def _solve_stacked(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def solve_lowrank(basis: tuple[np.ndarray, np.ndarray], lam: float, scale: np.ndarray,
-                  extra: np.ndarray | None, P: np.ndarray, c: np.ndarray,
+                  extra: np.ndarray, P: np.ndarray, c: np.ndarray,
                   wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``(lam I + scale[r] G + P_r^T diag(c_r) P_r) x = extra[r] + P_r^T wb_r``
     for each row r, with G = Q diag(vals) Q^T (``basis``), by Woodbury.
@@ -267,8 +264,7 @@ def solve_lowrank(basis: tuple[np.ndarray, np.ndarray], lam: float, scale: np.nd
         D[~fit] = 1.0
         Pt = P @ Q
         bq = (wb[:, None, :] @ Pt)[:, 0]
-        if extra is not None:
-            bq += (extra[:, None, :] @ Q)[:, 0]
+        bq += (extra[:, None, :] @ Q)[:, 0]
         F = Pt / D[:, None, :]
         M = F @ Pt.transpose(0, 2, 1)
         M *= c[:, :, None]
@@ -348,8 +344,9 @@ class SLTrainer:
     Gramians and the encoded context rows) match the state after set-up,
     after every ``sweep`` and after ``refresh``: a sweep rebuilds, after each
     block's pass, the caches that read that block, and ``loss`` reads them
-    as they stand. Each pass's Gramian and its eigenbasis (``grams``) are
-    built on the pass's first use after the Gramians they come from.
+    as they stand. Each pass's Gramian (``grams``) is built on the pass's
+    first use after the Gramians it comes from, and its eigenbasis on the
+    first chunk that holds a low-rank row.
     ``update_row`` solves one row against the caches as they stand and
     rebuilds none; an edit to the state made outside the trainer needs a
     ``refresh``. Rows of one level (``levels``) do not read one
@@ -429,20 +426,25 @@ class SLTrainer:
         return levels
 
     @cached_property
-    def cost(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per block, each row's term count k and the rows of d numbers its
-        system gathers (its terms and, for an encoded word, its items): a
-        chunk's budget."""
-        cost = {"V": (sum(task.pos.lengths() for task in self.tasks),) * 2}
+    def plan(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per block, each row's system width (``_system_width`` of its term
+        count k) and the rows of d numbers its chunk holds for it: its
+        gathered terms (for an encoded word, its items' seeds and its items)
+        and, on the low-rank path, its padded terms and its own d numbers."""
+        d, sizes = self.config.d, {"V": (sum(task.pos.lengths() for task in self.tasks),) * 2}
         for task in self.tasks:
             seeds = task.by_context[0].lengths()
-            cost[task.block] = seeds, seeds
+            sizes[task.block] = seeds, seeds
             if task.encoded:  # a word row gathers its items and their seeds
                 words = self.word_items
                 seeds = np.bincount(words.row_ids(), weights=seeds[words.values],
                                     minlength=self.corpus.m).astype(np.int64)
-                cost[task.block] = seeds, seeds + words.lengths()
-        return cost
+                sizes[task.block] = seeds, seeds + words.lengths()
+        plan = {}
+        for block, (k, gathered) in sizes.items():
+            width = _system_width(k, d)
+            plan[block] = width, gathered + np.where(width < d, width + 1, 0)
+        return plan
 
     # -- caches ------------------------------------------------------------
 
@@ -507,12 +509,10 @@ class SLTrainer:
         chunk's terms, solve its rows in batches and write them back. Rows of
         one level must not read one another.
 
-        A row whose k terms, padded to its ``_width``, make the Woodbury
-        system the cheaper one (``_lowrank_pays``) is solved in the
-        eigenbasis of the pass's Gramian; the others are d x d systems. A
-        level's rows are taken in order of that width, the d x d ones last,
-        in chunks whose gathered terms and low-rank arrays fit CHUNK_FLOATS;
-        the d x d systems go in batches of at most CHUNK_FLOATS numbers."""
+        A row of width below d (``plan``) is solved in the eigenbasis of the
+        pass's Gramian, the others as d x d systems. A level's rows are taken
+        in order of that width, the d x d ones last, in chunks whose gathered
+        terms and low-rank arrays fit CHUNK_FLOATS."""
         out = getattr(self.state, block)
         if not out.flags.writeable:
             raise ConfigError(f"block {block} of the state is read-only (a loaded model); "
@@ -524,30 +524,21 @@ class SLTrainer:
                       if task is None else (task.neg_c, [(task.by_context, self.state.V)]))
         terms = (partial(self._terms_encoded, task) if task is not None and task.encoded
                  else partial(self._terms_free, neg, sides))
-        d, gram = self.config.d, self._gram(block)
-        k, gathered = self.cost[block]
+        gram, (width, cost) = self._gram(block), self.plan[block]
         for level in levels:
-            width = _width(k[level])
-            low = _lowrank_pays(width, d)
-            if gram.basis is None:
-                self.counts["fallbacks_lowrank"] += int(low.sum())
-                low[:] = False
-            # rows of d numbers a row brings: its gathered terms and, on the
-            # low-rank path, its padded terms and its own d numbers
-            cost = gathered[level] + np.where(low, width + 1, 0)
-            width[~low] = d  # the d x d system; no low-rank width reaches d
-            order = np.argsort(width, kind="stable")
-            rows, width = level[order], width[order]
-            for start, stop in budget_runs(cost[order], d):
-                self._solve_chunk(block, gram, terms(rows[start:stop]), rows[start:stop],
-                                  width[start:stop])
+            rows = level[np.argsort(width[level], kind="stable")]
+            for start, stop in budget_runs(cost[rows], self.config.d):
+                chunk = rows[start:stop]
+                self._solve_chunk(block, gram, terms(chunk), chunk, width[chunk])
 
     def _solve_chunk(self, block: str, gram: _Gramian, terms: tuple, rows: np.ndarray,
                      width: np.ndarray) -> None:
         """Solve a chunk's rows, ascending by the ``width`` of their systems,
         from their terms and write them to the block: each width below d at
         once by Woodbury, then as d x d systems the rest and every low-rank
-        row that does not stand, in batches of at most CHUNK_FLOATS numbers."""
+        row that does not stand, in batches of at most CHUNK_FLOATS numbers.
+        The pass's eigenbasis is taken on the first low-rank width; without
+        one, every low-rank row is solved dense."""
         scale, extra, parts, written = terms
         out, d = getattr(self.state, block), self.config.d
         edges = [0, *(np.flatnonzero(np.diff(width)) + 1).tolist(), len(rows)]
@@ -557,10 +548,11 @@ class SLTrainer:
             if w == d:
                 dense.append(np.arange(lo, hi))
                 continue
-            x, ok = solve_lowrank(gram.basis, self.config.lam, scale[lo:hi],
-                                  None if extra is None else extra[lo:hi],
-                                  *_padded(parts, lo, hi, w, d))
-            out[rows[lo:hi][ok]] = x[ok]
+            ok = np.zeros(hi - lo, dtype=bool)
+            if gram.basis is not None:
+                x, ok = solve_lowrank(gram.basis, self.config.lam, scale[lo:hi], extra[lo:hi],
+                                      *_padded(parts, lo, hi, w, d))
+                out[rows[lo:hi][ok]] = x[ok]
             self.counts["rows_lowrank"] += int(ok.sum())
             self.counts["fallbacks_lowrank"] += int(len(ok) - ok.sum())
             dense.append(lo + np.flatnonzero(~ok))
@@ -573,7 +565,7 @@ class SLTrainer:
             out[rows[sub]] = x
         written()
 
-    def _assemble(self, G: np.ndarray, scale: np.ndarray, extra: np.ndarray | None,
+    def _assemble(self, G: np.ndarray, scale: np.ndarray, extra: np.ndarray,
                   parts: list, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The d x d systems of chunk rows ``sub``: ``A[r] = lam I + scale[r] G
         + sum c p p^T`` and ``b[r] = extra[r] + sum wb p`` over the terms
@@ -581,7 +573,7 @@ class SLTrainer:
         side, the products a row solved on its own forms."""
         A = np.repeat(self.ridge[None], len(sub), axis=0)
         A += scale[sub, None, None] * G
-        b = np.zeros((len(sub), self.config.d)) if extra is None else extra[sub]
+        b = extra[sub]
         for ptr, P, c, wb in parts:
             for r, lo, hi in _runs(ptr, sub):
                 A[r] += (P[lo:hi] * c[lo:hi, None]).T @ P[lo:hi]
@@ -595,14 +587,15 @@ class SLTrainer:
         from their negative weight to their own.
 
         Returns the chunk's terms: the Gramian's scale per row, the extra
-        right-hand side (None), per side ``(ptr, P, c, wb)`` (the offsets of
+        right-hand side (zero), per side ``(ptr, P, c, wb)`` (the offsets of
         each row's run, its term rows, and the weights they add to ``A`` and
         ``b``), and the callback to run once the rows are written."""
         parts = []
         for pairs, P in sides:
             others, w, neg_w, ptr = _gather(rows, *pairs)
             parts.append((ptr, P[others].astype(np.float64, copy=False), w - neg_w, w))
-        return self.config.omega0 * neg[rows], None, parts, lambda: None
+        return (self.config.omega0 * neg[rows], np.zeros((len(rows), self.config.d)), parts,
+                lambda: None)
 
     def _terms_encoded(self, task: _Task, rows: np.ndarray):
         """Word rows of an encoded task: the word enters through the BOW

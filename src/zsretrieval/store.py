@@ -17,6 +17,7 @@ import numpy as np
 from . import binio
 from .corpus import Corpus
 from .errors import ConfigError, FormatError, RefreshError, VersionError, check, is_json
+from .retrieval import SCORE_MODES
 
 FORMAT_VERSION = 1
 
@@ -234,7 +235,7 @@ def load_model(directory: str | Path) -> ModelState:
            for name, block in blocks.items()):
         raise FormatError("matrix shapes disagree with meta.json")
     score_mode = meta.get("score_mode")
-    if score_mode not in ("dot", "cosine"):
+    if score_mode not in SCORE_MODES:
         raise FormatError(f"{directory}/meta.json: unknown score mode {score_mode!r} "
                           "under 'score_mode'")
     objective = meta.get("objective")

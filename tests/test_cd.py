@@ -464,8 +464,7 @@ def edge_case_corpus(seed=5, n=16, m=14):
 
 def lowrank_rows(trainer, block):
     """Which rows of ``block`` the flop model gives the low-rank path."""
-    k = trainer.cost[block][0]
-    return sl_trainer_module._lowrank_pays(sl_trainer_module._width(k), trainer.config.d)
+    return trainer.plan[block][0] < trainer.config.d
 
 
 def assert_states_match(a, b):
@@ -615,8 +614,8 @@ class TestPassesMatchRowByRow:
         with warnings.catch_warnings(record=True) as caught:  # lam = 0: singular rows warn
             warnings.simplefilter("always")
             with monkeypatch.context() as dense_only:
-                dense_only.setattr(sl_trainer_module, "_lowrank_pays",
-                                   lambda k, d: np.zeros(len(k), dtype=bool))
+                dense_only.setattr(sl_trainer_module, "_system_width",
+                                   lambda k, d: np.full(len(k), d))
                 oracle._pass("V", oracle.levels["V"])
             if cause == "residual":
                 monkeypatch.setattr(sl_trainer_module, "RESIDUAL_TOL", float("nan"))
@@ -629,6 +628,27 @@ class TestPassesMatchRowByRow:
         assert trainer.counts["fallbacks_lowrank"] == eligible
         assert trainer.counts["rows_lowrank"] == 0
         assert state.V.tobytes() == ref.V.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_eigh_runs_only_for_a_chunk_with_a_low_rank_row(self, kind, monkeypatch):
+        # update_row on a d x d row takes no eigenbasis; a sweep takes one of
+        # each pass Gramian (V's, and the one U and W share) whose pass holds
+        # a low-rank row.
+        corpus = edge_case_corpus()
+        config = TrainConfig(kind=kind, d=3, omega0=0.05, lam=0.3, seed=12)
+        trainer = SLTrainer(init_model_state(config, corpus), corpus, config)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda G: calls.append(G) or eigh(G))
+        for block in trainer.blocks:
+            dense = np.flatnonzero(~lowrank_rows(trainer, block))
+            assert len(dense) > 0
+            trainer.update_row(block, int(dense[0]))
+        assert calls == []
+        for _ in range(2):
+            trainer.sweep()
+        grams = {trainer._gram(block) for block in trainer.blocks
+                 if lowrank_rows(trainer, block).any()}
+        assert grams and len(calls) == 2 * len(grams)
 
     def test_singular_rows_fall_back_one_by_one(self):
         # lam = 0: the two words on no item have A = 0; their batch is solved
@@ -672,10 +692,16 @@ class TestPassesMatchRowByRow:
         assert got.tobytes() == oracle.state.V[4].tobytes() and got[0] == 0.0 and got.any()
         assert trainer.counts["fallbacks_lstsq"] == 1
 
-    def test_a_row_still_non_finite_raises_without_a_warning(self, monkeypatch):
+    @pytest.mark.parametrize("lstsq", ["non-finite", "raises"])
+    def test_a_row_still_non_finite_raises_without_a_warning(self, lstsq, monkeypatch):
         trainer, _ = self.singular_v_rows()
         before = trainer.state.V[4].tobytes()
-        monkeypatch.setattr(np.linalg, "lstsq", lambda A, b, rcond: (np.full_like(b, np.inf),))
+
+        def fails(A, b, rcond):  # lstsq's SVD did not converge
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", fails if lstsq == "raises" else
+                            lambda A, b, rcond: (np.full_like(b, np.inf),))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(NumericError, match=r"^non-finite update at block V, row 4$"):
@@ -735,7 +761,7 @@ def dense_systems(vals, Q, lam, scale, extra, P, c, wb):
     G = (Q * vals) @ Q.T
     A = lam * np.eye(len(vals)) + scale[:, None, None] * G + \
         np.einsum("rkd,rk,rke->rde", P, c, P)
-    b = np.einsum("rk,rkd->rd", wb, P) + (0.0 if extra is None else extra)
+    b = np.einsum("rk,rkd->rd", wb, P) + extra
     return A, b
 
 
@@ -754,15 +780,14 @@ class TestLowRankSolve:
     def test_agrees_with_the_dense_solve(self, with_extra):
         rng = np.random.default_rng(21)
         d = self.D
-        limit = max(k for k in range(d) if sl_trainer_module._lowrank_pays(
-            sl_trainer_module._width(k), d))
+        limit = max(k for k in range(d) if sl_trainer_module._system_width(k, d) < d)
         assert limit >= 8
         ks = np.repeat(np.arange(limit + 1), 3)  # each k with s = 0 and two s > 0
         scale = np.tile([0.0, 0.4, 2.5], limit + 1)
         vals, Q = self.basis(rng)
         for width in (limit, limit + 5):  # rows padded to their own width or beyond
             P, c, wb = random_terms(rng, ks, width, d)
-            extra = rng.standard_normal((len(ks), d)) if with_extra else None
+            extra = rng.standard_normal((len(ks), d)) if with_extra else np.zeros((len(ks), d))
             x, ok = solve_lowrank((vals, Q), 0.8, scale, extra, P, c, wb)
             A, b = dense_systems(vals, Q, 0.8, scale, extra, P, c, wb)
             expect = np.linalg.solve(A, b[:, :, None])[:, :, 0]
@@ -869,10 +894,10 @@ class TestWorkingMemory:
                         Rows.from_lists(words), empty_graph(n), {})
         config = TrainConfig(kind=STL, d=d, sweeps=1, seed=3)
         trainer = SLTrainer(init_model_state(config, corpus), corpus, config)
-        k, levels = trainer.cost["V"][0], trainer.levels["V"]
-        assert len(levels) == 1 and np.array_equal(np.bincount(k), [8000, 2000] + [0] * 14 + [1])
+        width, levels = trainer.plan["V"][0], trainer.levels["V"]
+        assert len(levels) == 1 and np.array_equal(np.bincount(width), [8000, 2000] + [0] * 14 + [1])
         assert lowrank_rows(trainer, "V").all()
-        assert not sl_trainer_module._lowrank_pays(sl_trainer_module._width(17), d)
+        assert sl_trainer_module._system_width(17, d) == d
         peak = peak_above_start(lambda: trainer._pass("V", levels))
         assert peak <= 8 * 6 * corpus_module.CHUNK_FLOATS
         assert trainer.counts["rows_lowrank"] == n

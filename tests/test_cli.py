@@ -75,6 +75,35 @@ class TestIngest:
         applied = importlib.util.find_spec("threadpoolctl") is not None
         assert manifest["threads"] == {"requested": 1, "applied": applied}
 
+    def test_threads_limiter_is_held_for_the_command(self, workspace, monkeypatch):
+        # A stand-in threadpoolctl: main enters the limiter and exits it,
+        # also when the command fails.
+        events = []
+
+        class Limits:
+            def __init__(self, limits):
+                events.append(("limits", limits))
+
+            def __enter__(self):
+                events.append("enter")
+                return self
+
+            def __exit__(self, *exc):
+                events.append("exit")
+
+        stub = type(sys)("threadpoolctl")
+        stub.threadpool_limits = Limits
+        monkeypatch.setitem(sys.modules, "threadpoolctl", stub)
+        assert main(["ingest", "--items", str(workspace / "items.jsonl"),
+                     "--out", str(workspace / "c1"), "--threads", "2"]) == 0
+        manifest = json.loads((workspace / "c1" / "manifest.json").read_text())
+        assert manifest["threads"] == {"requested": 2, "applied": True}
+        assert events == [("limits", 2), "enter", "exit"]
+        events.clear()
+        assert main(["ingest", "--items", str(workspace / "nope.jsonl"),
+                     "--out", str(workspace / "c2"), "--threads", "1"]) == 2
+        assert events == [("limits", 1), "enter", "exit"]
+
     def test_missing_items_file_is_data_error(self, workspace, capsys):
         rc = main(["ingest", "--items", str(workspace / "nope.jsonl"),
                    "--out", str(workspace / "corpus")])
@@ -815,6 +844,20 @@ class TestLossAudit:
         assert rc == 0
         out = capsys.readouterr().out
         assert "bruteforce=" in out and "efficient=" in out and "rel_diff=" in out
+
+    def test_disagreeing_loss_paths_exit_3_after_the_line(self, workspace, capsys, monkeypatch):
+        corpus = ingest(workspace)
+        model = train(workspace, corpus)
+        monkeypatch.setattr("zsretrieval.cli.sl_loss_efficient",
+                            lambda state, corpus, config: 7.0)
+        capsys.readouterr()
+        assert main(["loss-audit", "--model", str(model), "--corpus", str(corpus)]) == 3
+        captured = capsys.readouterr()
+        out, err = captured.out.splitlines(), captured.err.splitlines()
+        assert len(out) == 1 and out[0].startswith("bruteforce=") and " efficient=7 " in out[0]
+        rel = float(out[0].rsplit("rel_diff=", 1)[1])
+        assert rel > 1e-8
+        assert err == [f"numeric failure: loss paths disagree: relative difference {rel:.3e}"]
 
     def test_u_block_of_another_shape_exits_2_with_one_line(self, workspace, capsys):
         corpus = ingest(workspace)
@@ -1630,6 +1673,14 @@ MALFORMED = {
         lambda ws, c: binio.write_int_lists(c / "adjacency.bin", ADJ_MAGIC,
                                             np.array([0, 1, 1, 1, 1]), np.array([4]),
                                             np.array([1])), "train"),
+    "neighbor-row-repeated": (
+        lambda ws, c: binio.write_int_lists(c / "adjacency.bin", ADJ_MAGIC,
+                                            np.array([0, 2, 2, 2, 2]), np.array([1, 1]),
+                                            np.array([1, 1])), "train"),
+    "neighbor-row-descending": (
+        lambda ws, c: binio.write_int_lists(c / "adjacency.bin", ADJ_MAGIC,
+                                            np.array([0, 1, 3, 3, 3]), np.array([1, 3, 0]),
+                                            np.array([1, 1, 1])), "train"),
     "adjacency-with-fewer-rows-than-items": (
         lambda ws, c: binio.write_int_lists(c / "adjacency.bin", ADJ_MAGIC,
                                             np.array([0, 0]), np.zeros(0), np.zeros(0)),
@@ -1683,6 +1734,8 @@ MALFORMED_LINES = {
     "graph-edge-repeated": "graph.tsv:3: repeated edge 'a' -> 'b'",
     "vocab-line-without-index": "corpus/vocab.tsv:1: expected 2 tab-separated fields",
     "adjacency-without-counts": "corpus/adjacency.bin: missing counts",
+    "neighbor-row-repeated": "corpus/adjacency.bin: row 0 is not strictly ascending",
+    "neighbor-row-descending": "corpus/adjacency.bin: row 1 is not strictly ascending",
     "word-lists-payload-shorter-than-offsets": "corpus/words.bin: payload size mismatch",
     "word-lists-payload-shorter-than-values": "corpus/words.bin: payload size mismatch",
     "model-block-payload-of-another-size":

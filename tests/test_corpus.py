@@ -423,6 +423,23 @@ class TestCorpusPersistence:
                 assert a.tolist() == b.tolist()
             assert back.graph.max_neighbors == corpus.graph.max_neighbors
 
+    @pytest.mark.parametrize("row0", [[1, 3, 3], [3, 1]], ids=["repeated", "descending"])
+    def test_a_neighbor_row_not_strictly_ascending_is_refused(self, tmp_path, row0):
+        # Saved as given: a library-built graph is trusted, a loaded one is checked.
+        lists = [row0, [0, 2], [], [4, 5], [], []]
+        graph = CorrelationGraph(Rows.from_lists(lists),
+                                 Rows.from_lists([[1] * len(r) for r in lists]), 5)
+        corpus = Corpus([f"i{k}" for k in range(6)], ["x"], Rows.from_lists([[0]] * 6), graph, {})
+        save_corpus(corpus, tmp_path / "c")
+        with pytest.raises(IngestError) as info:
+            load_corpus(tmp_path / "c")
+        assert str(info.value) == f"{tmp_path / 'c'}/adjacency.bin: row 0 is not strictly ascending"
+        lists[0] = sorted(set(row0))
+        corpus.graph = CorrelationGraph(Rows.from_lists(lists),
+                                        Rows.from_lists([[1] * len(r) for r in lists]), 5)
+        save_corpus(corpus, tmp_path / "c")
+        assert load_corpus(tmp_path / "c").graph.neighbors[0].tolist() == lists[0]
+
 
 # Whitespace other than tab and line breaks, and combining marks of several blocks.
 ODD_SPACES = " \x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"

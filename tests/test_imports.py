@@ -156,3 +156,27 @@ def test_every_default_is_passed_by_some_call():
     """A default no call overrides is a constant in disguise, or an option nothing uses."""
     sources = [p.read_text(encoding="utf-8") for p in CALLERS]
     assert unpassed_defaults([p.read_text(encoding="utf-8") for p in PACKAGE], sources) == []
+
+
+def repeated_string_tuples(sources: dict[str, str]) -> list[str]:
+    """Each tuple, list or set literal of two or more strings that ``sources``
+    (by file name) write more than once, in any order, with where each stands."""
+    places = {}
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and len(node.elts) >= 2 and all(
+                    isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
+                key = tuple(sorted(e.value for e in node.elts))
+                places.setdefault(key, []).append(f"{name}:{node.lineno}")
+    return sorted(f"{key}: {', '.join(at)}" for key, at in places.items() if len(at) > 1)
+
+
+def test_the_scan_finds_a_string_tuple_written_twice():
+    sources = {"a.py": 'MODES = ("x", "y")\ndef f(m):\n    return m in ["y", "x"]\n',
+               "b.py": 'ONE = ("x",)\nMIXED = ("x", 1)\nNAMES = {"x", "y", "z"}\nf(("x", "y"))\n'}
+    assert repeated_string_tuples(sources) == ["('x', 'y'): a.py:1, a.py:3, b.py:4"]
+
+
+def test_no_string_tuple_is_written_twice():
+    """A set of names the package spells out twice can drift apart: name it once."""
+    assert repeated_string_tuples({p.name: p.read_text(encoding="utf-8") for p in PACKAGE}) == []

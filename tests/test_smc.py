@@ -290,6 +290,10 @@ class TestTrainSMC:
         with pytest.raises(ConfigError):
             train_smc([([], 0)], corpus, SMCConfig(d=2))
 
+    def test_unknown_sampling_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^unknown sampling scheme 'x'$"):
+            SMCConfig(sampling="x").validate()
+
     @pytest.mark.parametrize("field", ["learning_rate", "init_std"])
     def test_int_beyond_float_range_is_refused(self, field):
         with pytest.raises(ConfigError, match=f"^{field} must be finite and"):
